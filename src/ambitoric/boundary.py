@@ -24,7 +24,17 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .quadratics import OO, Mobius, Poly, ProjPoint, Quadratic, proj_eq, proj_rep, rat
+from .quadratics import (
+    OO,
+    Mobius,
+    Poly,
+    ProjPoint,
+    Quadratic,
+    compatible_quadratic,
+    proj_eq,
+    proj_rep,
+    rat,
+)
 from .ansatz import (
     G0,
     GMINUS,
@@ -280,15 +290,6 @@ def _scale_edge_order(spec: AnsatzSpec, metric: MetricChoice,
     if metric.tag == GPLUS:
         return -1
     return 1  # g- and gp
-
-
-def compatible_quadratic(q: Quadratic, gamma: Fraction) -> Quadratic:
-    """p^(gamma)(x,y) = (x-gamma) q(y,gamma)/2 + q(x,gamma) (y-gamma)/2 as a
-    quadratic; identically zero iff gamma is a double root of q."""
-    g = rat(gamma)
-    u = q.c0 * g + q.c1
-    v = q.c1 * g + q.c2
-    return Quadratic(u, (v - u * g) / 2, -v * g)
 
 
 def edge_status(spec: AnsatzSpec, metric: MetricChoice,

@@ -12,9 +12,13 @@ Spec files are JSON objects with rational numbers written as strings:
       "metric": "g0"            # or "g+", "g-", {"gp": ["0","0","1"]}
     }
 
-Interval endpoints accept "inf" / "-inf".  Exit codes: 0 success,
-1 negative classification verdict, 2 input error, 3 internal invariant
-failure.  The default sampling density can be set with AMBITORIC_GRID.
+Interval endpoints accept "inf" / "-inf"; an optional "tau_basis" lists
+two q-orthogonal quadratics (written by `gauge` when the transported q is
+not in canonical form).  `validate`, `check`, `classify` and `moment`
+find the same sign components; only `moment --grid` sets a sample
+density (default 24).
+Exit codes: 0 success, 1 negative classification verdict, 2 input error,
+3 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -70,13 +73,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INVARIANT = 3
-
-
-def _default_grid() -> int:
-    try:
-        return int(os.environ.get("AMBITORIC_GRID", "24"))
-    except ValueError:
-        return 24
 
 
 def _load_spec(path: str) -> AnsatzSpec:
@@ -173,7 +169,7 @@ def _conic_polylines(conic, box) -> List[List[Tuple[float, float]]]:
 
 def _cmd_validate(args) -> int:
     spec = _load_spec(args.spec)
-    comps = validate(spec, grid=args.grid)
+    comps = validate(spec)
     out = [{"sign_xy": c.sign_xy, "sign_q": c.sign_q} for c in comps]
     _dump_json({"conic_type": spec.ctype, "components": out}, args.out)
     return EXIT_OK
@@ -195,7 +191,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_check(args) -> int:
     spec = _load_spec(args.spec)
-    comps = validate(spec, grid=args.grid)
+    comps = validate(spec)
     rng = np.random.default_rng(7)
     passed = failed = 0
     failures: List[str] = []
@@ -260,7 +256,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_moment(args) -> int:
     spec = _load_spec(args.spec)
-    comps = validate(spec, grid=args.grid)
+    comps = validate(spec)
     sign = args.sign
     rows: List[Tuple[float, float, float, float]] = []
     for comp in comps:
@@ -285,6 +281,9 @@ def _cmd_moment(args) -> int:
         vp = _Viewport(mus)
         body = [vp.dots(mus, "#3465a4")]
         box = ((vp.x0, vp.x1), (vp.y0, vp.y1))
+        if conic.matrix is None:
+            points = [(float(a), float(b)) for a, b in conic.points]
+            body.append(vp.dots(points, "#cc0000", 3.0))
         for br in _conic_polylines(conic, box):
             body.append(vp.polyline(br, "#cc0000"))
         for axis, iv in (("X", spec.x_interval), ("Y", spec.y_interval)):
@@ -293,8 +292,12 @@ def _cmd_moment(args) -> int:
                     line = level_set_line(spec, sign, axis, g)
                 except (MomentError, ValueError):
                     continue
-                body.append(vp.polyline(
-                    _line_segment(line, box), "#4e9a06", 1.0))
+                if line.degenerate_point is not None:
+                    point = tuple(float(v) for v in line.degenerate_point)
+                    body.append(vp.dots([point], "#4e9a06", 3.0))
+                else:
+                    body.append(vp.polyline(
+                        _line_segment(line, box), "#4e9a06", 1.0))
         with open(args.svg, "w") as fh:
             fh.write(_svg_document(vp.size, vp.size, body))
     _dump_json({"sign": sign, "samples": len(rows), "conic": conic_out},
@@ -424,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
         if spec:
             p.add_argument("spec", help="spec JSON file")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--grid", type=int, default=_default_grid())
 
     p = sub.add_parser("validate", help="list sign components")
     common(p)
@@ -438,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="invariant suite with pass/fail counts")
     common(p)
-    p.add_argument("--h", type=float, default=1e-3)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("classify", help="completability verdicts")
@@ -450,6 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moment", help="moment-map samples, conic, figures")
     common(p)
     p.add_argument("--sign", default="+", choices=["+", "-"])
+    p.add_argument("--grid", type=int, default=24,
+                   help="samples per component side (default 24)")
     p.add_argument("--csv", default=None)
     p.add_argument("--svg", default=None)
     p.set_defaults(fn=_cmd_moment)

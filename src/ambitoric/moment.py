@@ -19,21 +19,23 @@ record both the vector and its negation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, hypot
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .quadratics import OO, ProjPoint, Quadratic, inner, rat
-from .ansatz import (
-    AnsatzSpec,
-    Interval,
-    LatticeMatrix,
-    _solve_exact,
-    lattice_contains,
+from .quadratics import (
+    OO,
+    ProjPoint,
+    Quadratic,
+    compatible_quadratic,
+    inner,
+    proj_rep,
+    rat,
 )
+from .ansatz import AnsatzSpec, LatticeMatrix, _solve_exact
 
 
 class MomentError(ValueError):
@@ -53,21 +55,23 @@ class MomentPoint:
 # the maps
 # ---------------------------------------------------------------------------
 
+def _basis(spec: AnsatzSpec, sign: str) -> Tuple[Quadratic, Quadratic]:
+    """The numerator basis of mu^sign: sigma for '+', tau for '-'."""
+    if sign == "+":
+        return spec.sigma_basis()
+    if sign == "-":
+        return spec.tau_basis
+    raise ValueError("sign must be '+' or '-'")
+
+
 def moment_map(spec: AnsatzSpec, sign: str, x, y) -> MomentPoint:
     """mu^sign at (x, y); exact when x, y are Fractions."""
     exact = isinstance(x, Fraction) and isinstance(y, Fraction)
-    if sign == "+":
-        den = spec.q.polarize(x, y)
-        if den == 0:
-            raise MomentError("mu+ pole: q(x, y) = 0")
-        basis = spec.sigma_basis()
-    elif sign == "-":
-        den = x - y
-        if den == 0:
-            raise MomentError("mu- pole: x - y = 0")
-        basis = spec.tau_basis
-    else:
-        raise ValueError("sign must be '+' or '-'")
+    basis = _basis(spec, sign)
+    den = spec.q.polarize(x, y) if sign == "+" else x - y
+    if den == 0:
+        pole = "q(x, y)" if sign == "+" else "x - y"
+        raise MomentError(f"mu{sign} pole: {pole} = 0")
     vals = [-b.polarize(x, y) / den for b in basis]
     if exact:
         return MomentPoint(vals[0], vals[1])
@@ -75,50 +79,44 @@ def moment_map(spec: AnsatzSpec, sign: str, x, y) -> MomentPoint:
 
 
 def moment_pairing(spec: AnsatzSpec, sign: str, p: Quadratic, x, y):
-    """<mu^sign(x,y), identify_t(p, sign)>; equals -p(x,y)/q(x,y) for '+'
-    (up to an additive constant in the degenerate parabolic case) and
-    -p(x,y)/(x-y) for '-'."""
+    """<mu^sign(x,y), identify_t(p, sign)>; equals lambda - p(x,y)/q(x,y)
+    for '+', with lambda the q-coefficient of p in the basis (sigma1,
+    sigma2, q) (zero unless q is parabolic), and -p(x,y)/(x-y) for '-'."""
     v = identify_t(spec, p, sign)
     mp = moment_map(spec, sign, x, y)
     return v[0] * mp.mu1 + v[1] * mp.mu2
 
 
-def identify_t(spec: AnsatzSpec, p: Quadratic, sign: str = "+") -> Tuple[Fraction, Fraction]:
-    """Coordinates of the q-orthogonal quadratic p in the torus basis.
+def _solve_columns(cols: Sequence[Quadratic], p: Quadratic):
+    """Exact coefficients of p in the quadratics `cols`, or None."""
+    rows = [([c.coeffs()[i] for c in cols], p.coeffs()[i]) for i in range(3)]
+    return _solve_exact(rows, len(cols))
 
-    Solves p = v1 * b1 + v2 * b2 (+ lambda * q) exactly, with b = sigma for
-    sign '+' and b = tau for sign '-'.  In the parabolic '+' case constants
-    are invisible to mu+ (they shift Hamiltonians), so the solve is done
-    modulo the coefficient slot carrying q."""
+
+def _coordinates(spec: AnsatzSpec, p: Quadratic, sign: str):
+    """(v1, v2, lambda) with p = v1 b1 + v2 b2 + lambda q for the basis b of
+    mu^sign.  (b1, b2, q) spans all quadratics except for '-' with parabolic
+    q, where q lies in span(tau) = q-perp, which holds p; lambda is 0 then."""
     if inner(p, spec.q) != 0:
         raise MomentError("p is not orthogonal to q")
-    b1, b2 = spec.sigma_basis() if sign == "+" else spec.tau_basis
-    target = p.coeffs()
-    cols = [b1.coeffs(), b2.coeffs(), spec.q.coeffs()]
-    rows = [([cols[0][i], cols[1][i], cols[2][i]], target[i]) for i in range(3)]
-    sol = _solve_exact(rows, 3)
-    if sol is not None:
-        return (sol[0], sol[1])
-    # q lies in the span of the basis: drop lambda
-    rows2 = [([cols[0][i], cols[1][i]], target[i]) for i in range(3)]
-    sol = _solve_exact(rows2, 2)
-    if sol is not None:
-        return (sol[0], sol[1])
-    # solve modulo the slot where q is supported (additive-constant freedom)
-    j0 = next(i for i, c in enumerate(spec.q.coeffs()) if c != 0)
-    rows3 = [([cols[0][i], cols[1][i]], target[i]) for i in range(3) if i != j0]
-    sol = _solve_exact(rows3, 2)
+    b1, b2 = _basis(spec, sign)
+    sol = _solve_columns((b1, b2, spec.q), p)
     if sol is None:
-        raise MomentError("identification system inconsistent")
-    return (sol[0], sol[1])
+        return (*_solve_columns((b1, b2), p), Fraction(0))
+    return tuple(sol)
+
+
+def identify_t(spec: AnsatzSpec, p: Quadratic, sign: str = "+") -> Tuple[Fraction, Fraction]:
+    """Coordinates (v1, v2) of the q-orthogonal quadratic p in the torus
+    basis, b = sigma for sign '+' and b = tau for sign '-'.  The part
+    lambda * q of p that span(b) misses only shifts mu+ by a constant."""
+    v1, v2, _ = _coordinates(spec, p, sign)
+    return (v1, v2)
 
 
 # ---------------------------------------------------------------------------
 # conics and lines
 # ---------------------------------------------------------------------------
-
-Num = Union[Fraction, float]
-
 
 def _primitive(vec: Sequence[Fraction]) -> Tuple[Fraction, ...]:
     """Scale a rational vector to a primitive integer one, first nonzero > 0."""
@@ -170,7 +168,7 @@ class TangencyCertificate:
     def ok(self) -> bool:
         # leading 0 with zero discriminant means the double intersection
         # sits at infinity (the line is an asymptote of the conic)
-        return abs(float(self.discriminant)) < 1e-10
+        return self.discriminant == 0
 
 
 @dataclass(frozen=True)
@@ -184,156 +182,62 @@ class LineInTstar:
     degenerate_point: Optional[Tuple[Fraction, Fraction]] = None
 
 
-def _nullspace_exact(rows: List[Sequence[Fraction]], ncols: int) -> List[List[Fraction]]:
-    """Exact right-nullspace basis of the matrix given by `rows`."""
-    mat = [list(r) for r in rows]
-    m = len(mat)
-    piv_cols = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, m):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pv = mat[r][col]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(m):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        piv_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(ncols) if c not in piv_cols]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(piv_cols):
-            v[pc] = -mat[i][fc]
-        basis.append(v)
-    return basis
+def _conic(Q) -> Conic:
+    """Conic of the symmetric matrix Q, scaled to the primitive integer
+    vector of its coefficients (mu1^2, mu1 mu2, mu2^2, mu1, mu2, 1)."""
+    a, b, c, d, e, f = _primitive((Q[0][0], 2 * Q[0][1], Q[1][1],
+                                   2 * Q[0][2], 2 * Q[1][2], Q[2][2]))
+    return Conic(matrix=((a, b / 2, d / 2), (b / 2, c, e / 2), (d / 2, e / 2, f)))
 
 
-def _fold_locus_samples(spec: AnsatzSpec, sign: str, n: int = 16
-                        ) -> List[Tuple[Fraction, Fraction]]:
-    """Exact rational points on Z_sign: {x = y} for '+', {q(x,y) = 0} for '-'.
-    Sampled over a wide parameter range, not restricted to the box."""
-    pts = []
-    if sign == "+":
-        for k in range(1, 4 * n):
-            t = Fraction(k, 3) - 2
-            if t == 0:
-                continue
-            pts.append((t, t))
-            if len(pts) >= n:
-                break
-        return pts
-    q = spec.q
-    for k in range(1, 8 * n):
-        x = Fraction(k, 3) - 3
-        den = q.c0 * x + q.c1
-        if den == 0:
-            continue
-        y = -(q.c1 * x + q.c2) / den
-        if x == y:
-            continue
-        pts.append((x, y))
-        if len(pts) >= n:
-            break
-    return pts
-
-
-def fold_conic(spec: AnsatzSpec, sign: str) -> Conic:
-    """The conic through mu^sign(Z_sign), fitted exactly from rational fold
-    samples; a fold at infinity (q with no finite zero locus, the canonical
-    parabolic '-' case) yields the degenerate limit point pair."""
-    if sign == "-" and spec.q.c0 == 0 and spec.q.c1 == 0:
-        # q constant: the negative fold sits at x - y = oo; mu- limits are
-        # read off the linear coefficients of the tau basis
-        t1, t2 = spec.tau_basis
-        p_plus = (-t1.c1, -t2.c1)    # x -> +oo
-        p_minus = (t1.c1, t2.c1)     # x -> -oo
-        return Conic(matrix=None, degenerate=True, points=(p_minus, p_plus))
-    samples = _fold_locus_samples(spec, sign)
-    rows = []
-    mus = []
-    for x, y in samples:
-        try:
-            mp = moment_map(spec, sign, x, y)
-        except MomentError:
-            continue
-        m1, m2 = mp.mu1, mp.mu2
-        mus.append((m1, m2))
-        rows.append([m1 * m1, m1 * m2, m2 * m2, m1, m2, Fraction(1)])
-    if len(rows) < 8:
-        raise MomentError("not enough fold samples for a conic fit")
-    ker = _nullspace_exact(rows, 6)
-    if len(ker) == 0:
-        raise MomentError("fold image does not lie on a conic")
-    if len(ker) > 1:
-        uniq = sorted(set(mus))
-        return Conic(matrix=None, degenerate=True, points=tuple(uniq[:4]))
-    a, b, c, d, e, f = _primitive(ker[0])
-    Q = ((a, b / 2, d / 2), (b / 2, c, e / 2), (d / 2, e / 2, f))
-    return Conic(matrix=Q)
-
-
-def _level_set_mu_samples(spec: AnsatzSpec, sign: str, axis: str,
-                          gamma: ProjPoint, n: int = 9):
-    """Exact mu samples along {x = gamma} (axis X) or {y = gamma} (axis Y);
-    gamma may be OO, in which case leading-coefficient limits are used."""
-    other = spec.y_interval if axis == "X" else spec.x_interval
-    basis = spec.sigma_basis() if sign == "+" else spec.tau_basis
-    out = []
-    for s in other.rat_samples(3 * n):
-        if gamma is OO:
-            # mu_i = -(leading x-coeff of basis_i)/(leading x-coeff of denom)
-            if sign == "+":
-                den = spec.q.c0 * s + spec.q.c1
-            else:
-                den = Fraction(1)
-            if den == 0:
-                continue
-            vals = []
-            for b in basis:
-                num = b.c0 * s + b.c1
-                vals.append(-num / den)
-            out.append(tuple(vals))
-        else:
-            g = rat(gamma)
-            x, y = (g, s) if axis == "X" else (s, g)
-            try:
-                mp = moment_map(spec, sign, x, y)
-            except MomentError:
-                continue
-            out.append((mp.mu1, mp.mu2))
-        if len(out) >= n:
-            break
-    return out
-
-
-def _fit_line(mus) -> LineInTstar:
-    rows = [[m1, m2, Fraction(1)] for m1, m2 in mus]
-    ker = _nullspace_exact(rows, 3)
-    if len(ker) == 0:
-        raise MomentError("samples are not collinear")
-    if len(ker) > 1:
-        return LineInTstar(normal=(Fraction(0), Fraction(0)), offset=Fraction(0),
-                           degenerate_point=mus[0])
-    n1, n2, c = _primitive(ker[0])
-    if n1 == 0 and n2 == 0:
-        raise MomentError("degenerate line fit")
+def _line(n1, n2, offset) -> LineInTstar:
+    """The line {n1 mu1 + n2 mu2 = offset} in primitive integer scaling."""
+    n1, n2, c = _primitive((n1, n2, -offset))
     return LineInTstar(normal=(n1, n2), offset=-c)
 
 
+def _gram(basis: Sequence[Quadratic]):
+    return [[inner(u, v) for v in basis] for u in basis]
+
+
+def _adjugate3(M):
+    """Adjugate of a 3x3 matrix (cyclic cofactors); proportional to M^-1."""
+    return [[M[(j + 1) % 3][(i + 1) % 3] * M[(j + 2) % 3][(i + 2) % 3]
+             - M[(j + 1) % 3][(i + 2) % 3] * M[(j + 2) % 3][(i + 1) % 3]
+             for j in range(3)] for i in range(3)]
+
+
+def fold_conic(spec: AnsatzSpec, sign: str) -> Conic:
+    """The image conic of the fold Z_sign under mu^sign, in closed form.
+
+    With l = (z - x)(z - y), every quadratic p has p(x, y) = -<p, l>, and
+    <l, l> = (x - y)^2 / 2.  On Z+ = {x = y} the quadratic l is null; writing
+    l in the basis (sigma1, sigma2, q) with Gram matrix H gives
+    w^T H^-1 w = 0 for w = (-mu1, -mu2, 1).  On Z- = {q(x, y) = 0} l lies in
+    q-perp = span(tau); with Gram matrix G this gives mu^T G^-1 mu = 1/2.
+    For parabolic q the '-' image is the point pair +-(c0 r + c1) of the
+    tau basis at the double root r of q (the limits +-c1 when r = oo)."""
+    if sign == "+":
+        H = _adjugate3(_gram((*spec.sigma_basis(), spec.q)))
+        D = (-1, -1, 1)
+        return _conic([[D[i] * D[j] * H[i][j] for j in range(3)] for i in range(3)])
+    t1, t2 = _basis(spec, sign)
+    r = spec.q.double_root()
+    if r is not None:
+        if r is OO:
+            p = (t1.c1, t2.c1)
+        else:
+            p = (t1.c0 * r + t1.c1, t2.c0 * r + t2.c1)
+        return Conic(matrix=None, degenerate=True, points=(p, (-p[0], -p[1])))
+    (g11, g12), (_, g22) = _gram((t1, t2))
+    det = g11 * g22 - g12 * g12
+    zero = Fraction(0)
+    # mu^T adj(G) mu = det / 2
+    return _conic([[g22, -g12, zero], [-g12, g11, zero], [zero, zero, -det / 2]])
+
+
 def _tangency(line: LineInTstar, conic: Conic) -> Optional[TangencyCertificate]:
-    if conic.matrix is None or line.degenerate_point is not None:
+    if conic.matrix is None:
         return None
     n1, n2 = line.normal
     c = line.offset
@@ -356,45 +260,59 @@ def _tangency(line: LineInTstar, conic: Conic) -> Optional[TangencyCertificate]:
     return TangencyCertificate(leading=a, discriminant=b * b - 4 * a * cc)
 
 
+def _edge_image(spec: AnsatzSpec, sign: str, axis: str, gamma: ProjPoint):
+    """The image of {axis = gamma}: a line, or the point it collapses to."""
+    if sign == "+":
+        # n . mu+ = b along the edge iff n1 sigma1 + n2 sigma2 + b q is
+        # orthogonal to every quadratic with root gamma, i.e. a multiple of
+        # (W z - X)^2 for gamma = (X : W)
+        X, W = proj_rep(gamma)
+        a1, a2, b = _solve_columns((*spec.sigma_basis(), spec.q),
+                                   Quadratic(W * W, -W * X, X * X))
+        if a1 == 0 and a2 == 0:
+            raise MomentError(f"mu+ has its pole along the edge {axis} = {gamma}")
+        return _line(a1, a2, b)
+    # mu- is antisymmetric under x <-> y, hence the axis sign
+    sgn = 1 if axis == "X" else -1
+    if gamma is OO:
+        # mu-_i -> -sgn (tau_i.c1 + tau_i.c0 s) along the edge, affine in s
+        t1, t2 = _basis(spec, sign)
+        base = (-sgn * t1.c1, -sgn * t2.c1)
+        if t1.c0 == 0 and t2.c0 == 0:
+            return base
+        n1, n2 = t2.c0, -t1.c0
+        return _line(n1, n2, n1 * base[0] + n2 * base[1])
+    g = rat(gamma)
+    p = compatible_quadratic(spec.q, g)
+    if p.is_zero():
+        # gamma is the double root of q: the edge is a fold line
+        x, y = (g, g + 1) if axis == "X" else (g + 1, g)
+        return moment_map(spec, sign, x, y).as_tuple()
+    n1, n2 = identify_t(spec, p, sign)
+    return _line(n1, n2, sgn * spec.q.value(g) / 2)
+
+
 def level_set_line(spec: AnsatzSpec, sign: str, axis: str,
                    gamma: ProjPoint) -> LineInTstar:
     """Image line of the level set {axis = gamma} with tangency certificate
     against the fold conic (None when either object is degenerate)."""
-    mus = _level_set_mu_samples(spec, sign, axis, gamma)
-    if len(mus) < 3:
-        raise MomentError("not enough level-set samples")
-    line = _fit_line(mus)
-    if line.degenerate_point is not None:
-        return line
-    conic = fold_conic(spec, sign)
-    cert = _tangency(line, conic)
-    return LineInTstar(normal=line.normal, offset=line.offset, tangency=cert)
+    image = _edge_image(spec, sign, axis, gamma)
+    if isinstance(image, tuple):
+        return LineInTstar(normal=(Fraction(0), Fraction(0)), offset=Fraction(0),
+                           degenerate_point=image)
+    return replace(image, tangency=_tangency(image, fold_conic(spec, sign)))
 
 
 def p_image_line(spec: AnsatzSpec, sign: str, p: Quadratic) -> LineInTstar:
-    """Image line of the vanishing locus {p(x,y) = 0} for p _|_ q; its
-    normal is parallel to identify_t(spec, p, sign)."""
-    if inner(p, spec.q) != 0:
-        raise MomentError("p is not orthogonal to q")
+    """Image line of the vanishing locus {p(x,y) = 0} for p _|_ q.  Its
+    normal is identify_t(spec, p, sign), and by moment_pairing the pairing
+    equals lambda on the locus (lambda = 0 for '-')."""
     if p.c0 == 0 and p.c1 == 0:
         raise MomentError("constant p has empty vanishing locus")
-    mus = []
-    for k in range(1, 200):
-        x = Fraction(k, 3) - 3
-        den = p.c0 * x + p.c1
-        if den == 0:
-            continue
-        y = -(p.c1 * x + p.c2) / den
-        try:
-            mp = moment_map(spec, sign, x, y)
-        except MomentError:
-            continue
-        mus.append((mp.mu1, mp.mu2))
-        if len(mus) >= 9:
-            break
-    if len(mus) < 3:
-        raise MomentError("empty or degenerate p-locus")
-    return _fit_line(mus)
+    v1, v2, lam = _coordinates(spec, p, sign)
+    if v1 == 0 and v2 == 0:
+        raise MomentError("p is a multiple of q: {p = 0} is the pole set of mu+")
+    return _line(v1, v2, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -510,23 +428,27 @@ def convexity_check(samples, spread: float = 2.5):
     return True, None
 
 
+def moment_differential(spec: AnsatzSpec, sign: str, K: Sequence[Fraction],
+                        x: float, y: float) -> np.ndarray:
+    """d mu_K at (x, y) in the frame (dx, dy, dt1, dt2), for mu_K = K . mu^sign
+    = -N(x,y)/D(x,y), by the quotient rule with the numerator N and the
+    denominator D of moment_map."""
+    b1, b2 = _basis(spec, sign)
+    N = b1.scaled(K[0]).plus(b2.scaled(K[1]))
+    if sign == "+":
+        D, Dx, Dy = spec.q.polarize(x, y), spec.q.dx_polarize(y), spec.q.dx_polarize(x)
+    else:
+        D, Dx, Dy = float(x - y), 1.0, -1.0
+    Nv = N.polarize(x, y)
+    return np.array([(Nv * Dx - N.dx_polarize(y) * D) / (D * D),
+                     (Nv * Dy - N.dx_polarize(x) * D) / (D * D), 0.0, 0.0])
+
+
 def hamiltonian_residual(spec: AnsatzSpec, sign: str, K: Sequence[Fraction],
-                         x: float, y: float, h: float = 1e-4) -> float:
-    """|d mu_K + K -| omega| at (x, y) by central differences (test helper)."""
+                         x: float, y: float) -> float:
+    """|d mu_K + K -| omega| at (x, y), where (K -| omega)_b = K^a omega_ab."""
     from .tensors import eval_field, FramePoint
 
     Kv = np.array([0.0, 0.0, float(K[0]), float(K[1])])
     w = eval_field(spec, "omega" + sign, FramePoint(x, y)).components
-    contraction = w @ Kv  # (K -| omega)_b = omega_ab K^a -> -w[b,a]K^a = (wK) with sign
-    iKw = np.array([sum(w[a, b] * Kv[a] for a in range(4)) for b in range(4)])
-
-    def muK(xx, yy):
-        mp = moment_map(spec, sign, xx, yy)
-        return float(K[0]) * mp.mu1 + float(K[1]) * mp.mu2
-
-    dmu = np.array([
-        (muK(x + h, y) - muK(x - h, y)) / (2 * h),
-        (muK(x, y + h) - muK(x, y - h)) / (2 * h),
-        0.0, 0.0,
-    ])
-    return float(np.max(np.abs(dmu + iKw)))
+    return float(np.max(np.abs(moment_differential(spec, sign, K, x, y) + Kv @ w)))

@@ -305,6 +305,15 @@ def inner(q: Quadratic, p: Quadratic) -> Fraction:
     return 2 * q.c1 * p.c1 - q.c2 * p.c0 - q.c0 * p.c2
 
 
+def compatible_quadratic(q: Quadratic, gamma: Fraction) -> Quadratic:
+    """p^(gamma)(x,y) = (x-gamma) q(y,gamma)/2 + q(x,gamma) (y-gamma)/2 as a
+    quadratic; identically zero iff gamma is a double root of q."""
+    g = rat(gamma)
+    u = q.c0 * g + q.c1
+    v = q.c1 * g + q.c2
+    return Quadratic(u, (v - u * g) / 2, -v * g)
+
+
 PARABOLIC = "Parabolic"
 HYPERBOLIC = "Hyperbolic"
 ELLIPTIC = "Elliptic"

@@ -288,20 +288,3 @@ def curvature(spec: AnsatzSpec, metric: MetricChoice, pt: FramePoint,
     ricci = np.einsum("abad->bd", Rup)
     scalar = float(np.einsum("bd,bd->", np.linalg.inv(g), ricci))
     return CurvaturePack(riemann=riemann, ricci=ricci, scalar=scalar, step=h)
-
-
-def christoffel(spec: AnsatzSpec, metric: MetricChoice, pt: FramePoint,
-                h: float = 1e-3) -> np.ndarray:
-    """Standalone Christoffel symbols (used by the Bianchi cross-check)."""
-    x0, y0 = pt.x, pt.y
-    g = metric_components(spec, metric, x0, y0)
-    dg = np.zeros((4, 4, 4))
-    dg[0] = _richardson1(lambda e: metric_components(spec, metric, x0 + e, y0), h)
-    dg[1] = _richardson1(lambda e: metric_components(spec, metric, x0, y0 + e), h)
-    ginv = np.linalg.inv(g)
-    T = np.zeros((4, 4, 4))
-    for d_ in range(4):
-        for b in range(4):
-            for c in range(4):
-                T[d_, b, c] = dg[b, d_, c] + dg[c, d_, b] - dg[d_, b, c]
-    return 0.5 * np.einsum("ad,dbc->abc", ginv, T)

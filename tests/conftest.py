@@ -16,6 +16,21 @@ def make_spec(q, A, B, xr, yr, metric=METRIC_G0, lattice=I2):
                       lattice=lattice, metric=metric)
 
 
+def fold_points(q, sign, xs):
+    """Rational points of Z+ = {x = y}, or of Z- = {q(x, y) = 0} off x = y:
+    the graph y = -(c1 x + c2)/(c0 x + c1) and its mirror image."""
+    if sign == "+":
+        return [(x, x) for x in xs]
+    pts = []
+    for x in xs:
+        den = q.c0 * x + q.c1
+        if den != 0:
+            y = -(q.c1 * x + q.c2) / den
+            if x != y:
+                pts += [(x, y), (y, x)]
+    return pts
+
+
 @pytest.fixture
 def hyperbolic_spec():
     # q(x,y) = x + y > 0 on (2,3) x (-1,0), A,B positive with simple roots

@@ -50,7 +50,7 @@ from ambitoric.boundary import (
     PLOCUS,
     improper_length_samples,
 )
-from ambitoric.moment import _fold_locus_samples, delzant_check, moment_pairing
+from ambitoric.moment import delzant_check, moment_pairing
 from ambitoric.special import INTERIOR, hirzebruch_normal_sum, scalar_closed_form
 from ambitoric.tensors import (
     kaehler_volume_coefficient,
@@ -58,7 +58,7 @@ from ambitoric.tensors import (
     omega_top_coefficient,
 )
 
-from conftest import make_spec
+from conftest import fold_points, make_spec
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -82,6 +82,9 @@ def test_kerr_ricci_flat():
 
 # 2 -------------------------------------------------------------------------
 
+_XS = [F(k, 3) - 3 for k in range(1, 51)]
+
+
 def test_fold_conics_displayed_equations():
     hyp = make_spec(Quadratic(0, 1, 0), [-12, 10, -2], [0, -2, -2],
                     (2, 3), (-1, 0))
@@ -91,15 +94,15 @@ def test_fold_conics_displayed_equations():
                     (1, 2), (-3, -2))
 
     # hyperbolic: mu1 mu2 = -1/4 on the image of {q = 0}
-    for x, y in _fold_locus_samples(hyp, "-", n=50):
+    for x, y in fold_points(hyp.q, "-", _XS):
         mp = moment_map(hyp, "-", x, y)
         assert abs(float(mp.mu1 * mp.mu2 + F(1, 4))) < 1e-10
     # elliptic: mu1^2 + mu2^2 = 1
-    for x, y in _fold_locus_samples(ell, "-", n=50):
+    for x, y in fold_points(ell.q, "-", _XS):
         mp = moment_map(ell, "-", x, y)
         assert abs(float(mp.mu1 ** 2 + mp.mu2 ** 2 - 1)) < 1e-10
     # parabolic: mu1^2 = 4 mu2 on the image of {x = y}
-    for x, y in _fold_locus_samples(par, "+", n=50):
+    for x, y in fold_points(par.q, "+", _XS):
         mp = moment_map(par, "+", x, y)
         assert abs(float(mp.mu1 ** 2 - 4 * mp.mu2)) < 1e-10
     # parabolic '-' image degenerates to the two points (0, +-1/2)

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -6,6 +7,8 @@ from ambitoric.cli import main
 
 from conftest import make_spec
 from ambitoric import Quadratic
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -89,7 +92,7 @@ def test_gauge_roundtrip_bytes(spec_file, tmp_path, capsys):
 
 
 def test_check_command(spec_file, capsys):
-    assert main(["check", spec_file, "--grid", "6"]) == 0
+    assert main(["check", spec_file]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["failed"] == 0 and out["passed"] > 0
 
@@ -103,3 +106,27 @@ def test_csc_gen_command(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["report"]["csc"] is True
     assert out["report"]["einstein"] is False
+
+
+def test_moment_svg_draws_degenerate_edge_image(tmp_path, capsys):
+    # the '-' image of case2's edge at infinity is a single point
+    g = json.loads((GOLDEN_DIR / "case2_fold_edge_g0.json").read_text())
+    p = tmp_path / "case2.json"
+    p.write_text(json.dumps(g["spec"]))
+    svg = tmp_path / "case2.svg"
+    assert main(["moment", str(p), "--sign", "-", "--svg", str(svg)]) == 0
+    capsys.readouterr()
+    assert svg.read_text().endswith("</svg>\n")
+
+
+def test_validate_and_classify_agree_on_components(tmp_path, capsys):
+    spec = make_spec(Quadratic(0, 1, 0), [-6, 5, -1],
+                     ["-203/100", "-303/100", -1], (2, 3), ("-203/100", -1))
+    p = tmp_path / "sliver.json"
+    p.write_text(json.dumps(spec.to_dict()))
+    main(["validate", str(p)])
+    validated = json.loads(capsys.readouterr().out)["components"]
+    main(["classify", str(p), "--no-numeric"])
+    classified = [v["component"] for v in json.loads(capsys.readouterr().out)["verdicts"]]
+    assert len(validated) == 2
+    assert validated == classified

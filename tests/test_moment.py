@@ -1,12 +1,18 @@
+import json
 import math
+import pathlib
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ambitoric import (
+    OO,
+    AnsatzSpec,
     Interval,
+    Mobius,
     MomentError,
     Poly,
     Polygon,
@@ -16,13 +22,20 @@ from ambitoric import (
     fold_conic,
     identify_t,
     level_set_line,
+    mobius_transport,
     moment_map,
     p_image_line,
     validate,
 )
-from ambitoric.moment import hamiltonian_residual, moment_pairing
+from ambitoric.moment import (
+    TangencyCertificate,
+    hamiltonian_residual,
+    moment_differential,
+    moment_pairing,
+)
+from ambitoric.tensors import FramePoint, eval_field
 
-from conftest import I2, make_spec
+from conftest import I2, fold_points, make_spec
 
 
 def test_moment_map_exact_on_rationals(hyperbolic_spec):
@@ -117,12 +130,107 @@ def test_level_set_line_tangency(hyperbolic_spec):
         assert line.normal[0] * mp.mu1 + line.normal[1] * mp.mu2 == line.offset
 
 
+def test_tangency_certificate_is_exact():
+    assert TangencyCertificate(leading=F(0), discriminant=F(0)).ok
+    assert not TangencyCertificate(leading=F(1), discriminant=F(1, 10 ** 15)).ok
+
+
 def test_level_set_line_at_infinity():
     spec = make_spec(Quadratic(0, 0, 1), [-1, 1, -1, 1], [-2, -3, -1],
                      (1, None), (-2, -1))
     from ambitoric.quadratics import OO
     line = level_set_line(spec, "-", "X", OO)
     assert line.tangency is None or line.tangency.ok
+
+
+def test_fold_points_of_transported_parabolic_golden():
+    # z -> 1/z moves the double root of q to 0: {q = 0} is the line pair
+    # x = 0, y = 0, and each line maps to one of the two fold points
+    golden = pathlib.Path(__file__).parent / "golden" / "case2_fold_edge_g0.json"
+    spec = AnsatzSpec.from_dict(json.loads(golden.read_text())["spec"])
+    c = fold_conic(mobius_transport(spec, Mobius(0, 1, 1, 0)), "-")
+    assert c.degenerate
+    assert set(c.points) == {(F(0), F(1, 2)), (F(0), F(-1, 2))}
+
+
+def test_level_set_lines_at_infinity_on_both_axes(elliptic_spec, parabolic_spec):
+    # mu- is antisymmetric under x <-> y, so the images of {x = oo} and
+    # {y = oo} differ; compare with mu- far out along each edge
+    far = F(10) ** 12
+    for spec in (elliptic_spec, parabolic_spec):
+        for axis in ("X", "Y"):
+            line = level_set_line(spec, "-", axis, OO)
+            for s in (F(1, 3), F(2)):
+                mp = moment_map(spec, "-", *((far, s) if axis == "X" else (s, far)))
+                if line.degenerate_point is not None:
+                    gap = max(abs(a - b) for a, b in
+                              zip(line.degenerate_point, mp.as_tuple()))
+                else:
+                    gap = abs(line.normal[0] * mp.mu1 + line.normal[1] * mp.mu2
+                              - line.offset)
+                assert gap < F(1, 10 ** 9), (spec.ctype, axis, s)
+
+
+_CANONICAL_Q = {
+    "Hyperbolic": Quadratic(0, 1, 0),
+    "Elliptic": Quadratic(1, 0, 1),
+    "Parabolic": Quadratic(0, 0, 1),
+}
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def transported_boxes(draw):
+    """A canonical box of a drawn conic type, moved by a Mobius map whose
+    pole lies outside both closed intervals."""
+    q = _CANONICAL_Q[draw(st.sampled_from(sorted(_CANONICAL_Q)))]
+    a, c = draw(small), draw(small)
+    b = a + draw(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3))
+    d = c + draw(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3))
+    spec = make_spec(q, Poly([-a * b, a + b, -1]).coeffs,
+                     Poly([-c * d, c + d, -1]).coeffs, (a, b), (c, d))
+    m = draw(st.tuples(*[st.integers(-3, 3)] * 4)
+             .filter(lambda e: e[0] * e[3] != e[1] * e[2]).map(lambda e: Mobius(*e)))
+    pole = m.pole()
+    assume(pole is OO or not any(lo <= pole <= hi for lo, hi in ((a, b), (c, d))))
+    return mobius_transport(spec, m)
+
+
+@given(transported_boxes(), st.lists(small, min_size=3, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_closed_forms_hold_at_fresh_points(spec, xs):
+    for sign in "+-":
+        conic = fold_conic(spec, sign)
+        for x, y in fold_points(spec.q, sign, xs):
+            try:
+                mp = moment_map(spec, sign, x, y)
+            except MomentError:
+                continue
+            if conic.matrix is None:
+                assert mp.as_tuple() in conic.points
+            else:
+                assert conic.evaluate(mp.mu1, mp.mu2) == 0
+        for axis, iv in (("X", spec.x_interval), ("Y", spec.y_interval)):
+            for gamma in iv.endpoints_proj():
+                try:
+                    line = level_set_line(spec, sign, axis, gamma)
+                except MomentError:
+                    # mu+ has its pole along an edge at the double root of q
+                    assert sign == "+" and spec.q.double_root() == gamma
+                    continue
+                if line.degenerate_point is None and conic.matrix is not None:
+                    assert line.tangency.discriminant == 0
+                for s in xs:
+                    try:
+                        mp = moment_map(spec, sign, *((gamma, s) if axis == "X"
+                                                      else (s, gamma)))
+                    except MomentError:
+                        continue
+                    if line.degenerate_point is not None:
+                        assert mp.as_tuple() == line.degenerate_point
+                    else:
+                        assert (line.normal[0] * mp.mu1 + line.normal[1] * mp.mu2
+                                == line.offset)
 
 
 def test_hamiltonian_property(hyperbolic_spec):
@@ -170,3 +278,18 @@ def test_convexity_collinear_by_convention():
     pts = [(t, 2 * t) for t in [k / 20 for k in range(21)]]
     ok, _ = convexity_check(pts)
     assert ok
+
+
+def test_hamiltonian_residual_detects_wrong_pairing(any_spec):
+    # d mu_K + K -| omega vanishes only for the matching K and sign
+    x, y = validate(any_spec)[0].representative()
+    K, other = (F(1), F(0)), (F(0), F(1))
+    for sign, flip in (("+", "-"), ("-", "+")):
+        assert hamiltonian_residual(any_spec, sign, K, x, y) < 1e-9
+        dmu = moment_differential(any_spec, sign, K, x, y)
+        w = eval_field(any_spec, "omega" + sign, FramePoint(x, y)).components
+        w_flip = eval_field(any_spec, "omega" + flip, FramePoint(x, y)).components
+        wrong_k = np.array([0.0, 0.0, float(other[0]), float(other[1])]) @ w
+        wrong_sign = np.array([0.0, 0.0, float(K[0]), float(K[1])]) @ w_flip
+        assert np.max(np.abs(dmu + wrong_k)) > 1e-2
+        assert np.max(np.abs(dmu + wrong_sign)) > 1e-2
