@@ -16,7 +16,7 @@ def main():
         spec = AnsatzSpec.from_dict(payload["spec"])
         print(f"== {payload['name']} "
               f"(type {spec.ctype}, metric {spec.metric.tag}) ==")
-        for comp, verdict in classify(spec, numeric_folds=False):
+        for comp, verdict in classify(spec):
             print(f"  component sign(x-y)={comp.sign_xy:+d} "
                   f"sign(q)={comp.sign_q:+d}: "
                   f"completable={verdict.completable} "

@@ -71,7 +71,7 @@ def main():
     outdir.mkdir(parents=True, exist_ok=True)
     for name, spec in CASES.items():
         verdicts = []
-        for comp, v in classify(spec, numeric_folds=False):
+        for comp, v in classify(spec):
             d = v.to_dict()
             d["component"] = {"sign_xy": comp.sign_xy, "sign_q": comp.sign_q}
             verdicts.append(d)

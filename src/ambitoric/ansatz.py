@@ -80,9 +80,6 @@ class Interval:
         b = OO if self.hi is None else self.hi
         return (a, b)
 
-    def is_bounded(self) -> bool:
-        return self.lo is not None and self.hi is not None
-
     # -- sampling ----------------------------------------------------------
     def param(self, u: float) -> float:
         """Map u in (0,1) onto the interval (compressing infinite ends)."""
@@ -474,47 +471,30 @@ class BoxComponent:
 
 
 def _positivity_check(P: Poly, iv: Interval, name: str):
-    """A > 0 on the open interval, decided by exact root counting plus a
-    sign sample (a root of any multiplicity inside breaks strict positivity)."""
-    import sympy
-
+    """A > 0 on the open interval, decided by an exact Sturm root count
+    (`Poly.count_roots`) plus a sign sample (a root of any multiplicity
+    inside breaks strict positivity)."""
     if P.is_zero():
         raise ValidationError(f"{name} is identically zero")
-    z = sympy.Symbol("z")
-    sp = sympy.Poly(sum(sympy.Rational(c) * z ** k for k, c in enumerate(P.coeffs)),
-                    z, domain="QQ")
-    lo = -sympy.oo if iv.lo is None else sympy.Rational(iv.lo)
-    hi = sympy.oo if iv.hi is None else sympy.Rational(iv.hi)
-    n_closed = sp.count_roots(lo, hi)
-    # remove endpoint roots from the closed count
-    for e in (iv.lo, iv.hi):
-        if e is not None and P(Fraction(e)) == 0:
-            n_closed -= 1
-    if n_closed > 0:
+    if P.count_roots(iv.lo, iv.hi) > 0:
         raise ValidationError(f"{name} has a zero inside the interval {iv}")
-    if P(Fraction(0) if iv.contains(0.0) else rat_sample(iv)) <= 0:
+    # no root inside, so the sign at one interior point is the sign throughout
+    if P(iv.rat_samples(1)[0]) <= 0:
         raise ValidationError(f"{name} is not positive on {iv}")
 
 
-def rat_sample(iv: Interval) -> Fraction:
-    """A rational interior point of the interval."""
-    if iv.lo is not None and iv.hi is not None:
-        return (iv.lo + iv.hi) / 2
-    if iv.lo is not None:
-        return iv.lo + 1
-    if iv.hi is not None:
-        return iv.hi - 1
-    return Fraction(0)
+#: points per box side at which `validate` samples the sign pairs
+_GRID = 48
 
 
-def validate(spec: AnsatzSpec, grid: int = 48) -> List[BoxComponent]:
+def validate(spec: AnsatzSpec) -> List[BoxComponent]:
     """Check positivity of A, B, orthogonality for gp, and partition the box
     into maximal sign components of (x - y) * q(x,y)."""
     _positivity_check(spec.A, spec.x_interval, "A")
     _positivity_check(spec.B, spec.y_interval, "B")
     seen = {}
-    for x in spec.x_interval.samples(grid):
-        for y in spec.y_interval.samples(grid):
+    for x in spec.x_interval.samples(_GRID):
+        for y in spec.y_interval.samples(_GRID):
             d = x - y
             qv = spec.q.polarize(x, y)
             if d == 0 or qv == 0:

@@ -11,8 +11,9 @@ edge, the transverse length integral int dx / x^{(m-e)/2} diverges iff
 m - e >= 2.  Proper folds are assigned the asymptotic gradient exponent r
 of ||d phi||_g ~ phi^r along a transversal; the boundary piece is
 infinitely distant iff r >= 1 (so proper folds never are, while the
-P-locus with r = 1 always is).  A numerical least-squares estimate of r
-backs the analytic table.
+P-locus with r = 1 always is).  Verdicts use the analytic table only;
+`estimate_r`, a least-squares fit of r along a transversal, is the
+numerical cross-check the tests compare it against.
 """
 
 from __future__ import annotations
@@ -103,7 +104,6 @@ class DistanceStatus:
     metric: MetricChoice
     verdict: str
     r_exponent: Optional[float] = None
-    r_estimate: Optional[float] = None
     integral_convergent: Optional[bool] = None
     compatible_normal: Optional[Tuple[Tuple[Fraction, Fraction], bool]] = None
     note: str = ""
@@ -122,7 +122,7 @@ def _locus_curve_point(curve: Quadratic, x: Fraction) -> Optional[Fraction]:
     return -(curve.c1 * x + curve.c2) / den
 
 
-def _in_closure(comp: BoxComponent, x: float, y: float, tol: float = 0.0) -> bool:
+def _in_closure(comp: BoxComponent, x: float, y: float) -> bool:
     """Closure membership: signs may also vanish."""
     xr, yr = comp.x_range, comp.y_range
     if xr.lo is not None and x < float(xr.lo):
@@ -412,20 +412,13 @@ def estimate_r(spec: AnsatzSpec, metric: MetricChoice, fold: BoundaryComponent,
 
 
 def fold_status(spec: AnsatzSpec, metric: MetricChoice,
-                fold: BoundaryComponent, numeric: bool = True) -> DistanceStatus:
-    """Analytic r-exponent verdict with an optional numerical confirmation."""
+                fold: BoundaryComponent) -> DistanceStatus:
+    """Verdict from the analytic r-exponent."""
     if fold.kind not in (FOLD, PLOCUS):
         raise ValueError("fold_status needs a Fold or PLocus component")
     r = _analytic_r(spec, metric, fold)
-    r_num = None
-    if numeric and fold.base_point is not None:
-        try:
-            r_num = estimate_r(spec, metric, fold)
-        except Exception:
-            r_num = None
     verdict = INFINITELY_DISTANT if r >= 1.0 else FINITE
-    return DistanceStatus(metric=metric, verdict=verdict, r_exponent=r,
-                          r_estimate=r_num)
+    return DistanceStatus(metric=metric, verdict=verdict, r_exponent=r)
 
 
 # ---------------------------------------------------------------------------

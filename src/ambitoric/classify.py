@@ -118,8 +118,7 @@ def _is_fold_piece(c: BoundaryComponent) -> bool:
 
 
 def completability_verdict(spec: AnsatzSpec, metric: MetricChoice,
-                           comp: BoxComponent,
-                           numeric_folds: bool = True) -> Verdict:
+                           comp: BoxComponent) -> Verdict:
     """Apply rules (i)-(iv) to one sign component and report everything."""
     pieces = decompose_boundary(spec, comp)
     reports: List[Report] = []
@@ -153,12 +152,12 @@ def completability_verdict(spec: AnsatzSpec, metric: MetricChoice,
 
     for c in pieces:
         if c.kind == FOLD:
-            st = fold_status(spec, metric, c, numeric=numeric_folds)
+            st = fold_status(spec, metric, c)
             ok = not c.proper
             detail = "" if ok else f"proper {c.sign} fold (r={st.r_exponent})"
             reports.append(Report(c, st, RULE_PROPER_FOLD, ok, detail))
         elif c.kind == PLOCUS:
-            st = fold_status(spec, metric, c, numeric=numeric_folds)
+            st = fold_status(spec, metric, c)
             reports.append(Report(c, st, RULE_INFO, True,
                                   "P-locus infinitely distant under gp"))
 
@@ -179,10 +178,9 @@ def completability_verdict(spec: AnsatzSpec, metric: MetricChoice,
                    reports=tuple(reports))
 
 
-def classify(spec: AnsatzSpec, numeric_folds: bool = True
-             ) -> List[Tuple[BoxComponent, Verdict]]:
+def classify(spec: AnsatzSpec) -> List[Tuple[BoxComponent, Verdict]]:
     """Verdicts for every sign component of the spec under its own metric."""
-    return [(c, completability_verdict(spec, spec.metric, c, numeric_folds))
+    return [(c, completability_verdict(spec, spec.metric, c))
             for c in validate(spec)]
 
 

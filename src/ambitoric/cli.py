@@ -204,37 +204,36 @@ def _cmd_check(args) -> int:
             failed += 1
             failures.append(f"{name}: {detail}")
 
-    comp = comps[0]
-    pts = comp.sample_points(6)
-    idx = rng.permutation(len(pts))[: min(12, len(pts))]
-    for k in idx:
-        x, y = pts[int(k)]
-        pt = FramePoint(x, y)
-        Jp = eval_field(spec, "J+", pt).components
-        Jm = eval_field(spec, "J-", pt).components
-        record("J+^2=-Id", float(np.max(np.abs(Jp @ Jp + np.eye(4)))) < 1e-8)
-        record("J-J+ commute",
-               float(np.max(np.abs(Jp @ Jm - Jm @ Jp))) < 1e-8)
-        gp = eval_field(spec, "g+", pt).components
-        wp = eval_field(spec, "omega+", pt).components
-        record("omega+=g+J+", float(np.max(np.abs(gp @ Jp - wp))) < 1e-8)
-        f = conformal_factor(spec, x, y)
-        g0 = eval_field(spec, "g0", pt).components
-        record("g0=f g+", float(np.max(np.abs(g0 - f * gp))) < 1e-8)
-        for s, ex in (("+", -2), ("-", 2)):
-            lhs = omega_top_coefficient(spec, s, x, y)
-            rhs = (f ** ex / (float(spec.A(x)) * float(spec.B(y)))
-                   * kaehler_volume_coefficient(spec, s, x, y))
-            record(f"omega{s}^2 identity",
-                   abs(lhs - rhs) < 1e-8 * max(1.0, abs(lhs)))
-        record("fibre volume relation",
-               abs(fibre_volume(spec, MetricChoice("g0"), x, y) ** 2
-                   - fibre_volume(spec, MetricChoice("g+"), x, y)
-                   * fibre_volume(spec, MetricChoice("g-"), x, y))
-               < 1e-6 * max(1.0, fibre_volume(spec, MetricChoice("g0"), x, y) ** 2))
-        for s in ("+", "-"):
-            res = hamiltonian_residual(spec, s, (Fraction(1), Fraction(0)), x, y)
-            record(f"Hamiltonian mu{s}", res < 1e-5, f"residual {res:g}")
+    for comp in comps:
+        pts = comp.sample_points(6)
+        for k in rng.permutation(len(pts))[:12]:
+            x, y = pts[int(k)]
+            pt = FramePoint(x, y)
+            Jp = eval_field(spec, "J+", pt).components
+            Jm = eval_field(spec, "J-", pt).components
+            record("J+^2=-Id", float(np.max(np.abs(Jp @ Jp + np.eye(4)))) < 1e-8)
+            record("J-J+ commute",
+                   float(np.max(np.abs(Jp @ Jm - Jm @ Jp))) < 1e-8)
+            gp = eval_field(spec, "g+", pt).components
+            wp = eval_field(spec, "omega+", pt).components
+            record("omega+=g+J+", float(np.max(np.abs(gp @ Jp - wp))) < 1e-8)
+            f = conformal_factor(spec, x, y)
+            g0 = eval_field(spec, "g0", pt).components
+            record("g0=f g+", float(np.max(np.abs(g0 - f * gp))) < 1e-8)
+            for s, ex in (("+", -2), ("-", 2)):
+                lhs = omega_top_coefficient(spec, s, x, y)
+                rhs = (f ** ex / (float(spec.A(x)) * float(spec.B(y)))
+                       * kaehler_volume_coefficient(spec, s, x, y))
+                record(f"omega{s}^2 identity",
+                       abs(lhs - rhs) < 1e-8 * max(1.0, abs(lhs)))
+            record("fibre volume relation",
+                   abs(fibre_volume(spec, MetricChoice("g0"), x, y) ** 2
+                       - fibre_volume(spec, MetricChoice("g+"), x, y)
+                       * fibre_volume(spec, MetricChoice("g-"), x, y))
+                   < 1e-6 * max(1.0, fibre_volume(spec, MetricChoice("g0"), x, y) ** 2))
+            for s in ("+", "-"):
+                res = hamiltonian_residual(spec, s, (Fraction(1), Fraction(0)), x, y)
+                record(f"Hamiltonian mu{s}", res < 1e-5, f"residual {res:g}")
     report = {"passed": passed, "failed": failed, "failures": failures}
     _dump_json(report, args.out)
     return EXIT_OK if failed == 0 else EXIT_INVARIANT
@@ -242,7 +241,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_classify(args) -> int:
     spec = _load_spec(args.spec)
-    results = classify(spec, numeric_folds=not args.no_numeric)
+    results = classify(spec)
     out = []
     all_ok = True
     for comp, verdict in results:
@@ -444,8 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="completability verdicts")
     common(p)
-    p.add_argument("--no-numeric", action="store_true",
-                   help="skip the numerical r-exponent confirmation")
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("moment", help="moment-map samples, conic, figures")

@@ -151,7 +151,33 @@ class Poly:
 
     __rmul__ = __mul__
 
+    def __mod__(self, other: "Poly") -> "Poly":
+        """Remainder of division by a nonzero polynomial."""
+        r = list(self.coeffs)
+        n = len(other.coeffs)
+        for k in range(len(r) - n, -1, -1):
+            f = r[k + n - 1] / other.coeffs[-1]
+            for j, c in enumerate(other.coeffs):
+                r[k + j] -= f * c
+        return Poly(r[:n - 1])
+
     # -- roots -------------------------------------------------------------
+    def _deflate(self, g: Fraction) -> Tuple[int, "Poly"]:
+        """(m, Q) with self = (z - g)^m * Q and Q(g) != 0, by repeated
+        synthetic division; self must be nonzero."""
+        m = 0
+        cs = list(self.coeffs)
+        while True:
+            quot = []
+            acc = Fraction(0)
+            for c in reversed(cs):
+                acc = acc * g + c
+                quot.append(acc)
+            if quot.pop() != 0:
+                return m, Poly(cs)
+            m += 1
+            cs = quot[::-1]
+
     def root_multiplicity(self, gamma: ProjPoint) -> int:
         """Exact multiplicity of gamma as a root; at OO it is 4 - degree
         relative to the weight-2 (quartic) homogenization used for A and B."""
@@ -161,23 +187,38 @@ class Poly:
             if self.degree > 4:
                 raise ValueError("A/B of degree > 4 have no weight-2 action")
             return 4 - self.degree
-        g = rat(gamma)
-        m = 0
-        cs = list(self.coeffs)
-        while True:
-            # synthetic division by (z - g)
-            quot = []
-            acc = Fraction(0)
-            for c in reversed(cs):
-                acc = acc * g + c
-                quot.append(acc)
-            rem = quot.pop()
-            if rem != 0:
-                return m
-            m += 1
-            cs = list(reversed(quot))
-            if not cs:
-                return m
+        return self._deflate(rat(gamma))[0]
+
+    def count_roots(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> int:
+        """Number of distinct real roots in the open interval (lo, hi); None
+        is an infinite end.  Roots at a finite end are divided out first, so
+        that neither end is a root, and Sturm's theorem then counts exactly:
+        the sign changes of the Sturm sequence drop by one across each
+        distinct root, whatever its multiplicity."""
+        if self.is_zero():
+            raise ValueError("zero polynomial has infinitely many roots")
+        lo, hi = (None if e is None else rat(e) for e in (lo, hi))
+        p = self
+        for e in (lo, hi):
+            if e is not None:
+                p = p._deflate(e)[1]
+        seq = [p, p.derivative()]
+        while not seq[-1].is_zero():
+            seq.append((seq[-2] % seq[-1]) * -1)
+        seq.pop()
+        return _sign_changes(seq, lo, -1) - _sign_changes(seq, hi, 1)
+
+
+def _sign_changes(seq: Sequence[Poly], at: Optional[Fraction], end: int) -> int:
+    """Sign changes along a Sturm sequence at the point `at`, or, when `at`
+    is None, at the infinite end of sign `end`, read from the leading
+    coefficients."""
+    signs = []
+    for s in seq:
+        v = s(at) if at is not None else s.coeffs[-1] * end ** s.degree
+        if v != 0:
+            signs.append(v > 0)
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def poly_transport(p: Poly, m: "Mobius", weight: int) -> Poly:
@@ -248,11 +289,6 @@ class Quadratic:
         if isinstance(y, Fraction):
             return self.c0 * y + self.c1
         return float(self.c0) * float(y) + float(self.c1)
-
-    def derivative_value(self, z):
-        if isinstance(z, Fraction):
-            return 2 * self.c0 * z + 2 * self.c1
-        return 2.0 * float(self.c0) * float(z) + 2.0 * float(self.c1)
 
     # -- structure ---------------------------------------------------------
     def coeffs(self) -> Tuple[Fraction, Fraction, Fraction]:
@@ -478,11 +514,6 @@ class Mobius:
     def apply_float(self, x: float) -> float:
         den = float(self.c) * x + float(self.d)
         return (float(self.a) * x + float(self.b)) / den
-
-    def dz(self, x: float) -> float:
-        """Derivative of the map at a finite point."""
-        den = float(self.c) * x + float(self.d)
-        return float(self.det()) / (den * den)
 
 
 def transport_quadratic(q: Quadratic, m: Mobius) -> Quadratic:

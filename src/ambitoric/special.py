@@ -298,8 +298,3 @@ def standard_polygon(kind: str) -> Tuple[Polygon, LatticeMatrix]:
         poly = Polygon(vertices=verts, normals=tuple(n for n, _ in order))
         return poly, _ID_LATTICE
     raise ValueError(f"unknown polygon kind {kind!r}")
-
-
-def hirzebruch_normal_sum(k: int) -> bool:
-    """(1, 0) + (-k-1, k) = k (-1, 1), exactly."""
-    return (1 - k - 1, 0 + k) == (-k, k)

@@ -23,6 +23,7 @@ from ambitoric import (
     curvature,
     decompose_boundary,
     edge_status,
+    estimate_r,
     eval_field,
     fold_conic,
     fold_status,
@@ -51,7 +52,7 @@ from ambitoric.boundary import (
     improper_length_samples,
 )
 from ambitoric.moment import delzant_check, moment_pairing
-from ambitoric.special import INTERIOR, hirzebruch_normal_sum, scalar_closed_form
+from ambitoric.special import INTERIOR, scalar_closed_form
 from ambitoric.tensors import (
     kaehler_volume_coefficient,
     metric_components,
@@ -232,8 +233,7 @@ def test_r_exponent_estimator():
             if c.kind == FOLD and c.sign == "+"][0]
     for met, r in ((METRIC_G0, 0.0), (METRIC_GPLUS, -0.5),
                    (METRIC_GMINUS, 0.5)):
-        st = fold_status(spec, met, fold, numeric=True)
-        assert abs(st.r_estimate - r) < 0.05
+        assert abs(estimate_r(spec, met, fold) - r) < 0.05
 
     p = Quadratic(1, 0, -4)
     gp_spec = make_spec(Quadratic(0, 1, 0), [-12, 10, -2], [0, 3, -1],
@@ -241,9 +241,8 @@ def test_r_exponent_estimator():
     comp = validate(gp_spec)[0]
     pl = [c for c in decompose_boundary(gp_spec, comp)
           if c.kind == PLOCUS][0]
-    st = fold_status(gp_spec, metric_gp(p), pl, numeric=True)
-    assert abs(st.r_estimate - 1.0) < 0.05
-    assert st.verdict == INFINITELY_DISTANT
+    assert abs(estimate_r(gp_spec, metric_gp(p), pl) - 1.0) < 0.05
+    assert fold_status(gp_spec, metric_gp(p), pl).verdict == INFINITELY_DISTANT
 
 
 # 6 -------------------------------------------------------------------------
@@ -254,7 +253,7 @@ def test_golden_classification(path):
     payload = json.loads(path.read_text())
     spec = AnsatzSpec.from_dict(payload["spec"])
     got = []
-    for comp, v in classify(spec, numeric_folds=False):
+    for comp, v in classify(spec):
         d = v.to_dict()
         d["component"] = {"sign_xy": comp.sign_xy, "sign_q": comp.sign_q}
         got.append(d)
@@ -295,7 +294,9 @@ def test_polygons_delzant_and_byte_stable(tmp_path):
         poly, lattice = standard_polygon(f"hirzebruch:{k}")
         assert poly.edge_check()
         assert all(v.ok for v in delzant_check(poly, lattice))
-        assert hirzebruch_normal_sum(k)
+        n = poly.normals    # lower, right, upper, left
+        assert tuple(a + b for a, b in zip(n[3], n[1])) == \
+            tuple(k * c for c in n[0])
 
     from ambitoric.cli import main
     spec = make_spec(Quadratic(0, 1, 0), [-12, 10, -2], [0, -2, -2],

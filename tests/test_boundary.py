@@ -101,10 +101,9 @@ def test_fold_r_exponents_positive_fold():
     assert folds and folds[0].proper
     expect = {METRIC_G0: 0.0, METRIC_GPLUS: -0.5, METRIC_GMINUS: 0.5}
     for met, r in expect.items():
-        st = fold_status(spec, met, folds[0], numeric=True)
+        st = fold_status(spec, met, folds[0])
         assert st.r_exponent == r
-        assert st.r_estimate is not None
-        assert abs(st.r_estimate - r) < 0.05
+        assert abs(estimate_r(spec, met, folds[0]) - r) < 0.05
         assert (st.verdict == INFINITELY_DISTANT) == (r >= 1.0)
 
 
@@ -117,9 +116,9 @@ def test_fold_r_exponents_negative_fold():
     assert folds and folds[0].proper
     expect = {METRIC_G0: 0.0, METRIC_GPLUS: 0.5, METRIC_GMINUS: -0.5}
     for met, r in expect.items():
-        st = fold_status(spec, met, folds[0], numeric=True)
+        st = fold_status(spec, met, folds[0])
         assert st.r_exponent == r
-        assert abs(st.r_estimate - r) < 0.05
+        assert abs(estimate_r(spec, met, folds[0]) - r) < 0.05
 
 
 def test_p_locus_infinitely_distant():
@@ -130,10 +129,10 @@ def test_p_locus_infinitely_distant():
     comp = validate(spec)[0]
     ploci = [c for c in decompose_boundary(spec, comp) if c.kind == "PLocus"]
     assert ploci
-    st = fold_status(spec, metric_gp(p), ploci[0], numeric=True)
+    st = fold_status(spec, metric_gp(p), ploci[0])
     assert st.r_exponent == 1.0
     assert st.verdict == INFINITELY_DISTANT
-    assert abs(st.r_estimate - 1.0) < 0.05
+    assert abs(estimate_r(spec, metric_gp(p), ploci[0]) - 1.0) < 0.05
 
 
 def test_edge_status_gauge_invariant(hyperbolic_spec):

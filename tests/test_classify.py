@@ -25,20 +25,16 @@ from ambitoric.classify import (
 from conftest import I2, make_spec
 
 
-def _verdicts(spec, numeric=False):
-    return classify(spec, numeric_folds=numeric)
-
-
 def test_proper_fold_blocks_completability():
     spec = make_spec(Quadratic(0, 1, 0), [-2, 3, -1], [0, -3, -1],
                      (1, 2), (-3, 0))
-    for _comp, v in _verdicts(spec):
+    for _comp, v in classify(spec):
         assert not v.completable
         assert any(r.rule == RULE_PROPER_FOLD for r in v.violations())
 
 
 def test_accepting_box_completable(hyperbolic_spec):
-    [(comp, v)] = _verdicts(hyperbolic_spec)
+    [(comp, v)] = classify(hyperbolic_spec)
     assert v.completable
     assert v.extends_ambitoric
     assert not v.violations()
@@ -47,10 +43,10 @@ def test_accepting_box_completable(hyperbolic_spec):
 def test_fold_edge_metric_rule():
     spec = make_spec(Quadratic(0, 0, 1), [-1, 1, -1, 1], [-2, -3, -1],
                      (1, None), (-2, -1))
-    [(_c, v0)] = _verdicts(spec)
+    [(_c, v0)] = classify(spec)
     assert not v0.completable
     assert any(r.rule == RULE_FOLD_EDGE for r in v0.violations())
-    [(_c, vm)] = _verdicts(spec.with_metric(METRIC_GMINUS))
+    [(_c, vm)] = classify(spec.with_metric(METRIC_GMINUS))
     assert vm.completable
     assert not vm.extends_ambitoric   # the fold-edge stays finite under g-
 
@@ -58,9 +54,9 @@ def test_fold_edge_metric_rule():
 def test_fold_corner_rule():
     spec = make_spec(Quadratic(0, 1, 0), [-3, 4, -1], [0, -1, -1],
                      (1, 3), (-1, 0))
-    [(_c, v)] = _verdicts(spec)
+    [(_c, v)] = classify(spec)
     assert any(r.rule == RULE_CORNER for r in v.violations())
-    [(_c, vm)] = _verdicts(spec.with_metric(METRIC_GMINUS))
+    [(_c, vm)] = classify(spec.with_metric(METRIC_GMINUS))
     assert vm.completable and not vm.extends_ambitoric
 
 
@@ -74,7 +70,7 @@ def test_extends_implies_completable_and_distant_folds():
                   (1, 3), (-1, 0), metric=METRIC_GMINUS),
     ]
     for spec in cases:
-        for _comp, v in _verdicts(spec):
+        for _comp, v in classify(spec):
             if v.extends_ambitoric:
                 assert v.completable
                 from ambitoric.classify import _is_fold_piece
@@ -91,8 +87,8 @@ def test_lattice_monotone():
                           lattice=((F(1, 2), F(0)), (F(0), F(1, 2))))
     spec_coarse = make_spec(Quadratic(0, 1, 0), [-12, 10, -2], [0, -2, -2],
                             (2, 3), (-1, 0))
-    [(_, v_coarse)] = _verdicts(spec_coarse)
-    [(_, v_fine)] = _verdicts(spec_fine)
+    [(_, v_coarse)] = classify(spec_coarse)
+    [(_, v_fine)] = classify(spec_fine)
     if v_coarse.completable:
         assert v_fine.completable
 
@@ -101,7 +97,7 @@ def test_coarse_lattice_rejects():
     lat = ((F(3), F(0)), (F(0), F(3)))
     spec = make_spec(Quadratic(0, 1, 0), [-12, 10, -2], [0, -2, -2],
                      (2, 3), (-1, 0), lattice=lat)
-    [(_, v)] = _verdicts(spec)
+    [(_, v)] = classify(spec)
     assert not v.completable
     assert all(r.rule == RULE_EDGE_NORMAL for r in v.violations())
 
@@ -121,16 +117,16 @@ def test_verdict_gauge_invariant():
             continue
         done += 1
         flags1 = [(v.completable, v.extends_ambitoric)
-                  for _c, v in _verdicts(spec)]
+                  for _c, v in classify(spec)]
         flags2 = [(v.completable, v.extends_ambitoric)
-                  for _c, v in _verdicts(spec2)]
+                  for _c, v in classify(spec2)]
         assert flags1 == flags2
 
 
 def test_p_locus_corner_rejected_under_gp():
     spec = make_spec(Quadratic(0, 1, 0), [-2, 3, -1], [0, -1, -1],
                      (1, 2), (-1, 0), metric=metric_gp(Quadratic(1, 0, 2)))
-    [(_, v)] = _verdicts(spec)
+    [(_, v)] = classify(spec)
     assert not v.completable
     bad = [r for r in v.violations() if r.rule == RULE_CORNER]
     assert bad and "P-locus" in bad[0].detail

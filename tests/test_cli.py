@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -32,13 +35,13 @@ def test_eval_command(spec_file, capsys):
 
 
 def test_classify_exit_codes(spec_file, tmp_path, capsys):
-    assert main(["classify", spec_file, "--no-numeric"]) == 0
+    assert main(["classify", spec_file]) == 0
     capsys.readouterr()
     bad = make_spec(Quadratic(0, 1, 0), [-2, 3, -1], [0, -3, -1],
                     (1, 2), (-3, 0))
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(bad.to_dict()))
-    assert main(["classify", str(p), "--no-numeric"]) == 1
+    assert main(["classify", str(p)]) == 1
     capsys.readouterr()
 
 
@@ -97,6 +100,33 @@ def test_check_command(spec_file, capsys):
     assert out["failed"] == 0 and out["passed"] > 0
 
 
+def test_check_covers_every_component(tmp_path, capsys):
+    # the Kerr interior has three sign components, 108 checks each
+    p = tmp_path / "kerr.json"
+    assert main(["examples", "kerr-interior", "--out", str(p)]) == 0
+    assert main(["check", str(p)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["passed"], out["failed"]) == (324, 0)
+
+
+def test_decision_path_never_imports_sympy(tmp_path):
+    golden = json.loads((GOLDEN_DIR / "case1_proper_fold.json").read_text())
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(golden["spec"]))
+    code = ("import sys\n"
+            "from ambitoric.cli import main\n"
+            f"main(['classify', {str(spec)!r}])\n"
+            f"main(['validate', {str(spec)!r}])\n"
+            "sys.exit(4 if 'sympy' in sys.modules else 0)\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert '"verdicts"' in run.stdout and '"components"' in run.stdout
+
+
 def test_csc_gen_command(tmp_path, capsys):
     data = {"q": ["0", "1", "0"], "p": ["1", "0", "-4"],
             "rho": ["1", "1", "4"], "R": ["1", "4", "0", "1", "1"]}
@@ -126,7 +156,7 @@ def test_validate_and_classify_agree_on_components(tmp_path, capsys):
     p.write_text(json.dumps(spec.to_dict()))
     main(["validate", str(p)])
     validated = json.loads(capsys.readouterr().out)["components"]
-    main(["classify", str(p), "--no-numeric"])
+    main(["classify", str(p)])
     classified = [v["component"] for v in json.loads(capsys.readouterr().out)["verdicts"]]
     assert len(validated) == 2
     assert validated == classified

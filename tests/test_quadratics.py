@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ambitoric.ansatz import Interval, ValidationError, _positivity_check
 from ambitoric.quadratics import (
     OO,
     Mobius,
@@ -77,6 +78,64 @@ def test_poly_root_multiplicity():
     # at infinity: 4 - degree, weight-2 convention
     assert P.root_multiplicity(OO) == 1
     assert Poly([1]).root_multiplicity(OO) == 4
+
+
+# A Sturm sign-change difference V(lo) - V(hi) taken without first
+# dividing out the endpoint roots miscounts these.
+@pytest.mark.parametrize("coeffs, lo, hi, inside", [
+    ([1, 5, 9, 7, 2], F(-1), None, 1),      # (z+1)^3 (2z+1): zero at -1/2
+    ([8, -18, 12, -2], F(-1), F(1), 0),     # -2 (z-1)^2 (z-4)
+    ([-1, 0, 2, 0, -1], F(-1), None, 1),    # -(z^2-1)^2: zero at 1
+])
+def test_count_roots_with_endpoint_roots(coeffs, lo, hi, inside):
+    P = Poly(coeffs)
+    assert P.count_roots(lo, hi) == inside
+    if inside:
+        with pytest.raises(ValidationError):
+            _positivity_check(P, Interval(lo, hi), "A")
+    else:
+        _positivity_check(P, Interval(lo, hi), "A")
+
+
+@st.composite
+def _factored_polys(draw):
+    """(P, lo, hi, roots, sign): P = sign * prod (z - r)^m * Q with Q = 1 or a
+    positive-definite quadratic; some roots sit at the finite endpoints."""
+    ends = draw(st.lists(rationals, min_size=2, max_size=2, unique=True))
+    lo, hi = sorted(ends)
+    lo = draw(st.sampled_from([lo, None]))
+    hi = draw(st.sampled_from([hi, None]))
+    point = st.one_of(rationals, st.sampled_from([e for e in (lo, hi)
+                                                  if e is not None] or [F(0)]))
+    roots = draw(st.dictionaries(point, st.integers(1, 3), max_size=3))
+    sign = draw(st.sampled_from([-2, -1, 1, 3]))
+    P = Poly([sign])
+    for r, m in roots.items():
+        for _ in range(m):
+            P = P * Poly([-r, 1])
+    if draw(st.booleans()):
+        a = draw(rationals)
+        b = draw(st.fractions(min_value=F(1, 12), max_value=4, max_denominator=12))
+        P = P * Poly([a * a + b, -2 * a, 1])          # (z - a)^2 + b
+    return P, lo, hi, roots, sign
+
+
+@given(_factored_polys())
+@settings(max_examples=150, deadline=None)
+def test_count_roots_and_positivity_match_construction(case):
+    P, lo, hi, roots, sign = case
+    inside = [r for r in roots
+              if (lo is None or r > lo) and (hi is None or r < hi)]
+    assert P.count_roots(lo, hi) == len(inside)
+    # with no root inside, each factor has one sign on the interval:
+    # (z - r)^m is positive for r <= lo and has sign (-1)^m for r >= hi
+    flips = sum(m for r, m in roots.items() if hi is not None and r >= hi)
+    positive = not inside and sign * (-1) ** flips > 0
+    if positive:
+        _positivity_check(P, Interval(lo, hi), "A")
+    else:
+        with pytest.raises(ValidationError):
+            _positivity_check(P, Interval(lo, hi), "A")
 
 
 def test_poly_transport_quartic_inversion():

@@ -23,7 +23,7 @@ from ambitoric import (
 from ambitoric.ansatz import METRIC_GMINUS, METRIC_GPLUS
 from ambitoric.moment import delzant_check
 from ambitoric.quadratics import inner, transvectant2
-from ambitoric.special import EXTERIOR, INTERIOR, hirzebruch_normal_sum
+from ambitoric.special import EXTERIOR, INTERIOR
 from ambitoric.tensors import metric_components
 
 
@@ -119,7 +119,8 @@ def test_hirzebruch_polygons(k):
     poly, lattice = standard_polygon(f"hirzebruch:{k}")
     assert poly.edge_check()
     assert all(v.ok for v in delzant_check(poly, lattice))
-    assert hirzebruch_normal_sum(k)
+    n = poly.normals    # lower, right, upper, left
+    assert tuple(a + b for a, b in zip(n[3], n[1])) == tuple(k * c for c in n[0])
 
 
 def test_unknown_polygon_kind():
