@@ -21,9 +21,12 @@ what makes the tensor fields gauge invariant pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .quadratics import (
     OO,
@@ -67,13 +70,18 @@ class Interval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
+    @cached_property
+    def bounds(self) -> Tuple[float, float]:
+        """(lo, hi) as floats, -inf/inf at the infinite ends; converted on
+        first use."""
+        return (-math.inf if self.lo is None else float(self.lo),
+                math.inf if self.hi is None else float(self.hi))
+
     # -- membership --------------------------------------------------------
-    def contains(self, x: float) -> bool:
-        if self.lo is not None and not x > float(self.lo):
-            return False
-        if self.hi is not None and not x < float(self.hi):
-            return False
-        return True
+    def contains(self, x):
+        """Strict membership of a float, or elementwise of a numpy array."""
+        lo, hi = self.bounds
+        return (lo < x) & (x < hi)
 
     def endpoints_proj(self) -> Tuple[ProjPoint, ProjPoint]:
         a = OO if self.lo is None else self.lo
@@ -83,12 +91,13 @@ class Interval:
     # -- sampling ----------------------------------------------------------
     def param(self, u: float) -> float:
         """Map u in (0,1) onto the interval (compressing infinite ends)."""
+        lo, hi = self.bounds
         if self.lo is not None and self.hi is not None:
-            return float(self.lo) + u * (float(self.hi) - float(self.lo))
+            return lo + u * (hi - lo)
         if self.lo is not None:
-            return float(self.lo) + u / (1.0 - u)
+            return lo + u / (1.0 - u)
         if self.hi is not None:
-            return float(self.hi) - (1.0 - u) / u
+            return hi - (1.0 - u) / u
         return math.tan(math.pi * (u - 0.5))
 
     def samples(self, n: int) -> List[float]:
@@ -451,11 +460,15 @@ class BoxComponent:
         return (1 if qv > 0 else -1 if qv < 0 else 0) == self.sign_q
 
     def sample_points(self, n: int = 12) -> List[Tuple[float, float]]:
-        pts = []
-        for x in self.x_range.samples(3 * n):
-            for y in self.y_range.samples(3 * n):
-                if self.contains(x, y):
-                    pts.append((x, y))
+        """The points of the 3n x 3n sample grid that lie in the component
+        (x outer, y inner), thinned by a stride to about n^2 of them."""
+        xs = np.array(self.x_range.samples(3 * n))[:, None]
+        ys = np.array(self.y_range.samples(3 * n))[None, :]
+        inside = (self.x_range.contains(xs) & self.y_range.contains(ys)
+                  & (np.sign(xs - ys) == self.sign_xy)
+                  & (np.sign(self.q.polarize(xs, ys)) == self.sign_q))
+        i, j = np.nonzero(inside)
+        pts = list(zip(xs[i, 0].tolist(), ys[0, j].tolist()))
         if not pts:
             raise ValidationError("component has no sample points")
         stride = max(1, len(pts) // (n * n))

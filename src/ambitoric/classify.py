@@ -16,11 +16,10 @@ evaluated and reported, nothing raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .quadratics import OO, Quadratic, proj_rep
+from .quadratics import Quadratic, proj_rep
 from .ansatz import (
     GMINUS,
     GP,
@@ -36,7 +35,6 @@ from .ansatz import (
 from .boundary import (
     CORNER,
     EDGE,
-    FINITE,
     FOLD,
     INFINITELY_DISTANT,
     PLOCUS,

@@ -52,7 +52,6 @@ from .tensors import (
 )
 from .moment import (
     MomentError,
-    convexity_check,
     fold_conic,
     hamiltonian_residual,
     level_set_line,

@@ -13,7 +13,8 @@ Conventions used throughout the package:
   with weight 1, quartics (and A, B of degree <= 4) with weight 2.
 
 Coefficients are exact `fractions.Fraction` values; evaluation accepts
-floats and degrades gracefully to double precision.
+floats (or numpy arrays of them, elementwise) and degrades gracefully to
+double precision, with float coefficients converted once per object.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +73,11 @@ OO = _ProjInf()
 ProjPoint = Union[Fraction, _ProjInf]
 
 
+def _real(v):
+    """v as a float; numpy arrays pass through for elementwise evaluation."""
+    return v if isinstance(v, np.ndarray) else float(v)
+
+
 def proj_eq(a: ProjPoint, b: ProjPoint) -> bool:
     if a is OO or b is OO:
         return a is OO and b is OO
@@ -89,8 +98,6 @@ def proj_rep(p: ProjPoint) -> Tuple[Fraction, Fraction]:
 class Poly:
     """Univariate polynomial with exact rational coefficients, ascending order."""
 
-    __slots__ = ("coeffs",)
-
     def __init__(self, coeffs: Iterable):
         cs = [rat(c) for c in coeffs]
         while len(cs) > 1 and cs[-1] == 0:
@@ -109,10 +116,15 @@ class Poly:
     def is_zero(self) -> bool:
         return self.degree < 0
 
+    @cached_property
+    def floats(self) -> Tuple[float, ...]:
+        """The coefficients as floats, converted on first use."""
+        return tuple(float(c) for c in self.coeffs)
+
     def __call__(self, z):
         acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * z + (c if isinstance(z, Fraction) else float(c))
+        for c in reversed(self.coeffs if isinstance(z, Fraction) else self.floats):
+            acc = acc * z + c
         return acc
 
     def derivative(self) -> "Poly":
@@ -263,12 +275,18 @@ class Quadratic:
         object.__setattr__(self, "c1", rat(c1))
         object.__setattr__(self, "c2", rat(c2))
 
+    @cached_property
+    def floats(self) -> Tuple[float, float, float]:
+        """(c0, c1, c2) as floats, converted on first use."""
+        return (float(self.c0), float(self.c1), float(self.c2))
+
     # -- evaluation --------------------------------------------------------
     def value(self, z):
         if isinstance(z, Fraction):
             return self.c0 * z * z + 2 * self.c1 * z + self.c2
-        zf = float(z)
-        return float(self.c0) * zf * zf + 2.0 * float(self.c1) * zf + float(self.c2)
+        f0, f1, f2 = self.floats
+        zf = _real(z)
+        return f0 * zf * zf + 2.0 * f1 * zf + f2
 
     __call__ = value
 
@@ -276,8 +294,9 @@ class Quadratic:
         """Symmetric bivariate form p(x,y) = c0*xy + c1*(x+y) + c2."""
         if isinstance(x, Fraction) and isinstance(y, Fraction):
             return self.c0 * x * y + self.c1 * (x + y) + self.c2
-        xf, yf = float(x), float(y)
-        return float(self.c0) * xf * yf + float(self.c1) * (xf + yf) + float(self.c2)
+        f0, f1, f2 = self.floats
+        xf, yf = _real(x), _real(y)
+        return f0 * xf * yf + f1 * (xf + yf) + f2
 
     def polarize_hom(self, X, W, Y, V):
         """Homogenized polarization numerator c0*XY + c1*(XV + YW) + c2*WV,
@@ -288,7 +307,8 @@ class Quadratic:
         """Partial derivative of the polarization in its first slot: c0*y + c1."""
         if isinstance(y, Fraction):
             return self.c0 * y + self.c1
-        return float(self.c0) * float(y) + float(self.c1)
+        f0, f1, _ = self.floats
+        return f0 * float(y) + f1
 
     # -- structure ---------------------------------------------------------
     def coeffs(self) -> Tuple[Fraction, Fraction, Fraction]:
@@ -329,11 +349,6 @@ class Quadratic:
 
     def __repr__(self):
         return f"Quadratic({self.c0}, {self.c1}, {self.c2})"
-
-
-def polarize(p: Quadratic):
-    """Return the symmetric bivariate evaluator of p."""
-    return p.polarize
 
 
 def inner(q: Quadratic, p: Quadratic) -> Fraction:
@@ -387,13 +402,6 @@ class Quartic:
         for name, v in zip("a0 a1 a2 a3 a4".split(), (a0, a1, a2, a3, a4)):
             object.__setattr__(self, name, rat(v))
 
-    @classmethod
-    def from_poly(cls, p: Poly) -> "Quartic":
-        if p.degree > 4:
-            raise ValueError("degree exceeds 4")
-        cs = list(p.coeffs) + [Fraction(0)] * (5 - len(p.coeffs))
-        return cls(*cs)
-
     def as_poly(self) -> Poly:
         return Poly([self.a0, self.a1, self.a2, self.a3, self.a4])
 
@@ -430,9 +438,7 @@ class Mobius:
     """z -> (a*z + b) / (c*z + d) with exact rational entries, det != 0.
 
     Entries are stored as given; `canonical()` rescales them to a primitive
-    integer representative with positive first nonzero entry, and
-    `normalized()` returns float entries with |det| = 1 (the PSL2 class
-    representative up to the global sign fixed by the same rule)."""
+    integer representative with positive first nonzero entry."""
 
     a: Fraction
     b: Fraction
@@ -474,14 +480,6 @@ class Mobius:
         if first < 0:
             ints = [-v for v in ints]
         return Mobius(*ints)
-
-    def normalized(self) -> Tuple[float, float, float, float]:
-        s = 1.0 / math.sqrt(abs(float(self.det())))
-        ent = [float(e) * s for e in self.entries()]
-        first = next(v for v in ent if v != 0.0)
-        if first < 0:
-            ent = [-v for v in ent]
-        return tuple(ent)
 
     def inverse(self) -> "Mobius":
         return Mobius(self.d, -self.b, -self.c, self.a)

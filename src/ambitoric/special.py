@@ -26,7 +26,6 @@ from .ansatz import (
     LatticeMatrix,
     ValidationError,
     metric_gp,
-    validate,
 )
 from .moment import LineInTstar, Polygon
 

@@ -15,14 +15,15 @@ f^-1, f, or (x-y) q / p^2; the complex structures are J+- = g+-^{-1} omega+-.
 
 Curvature is obtained by central finite differences of the metric
 components with Richardson extrapolation (steps h and h/2), which is
-accurate to ~1e-9 for the rational metrics handled here.
+accurate to ~1e-9 for the rational metrics handled here.  The metric is
+evaluated once, as one numpy batch over the 25-point stencil
+{0, +-h/2, +-h}^2, and every difference is taken from slices of it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Tuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +32,8 @@ from .ansatz import (
     GMINUS,
     GP,
     GPLUS,
+    METRIC_GMINUS,
+    METRIC_GPLUS,
     AnsatzSpec,
     MetricChoice,
 )
@@ -66,46 +69,6 @@ class TensorBlock:
 # field evaluation
 # ---------------------------------------------------------------------------
 
-def _g0_components(spec: AnsatzSpec, x: float, y: float) -> np.ndarray:
-    Av = float(spec.A(x))
-    Bv = float(spec.B(y))
-    if Av == 0.0 or Bv == 0.0:
-        raise SingularEvaluation("A or B vanishes at the evaluation point")
-    qv = spec.q.polarize(x, y)
-    den = (x - y) * qv
-    if den == 0.0:
-        raise SingularEvaluation("(x - y) q(x, y) vanishes at the evaluation point")
-    t1, t2 = spec.tau_basis
-    tx = np.array([t1.value(x), t2.value(x)])
-    ty = np.array([t1.value(y), t2.value(y)])
-    g = np.zeros((4, 4))
-    g[0, 0] = 1.0 / Av
-    g[1, 1] = 1.0 / Bv
-    tb = (Av * np.outer(ty, ty) + Bv * np.outer(tx, tx)) / (den * den)
-    g[2:, 2:] = tb
-    return g
-
-
-def _metric_scale(spec: AnsatzSpec, metric: MetricChoice, x: float, y: float) -> float:
-    qv = spec.q.polarize(x, y)
-    d = x - y
-    if metric.tag == G0:
-        return 1.0
-    if metric.tag == GPLUS:
-        # g+ = f^-1 g0 with f = q/(x-y)
-        if qv == 0.0:
-            raise SingularEvaluation("g+ is singular on q(x, y) = 0")
-        return d / qv
-    if metric.tag == GMINUS:
-        if d == 0.0:
-            raise SingularEvaluation("g- is singular on x = y")
-        return qv / d
-    pv = metric.p.polarize(x, y)
-    if pv == 0.0:
-        raise SingularEvaluation("g_p is singular on the P-locus")
-    return d * qv / (pv * pv)
-
-
 def _omega_components(spec: AnsatzSpec, sign: str, x: float, y: float) -> np.ndarray:
     t1, t2 = spec.tau_basis
     tx = np.array([t1.value(x), t2.value(x)])
@@ -133,6 +96,52 @@ def _omega_components(spec: AnsatzSpec, sign: str, x: float, y: float) -> np.nda
 FIELDS = ("g0", "g+", "g-", "gp", "omega+", "omega-", "J+", "J-")
 
 
+def _vanishes(v) -> bool:
+    """Whether a float, or any entry of an array, is zero."""
+    return (v == 0.0).any() if isinstance(v, np.ndarray) else v == 0.0
+
+
+def _cell(v) -> np.ndarray:
+    """A float or an array of them, broadcast over a trailing 4x4 block."""
+    return np.asarray(v)[..., None, None]
+
+
+def metric_components(spec: AnsatzSpec, metric: MetricChoice, x, y) -> np.ndarray:
+    """Components of the metric at (x, y).  Floats give one 4x4 array; numpy
+    arrays of the same shape give a batch of shape (..., 4, 4) whose entries
+    equal the pointwise evaluations bit for bit."""
+    Av = spec.A(x)
+    Bv = spec.B(y)
+    if _vanishes(Av) or _vanishes(Bv):
+        raise SingularEvaluation("A or B vanishes at the evaluation point")
+    qv = spec.q.polarize(x, y)
+    d = x - y
+    den = d * qv
+    if _vanishes(den):
+        raise SingularEvaluation("(x - y) q(x, y) vanishes at the evaluation point")
+    if metric.tag == G0:
+        scale = 1.0
+    elif metric.tag == GPLUS:
+        scale = d / qv          # g+ = f^-1 g0 with f = q/(x-y)
+    elif metric.tag == GMINUS:
+        scale = qv / d
+    else:
+        pv = metric.p.polarize(x, y)
+        if _vanishes(pv):
+            raise SingularEvaluation("g_p is singular on the P-locus")
+        scale = d * qv / (pv * pv)
+    t1, t2 = spec.tau_basis
+    tx = np.array([t1.value(x), t2.value(x)]).T     # batch axes first
+    ty = np.array([t1.value(y), t2.value(y)]).T
+    g = np.zeros(np.shape(den) + (4, 4))
+    g[..., 0, 0] = 1.0 / Av
+    g[..., 1, 1] = 1.0 / Bv
+    g[..., 2:, 2:] = ((_cell(Av) * (ty[..., :, None] * ty[..., None, :])
+                       + _cell(Bv) * (tx[..., :, None] * tx[..., None, :]))
+                      / _cell(den * den))
+    return g * _cell(scale)
+
+
 def eval_field(spec: AnsatzSpec, fieldname: str, pt: FramePoint) -> TensorBlock:
     """Evaluate one of g0, g+, g-, gp, omega+, omega-, J+, J- at pt."""
     x, y = pt.x, pt.y
@@ -143,22 +152,16 @@ def eval_field(spec: AnsatzSpec, fieldname: str, pt: FramePoint) -> TensorBlock:
                 raise ValueError("spec metric is not gp")
         else:
             metric = MetricChoice(fieldname)
-        g = _g0_components(spec, x, y) * _metric_scale(spec, metric, x, y)
-        return TensorBlock(METRIC, g)
+        return TensorBlock(METRIC, metric_components(spec, metric, x, y))
     if fieldname in ("omega+", "omega-"):
         return TensorBlock(TWO_FORM, _omega_components(spec, fieldname[-1], x, y))
     if fieldname in ("J+", "J-"):
         s = fieldname[-1]
-        gpm = _g0_components(spec, x, y) * _metric_scale(
-            spec, MetricChoice(GPLUS if s == "+" else GMINUS), x, y)
+        gpm = metric_components(spec, METRIC_GPLUS if s == "+" else METRIC_GMINUS, x, y)
         w = _omega_components(spec, s, x, y)
         J = np.linalg.solve(gpm, w)
         return TensorBlock(ENDOMORPHISM, J)
     raise ValueError(f"unknown field {fieldname!r}")
-
-
-def metric_components(spec: AnsatzSpec, metric: MetricChoice, x: float, y: float) -> np.ndarray:
-    return _g0_components(spec, x, y) * _metric_scale(spec, metric, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +205,6 @@ class CurvaturePack:
     step: float
 
 
-def _richardson1(f: Callable[[float], np.ndarray], h: float) -> np.ndarray:
-    def d(hh):
-        return (f(hh) - f(-hh)) / (2.0 * hh)
-    return (4.0 * d(h / 2.0) - d(h)) / 3.0
-
-
-def _richardson2(f: Callable[[float], np.ndarray], f0: np.ndarray, h: float) -> np.ndarray:
-    def d(hh):
-        return (f(hh) - 2.0 * f0 + f(-hh)) / (hh * hh)
-    return (4.0 * d(h / 2.0) - d(h)) / 3.0
-
-
 def _singular_distance(spec: AnsatzSpec, metric: MetricChoice, x: float, y: float) -> float:
     """Crude distance to the nearest zero of (x-y), q(x,y) and, for gp, p."""
     vals = [abs(x - y) / math.sqrt(2.0)]
@@ -232,55 +223,53 @@ def _singular_distance(spec: AnsatzSpec, metric: MetricChoice, x: float, y: floa
 def curvature(spec: AnsatzSpec, metric: MetricChoice, pt: FramePoint,
               h: float = 1e-3) -> CurvaturePack:
     """Christoffel/Riemann/Ricci/scalar from central differences of the
-    metric components with Richardson extrapolation (h and h/2)."""
+    metric components with Richardson extrapolation (h and h/2), all taken
+    from one batched evaluation on the 5x5 stencil around pt."""
     x0, y0 = pt.x, pt.y
     if _singular_distance(spec, metric, x0, y0) < 10.0 * h:
         raise SingularEvaluation(
             "curvature stencil too close to a singular locus (within 10 h)")
 
-    def g_at(x, y):
-        return metric_components(spec, metric, x, y)
+    hh = h / 2.0
+    steps = np.array([-h, -hh, 0.0, hh, h])
+    # G[i, j] = g(x0 + steps[i], y0 + steps[j])
+    G = metric_components(spec, metric, np.repeat(x0 + steps, 5),
+                          np.tile(y0 + steps, 5)).reshape(5, 5, 4, 4)
+    g = G[2, 2]
 
-    g = g_at(x0, y0)
+    def d1(F):
+        """Richardson first difference along the stencil axis 0 of F."""
+        return (4.0 * ((F[3] - F[1]) / (2.0 * hh)) - (F[4] - F[0]) / (2.0 * h)) / 3.0
+
+    def d2(F):
+        """Richardson second difference along the stencil axis 0 of F."""
+        return (4.0 * ((F[3] - 2.0 * F[2] + F[1]) / (hh * hh))
+                - (F[4] - 2.0 * F[2] + F[0]) / (h * h)) / 3.0
+
     dg = np.zeros((4, 4, 4))
     ddg = np.zeros((4, 4, 4, 4))
-    dg[0] = _richardson1(lambda e: g_at(x0 + e, y0), h)
-    dg[1] = _richardson1(lambda e: g_at(x0, y0 + e), h)
-    ddg[0, 0] = _richardson2(lambda e: g_at(x0 + e, y0), g, h)
-    ddg[1, 1] = _richardson2(lambda e: g_at(x0, y0 + e), g, h)
-    mixed = _richardson1(
-        lambda ex: _richardson1(lambda ey: g_at(x0 + ex, y0 + ey), h), h)
-    ddg[0, 1] = mixed
-    ddg[1, 0] = mixed
+    dg[0] = d1(G[:, 2])
+    dg[1] = d1(G[2])
+    ddg[0, 0] = d2(G[:, 2])
+    ddg[1, 1] = d2(G[2])
+    # mixed: the y difference at each x offset, then the x difference of those
+    ddg[0, 1] = ddg[1, 0] = d1(d1(G.swapaxes(0, 1)))
 
     ginv = np.linalg.inv(g)
     # T[d, b, c] = d_b g_{dc} + d_c g_{db} - d_d g_{bc}
-    T = np.zeros((4, 4, 4))
-    for d_ in range(4):
-        for b in range(4):
-            for c in range(4):
-                T[d_, b, c] = dg[b, d_, c] + dg[c, d_, b] - dg[d_, b, c]
+    T = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
     Gamma = 0.5 * np.einsum("ad,dbc->abc", ginv, T)
 
     dginv = -np.einsum("ae,deh,hb->dab", ginv, dg, ginv)
-    dT = np.zeros((4, 4, 4, 4))
-    for e in range(4):
-        for d_ in range(4):
-            for b in range(4):
-                for c in range(4):
-                    dT[e, d_, b, c] = (ddg[e, b, d_, c] + ddg[e, c, d_, b]
-                                       - ddg[e, d_, b, c])
+    dT = ddg.transpose(0, 2, 1, 3) + ddg.transpose(0, 2, 3, 1) - ddg
     dGamma = 0.5 * (np.einsum("ead,dbc->eabc", dginv, T)
                     + np.einsum("ad,edbc->eabc", ginv, dT))
 
     # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
     #             + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}
-    Rup = np.zeros((4, 4, 4, 4))
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                for d_ in range(4):
-                    Rup[a, b, c, d_] = dGamma[c, a, d_, b] - dGamma[d_, a, c, b]
+    # (C order, so that the contractions below sum in the same order as on
+    # an array filled entry by entry)
+    Rup = np.ascontiguousarray(dGamma.transpose(1, 3, 0, 2) - dGamma.transpose(1, 3, 2, 0))
     Rup += np.einsum("ace,edb->abcd", Gamma, Gamma)
     Rup -= np.einsum("ade,ecb->abcd", Gamma, Gamma)
 

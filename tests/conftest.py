@@ -1,19 +1,33 @@
 """Shared fixtures: normal-form specs on nice positivity boxes."""
 
+import json
+import pathlib
 from fractions import Fraction as F
 
 import pytest
 
-from ambitoric import AnsatzSpec, Interval, Poly, Quadratic
+from ambitoric import AnsatzSpec, Interval, KerrParams, Poly, Quadratic, kerr
 from ambitoric.ansatz import METRIC_G0
+from ambitoric.special import INTERIOR
 
 I2 = ((F(1), F(0)), (F(0), F(1)))
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 def make_spec(q, A, B, xr, yr, metric=METRIC_G0, lattice=I2):
     return AnsatzSpec(q=q, A=Poly(A), B=Poly(B),
                       x_interval=Interval(*xr), y_interval=Interval(*yr),
                       lattice=lattice, metric=metric)
+
+
+def geometry_specs():
+    """{name: spec} of the 8 goldens and the Kerr exterior (an infinite x
+    end) and interior, M = 1, alpha = 1/2."""
+    specs = {p.stem: AnsatzSpec.from_dict(json.loads(p.read_text())["spec"])
+             for p in sorted(GOLDEN_DIR.glob("*.json"))}
+    specs["kerr-exterior"] = kerr(KerrParams(1, F(1, 2)))
+    specs["kerr-interior"] = kerr(KerrParams(1, F(1, 2)), INTERIOR)
+    return specs
 
 
 def fold_points(q, sign, xs):

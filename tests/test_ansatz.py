@@ -25,7 +25,7 @@ from ambitoric.ansatz import (
     metric_gp,
 )
 
-from conftest import make_spec
+from conftest import geometry_specs, make_spec
 
 
 def test_rejects_nonpositive_A():
@@ -133,3 +133,23 @@ def test_transport_roundtrip_exact(abcd):
         return   # pole inside an interval: correctly refused
     spec3 = mobius_transport(spec2, m.inverse())
     assert spec3.to_dict() == spec.to_dict()
+
+
+def _reference_sample_points(comp, n):
+    pts = [(x, y)
+           for x in comp.x_range.samples(3 * n)
+           for y in comp.y_range.samples(3 * n)
+           if comp.contains(x, y)]
+    return pts[::max(1, len(pts) // (n * n))]
+
+
+@pytest.mark.parametrize("name", sorted(geometry_specs()))
+def test_sample_points_match_pointwise_double_loop(name):
+    """The vectorized grid keeps the points, order and floats of a double
+    loop over the grid with BoxComponent.contains."""
+    for comp in validate(geometry_specs()[name]):
+        for n in (2, 5, 28):
+            got = comp.sample_points(n)
+            assert all(type(x) is float and type(y) is float for x, y in got)
+            assert ([(x.hex(), y.hex()) for x, y in got]
+                    == [(x.hex(), y.hex()) for x, y in _reference_sample_points(comp, n)])
