@@ -1,9 +1,14 @@
 """The ambitoric ansatz box: spec objects, validation, conformal factor.
 
 An `AnsatzSpec` holds the data (q, A, B, x-interval, y-interval, lattice,
-metric choice) of an ambitoric ansatz restricted to a coordinate box.  The
-open region {A(x) > 0, B(y) > 0, (x - y) * q(x,y) != 0} falls apart into
-sign components, which `validate` enumerates.
+metric choice) of an ambitoric ansatz restricted to a coordinate box.
+`validate` checks A > 0 and B > 0 and cuts the open box minus the folds
+{x = y} and {q(x,y) = 0} into its connected components, the cells.  It
+finds them exactly, by a cylindrical decomposition in x over rationals and
+quadratic surds (`SignCells`).  Each cell carries its sign pair
+(sign(x - y), sign q), a rational interior witness, and the box-edge
+segments, corners and fold arcs of its closure.  One sign pair can hold
+several cells.
 
 The spec also carries a basis (tau_1, tau_2) of quadratics orthogonal to q:
 the images of the torus generators (d/dt1, d/dt2) under the identification
@@ -21,9 +26,10 @@ what makes the tensor fields gauge invariant pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
+from itertools import groupby
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,6 +44,7 @@ from .quadratics import (
     inner,
     poly_transport,
     rat,
+    rational_sqrt,
     transport_quadratic,
     PARABOLIC,
     HYPERBOLIC,
@@ -105,17 +112,6 @@ class Interval:
 
     def midpoint(self) -> float:
         return self.param(0.5)
-
-    def rat_samples(self, n: int) -> List[Fraction]:
-        """n exact rational interior points (infinite ends walk outward)."""
-        if self.lo is not None and self.hi is not None:
-            step = (self.hi - self.lo) / (n + 1)
-            return [self.lo + step * (k + 1) for k in range(n)]
-        if self.lo is not None:
-            return [self.lo + Fraction(k + 1, 2) for k in range(n)]
-        if self.hi is not None:
-            return [self.hi - Fraction(k + 1, 2) for k in range(n)]
-        return [Fraction(k - n // 2) for k in range(n)]
 
     def transport(self, m: Mobius) -> "Interval":
         """Image interval under a Mobius map; the pole must not be interior."""
@@ -433,23 +429,416 @@ class AnsatzSpec:
 
 
 # ---------------------------------------------------------------------------
-# validation into sign components
+# exact sign cells
+# ---------------------------------------------------------------------------
+#
+# A one-variable cylindrical decomposition of the open box minus the folds
+# {x = y} and {q = 0}.  On every vertical line the folds leave at most two
+# cut points, y = x and the graph y = -(c1 x + c2)/(c0 x + c1) of the
+# involution of q, so the open pieces of a fibre are told apart by their
+# sign pair (sign(x - y), sign q).  The fibre structure changes only at
+# critical x-values: where a fold leaves the box through a y-end, at the
+# pole of the involution and where the folds cross (the roots of q(t, t),
+# possibly quadratic surds).  Between consecutive critical values lie
+# slabs.  Pieces of neighbouring slabs with the same sign pair join exactly
+# when that sign pair also occurs on the critical line (the wall) between
+# them: a point of the wall off the folds has a neighbourhood of one sign
+# pair, which meets the pieces of that pair on both sides.
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+class _Surd:
+    """p + r*sqrt(D) for rationals p, r and a rational non-square D > 0."""
+
+    __slots__ = ("p", "r", "D")
+
+    def __init__(self, p: Fraction, r: Fraction, D: Fraction):
+        self.p, self.r, self.D = p, r, D
+
+    def __float__(self):
+        return float(self.p) + float(self.r) * math.sqrt(self.D)
+
+    def __repr__(self):
+        return f"{self.p} + {self.r}*sqrt({self.D})"
+
+
+def _sign_uvD(u, v, D) -> int:
+    """sign(u + v*sqrt(D)), exactly."""
+    su, sv = _sign(u), _sign(v)
+    if sv == 0 or D == 0:
+        return su
+    if su == 0 or su == sv:
+        return sv
+    return su * _sign(u * u - v * v * D)
+
+
+def _parts(a):
+    return (a.p, a.r, a.D) if isinstance(a, _Surd) else (a, 0, 0)
+
+
+def _cmp(a, b) -> int:
+    """sign(a - b) for rationals and quadratic surds, exactly; two surds may
+    have different radicands."""
+    (p, r, D), (p2, r2, D2) = _parts(a), _parts(b)
+    if r2 == 0 or D2 == D:
+        return _sign_uvD(p - p2, r - r2, D)
+    # a - b = alpha - beta with alpha = (p - p2) + r sqrt(D), beta = r2 sqrt(D2)
+    sa, sb = _sign_uvD(p - p2, r, D), _sign(r2)
+    if sa != sb:
+        return _sign(sa - sb)
+    u = p - p2
+    return sa * _sign_uvD(u * u + r * r * D - r2 * r2 * D2, 2 * u * r, D)
+
+
+def _bounds(a, k: int) -> Tuple[Fraction, Fraction]:
+    """Rationals lo <= a <= hi, at most |r| 2^-k apart."""
+    if not isinstance(a, _Surd):
+        return a, a
+    n, d = a.D.numerator, a.D.denominator
+    s = math.isqrt(n * d << 2 * k)          # sqrt(D) = sqrt(n d) / d
+    lo = a.p + a.r * Fraction(s, d << k)
+    hi = a.p + a.r * Fraction(s + 1, d << k)
+    return min(lo, hi), max(lo, hi)
+
+
+def _rational_between(a, b) -> Fraction:
+    """A rational strictly between a < b; None is an infinite end."""
+    if a is None and b is None:
+        return Fraction(0)
+    if a is None:
+        return Fraction(math.floor(_bounds(b, 0)[0]) - 1)
+    if b is None:
+        return Fraction(math.ceil(_bounds(a, 0)[1]) + 1)
+    k = 8
+    while True:
+        hi, lo = _bounds(a, k)[1], _bounds(b, k)[0]
+        if hi < lo:
+            return (hi + lo) / 2
+        k *= 2
+
+
+def _inside(iv: Interval, v) -> bool:
+    """Exact strict membership of a rational or a surd."""
+    return ((iv.lo is None or _cmp(v, iv.lo) > 0)
+            and (iv.hi is None or _cmp(v, iv.hi) < 0))
+
+
+def _roots(a: Fraction, b: Fraction, c: Fraction) -> list:
+    """The real roots of a z^2 + b z + c, as rationals or surds."""
+    if a == 0:
+        return [] if b == 0 else [-c / b]
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    s = rational_sqrt(disc)
+    if s is not None:
+        return [(-b + s) / (2 * a), (-b - s) / (2 * a)]
+    return [_Surd(-b / (2 * a), sgn / (2 * a), disc) for sgn in (1, -1)]
+
+
+def _sorted_inside(values, iv: Interval) -> list:
+    """The distinct values strictly inside the interval, ascending."""
+    vals = sorted((v for v in values if _inside(iv, v)), key=cmp_to_key(_cmp))
+    return [v for i, v in enumerate(vals) if i == 0 or _cmp(vals[i - 1], v)]
+
+
+def _involution(c: Quadratic, x: Fraction) -> Optional[Fraction]:
+    """The y with c(x, y) = 0, when the fibre of {c = 0} over x is one point."""
+    den = c.c0 * x + c.c1
+    return None if den == 0 else -(c.c1 * x + c.c2) / den
+
+
+def _graph_critical_values(c: Quadratic, Y: Interval,
+                           other: Optional[Quadratic] = None) -> list:
+    """The x-values where the involution graph of {c = 0} leaves the box
+    through a y-end, has its pole, crosses {x = y} or crosses the graph of
+    {other = 0}: between them its arcs stay inside or outside the box and
+    off the folds."""
+    d0, d1, d2 = c.coeffs()
+    crit = [y for y in (_involution(c, t) for t in (Y.lo, Y.hi) if t is not None)
+            if y is not None]
+    if d0 != 0:
+        crit.append(-d1 / d0)
+    crit += _roots(d0, 2 * d1, d2)
+    if other is not None:
+        c0, c1, c2 = other.coeffs()
+        crit += _roots(c1 * d0 - c0 * d1, c2 * d0 - c0 * d2, c2 * d1 - c1 * d2)
+    return crit
+
+
+#: names of the cuts bounding a fibre piece: the ends of Y, y = x, {q = 0}
+_LO, _HI, _DIAG, _FOLD = "lo", "hi", "+", "-"
+
+
+def _fibre(q: Quadratic, Y: Interval, x) -> list:
+    """The open pieces of {x} x Y minus the folds, bottom to top, as
+    (sign pair, lower cut, upper cut, rational y inside the piece)."""
+    c0, c1, c2 = q.coeffs()
+    if isinstance(x, _Surd):
+        # the folds cross at (x, x): q(x, y) = a (y - x) with a = c0 x + c1
+        sa = _sign_uvD(c0 * x.p + c1, c0 * x.r, x.D)
+        out = []
+        if Y.lo is None or _cmp(Y.lo, x) < 0:
+            out.append(((1, -sa), _LO, _DIAG, None))
+        if Y.hi is None or _cmp(Y.hi, x) > 0:
+            out.append(((-1, sa), _DIAG, _HI, None))
+        return out
+    a, b = c0 * x + c1, c1 * x + c2
+    if a == 0 and b == 0:
+        return []                       # the whole fibre lies on {q = 0}
+    cuts = {}
+    if _inside(Y, x):
+        cuts[x] = _DIAG
+    if a != 0 and _inside(Y, -b / a):
+        cuts.setdefault(-b / a, _FOLD)
+    bounds = [(Y.lo, _LO)] + sorted(cuts.items()) + [(Y.hi, _HI)]
+    out = []
+    for (lo, klo), (hi, khi) in zip(bounds, bounds[1:]):
+        y = _rational_between(lo, hi)
+        out.append(((_sign(x - y), _sign(a * y + b)), klo, khi, y))
+    return out
+
+
+def _limit(q: Quadratic, Y: Interval, cut: str, e, side: int):
+    """The limit of a cut as x tends to e (a rational or +-inf) from the
+    side `side` (+1: from above); +-inf where the cut runs off."""
+    if cut == _LO:
+        return -math.inf if Y.lo is None else Y.lo
+    if cut == _HI:
+        return math.inf if Y.hi is None else Y.hi
+    if cut == _DIAG:
+        return e
+    c0, c1, c2 = q.coeffs()
+    if isinstance(e, float):
+        return -c1 / c0 if c0 != 0 else -e
+    a, b = c0 * e + c1, c1 * e + c2
+    if a != 0:
+        return -b / a
+    if b == 0:
+        return e                        # q = c0 (x - e)(y - e): the line y = e
+    return -_sign(b) * _sign(c0) * side * math.inf
+
+
+def _finite(v):
+    """An exact end: the value, or None where it is infinite."""
+    return None if isinstance(v, float) else v
+
+
+@dataclass(frozen=True)
+class EdgeSegment:
+    """The open part of the box edge {axis = gamma} in a cell's closure: the
+    other coordinate runs over (lo, hi).  Ends are exact: a Fraction, a
+    quadratic surd where the folds cross, or None for an infinite end."""
+
+    axis: str
+    gamma: ProjPoint
+    lo: object
+    hi: object
+
+
+@dataclass(frozen=True)
+class FoldArc:
+    """An arc of a fold in a cell's closure.  A graph arc of {x = y} ('+') or
+    of the involution graph of {q = 0} ('-') runs over the x-range (lo, hi);
+    a vertical arc, the line x = at of a line pair {q = 0}, runs over the
+    y-range (lo, hi).  `base` is a rational point on the arc."""
+
+    sign: str
+    lo: object
+    hi: object
+    base: Tuple[Fraction, Fraction]
+    at: Optional[Fraction] = None
+
+
+class SignCells:
+    """The cylindrical decomposition of one box (see the comment above).
+    `crit` are the critical x-values, `slabs[i]` the fibre pieces over a
+    rational x `xs[i]` of the i-th slab, and `members[n]` the (slab, sign
+    pair) pieces of cell n.  Cells are ordered by sign pair, then by the x
+    of their witness; `cell_of` maps a piece to its cell."""
+
+    def __init__(self, spec: "AnsatzSpec"):
+        self.q, self.X, self.Y = spec.q, spec.x_interval, spec.y_interval
+        # {x = y} leaves the box at the y-ends; then the critical values of q
+        ends_y = [t for t in (self.Y.lo, self.Y.hi) if t is not None]
+        self.crit = _sorted_inside(
+            ends_y + _graph_critical_values(self.q, self.Y), self.X)
+        self.ends = [self.X.lo] + self.crit + [self.X.hi]
+        self.xs = [_rational_between(a, b) for a, b in zip(self.ends, self.ends[1:])]
+        self.slabs = [_fibre(self.q, self.Y, x) for x in self.xs]
+        self.walls = [_fibre(self.q, self.Y, c) for c in self.crit]
+        parent = {(i, piece[0]): (i, piece[0])
+                  for i, slab in enumerate(self.slabs) for piece in slab}
+
+        def find(k):
+            while parent[k] != k:
+                parent[k] = parent[parent[k]]
+                k = parent[k]
+            return k
+
+        for i, wall in enumerate(self.walls):
+            for s, *_ in wall:
+                if (i, s) in parent and (i + 1, s) in parent:
+                    parent[find((i, s))] = find((i + 1, s))
+        classes = {}
+        for k in parent:
+            classes.setdefault(find(k), []).append(k)
+        self.members = sorted(
+            (sorted(ks) for ks in classes.values()),
+            key=lambda ks: (ks[0][1], self.witness(ks)[0]))
+        self.cell_of = {k: n for n, ks in enumerate(self.members) for k in ks}
+
+    def witness(self, keys) -> Tuple[Fraction, Fraction]:
+        """A rational point of the cell's middle slab piece."""
+        i, s = keys[len(keys) // 2]
+        return self.xs[i], next(p[3] for p in self.slabs[i] if p[0] == s)
+
+    def cell_at(self, x: Fraction, y: Fraction) -> Optional[int]:
+        """The cell holding a rational point of the open box, exactly; None
+        on a fold."""
+        s = (_sign(x - y), _sign(self.q.polarize(x, y)))
+        return self.cell_of.get((sum(_cmp(c, x) < 0 for c in self.crit), s))
+
+    @cached_property
+    def _table(self):
+        """Cell index by (slab, sign(x - y) > 0, sign q > 0), -1 for none,
+        and the critical values as floats."""
+        table = np.full((len(self.slabs), 2, 2), -1)
+        for (i, (sxy, sq)), n in self.cell_of.items():
+            table[i, int(sxy > 0), int(sq > 0)] = n
+        return table, np.array([float(c) for c in self.crit])
+
+    def cells_of(self, xs, sign_xy: int, sign_q: int):
+        """The cell index (-1 for none) of float points with the given sign
+        pair, from the slab holding each x (the slab left of a wall for a
+        point on it); elementwise on arrays."""
+        table, crit = self._table
+        return table[np.searchsorted(crit, xs), int(sign_xy > 0), int(sign_q > 0)]
+
+    # -- the closure of each cell ----------------------------------------
+    def _end_pieces(self, i: int, e, side: int):
+        """(cell, lower limit, upper limit) of the pieces of slab i as x tends
+        to its end e (None: the infinite end on that side)."""
+        if e is None:
+            e = -side * math.inf
+        return [(self.cell_of[(i, s)], _limit(self.q, self.Y, lo, e, side),
+                 _limit(self.q, self.Y, hi, e, side))
+                for s, lo, hi, _ in self.slabs[i]]
+
+    def closure(self):
+        """Per cell: edge segments, corners and fold arcs of its closure."""
+        X, Y = self.X, self.Y
+        n = len(self.members)
+        edges = [[] for _ in range(n)]
+        corners = [[] for _ in range(n)]
+        ylo = -math.inf if Y.lo is None else Y.lo
+        yhi = math.inf if Y.hi is None else Y.hi
+        gy = Y.endpoints_proj()
+        gx = X.endpoints_proj()
+        for g, e, i, side in ((gx[0], X.lo, 0, 1),
+                              (gx[1], X.hi, len(self.slabs) - 1, -1)):
+            for cell, lo, hi in self._end_pieces(i, e, side):
+                if lo < hi:
+                    edges[cell].append(EdgeSegment("X", g, _finite(lo), _finite(hi)))
+                if lo == ylo:
+                    corners[cell].append((g, gy[0]))
+                if hi == yhi:
+                    corners[cell].append((g, gy[1]))
+        for k, g in ((0, gy[0]), (-1, gy[1])):
+            cells = [self.cell_of[(i, slab[k][0])] for i, slab in enumerate(self.slabs)]
+            for cell, run in groupby(range(len(cells)), key=cells.__getitem__):
+                run = list(run)
+                edges[cell].append(
+                    EdgeSegment("Y", g, self.ends[run[0]], self.ends[run[-1] + 1]))
+        folds = [[] for _ in range(n)]
+        for i, slab in enumerate(self.slabs):
+            for s, lo, hi, _ in slab:
+                for cut in {lo, hi} & {_DIAG, _FOLD}:
+                    folds[self.cell_of[(i, s)]].append((cut, i))
+        arcs = [self._arcs(f) for f in folds]
+        for j, c in enumerate(self.crit):
+            if not self.walls[j]:
+                # a vertical line of {q = 0}: the wall through the double root
+                for i, side in ((j, -1), (j + 1, 1)):
+                    for cell, lo, hi in self._end_pieces(i, c, side):
+                        if lo < hi:
+                            lo, hi = _finite(lo), _finite(hi)
+                            arcs[cell].append(FoldArc(
+                                _FOLD, lo, hi, (c, _rational_between(lo, hi)), at=c))
+        return [(tuple(edges[k]), tuple(dict.fromkeys(corners[k])), tuple(arcs[k]))
+                for k in range(n)]
+
+    def _arcs(self, adjacent) -> List[FoldArc]:
+        """Merge the (fold, slab) adjacencies of one cell into arcs over
+        consecutive slabs; the graph of {q = 0} breaks at its pole."""
+        q = self.q
+        runs = []
+        for cut, i in sorted(adjacent):
+            if runs and runs[-1][0] == cut and runs[-1][2] == i - 1 and (
+                    cut == _DIAG or q.c0 == 0 or self.crit[i - 1] != -q.c1 / q.c0):
+                runs[-1][2] = i
+            else:
+                runs.append([cut, i, i])
+        out = []
+        for cut, i, j in runs:
+            x = self.xs[(i + j) // 2]
+            y = x if cut == _DIAG else _involution(q, x)
+            out.append(FoldArc(cut, self.ends[i], self.ends[j + 1], (x, y)))
+        return out
+
+    # -- the zero locus of another quadratic --------------------------------
+    def locus_points(self, p: Quadratic, cell: int) -> List[Tuple[Fraction, Fraction]]:
+        """Rational points of {p = 0} inside the open cell: at most one on the
+        line x = r when p = d0 (z - r)^2, then at most one on the involution
+        graph of p.  Between consecutive critical values of p the graph
+        stays in one cell or off the box, so one rational x in each gap
+        samples every arc of it."""
+        X, Y = self.X, self.Y
+        r = p.double_root()
+        line = []
+        if r is not None and r is not OO and _inside(X, r):
+            line = [(r, y) for *_, y in _fibre(self.q, Y, r)]
+        ends = [X.lo] + _sorted_inside(_graph_critical_values(p, Y, self.q), X) + [X.hi]
+        graph = []
+        for a, b in zip(ends, ends[1:]):
+            x = _rational_between(a, b)
+            y = _involution(p, x)
+            if y is not None and _inside(Y, y):
+                graph.append((x, y))
+        hits = (next((pt for pt in pts if self.cell_at(*pt) == cell), None)
+                for pts in (line, graph))
+        return [pt for pt in hits if pt is not None]
+
+
+# ---------------------------------------------------------------------------
+# validation into cells
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BoxComponent:
-    """A connected component of the box where (x - y) * q(x,y) keeps sign.
+    """One cell: a connected component of the open box minus the folds
+    {x = y} and {q = 0}, found exactly by `SignCells`.
 
-    The component is the subset of x_range x y_range where sign(x - y) =
-    sign_xy and sign(q(x,y)) = sign_q; for boxes avoiding the folds this is
-    the whole box.  Sign pairs are assumed to identify components uniquely
-    within one box (true for all shipped regions)."""
+    On the cell, x - y has the sign sign_xy and q(x, y) the sign sign_q.
+    One sign pair can hold several cells.  `witness` is a rational point
+    inside the cell.  Its closure is described by `edges` (the open
+    box-edge segments it meets), `corners` (the box corners in it, as
+    projective pairs) and `folds` (the fold arcs bounding it)."""
 
     x_range: Interval
     y_range: Interval
     sign_xy: int
     sign_q: int
     q: Quadratic
+    witness: Tuple[Fraction, Fraction]
+    edges: Tuple[EdgeSegment, ...]
+    corners: Tuple[Tuple[ProjPoint, ProjPoint], ...]
+    folds: Tuple[FoldArc, ...]
+    cells: SignCells = field(repr=False, compare=False)
+    index: int = field(repr=False, compare=False)
+    shared: bool = field(repr=False, compare=False)   # sign pair not unique
 
     def contains(self, x: float, y: float) -> bool:
         if not (self.x_range.contains(x) and self.y_range.contains(y)):
@@ -457,30 +846,32 @@ class BoxComponent:
         if (1 if x - y > 0 else -1 if x - y < 0 else 0) != self.sign_xy:
             return False
         qv = self.q.polarize(x, y)
-        return (1 if qv > 0 else -1 if qv < 0 else 0) == self.sign_q
+        if (1 if qv > 0 else -1 if qv < 0 else 0) != self.sign_q:
+            return False
+        if not self.shared:
+            return True
+        return bool(self.cells.cells_of(x, self.sign_xy, self.sign_q) == self.index)
 
     def sample_points(self, n: int = 12) -> List[Tuple[float, float]]:
-        """The points of the 3n x 3n sample grid that lie in the component
-        (x outer, y inner), thinned by a stride to about n^2 of them."""
+        """The points of the 3n x 3n sample grid that lie in the cell (x
+        outer, y inner), thinned by a stride to about n^2 of them; the
+        witness alone when the grid misses the cell."""
         xs = np.array(self.x_range.samples(3 * n))[:, None]
         ys = np.array(self.y_range.samples(3 * n))[None, :]
+        sxy = np.sign(xs - ys)
+        sq = np.sign(self.q.polarize(xs, ys))
         inside = (self.x_range.contains(xs) & self.y_range.contains(ys)
-                  & (np.sign(xs - ys) == self.sign_xy)
-                  & (np.sign(self.q.polarize(xs, ys)) == self.sign_q))
+                  & (sxy == self.sign_xy) & (sq == self.sign_q))
+        if self.shared:
+            inside &= (self.cells.cells_of(xs, self.sign_xy, self.sign_q)
+                       == self.index)
         i, j = np.nonzero(inside)
         pts = list(zip(xs[i, 0].tolist(), ys[0, j].tolist()))
         if not pts:
-            raise ValidationError("component has no sample points")
+            # the grid misses a thin cell; its witness stands in
+            return [(float(self.witness[0]), float(self.witness[1]))]
         stride = max(1, len(pts) // (n * n))
         return pts[::stride]
-
-    def representative(self) -> Tuple[float, float]:
-        pts = self.sample_points(6)
-        # prefer a deep interior point: maximize min distance to sign flips
-        def depth(p):
-            x, y = p
-            return min(abs(x - y), abs(self.q.polarize(x, y)))
-        return max(pts, key=depth)
 
 
 def _positivity_check(P: Poly, iv: Interval, name: str):
@@ -492,35 +883,26 @@ def _positivity_check(P: Poly, iv: Interval, name: str):
     if P.count_roots(iv.lo, iv.hi) > 0:
         raise ValidationError(f"{name} has a zero inside the interval {iv}")
     # no root inside, so the sign at one interior point is the sign throughout
-    if P(iv.rat_samples(1)[0]) <= 0:
+    if P(_rational_between(iv.lo, iv.hi)) <= 0:
         raise ValidationError(f"{name} is not positive on {iv}")
 
 
-#: points per box side at which `validate` samples the sign pairs
-_GRID = 48
-
-
 def validate(spec: AnsatzSpec) -> List[BoxComponent]:
-    """Check positivity of A, B, orthogonality for gp, and partition the box
-    into maximal sign components of (x - y) * q(x,y)."""
+    """Check positivity of A and B, and return the cells of the box, one
+    per connected component of the open box minus the folds, sorted by
+    sign pair and then by the x of their witness."""
     _positivity_check(spec.A, spec.x_interval, "A")
     _positivity_check(spec.B, spec.y_interval, "B")
-    seen = {}
-    for x in spec.x_interval.samples(_GRID):
-        for y in spec.y_interval.samples(_GRID):
-            d = x - y
-            qv = spec.q.polarize(x, y)
-            if d == 0 or qv == 0:
-                continue
-            key = (1 if d > 0 else -1, 1 if qv > 0 else -1)
-            seen.setdefault(key, (x, y))
-    comps = [
-        BoxComponent(spec.x_interval, spec.y_interval, sx, sq, spec.q)
-        for (sx, sq) in sorted(seen)
-    ]
-    if not comps:
-        raise ValidationError("box contains no admissible points")
-    return comps
+    cells = SignCells(spec)
+    pairs = [keys[0][1] for keys in cells.members]
+    out = []
+    for n, (keys, (edges, corners, folds)) in enumerate(
+            zip(cells.members, cells.closure())):
+        sxy, sq = pairs[n]
+        out.append(BoxComponent(spec.x_interval, spec.y_interval, sxy, sq,
+                                spec.q, cells.witness(keys), edges, corners,
+                                folds, cells, n, pairs.count(pairs[n]) > 1))
+    return out
 
 
 # ---------------------------------------------------------------------------

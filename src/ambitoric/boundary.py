@@ -1,9 +1,10 @@
 """Boundary decomposition and metric-distance analysis.
 
-The coordinate closure of a sign component decomposes into edges (level
-sets of x or y at the interval endpoints), folds (segments of {x = y} and
-{q(x,y) = 0} meeting the closure), corners, and for the diagonal-Ricci
-metric the P-locus {p(x,y) = 0}.
+The closure of a cell (`ansatz.BoxComponent`) decomposes into edges (the
+box edges {x or y = endpoint} it meets along a segment), folds (arcs of
+{x = y} and {q(x,y) = 0} bounding it), the box corners it contains, and
+for the diagonal-Ricci metric the P-locus {p(x,y) = 0} where it crosses
+the cell.  All of these are read from the cell's exact decomposition.
 
 Edge distance is decided exactly: with m the root multiplicity of A (or B)
 at the endpoint and e the order of the metric's conformal scale along the
@@ -30,7 +31,6 @@ from .quadratics import (
     Mobius,
     Poly,
     ProjPoint,
-    Quadratic,
     compatible_quadratic,
     proj_eq,
     proj_rep,
@@ -43,7 +43,6 @@ from .ansatz import (
     GPLUS,
     AnsatzSpec,
     BoxComponent,
-    Interval,
     MetricChoice,
     ValidationError,
     lattice_contains,
@@ -73,7 +72,7 @@ class BoundaryComponent:
     on_positive_fold: bool = False             # corners
     on_negative_fold: bool = False
     on_p_locus: bool = False
-    base_point: Optional[Tuple[float, float]] = None
+    base_point: Optional[Tuple[Fraction, Fraction]] = None   # folds, P-locus
     approach_sign: int = 0                     # side of the transversal
 
     def describe(self) -> str:
@@ -113,149 +112,48 @@ class DistanceStatus:
 # decomposition
 # ---------------------------------------------------------------------------
 
-def _locus_curve_point(curve: Quadratic, x: Fraction) -> Optional[Fraction]:
-    """y with curve(x, y) = 0 along the polarization, if the slice is
-    nondegenerate."""
-    den = curve.c0 * x + curve.c1
-    if den == 0:
-        return None
-    return -(curve.c1 * x + curve.c2) / den
-
-
-def _in_closure(comp: BoxComponent, x: float, y: float) -> bool:
-    """Closure membership: signs may also vanish."""
-    xr, yr = comp.x_range, comp.y_range
-    if xr.lo is not None and x < float(xr.lo):
-        return False
-    if xr.hi is not None and x > float(xr.hi):
-        return False
-    if yr.lo is not None and y < float(yr.lo):
-        return False
-    if yr.hi is not None and y > float(yr.hi):
-        return False
-    d = x - y
-    if d != 0 and (1 if d > 0 else -1) != comp.sign_xy:
-        return False
-    qv = comp.q.polarize(x, y)
-    if qv != 0 and (1 if qv > 0 else -1) != comp.sign_q:
-        return False
-    return True
-
-
-def _strict_interior_1d(iv: Interval, t) -> bool:
-    tf = float(t)
-    if iv.lo is not None and not tf > float(iv.lo):
-        return False
-    if iv.hi is not None and not tf < float(iv.hi):
-        return False
-    return True
-
-
-def _curve_fold(spec: AnsatzSpec, comp: BoxComponent, curve: Quadratic,
-                kind: str, sign: Optional[str], approach: int
-                ) -> Optional[BoundaryComponent]:
-    """Proper-fold detection for a conic locus {curve(x,y) = 0}: sample the
-    curve over the open x-range and keep points interior to the box and in
-    the component closure.  Degenerate (line-pair) loci fall to the caller."""
-    hits = []
-    for x in comp.x_range.rat_samples(240):
-        y = _locus_curve_point(curve, x)
-        if y is None:
-            continue
-        if not _strict_interior_1d(comp.y_range, y):
-            continue
-        if not _in_closure(comp, float(x), float(y)):
-            continue
-        hits.append((float(x), float(y)))
-    if not hits:
-        return None
-    base = hits[len(hits) // 2]
-    return BoundaryComponent(kind=kind, sign=sign, proper=True,
-                             base_point=base, approach_sign=approach)
-
-
 def decompose_boundary(spec: AnsatzSpec, comp: BoxComponent) -> List[BoundaryComponent]:
-    """Edges, folds, corners and (under gp) P-locus segments of the
-    component's coordinate closure."""
+    """Edges, corners, folds and (under gp) P-locus segments of the cell's
+    closure, read from the cell: an edge or a corner is listed when the
+    closure meets it, a fold (one piece per fold, the line x = r of a line
+    pair {q = 0} apart) when one of its arcs bounds the cell, and the
+    P-locus when {p = 0} passes through the open cell."""
     out: List[BoundaryComponent] = []
     qdr = spec.q.double_root()
+    for axis, g in dict.fromkeys((e.axis, e.gamma) for e in comp.edges):
+        fe = qdr is not None and proj_eq(g, qdr)
+        out.append(BoundaryComponent(kind=EDGE, axis=axis, gamma=g,
+                                     is_fold_and_edge=fe))
 
-    # -- edges --------------------------------------------------------------
-    for axis, iv in (("X", comp.x_range), ("Y", comp.y_range)):
-        eps = iv.endpoints_proj()
-        gammas = [eps[0]] if proj_eq(eps[0], eps[1]) else list(eps)
-        for g in gammas:
-            fe = qdr is not None and proj_eq(g, qdr)
-            out.append(BoundaryComponent(kind=EDGE, axis=axis, gamma=g,
-                                         is_fold_and_edge=fe))
+    for gx, gy in comp.corners:
+        X, W = proj_rep(gx)
+        Y, V = proj_rep(gy)
+        pos = X * V - Y * W == 0
+        neg = spec.q.polarize_hom(X, W, Y, V) == 0
+        onp = (spec.metric.tag == GP
+               and spec.metric.p.polarize_hom(X, W, Y, V) == 0)
+        out.append(BoundaryComponent(kind=CORNER, corner=(gx, gy),
+                                     on_positive_fold=pos,
+                                     on_negative_fold=neg,
+                                     on_p_locus=onp))
 
-    # -- corners ------------------------------------------------------------
-    for gx in comp.x_range.endpoints_proj():
-        for gy in comp.y_range.endpoints_proj():
-            X, W = proj_rep(gx)
-            Y, V = proj_rep(gy)
-            pos = X * V - Y * W == 0
-            neg = spec.q.polarize_hom(X, W, Y, V) == 0
-            onp = (spec.metric.tag == GP
-                   and spec.metric.p.polarize_hom(X, W, Y, V) == 0)
-            out.append(BoundaryComponent(kind=CORNER, corner=(gx, gy),
-                                         on_positive_fold=pos,
-                                         on_negative_fold=neg,
-                                         on_p_locus=onp))
+    for sign, vertical, approach in (("+", False, comp.sign_xy),
+                                     ("-", True, comp.sign_q),
+                                     ("-", False, comp.sign_q)):
+        arcs = [a for a in comp.folds
+                if a.sign == sign and (a.at is not None) == vertical]
+        if arcs:
+            out.append(BoundaryComponent(kind=FOLD, sign=sign, proper=True,
+                                         base_point=arcs[len(arcs) // 2].base,
+                                         approach_sign=approach))
 
-    # -- positive fold {x = y} ---------------------------------------------
-    diag_hits = []
-    for t in comp.x_range.rat_samples(240):
-        if not _strict_interior_1d(comp.y_range, t):
-            continue
-        if _in_closure(comp, float(t), float(t)):
-            diag_hits.append(float(t))
-    if diag_hits:
-        t0 = diag_hits[len(diag_hits) // 2]
-        out.append(BoundaryComponent(kind=FOLD, sign="+", proper=True,
-                                     base_point=(t0, t0),
-                                     approach_sign=comp.sign_xy))
-
-    # -- negative fold {q(x,y) = 0} ----------------------------------------
-    if qdr is None:
-        f = _curve_fold(spec, comp, spec.q, FOLD, "-", comp.sign_q)
-        if f is not None:
-            out.append(f)
-    elif qdr is not OO:
-        # line pair {x = qdr} u {y = qdr}: interior lines are proper folds,
-        # endpoint lines are the fold-edges flagged above
-        for axis, iv, other in (("X", comp.x_range, comp.y_range),
-                                ("Y", comp.y_range, comp.x_range)):
-            if _strict_interior_1d(iv, qdr):
-                s = float(rat(qdr))
-                o = other.midpoint()
-                base = (s, o) if axis == "X" else (o, s)
-                if _in_closure(comp, *base):
-                    out.append(BoundaryComponent(kind=FOLD, sign="-", proper=True,
-                                                 base_point=base,
-                                                 approach_sign=comp.sign_q))
-
-    # -- P-locus ------------------------------------------------------------
     if spec.metric.tag == GP:
         p = spec.metric.p
-        rep = comp.representative()
-        pside = 1 if p.polarize(*rep) > 0 else -1
-        pdr = p.double_root()
-        if pdr is None:
-            f = _curve_fold(spec, comp, p, PLOCUS, None, pside)
-            if f is not None:
-                out.append(f)
-        elif pdr is not OO:
-            for axis, iv, other in (("X", comp.x_range, comp.y_range),
-                                    ("Y", comp.y_range, comp.x_range)):
-                if _strict_interior_1d(iv, pdr):
-                    s = float(rat(pdr))
-                    o = other.midpoint()
-                    base = (s, o) if axis == "X" else (o, s)
-                    if _in_closure(comp, *base):
-                        out.append(BoundaryComponent(kind=PLOCUS, proper=True,
-                                                     base_point=base,
-                                                     approach_sign=pside))
+        pv = p.polarize(*comp.witness)
+        pside = (pv > 0) - (pv < 0)
+        for base in comp.cells.locus_points(p, comp.index):
+            out.append(BoundaryComponent(kind=PLOCUS, proper=True,
+                                         base_point=base, approach_sign=pside))
     return out
 
 

@@ -1,6 +1,6 @@
 """Completability and completeness verdicts assembled from boundary data.
 
-The four rules applied to a validated sign component:
+The four rules applied to a validated cell:
 
   (i)   no proper folds;
   (ii)  every ordinary edge is either infinitely distant or carries a
@@ -117,7 +117,7 @@ def _is_fold_piece(c: BoundaryComponent) -> bool:
 
 def completability_verdict(spec: AnsatzSpec, metric: MetricChoice,
                            comp: BoxComponent) -> Verdict:
-    """Apply rules (i)-(iv) to one sign component and report everything."""
+    """Apply rules (i)-(iv) to one cell and report everything."""
     pieces = decompose_boundary(spec, comp)
     reports: List[Report] = []
     edge_stat = {}
@@ -177,7 +177,7 @@ def completability_verdict(spec: AnsatzSpec, metric: MetricChoice,
 
 
 def classify(spec: AnsatzSpec) -> List[Tuple[BoxComponent, Verdict]]:
-    """Verdicts for every sign component of the spec under its own metric."""
+    """Verdicts for every cell of the spec under its own metric."""
     return [(c, completability_verdict(spec, spec.metric, c))
             for c in validate(spec)]
 

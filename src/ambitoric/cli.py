@@ -15,8 +15,9 @@ Spec files are JSON objects with rational numbers written as strings:
 Interval endpoints accept "inf" / "-inf"; an optional "tau_basis" lists
 two q-orthogonal quadratics (written by `gauge` when the transported q is
 not in canonical form).  `validate`, `check`, `classify` and `moment`
-find the same sign components; only `moment --grid` sets a sample
-density (default 24).
+work on the same exact cells, the connected components of the box minus
+the folds (`validate` lists one sign pair per cell, so a pair can repeat);
+only `moment --grid` sets a sample density (default 24).
 Exit codes: 0 success, 1 negative classification verdict, 2 input error,
 3 internal invariant failure.
 """
@@ -426,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("spec", help="spec JSON file")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
-    p = sub.add_parser("validate", help="list sign components")
+    p = sub.add_parser("validate", help="list the sign pair of each cell")
     common(p)
     p.set_defaults(fn=_cmd_validate)
 

@@ -52,6 +52,18 @@ def rat(v) -> Fraction:
     raise TypeError(f"cannot convert {v!r} to an exact rational")
 
 
+def rational_sqrt(v: Fraction) -> Optional[Fraction]:
+    """The rational square root of v, or None when v is not a rational
+    square."""
+    if v < 0:
+        return None
+    n = math.isqrt(v.numerator)
+    d = math.isqrt(v.denominator)
+    if n * n == v.numerator and d * d == v.denominator:
+        return Fraction(n, d)
+    return None
+
+
 class _ProjInf:
     """The single point at infinity of the real projective line."""
 

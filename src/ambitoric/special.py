@@ -19,7 +19,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .quadratics import Poly, Quadratic, Quartic, inner, rat, transvectant2
+from .quadratics import (
+    Poly,
+    Quadratic,
+    Quartic,
+    inner,
+    rat,
+    rational_sqrt,
+    transvectant2,
+)
 from .ansatz import (
     AnsatzSpec,
     Interval,
@@ -57,7 +65,7 @@ class KerrParams:
         """(x-, x+, exact).  Rational roots when M^2 + alpha^2 is a rational
         square; otherwise outward-rounded rational approximations."""
         s2 = self.M * self.M + self.alpha * self.alpha
-        root = _rational_sqrt(s2)
+        root = rational_sqrt(s2)
         if root is not None:
             return self.M - root, self.M + root, True
         rf = Fraction(math.sqrt(float(s2))).limit_denominator(10 ** 9)
@@ -77,16 +85,6 @@ class KerrParams:
             hi = self.M + rf + eps
             eps *= 2
         return lo, hi, False
-
-
-def _rational_sqrt(v: Fraction) -> Optional[Fraction]:
-    if v < 0:
-        return None
-    n = math.isqrt(v.numerator)
-    d = math.isqrt(v.denominator)
-    if n * n == v.numerator and d * d == v.denominator:
-        return Fraction(n, d)
-    return None
 
 
 def kerr(params: KerrParams, region: str = EXTERIOR,

@@ -5,8 +5,20 @@ import pathlib
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
-from ambitoric import AnsatzSpec, Interval, KerrParams, Poly, Quadratic, kerr
+from ambitoric import (
+    OO,
+    AnsatzSpec,
+    Interval,
+    KerrParams,
+    Mobius,
+    Poly,
+    Quadratic,
+    kerr,
+    mobius_transport,
+)
 from ambitoric.ansatz import METRIC_G0
 from ambitoric.special import INTERIOR
 
@@ -43,6 +55,54 @@ def fold_points(q, sign, xs):
             if x != y:
                 pts += [(x, y), (y, x)]
     return pts
+
+
+_CANONICAL_Q = {
+    "Hyperbolic": Quadratic(0, 1, 0),
+    "Elliptic": Quadratic(1, 0, 1),
+    "Parabolic": Quadratic(0, 0, 1),
+}
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def boxes_and_transports(draw):
+    """(spec, m): a canonical box of a drawn conic type, with A and B simple
+    roots at its ends, and a Mobius map whose pole lies outside both closed
+    intervals."""
+    q = _CANONICAL_Q[draw(st.sampled_from(sorted(_CANONICAL_Q)))]
+    a, c = draw(small), draw(small)
+    b = a + draw(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3))
+    d = c + draw(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3))
+    spec = make_spec(q, Poly([-a * b, a + b, -1]).coeffs,
+                     Poly([-c * d, c + d, -1]).coeffs, (a, b), (c, d))
+    m = draw(st.tuples(*[st.integers(-3, 3)] * 4)
+             .filter(lambda e: e[0] * e[3] != e[1] * e[2]).map(lambda e: Mobius(*e)))
+    pole = m.pole()
+    assume(pole is OO or not any(lo <= pole <= hi for lo, hi in ((a, b), (c, d))))
+    return spec, m
+
+
+def transported_boxes():
+    """The box of `boxes_and_transports`, moved by its Mobius map."""
+    return boxes_and_transports().map(lambda sm: mobius_transport(*sm))
+
+
+@pytest.fixture
+def sliver_spec():
+    """The fold {x + y = 0} cuts a sliver of width 1/100 off the corner
+    (2, -201/100) of the box."""
+    return make_spec(Quadratic(0, 1, 0), [-6, 5, -1],
+                     [F(-201, 100), F(-301, 100), -1], (2, 3), (F(-201, 100), -1))
+
+
+@pytest.fixture
+def merged_spec():
+    """q = z^2 - 1 on (-3, 3)^2: the folds {x = y} and {xy = 1} cut the box
+    into six cells with four sign pairs."""
+    return AnsatzSpec(q=Quadratic(1, 0, -1), A=Poly([9, 0, -1]), B=Poly([9, 0, -1]),
+                      x_interval=Interval(-3, 3), y_interval=Interval(-3, 3),
+                      lattice=I2, tau_basis=(Quadratic(1, 0, 1), Quadratic(0, 1, 0)))
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -153,3 +154,71 @@ def test_sample_points_match_pointwise_double_loop(name):
             assert all(type(x) is float and type(y) is float for x, y in got)
             assert ([(x.hex(), y.hex()) for x, y in got]
                     == [(x.hex(), y.hex()) for x, y in _reference_sample_points(comp, n)])
+
+
+#: sha256 prefixes of the sample_points(2, 5, 28) floats of every cell,
+#: recorded before cells replaced sign-pair grid components
+_SAMPLE_DIGESTS = {
+    "case1_proper_fold": "cabe912d5f5098dd",
+    "case2_fold_edge_g0": "2156373d4960cde3",
+    "case3_fold_corner_g0": "d8e3466285ef6538",
+    "case4_double_root_edges": "0606b6e3b58e8530",
+    "case5_accept": "0a3062f314eed5dd",
+    "case6_kerr_exterior": "6b6344237772fcbb",
+    "case7_p_corner_gp": "0fde14a5bf4c1313",
+    "case8_fold_corner_gminus": "d8e3466285ef6538",
+    "kerr-exterior": "cd3c7bebe652c743",
+    "kerr-interior": "8dcb462dd1260eee",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLE_DIGESTS))
+def test_sample_points_pinned(name):
+    """Where each sign pair is one cell, the cells keep the sample points,
+    their order and their floats bit for bit."""
+    h = hashlib.sha256()
+    for comp in validate(geometry_specs()[name]):
+        assert not comp.shared
+        for n in (2, 5, 28):
+            for x, y in comp.sample_points(n):
+                h.update(f"{x.hex()},{y.hex()};".encode())
+    assert h.hexdigest()[:16] == _SAMPLE_DIGESTS[name]
+
+
+def test_sliver_has_two_cells(sliver_spec):
+    comps = validate(sliver_spec)
+    assert [(c.sign_xy, c.sign_q) for c in comps] == [(1, -1), (1, 1)]
+    sliver = comps[0]
+    assert sliver.corners == ((F(2), F(-201, 100)),)
+    assert [(e.axis, e.gamma) for e in sliver.edges] == [("X", 2), ("Y", F(-201, 100))]
+
+
+def test_merged_box_has_six_cells(merged_spec):
+    comps = validate(merged_spec)
+    assert [(c.sign_xy, c.sign_q) for c in comps] == [
+        (-1, -1), (-1, 1), (-1, 1), (1, -1), (1, 1), (1, 1)]
+    # same-pair cells come in witness order and are told apart exactly
+    assert comps[1].witness[0] < comps[2].witness[0]
+    for c in comps:
+        for x, y in c.sample_points(8):
+            assert c.cells.cell_at(F(x), F(y)) == c.index
+    # every grid point off the folds lies in exactly one cell
+    for x in merged_spec.x_interval.samples(30):
+        for y in merged_spec.y_interval.samples(30):
+            if x != y and merged_spec.q.polarize(x, y) != 0:
+                assert sum(c.contains(x, y) for c in comps) == 1
+
+
+def test_witness_lies_in_its_cell(merged_spec, sliver_spec):
+    for spec in (merged_spec, sliver_spec, *geometry_specs().values()):
+        for c in validate(spec):
+            x, y = c.witness
+            assert type(x) is F and type(y) is F
+            assert c.x_range.lo is None or c.x_range.lo < x
+            assert c.x_range.hi is None or x < c.x_range.hi
+            assert c.y_range.lo is None or c.y_range.lo < y
+            assert c.y_range.hi is None or y < c.y_range.hi
+            assert (x > y) - (x < y) == c.sign_xy
+            qv = spec.q.polarize(x, y)
+            assert (qv > 0) - (qv < 0) == c.sign_q
+            assert c.cells.cell_at(x, y) == c.index

@@ -168,3 +168,30 @@ def test_edge_at_infinity_handled():
     # cubic A: multiplicity 4 - 3 = 1 at infinity, fold-edge there
     assert inf_edges[0].is_fold_and_edge
     assert st.verdict == FINITE
+
+
+def test_p_locus_is_reported_in_the_cells_it_crosses(merged_spec):
+    # {xy = -1} crosses two of the six cells of the merged box
+    spec = merged_spec.with_metric(metric_gp(Quadratic(1, 0, 1)))
+    comps = validate(spec)
+    cells = comps[0].cells
+    crossed = {cells.cell_at(x, -1 / x) for x in (F(k, 50) for k in range(-149, 150))
+               if x and abs(1 / x) < 3} - {None}
+    reported = set()
+    for c in comps:
+        for b in decompose_boundary(spec, c):
+            if b.kind == "PLocus":
+                x, y = b.base_point
+                assert x * y == -1 and cells.cell_at(x, y) == c.index
+                reported.add(c.index)
+    assert reported == crossed and len(crossed) == 2
+
+
+def test_p_locus_line_pair():
+    # p = z^2 vanishes on x = 0, which crosses the box; y = 0 misses it
+    spec = make_spec(Quadratic(0, 1, 0), [1, 0, -1], [-6, 5, -1], (-1, 1), (2, 3),
+                     metric=metric_gp(Quadratic(1, 0, 0)))
+    [comp] = validate(spec)
+    [plocus] = [b for b in decompose_boundary(spec, comp) if b.kind == "PLocus"]
+    assert plocus.base_point[0] == 0 and 2 < plocus.base_point[1] < 3
+    assert abs(estimate_r(spec, spec.metric, plocus) - 1.0) < 0.05

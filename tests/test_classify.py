@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 from ambitoric import (
     Interval,
@@ -22,7 +23,7 @@ from ambitoric.classify import (
     RULE_PROPER_FOLD,
 )
 
-from conftest import I2, make_spec
+from conftest import I2, boxes_and_transports, make_spec
 
 
 def test_proper_fold_blocks_completability():
@@ -146,3 +147,44 @@ def test_complete_orbifold_check_rejects_fold():
         Poly([-2, 3, -1]), Poly([0, -3, -1]))
     assert not ok
     assert any("fold" in d or "changes sign" in d for d in diags)
+
+
+def test_cell_reports_only_the_pieces_its_closure_meets():
+    # q = 2z on (-1, 1)^2: the cell (+, +) is {x > |y|}, whose closure meets
+    # the edge X = 1 and, of the other edges, only the corners (1, +-1)
+    spec = make_spec(Quadratic(0, 1, 0), [1, 0, -1], [1, 0, -1], (-1, 1), (-1, 1))
+    [v] = [v for c, v in classify(spec) if (c.sign_xy, c.sign_q) == (1, 1)]
+    names = [r.component.describe() for r in v.reports]
+    assert [n for n in names if n.startswith("Edge")] == ["Edge X=1"]
+    assert [n for n in names if n.startswith("Corner")] == [
+        "Corner (1, -1) [on Z-]", "Corner (1, 1) [on Z+]"]
+    assert sorted(n for n in names if n.startswith("Fold")) == [
+        "Fold + (proper)", "Fold - (proper)"]
+
+
+@pytest.mark.parametrize("name, count", [("sliver_spec", 2), ("merged_spec", 6)])
+def test_every_cell_is_classified(request, name, count):
+    results = classify(request.getfixturevalue(name))
+    assert len(results) == count
+    for _comp, v in results:
+        assert any(r.rule == RULE_PROPER_FOLD for r in v.violations())
+
+
+@given(boxes_and_transports())
+@settings(max_examples=40, deadline=None)
+def test_cells_and_verdicts_are_gauge_invariant(spec_m):
+    """A Mobius transport with its pole off the closed box maps cells to
+    cells one to one and keeps the verdict flags; each witness lies in its
+    cell exactly."""
+    spec, m = spec_m
+    before, after = classify(spec), classify(mobius_transport(spec, m))
+    assert len(before) == len(after)
+    flags = [sorted((v.completable, v.extends_ambitoric) for _c, v in r)
+             for r in (before, after)]
+    assert flags[0] == flags[1]
+    for comps in (before, after):
+        for c, _v in comps:
+            assert c.cells.cell_at(*c.witness) == c.index
+    moved = after[0][0].cells
+    assert {moved.cell_at(m.apply(x), m.apply(y))
+            for x, y in (c.witness for c, _v in before)} == set(range(len(after)))

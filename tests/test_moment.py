@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambitoric import (
@@ -14,7 +14,6 @@ from ambitoric import (
     Interval,
     Mobius,
     MomentError,
-    Poly,
     Polygon,
     Quadratic,
     convexity_check,
@@ -35,7 +34,7 @@ from ambitoric.moment import (
 )
 from ambitoric.tensors import FramePoint, eval_field
 
-from conftest import I2, fold_points, make_spec
+from conftest import I2, fold_points, make_spec, small, transported_boxes
 
 
 def test_moment_map_exact_on_rationals(hyperbolic_spec):
@@ -171,31 +170,6 @@ def test_level_set_lines_at_infinity_on_both_axes(elliptic_spec, parabolic_spec)
                 assert gap < F(1, 10 ** 9), (spec.ctype, axis, s)
 
 
-_CANONICAL_Q = {
-    "Hyperbolic": Quadratic(0, 1, 0),
-    "Elliptic": Quadratic(1, 0, 1),
-    "Parabolic": Quadratic(0, 0, 1),
-}
-small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-
-
-@st.composite
-def transported_boxes(draw):
-    """A canonical box of a drawn conic type, moved by a Mobius map whose
-    pole lies outside both closed intervals."""
-    q = _CANONICAL_Q[draw(st.sampled_from(sorted(_CANONICAL_Q)))]
-    a, c = draw(small), draw(small)
-    b = a + draw(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3))
-    d = c + draw(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3))
-    spec = make_spec(q, Poly([-a * b, a + b, -1]).coeffs,
-                     Poly([-c * d, c + d, -1]).coeffs, (a, b), (c, d))
-    m = draw(st.tuples(*[st.integers(-3, 3)] * 4)
-             .filter(lambda e: e[0] * e[3] != e[1] * e[2]).map(lambda e: Mobius(*e)))
-    pole = m.pole()
-    assume(pole is OO or not any(lo <= pole <= hi for lo, hi in ((a, b), (c, d))))
-    return mobius_transport(spec, m)
-
-
 @given(transported_boxes(), st.lists(small, min_size=3, max_size=6))
 @settings(max_examples=40, deadline=None)
 def test_closed_forms_hold_at_fresh_points(spec, xs):
@@ -282,7 +256,7 @@ def test_convexity_collinear_by_convention():
 
 def test_hamiltonian_residual_detects_wrong_pairing(any_spec):
     # d mu_K + K -| omega vanishes only for the matching K and sign
-    x, y = validate(any_spec)[0].representative()
+    x, y = map(float, validate(any_spec)[0].witness)
     K, other = (F(1), F(0)), (F(0), F(1))
     for sign, flip in (("+", "-"), ("-", "+")):
         assert hamiltonian_residual(any_spec, sign, K, x, y) < 1e-9

@@ -88,7 +88,7 @@ def test_einstein_case_is_einstein():
         y_interval=Interval(F(-43, 32), F(-13, 32)))
     assert report.einstein
     comp = validate(spec)[0]
-    x, y = comp.representative()
+    x, y = comp.witness
     pack = curvature(spec, spec.metric, FramePoint(float(x), float(y)))
     g = metric_components(spec, spec.metric, float(x), float(y))
     lam = pack.scalar / 4.0
