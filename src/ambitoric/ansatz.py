@@ -41,11 +41,13 @@ from .quadratics import (
     ProjPoint,
     Quadratic,
     conic_type,
+    cross,
     inner,
     poly_transport,
     rat,
     rational_sqrt,
     transport_quadratic,
+    transversal,
     PARABOLIC,
     HYPERBOLIC,
     ELLIPTIC,
@@ -190,121 +192,41 @@ def metric_gp(p: Quadratic) -> MetricChoice:
 # torus basis machinery
 # ---------------------------------------------------------------------------
 
-_TAU_PARABOLIC = (Quadratic(0, 0, 1), Quadratic(0, Fraction(1, 2), 0))      # {1, z}
-_TAU_HYPERBOLIC = (Quadratic(0, 0, 1), Quadratic(1, 0, 0))                  # {1, z^2}
-_TAU_ELLIPTIC = (Quadratic(0, 1, 0), Quadratic(1, 0, -1))                   # {2z, z^2-1}
-
-_CANONICAL = {
-    PARABOLIC: Quadratic(0, 0, 1),
-    HYPERBOLIC: Quadratic(0, 1, 0),
-    ELLIPTIC: Quadratic(1, 0, 1),
+#: per conic type: the canonical q and its classical torus basis
+_CLASSICAL = {
+    # q = 1: {1, z}
+    PARABOLIC: (Quadratic(0, 0, 1),
+                (Quadratic(0, 0, 1), Quadratic(0, Fraction(1, 2), 0))),
+    # q = 2z: {1, z^2}
+    HYPERBOLIC: (Quadratic(0, 1, 0), (Quadratic(0, 0, 1), Quadratic(1, 0, 0))),
+    # q = 1 + z^2: {2z, z^2 - 1}
+    ELLIPTIC: (Quadratic(1, 0, 1), (Quadratic(0, 1, 0), Quadratic(1, 0, -1))),
 }
 
 
-def canonical_scale(q: Quadratic) -> Optional[Fraction]:
-    """If q = s * q_canonical for its class, return s; otherwise None."""
-    t = conic_type(q)
-    ref = _CANONICAL[t]
-    if not q.is_multiple_of(ref):
-        return None
-    for a, b in zip(q.coeffs(), ref.coeffs()):
-        if b != 0:
-            return a / b
-    return None
-
-
-def default_tau_basis(q: Quadratic) -> Tuple[Quadratic, Quadratic]:
-    """The classical torus basis for canonical-up-to-scale q; a deterministic
-    q-orthogonal basis otherwise (transported specs carry their own basis)."""
-    if canonical_scale(q) is not None:
-        t = conic_type(q)
-        if t == PARABOLIC:
-            return _TAU_PARABOLIC
-        if t == HYPERBOLIC:
-            return _TAU_HYPERBOLIC
-        return _TAU_ELLIPTIC
-    # generic orthogonal complement of the functional
-    # L(p) = 2*p1*q1 - p2*q0 - p0*q2 in coordinates (p0, p1, p2)
-    L = (-q.c2, 2 * q.c1, -q.c0)
-    basis = []
-    cands = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    j = max(range(3), key=lambda i: abs(L[i]))
-    for i in range(3):
-        if i == j:
-            continue
-        v = [Fraction(c) for c in cands[i]]
-        v[j] = -L[i] / L[j]
-        basis.append(Quadratic(v[0], v[1], v[2]))
-    return (basis[0], basis[1])
+def default_tau_basis(q: Quadratic) -> Optional[Tuple[Quadratic, Quadratic]]:
+    """The classical torus basis when q is a multiple of the canonical q of
+    its class, else None (transported specs carry their own basis)."""
+    canonical, tau = _CLASSICAL[conic_type(q)]
+    return tau if q.is_multiple_of(canonical) else None
 
 
 def sigma_from_tau(tau: Quadratic, q: Quadratic) -> Quadratic:
     """Solve the cross-product equation sigma x q = -tau for the quadratic
     sigma entering mu+ = -sigma(x,y)/q(x,y), with the canonical gauge fix.
 
-    Writing quadratics as coefficient triples (c0, c1, c2), the cross product
-    (a x b) has components (a0*b1 - a1*b0, (a0*b2 - a2*b0)/2, a1*b2 - a2*b1);
-    its kernel in the first slot is spanned by q itself.  The representative
-    is fixed by <sigma, q> = 0 when <q, q> != 0, else by zeroing the
-    coefficient slot where q is supported."""
-    q0, q1, q2 = q.coeffs()
-    t0, t1, t2 = tau.coeffs()
-    # rows of the linear map sigma -> sigma x q, unknowns (s0, s1, s2)
-    rows = [
-        ([q1, -q0, Fraction(0)], -t0),
-        ([q2 / 2, Fraction(0), -q0 / 2], -t1),
-        ([Fraction(0), q2, -q1], -t2),
-    ]
-    qq = inner(q, q)
-    if qq != 0:
-        rows.append(([-q2, 2 * q1, -q0], Fraction(0)))  # <sigma, q> = 0
-    else:
-        j = next(i for i, c in enumerate(q.coeffs()) if c != 0)
-        gauge = [Fraction(0)] * 3
-        gauge[j] = Fraction(1)
-        rows.append((gauge, Fraction(0)))
-    sol = _solve_exact(rows, 3)
-    if sol is None:
-        raise ValueError("sigma system inconsistent; tau not orthogonal to q?")
-    return Quadratic(sol[0], sol[1], sol[2])
-
-
-def _solve_exact(rows, n):
-    """Exact Gaussian elimination for an overdetermined consistent system."""
-    mat = [list(r) + [v] for r, v in rows]
-    piv_rows = []
-    col = 0
-    r = 0
-    m = len(mat)
-    for col in range(n):
-        piv = None
-        for i in range(r, m):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pv = mat[r][col]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(m):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        piv_rows.append(col)
-        r += 1
-        if r == m:
-            break
-    # consistency
-    for i in range(r, m):
-        if mat[i][n] != 0 and all(c == 0 for c in mat[i][:n]):
-            return None
-    if len(piv_rows) < n:
-        return None
-    sol = [Fraction(0)] * n
-    for i, col in enumerate(piv_rows):
-        sol[col] = mat[i][n]
-    return sol
+    The cross product is `quadratics.cross`.  For tau _|_ q the identity
+    (u x tau) x q = -<u, q> tau / 2 makes sigma = 2 (u x tau) / <u, q> a
+    solution for any u with <u, q> != 0; the solutions differ by multiples
+    of q, the kernel of sigma -> sigma x q.  The representative is fixed by
+    <sigma, q> = 0 when <q, q> != 0, which u = q gives.  Else it is fixed by
+    a zero in the first coefficient slot where q is nonzero, which the
+    transversal u gives: a null q is s (a z - b)^2, and u = 1 (no z^2 term
+    in u x tau) when a != 0, u = z^2 (no constant term) when a = 0."""
+    if inner(tau, q) != 0:
+        raise ValueError("tau is not orthogonal to q")
+    u = q if inner(q, q) != 0 else transversal(q)
+    return cross(u, tau).scaled(2 / inner(u, q))
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +246,20 @@ def _as_lattice(mat) -> LatticeMatrix:
     return rows
 
 
-def lattice_contains(lattice: LatticeMatrix, vec: Sequence[Fraction]) -> bool:
-    """Exact membership of a rational vector in the lattice generated by the
-    matrix columns: solve the 2x2 system and check integrality."""
+def lattice_coordinates(lattice: LatticeMatrix,
+                        vec: Sequence[Fraction]) -> Tuple[Fraction, Fraction]:
+    """Exact coordinates of a rational vector in the basis of the lattice
+    matrix columns, by the inverse 2x2 matrix."""
     (a, b), (c, d) = lattice
     det = a * d - b * c
     v0, v1 = rat(vec[0]), rat(vec[1])
-    w0 = (d * v0 - b * v1) / det
-    w1 = (-c * v0 + a * v1) / det
-    return w0.denominator == 1 and w1.denominator == 1
+    return (d * v0 - b * v1) / det, (-c * v0 + a * v1) / det
+
+
+def lattice_contains(lattice: LatticeMatrix, vec: Sequence[Fraction]) -> bool:
+    """Exact membership of a rational vector in the lattice generated by the
+    matrix columns: its lattice coordinates are integers."""
+    return all(w.denominator == 1 for w in lattice_coordinates(lattice, vec))
 
 
 @dataclass(frozen=True)
@@ -353,11 +280,12 @@ class AnsatzSpec:
             raise ValidationError("q must be nonzero")
         object.__setattr__(self, "lattice", _as_lattice(self.lattice))
         if self.tau_basis is None:
-            if canonical_scale(self.q) is None:
+            tau = default_tau_basis(self.q)
+            if tau is None:
                 raise ValidationError(
                     "q is not canonical-up-to-scale; supply an explicit tau_basis "
                     "(gauge transport does this automatically)")
-            object.__setattr__(self, "tau_basis", default_tau_basis(self.q))
+            object.__setattr__(self, "tau_basis", tau)
         for t in self.tau_basis:
             if inner(t, self.q) != 0:
                 raise ValidationError("tau basis element not orthogonal to q")
@@ -372,7 +300,9 @@ class AnsatzSpec:
     def ctype(self) -> str:
         return conic_type(self.q)
 
+    @cached_property
     def sigma_basis(self) -> Tuple[Quadratic, Quadratic]:
+        """The companions (sigma1, sigma2) of the torus basis, solved once."""
         return tuple(sigma_from_tau(t, self.q) for t in self.tau_basis)
 
     def with_metric(self, metric: MetricChoice) -> "AnsatzSpec":
@@ -399,6 +329,7 @@ class AnsatzSpec:
             d["metric"] = {"gp": [fr(c) for c in self.metric.p.coeffs()]}
         else:
             d["metric"] = self.metric.tag
+        # from_dict restores the basis only for canonical q
         if self.tau_basis != default_tau_basis(self.q):
             d["tau_basis"] = [[fr(c) for c in t.coeffs()] for t in self.tau_basis]
         return d

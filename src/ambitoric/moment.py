@@ -31,11 +31,14 @@ from .quadratics import (
     ProjPoint,
     Quadratic,
     compatible_quadratic,
+    coordinates,
+    cross,
     inner,
     proj_rep,
     rat,
+    transversal,
 )
-from .ansatz import AnsatzSpec, LatticeMatrix, _solve_exact
+from .ansatz import AnsatzSpec, LatticeMatrix, lattice_coordinates
 
 
 class MomentError(ValueError):
@@ -58,7 +61,7 @@ class MomentPoint:
 def _basis(spec: AnsatzSpec, sign: str) -> Tuple[Quadratic, Quadratic]:
     """The numerator basis of mu^sign: sigma for '+', tau for '-'."""
     if sign == "+":
-        return spec.sigma_basis()
+        return spec.sigma_basis
     if sign == "-":
         return spec.tau_basis
     raise ValueError("sign must be '+' or '-'")
@@ -87,23 +90,21 @@ def moment_pairing(spec: AnsatzSpec, sign: str, p: Quadratic, x, y):
     return v[0] * mp.mu1 + v[1] * mp.mu2
 
 
-def _solve_columns(cols: Sequence[Quadratic], p: Quadratic):
-    """Exact coefficients of p in the quadratics `cols`, or None."""
-    rows = [([c.coeffs()[i] for c in cols], p.coeffs()[i]) for i in range(3)]
-    return _solve_exact(rows, len(cols))
-
-
 def _coordinates(spec: AnsatzSpec, p: Quadratic, sign: str):
     """(v1, v2, lambda) with p = v1 b1 + v2 b2 + lambda q for the basis b of
     mu^sign.  (b1, b2, q) spans all quadratics except for '-' with parabolic
-    q, where q lies in span(tau) = q-perp, which holds p; lambda is 0 then."""
+    q, where q lies in span(tau) = q-perp, which holds p; lambda is 0 then,
+    and v1, v2 are the ratios of p x b2 and b1 x p to b1 x b2, read off
+    against a transversal u of q (<b1 x b2, u> != 0 as b1 x b2 is parallel
+    to q)."""
     if inner(p, spec.q) != 0:
         raise MomentError("p is not orthogonal to q")
     b1, b2 = _basis(spec, sign)
-    sol = _solve_columns((b1, b2, spec.q), p)
+    sol = coordinates(p, b1, b2, spec.q)
     if sol is None:
-        return (*_solve_columns((b1, b2), p), Fraction(0))
-    return tuple(sol)
+        v1, v2, _ = coordinates(p, b1, b2, transversal(spec.q))
+        return v1, v2, Fraction(0)
+    return sol
 
 
 def identify_t(spec: AnsatzSpec, p: Quadratic, sign: str = "+") -> Tuple[Fraction, Fraction]:
@@ -200,25 +201,21 @@ def _gram(basis: Sequence[Quadratic]):
     return [[inner(u, v) for v in basis] for u in basis]
 
 
-def _adjugate3(M):
-    """Adjugate of a 3x3 matrix (cyclic cofactors); proportional to M^-1."""
-    return [[M[(j + 1) % 3][(i + 1) % 3] * M[(j + 2) % 3][(i + 2) % 3]
-             - M[(j + 1) % 3][(i + 2) % 3] * M[(j + 2) % 3][(i + 1) % 3]
-             for j in range(3)] for i in range(3)]
-
-
 def fold_conic(spec: AnsatzSpec, sign: str) -> Conic:
     """The image conic of the fold Z_sign under mu^sign, in closed form.
 
     With l = (z - x)(z - y), every quadratic p has p(x, y) = -<p, l>, and
     <l, l> = (x - y)^2 / 2.  On Z+ = {x = y} the quadratic l is null; writing
-    l in the basis (sigma1, sigma2, q) with Gram matrix H gives
-    w^T H^-1 w = 0 for w = (-mu1, -mu2, 1).  On Z- = {q(x, y) = 0} l lies in
-    q-perp = span(tau); with Gram matrix G this gives mu^T G^-1 mu = 1/2.
+    l in the basis b = (sigma1, sigma2, q) gives w^T G^-1 w = 0 for
+    w = (-mu1, -mu2, 1) and G the Gram matrix of b; G^-1 is proportional
+    to the Gram matrix of the dual directions (b2 x b3, b3 x b1, b1 x b2).
+    On Z- = {q(x, y) = 0} l lies in q-perp = span(tau); with G the Gram
+    matrix of tau this gives mu^T G^-1 mu = 1/2.
     For parabolic q the '-' image is the point pair +-(c0 r + c1) of the
     tau basis at the double root r of q (the limits +-c1 when r = oo)."""
     if sign == "+":
-        H = _adjugate3(_gram((*spec.sigma_basis(), spec.q)))
+        b1, b2, b3 = (*spec.sigma_basis, spec.q)
+        H = _gram((cross(b2, b3), cross(b3, b1), cross(b1, b2)))
         D = (-1, -1, 1)
         return _conic([[D[i] * D[j] * H[i][j] for j in range(3)] for i in range(3)])
     t1, t2 = _basis(spec, sign)
@@ -267,8 +264,8 @@ def _edge_image(spec: AnsatzSpec, sign: str, axis: str, gamma: ProjPoint):
         # orthogonal to every quadratic with root gamma, i.e. a multiple of
         # (W z - X)^2 for gamma = (X : W)
         X, W = proj_rep(gamma)
-        a1, a2, b = _solve_columns((*spec.sigma_basis(), spec.q),
-                                   Quadratic(W * W, -W * X, X * X))
+        a1, a2, b = coordinates(Quadratic(W * W, -W * X, X * X),
+                                *spec.sigma_basis, spec.q)
         if a1 == 0 and a2 == 0:
             raise MomentError(f"mu+ has its pole along the edge {axis} = {gamma}")
         return _line(a1, a2, b)
@@ -359,20 +356,13 @@ class CornerVerdict:
 def delzant_check(polygon: Polygon, lattice: LatticeMatrix) -> List[CornerVerdict]:
     """Each adjacent normal pair, expressed in the lattice basis, must be an
     integer matrix of determinant +-1."""
-    (a, b), (c, d) = [[rat(v) for v in row] for row in lattice]
-    det = a * d - b * c
+    lattice = [[rat(v) for v in row] for row in lattice]
     out = []
     n = len(polygon.normals)
     for i in range(n):
         n1 = polygon.normals[i]
         n2 = polygon.normals[(i + 1) % n]
-
-        def in_basis(v):
-            w0 = (d * v[0] - b * v[1]) / det
-            w1 = (-c * v[0] + a * v[1]) / det
-            return (w0, w1)
-
-        w1, w2 = in_basis(n1), in_basis(n2)
+        w1, w2 = lattice_coordinates(lattice, n1), lattice_coordinates(lattice, n2)
         integral = all(w.denominator == 1 for w in (*w1, *w2))
         dd = w1[0] * w2[1] - w1[1] * w2[0] if integral else None
         ok = integral and dd in (1, -1)
@@ -446,9 +436,13 @@ def moment_differential(spec: AnsatzSpec, sign: str, K: Sequence[Fraction],
 
 def hamiltonian_residual(spec: AnsatzSpec, sign: str, K: Sequence[Fraction],
                          x: float, y: float) -> float:
-    """|d mu_K + K -| omega| at (x, y), where (K -| omega)_b = K^a omega_ab."""
+    """|d mu_K + K -| omega| / max(|d mu_K|, |K -| omega|) at (x, y), in the
+    max-norm, where (K -| omega)_b = K^a omega_ab.  Relative, because both
+    terms grow without bound towards the folds."""
     from .tensors import eval_field, FramePoint
 
     Kv = np.array([0.0, 0.0, float(K[0]), float(K[1])])
     w = eval_field(spec, "omega" + sign, FramePoint(x, y)).components
-    return float(np.max(np.abs(moment_differential(spec, sign, K, x, y) + Kv @ w)))
+    dmu, Kw = moment_differential(spec, sign, K, x, y), Kv @ w
+    return float(np.max(np.abs(dmu + Kw))
+                 / max(np.max(np.abs(dmu)), np.max(np.abs(Kw))))

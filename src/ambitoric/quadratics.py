@@ -8,6 +8,15 @@ Conventions used throughout the package:
   p(x, y) = c0*x*y + c1*(x + y) + c2;
 * the inner product of two quadratics is <q, p> = 2*q1*p1 - q2*p0 - q0*p2,
   a signature (2,1) form on the 3-space of quadratics;
+* the cross product of two quadratics is
+  a x b = (a0*b1 - a1*b0, (a0*b2 - a2*b0)/2, a1*b2 - a2*b1); it is
+  orthogonal to a and b, vanishes iff a and b are parallel, and satisfies
+
+      <a x b, c> = -det[a; b; c]
+      (a x b) x c = -(<a, c> b - <b, c> a) / 2
+
+  so every exact linear solve on quadratics is a cross product divided by
+  an inner product (`coordinates`, `ansatz.sigma_from_tau`);
 * Mobius maps act on points of the projective line (infinity is the
   first-class value OO) and on polynomials as binary forms: quadratics
   with weight 1, quartics (and A, B of degree <= 4) with weight 2.
@@ -343,9 +352,7 @@ class Quadratic:
         """True iff self = s * other for some scalar s (other nonzero)."""
         if other.is_zero():
             return self.is_zero()
-        a, b = self.coeffs(), other.coeffs()
-        cross = [a[i] * b[j] - a[j] * b[i] for i in range(3) for j in range(i + 1, 3)]
-        return all(c == 0 for c in cross)
+        return cross(self, other).is_zero()
 
     def double_root(self) -> Optional[ProjPoint]:
         """The double root in RP^1 if the quadratic is parabolic, else None."""
@@ -368,13 +375,38 @@ def inner(q: Quadratic, p: Quadratic) -> Fraction:
     return 2 * q.c1 * p.c1 - q.c2 * p.c0 - q.c0 * p.c2
 
 
+def cross(a: Quadratic, b: Quadratic) -> Quadratic:
+    """The cross product a x b of the (2,1) inner product (module docstring)."""
+    return Quadratic(a.c0 * b.c1 - a.c1 * b.c0, (a.c0 * b.c2 - a.c2 * b.c0) / 2,
+                     a.c1 * b.c2 - a.c2 * b.c1)
+
+
+def coordinates(p: Quadratic, b1: Quadratic, b2: Quadratic,
+                b3: Quadratic) -> Optional[Tuple[Fraction, Fraction, Fraction]]:
+    """(v1, v2, v3) with p = v1 b1 + v2 b2 + v3 b3, by Cramer's rule in
+    triple products: v1 = <p, b2 x b3> / <b1, b2 x b3>, and cyclically.
+    None when the three are linearly dependent."""
+    n1 = cross(b2, b3)
+    det = inner(b1, n1)
+    if det == 0:
+        return None
+    return (inner(p, n1) / det, inner(p, cross(b3, b1)) / det,
+            inner(p, cross(b1, b2)) / det)
+
+
+def transversal(q: Quadratic) -> Quadratic:
+    """The first coordinate quadratic 1, 2z or z^2 not orthogonal to the
+    nonzero q."""
+    units = (Quadratic(0, 0, 1), Quadratic(0, 1, 0), Quadratic(1, 0, 0))
+    return next(u for u in units if inner(u, q) != 0)
+
+
 def compatible_quadratic(q: Quadratic, gamma: Fraction) -> Quadratic:
     """p^(gamma)(x,y) = (x-gamma) q(y,gamma)/2 + q(x,gamma) (y-gamma)/2 as a
-    quadratic; identically zero iff gamma is a double root of q."""
+    quadratic, which is (z - gamma)^2 x q; identically zero iff gamma is a
+    double root of q."""
     g = rat(gamma)
-    u = q.c0 * g + q.c1
-    v = q.c1 * g + q.c2
-    return Quadratic(u, (v - u * g) / 2, -v * g)
+    return cross(Quadratic(1, -g, g * g), q)
 
 
 PARABOLIC = "Parabolic"

@@ -278,20 +278,13 @@ def standard_polygon(kind: str) -> Tuple[Polygon, LatticeMatrix]:
         if k < 1:
             raise ValueError("Hirzebruch index must be >= 1")
         s = math.sqrt(k * (k + 1))
-        lower = ((Fraction(-1), Fraction(1)), -1.0)     # mu2 = mu1 - 1
-        right = ((Fraction(-k - 1), Fraction(k)), -s)
-        upper = ((Fraction(1), Fraction(-1)), -1.0)     # mu2 = mu1 + 1
-        left = ((Fraction(1), Fraction(0)), 0.0)        # mu1 = 0
-        order = [lower, right, upper, left]
-
-        def meet(l1, l2):
-            (a1, b1), c1 = l1
-            (a2, b2), c2 = l2
-            det = float(a1) * float(b2) - float(a2) * float(b1)
-            return ((c1 * float(b2) - c2 * float(b1)) / det,
-                    (float(a1) * c2 - float(a2) * c1) / det)
-
-        verts = tuple(meet(order[i - 1], order[i]) for i in range(4))
-        poly = Polygon(vertices=verts, normals=tuple(n for n, _ in order))
+        order = [
+            LineInTstar((Fraction(-1), Fraction(1)), Fraction(-1)),    # mu2 = mu1 - 1
+            LineInTstar((Fraction(-k - 1), Fraction(k)), -s),
+            LineInTstar((Fraction(1), Fraction(-1)), Fraction(-1)),    # mu2 = mu1 + 1
+            LineInTstar((Fraction(1), Fraction(0)), Fraction(0)),      # mu1 = 0
+        ]
+        verts = tuple(_intersect(order[i - 1], order[i]) for i in range(4))
+        poly = Polygon(vertices=verts, normals=tuple(l.normal for l in order))
         return poly, _ID_LATTICE
     raise ValueError(f"unknown polygon kind {kind!r}")

@@ -89,6 +89,22 @@ def test_serialization_roundtrip(any_spec):
     assert back == any_spec
 
 
+def test_serialization_keeps_a_basis_of_noncanonical_q():
+    # from_dict needs tau_basis for any q that is not canonical up to
+    # scale, whichever basis the spec carries
+    spec = AnsatzSpec(q=Quadratic(1, 0, -4), A=Poly([9, 0, -1]), B=Poly([9, 0, -1]),
+                      x_interval=Interval(-3, 3), y_interval=Interval(-3, 3),
+                      lattice=((1, 0), (0, 1)),
+                      tau_basis=(Quadratic(0, 1, 0), Quadratic(F(1, 4), 0, 1)))
+    d = spec.to_dict()
+    assert d["tau_basis"] == [["0", "1", "0"], ["1/4", "0", "1"]]
+    assert AnsatzSpec.from_dict(d) == spec
+
+
+def test_sigma_basis_is_solved_once(any_spec):
+    assert any_spec.sigma_basis is any_spec.sigma_basis
+
+
 def test_serialization_infinite_interval():
     spec = make_spec(Quadratic(0, 0, 1), [-1, 1, -1, 1], [-2, -3, -1],
                      (1, None), (-2, -1))
@@ -132,6 +148,7 @@ def test_transport_roundtrip_exact(abcd):
         spec2 = mobius_transport(spec, m)
     except ValidationError:
         return   # pole inside an interval: correctly refused
+    assert AnsatzSpec.from_dict(spec2.to_dict()) == spec2
     spec3 = mobius_transport(spec2, m.inverse())
     assert spec3.to_dict() == spec.to_dict()
 

@@ -6,10 +6,10 @@ import sys
 
 import pytest
 
-from ambitoric.cli import main
+from ambitoric.cli import main, relative_residual
 
 from conftest import make_spec
-from ambitoric import Quadratic
+from ambitoric import FramePoint, Quadratic, eval_field, validate
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -107,6 +107,30 @@ def test_check_covers_every_component(tmp_path, capsys):
     assert main(["check", str(p)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["passed"], out["failed"]) == (324, 0)
+
+
+def test_check_passes_on_the_sliver(tmp_path, capsys, sliver_spec):
+    # the sliver cell is sampled at its witness, where q = -1/400 and the
+    # entries of g+, J+ and omega+ reach 1e3 to 1e6, while the residuals
+    # stay at rounding size relative to them
+    p = tmp_path / "sliver.json"
+    p.write_text(json.dumps(sliver_spec.to_dict()))
+    assert main(["check", str(p)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["passed"], out["failed"], out["failures"]) == (117, 0, [])
+    assert max(out["worst_residual"].values()) < 1e-10
+
+
+def test_check_relative_bound_still_fails_a_wrong_pairing(sliver_spec):
+    x, y = map(float, validate(sliver_spec)[0].witness)
+    pt = FramePoint(x, y)
+    Jp, Jm, gp, wp, wm = (eval_field(sliver_spec, f, pt).components
+                          for f in ("J+", "J-", "g+", "omega+", "omega-"))
+    # check's bound on these is 1e-8
+    assert relative_residual(gp @ Jp - wp, (gp, Jp), (wp,)) < 1e-12
+    assert relative_residual(gp @ Jp - wm, (gp, Jp), (wm,)) > 1e-6
+    assert relative_residual(Jp @ Jm - Jm @ Jp, (Jp, Jm)) < 1e-12
+    assert relative_residual(Jp @ wm - wm @ Jp, (Jp, wm)) > 1e-6
 
 
 def test_decision_path_never_imports_sympy(tmp_path):

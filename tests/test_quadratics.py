@@ -2,23 +2,27 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ambitoric.ansatz import Interval, ValidationError, _positivity_check
+from ambitoric.ansatz import Interval, ValidationError, _positivity_check, sigma_from_tau
 from ambitoric.quadratics import (
     OO,
     Mobius,
     Poly,
     Quadratic,
     Quartic,
+    compatible_quadratic,
     conic_type,
+    coordinates,
+    cross,
     inner,
     poly_transport,
     proj_eq,
     rat,
     transport_quadratic,
     transvectant2,
+    transversal,
 )
 
 rationals = st.fractions(
@@ -68,6 +72,89 @@ def test_inner_symmetric_bilinear(a, b):
     p, q = Quadratic(*a), Quadratic(*b)
     assert inner(p, q) == inner(q, p)
     assert inner(p.scaled(3), q) == 3 * inner(p, q)
+
+
+quadratics = st.builds(Quadratic, rationals, rationals, rationals)
+
+
+@st.composite
+def _nonzero_q(draw):
+    """A nonzero quadratic; half of them null, s (a z - b)^2."""
+    if draw(st.booleans()):
+        a, b, s = draw(rationals), draw(rationals), draw(rationals)
+        q = Quadratic(a * a, -a * b, b * b).scaled(s)
+    else:
+        q = draw(quadratics)
+    assume(not q.is_zero())
+    return q
+
+
+def _det(a, b, c):
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a.coeffs(), b.coeffs(), c.coeffs()
+    return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+
+
+def _combo(vs, bs):
+    out = Quadratic(0, 0, 0)
+    for v, b in zip(vs, bs):
+        out = out.plus(b.scaled(v))
+    return out
+
+
+@given(quadratics, quadratics, quadratics)
+@settings(max_examples=60, deadline=None)
+def test_cross_product_identities(a, b, c):
+    assert inner(cross(a, b), c) == -_det(a, b, c)
+    lhs = cross(cross(a, b), c)
+    rhs = b.scaled(inner(a, c)).plus(a.scaled(-inner(b, c))).scaled(F(-1, 2))
+    assert lhs == rhs
+    assert cross(a, b).is_zero() == (a.is_multiple_of(b) or b.is_multiple_of(a))
+
+
+@given(_nonzero_q(), quadratics, quadratics)
+@settings(max_examples=60, deadline=None)
+def test_sigma_solves_the_cross_product_equation_in_its_gauge(q, r, u):
+    tau = cross(q, r)                   # any quadratic orthogonal to q
+    sigma = sigma_from_tau(tau, q)
+    assert cross(sigma, q) == tau.scaled(-1)
+    if inner(q, q) != 0:
+        assert inner(sigma, q) == 0
+    else:
+        j = next(i for i, c in enumerate(q.coeffs()) if c != 0)
+        assert sigma.coeffs()[j] == 0
+    if inner(u, q) != 0:
+        with pytest.raises(ValueError):
+            sigma_from_tau(u, q)
+
+
+@given(quadratics, quadratics, quadratics, quadratics)
+@settings(max_examples=60, deadline=None)
+def test_coordinates_rebuild_p(b1, b2, b3, p):
+    v = coordinates(p, b1, b2, b3)
+    if _det(b1, b2, b3) == 0:
+        assert v is None
+    else:
+        assert _combo(v, (b1, b2, b3)) == p
+
+
+@given(_nonzero_q(), quadratics, quadratics, st.tuples(rationals, rationals))
+@settings(max_examples=60, deadline=None)
+def test_coordinates_in_q_perp_against_a_transversal(q, r1, r2, v):
+    # two independent quadratics of q-perp and a p between them; for null q
+    # the triple (t1, t2, q) is degenerate and a transversal replaces q
+    t1, t2 = cross(q, r1), cross(q, r2)
+    assume(not cross(t1, t2).is_zero())
+    p = _combo(v, (t1, t2))
+    assert coordinates(p, t1, t2, transversal(q)) == (*v, 0)
+
+
+@given(_nonzero_q(), rationals)
+@settings(max_examples=60, deadline=None)
+def test_compatible_quadratic_is_orthogonal_and_vanishes_at_gamma(q, g):
+    p = compatible_quadratic(q, g)
+    assert inner(p, q) == 0
+    assert p.polarize(g, g) == 0
+    assert p == cross(Quadratic(1, -g, g * g), q)
 
 
 def test_poly_root_multiplicity():
