@@ -49,7 +49,7 @@ from .ansatz import (
     mobius_transport,
 )
 from .moment import identify_t
-from .tensors import metric_components
+from .tensors import coordinate_jets, metric_components, polar_jet
 
 EDGE = "Edge"
 FOLD = "Fold"
@@ -282,12 +282,11 @@ def _transversal_point(spec: AnsatzSpec, fold: BoundaryComponent,
         grad = np.array([1.0, -1.0, 0.0, 0.0])
         return x, y, grad
     curve = spec.q if fold.kind == FOLD else spec.metric.p
-    gx = curve.dx_polarize(y0)
-    gy = curve.dx_polarize(x0)
+    _, gx, gy = polar_jet(curve, *coordinate_jets(x0, y0))[:3]
     n2 = gx * gx + gy * gy
     x = x0 + s * phi * gx / n2
     y = y0 + s * phi * gy / n2
-    grad = np.array([curve.dx_polarize(y), curve.dx_polarize(x), 0.0, 0.0])
+    grad = np.array([*polar_jet(curve, *coordinate_jets(x, y))[1:3], 0.0, 0.0])
     return x, y, grad
 
 

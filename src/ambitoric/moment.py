@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, hypot
 from typing import List, Optional, Sequence, Tuple
 
@@ -39,6 +40,7 @@ from .quadratics import (
     transversal,
 )
 from .ansatz import AnsatzSpec, LatticeMatrix, lattice_coordinates
+from .tensors import FramePoint, _inv, _mul, coordinate_jets, eval_field, polar_jet
 
 
 class MomentError(ValueError):
@@ -201,8 +203,11 @@ def _gram(basis: Sequence[Quadratic]):
     return [[inner(u, v) for v in basis] for u in basis]
 
 
+@lru_cache(maxsize=256)
 def fold_conic(spec: AnsatzSpec, sign: str) -> Conic:
-    """The image conic of the fold Z_sign under mu^sign, in closed form.
+    """The image conic of the fold Z_sign under mu^sign, in closed form,
+    computed once per spec and sign (every edge's tangency certificate in
+    level_set_line reads it again).
 
     With l = (z - x)(z - y), every quadratic p has p(x, y) = -<p, l>, and
     <l, l> = (x - y)^2 / 2.  On Z+ = {x = y} the quadratic l is null; writing
@@ -420,18 +425,15 @@ def convexity_check(samples, spread: float = 2.5):
 
 def moment_differential(spec: AnsatzSpec, sign: str, K: Sequence[Fraction],
                         x: float, y: float) -> np.ndarray:
-    """d mu_K at (x, y) in the frame (dx, dy, dt1, dt2), for mu_K = K . mu^sign
-    = -N(x,y)/D(x,y), by the quotient rule with the numerator N and the
-    denominator D of moment_map."""
+    """d mu_K at (x, y) in the frame (dx, dy, dt1, dt2): the first-order part
+    of the jet of mu_K = K . mu^sign = -N(x,y)/D(x,y), with the numerator N
+    and the denominator D of moment_map."""
     b1, b2 = _basis(spec, sign)
     N = b1.scaled(K[0]).plus(b2.scaled(K[1]))
-    if sign == "+":
-        D, Dx, Dy = spec.q.polarize(x, y), spec.q.dx_polarize(y), spec.q.dx_polarize(x)
-    else:
-        D, Dx, Dy = float(x - y), 1.0, -1.0
-    Nv = N.polarize(x, y)
-    return np.array([(Nv * Dx - N.dx_polarize(y) * D) / (D * D),
-                     (Nv * Dy - N.dx_polarize(x) * D) / (D * D), 0.0, 0.0])
+    X, Y = coordinate_jets(x, y)
+    D = polar_jet(spec.q, X, Y) if sign == "+" else (X[0] - Y[0], 1, -1, 0, 0, 0)
+    mu = _mul(polar_jet(N, X, Y), _inv(D))
+    return np.array([-mu[1], -mu[2], 0.0, 0.0])
 
 
 def hamiltonian_residual(spec: AnsatzSpec, sign: str, K: Sequence[Fraction],
@@ -439,8 +441,6 @@ def hamiltonian_residual(spec: AnsatzSpec, sign: str, K: Sequence[Fraction],
     """|d mu_K + K -| omega| / max(|d mu_K|, |K -| omega|) at (x, y), in the
     max-norm, where (K -| omega)_b = K^a omega_ab.  Relative, because both
     terms grow without bound towards the folds."""
-    from .tensors import eval_field, FramePoint
-
     Kv = np.array([0.0, 0.0, float(K[0]), float(K[1])])
     w = eval_field(spec, "omega" + sign, FramePoint(x, y)).components
     dmu, Kw = moment_differential(spec, sign, K, x, y), Kv @ w

@@ -324,13 +324,6 @@ class Quadratic:
         defined for projective representatives (X:W), (Y:V)."""
         return self.c0 * X * Y + self.c1 * (X * V + Y * W) + self.c2 * W * V
 
-    def dx_polarize(self, y):
-        """Partial derivative of the polarization in its first slot: c0*y + c1."""
-        if isinstance(y, Fraction):
-            return self.c0 * y + self.c1
-        f0, f1, _ = self.floats
-        return f0 * float(y) + f1
-
     # -- structure ---------------------------------------------------------
     def coeffs(self) -> Tuple[Fraction, Fraction, Fraction]:
         return (self.c0, self.c1, self.c2)

@@ -36,6 +36,7 @@ from .ansatz import (
     metric_gp,
 )
 from .moment import LineInTstar, Polygon
+from .tensors import coordinate_jets, polar_jet
 
 EXTERIOR = "Exterior"
 INTERIOR = "Interior"
@@ -217,7 +218,7 @@ def _gen_transvectant(f1, df1, ddf1, P: Poly, z) -> float:
     """f1 f2'' - 3 f1' f2' + 6 f1'' f2 with f1 data supplied pointwise."""
     d1 = P.derivative()
     d2 = d1.derivative()
-    return f1 * d2(z) - 3.0 * df1 * d1(z) + 6.0 * ddf1 * P(z)
+    return f1 * d2(z) - 3 * df1 * d1(z) + 6 * ddf1 * P(z)
 
 
 def scalar_closed_form(spec: AnsatzSpec, sign: str, x: float, y: float) -> float:
@@ -231,16 +232,15 @@ def scalar_closed_form(spec: AnsatzSpec, sign: str, x: float, y: float) -> float
     if d == 0 or qv == 0:
         raise ZeroDivisionError("scalar closed form has a pole on the folds")
     if sign == "-":
-        tA = _gen_transvectant(d * d, 2.0 * d, 2.0, spec.A, x)
-        tB = _gen_transvectant(d * d, -2.0 * d, 2.0, spec.B, y)
+        tA = _gen_transvectant(d * d, 2 * d, 2, spec.A, x)
+        tB = _gen_transvectant(d * d, -2 * d, 2, spec.B, y)
     elif sign == "+":
-        qx = spec.q.dx_polarize(y)   # d/dx of q(x, y)
-        qy = spec.q.dx_polarize(x)   # d/dy of q(x, y)
-        c0 = float(spec.q.c0)
-        tA = _gen_transvectant(qv * qv, 2.0 * qv * qx,
-                               2.0 * qx * qx + 2.0 * qv * c0, spec.A, x)
-        tB = _gen_transvectant(qv * qv, 2.0 * qv * qy,
-                               2.0 * qy * qy + 2.0 * qv * c0, spec.B, y)
+        _, qx, qy = polar_jet(spec.q, *coordinate_jets(x, y))[:3]   # grad q(x, y)
+        c0 = spec.q.c0
+        tA = _gen_transvectant(qv * qv, 2 * qv * qx,
+                               2 * qx * qx + 2 * qv * c0, spec.A, x)
+        tB = _gen_transvectant(qv * qv, 2 * qv * qy,
+                               2 * qy * qy + 2 * qv * c0, spec.B, y)
     else:
         raise ValueError("sign must be '+' or '-'")
     return -(tA + tB) / (d * qv)

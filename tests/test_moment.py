@@ -129,6 +129,17 @@ def test_level_set_line_tangency(hyperbolic_spec):
         assert line.normal[0] * mp.mu1 + line.normal[1] * mp.mu2 == line.offset
 
 
+def test_fold_conic_is_computed_once_per_spec_and_sign(hyperbolic_spec):
+    """Every edge's tangency certificate reads the same two conics."""
+    fold_conic.cache_clear()
+    for sign in "+-":
+        for axis, gamma in (("X", F(2)), ("X", F(3)), ("Y", F(-1)), ("Y", F(0))):
+            level_set_line(hyperbolic_spec, sign, axis, gamma)
+        assert fold_conic(hyperbolic_spec, sign) is fold_conic(hyperbolic_spec, sign)
+    info = fold_conic.cache_info()
+    assert (info.misses, info.hits) == (2, 10)
+
+
 def test_tangency_certificate_is_exact():
     assert TangencyCertificate(leading=F(0), discriminant=F(0)).ok
     assert not TangencyCertificate(leading=F(1), discriminant=F(1, 10 ** 15)).ok

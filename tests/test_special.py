@@ -26,6 +26,8 @@ from ambitoric.quadratics import inner, transvectant2
 from ambitoric.special import EXTERIOR, INTERIOR
 from ambitoric.tensors import metric_components
 
+from conftest import geometry_specs
+
 
 def test_kerr_params_validation():
     with pytest.raises(ValidationError):
@@ -93,6 +95,29 @@ def test_einstein_case_is_einstein():
     g = metric_components(spec, spec.metric, float(x), float(y))
     lam = pack.scalar / 4.0
     assert np.max(np.abs(pack.ricci - lam * g)) < 1e-4 * max(1.0, abs(lam))
+
+
+def test_einstein_case_is_exactly_einstein():
+    data = CSCData(q=Quadratic(0, 1, 0), p=Quadratic(1, 0, -4),
+                   rho=Quadratic(0, 2, 0), R=Quartic(1, 0, 1, 0, 1))
+    spec, _ = csc_construct(
+        data, x_interval=Interval(-7, -1),
+        y_interval=Interval(F(-43, 32), F(-13, 32)))
+    x, y = validate(spec)[0].witness
+    pack = curvature(spec, spec.metric, FramePoint(x, y))
+    g = metric_components(spec, spec.metric, x, y)
+    assert pack.scalar != 0
+    assert all(v == 0 for v in (pack.ricci - pack.scalar / 4 * g).flat)
+
+
+@pytest.mark.parametrize("name", sorted(geometry_specs()))
+def test_exact_scalar_curvature_equals_closed_form(name):
+    spec = geometry_specs()[name]
+    for comp in validate(spec):
+        x, y = comp.witness
+        for sign, metric in (("+", METRIC_GPLUS), ("-", METRIC_GMINUS)):
+            s = curvature(spec, metric, FramePoint(x, y)).scalar
+            assert s == scalar_closed_form(spec, sign, x, y)
 
 
 def test_scalar_closed_form_pole_guard(hyperbolic_spec):
