@@ -3,6 +3,9 @@
 Exact rational core (quadratics, Mobius gauge, ansatz validation), numeric
 tensor evaluation and curvature, moment maps with their fold conics,
 boundary distance analysis, and completability classification.
+
+Only the float layer loads numpy: the names of `tensors` are imported on
+first access, so validation, classification and moment maps run without it.
 """
 
 from .quadratics import (
@@ -17,6 +20,7 @@ from .quadratics import (
     transvectant2,
 )
 from .ansatz import (
+    FIELDS,
     AnsatzSpec,
     BoxComponent,
     Interval,
@@ -31,7 +35,6 @@ from .ansatz import (
     mobius_transport,
     validate,
 )
-from .tensors import FIELDS, FramePoint, curvature, eval_field
 from .moment import (
     Conic,
     LineInTstar,
@@ -71,3 +74,14 @@ from .special import (
 )
 
 __version__ = "0.1.0"
+
+_TENSORS = ("FramePoint", "curvature", "eval_field")
+
+
+def __getattr__(name):
+    """Import `tensors` (and numpy) on first access to one of its names."""
+    if name not in _TENSORS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import tensors
+    value = globals()[name] = getattr(tensors, name)
+    return value

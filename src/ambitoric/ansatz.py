@@ -26,13 +26,12 @@ what makes the tensor fields gauge invariant pointwise.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import groupby
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .quadratics import (
     OO,
@@ -88,9 +87,9 @@ class Interval:
 
     # -- membership --------------------------------------------------------
     def contains(self, x):
-        """Strict membership of a float, or elementwise of a numpy array."""
+        """Strict membership of a float."""
         lo, hi = self.bounds
-        return (lo < x) & (x < hi)
+        return lo < x < hi
 
     def endpoints_proj(self) -> Tuple[ProjPoint, ProjPoint]:
         a = OO if self.lo is None else self.lo
@@ -182,6 +181,9 @@ class MetricChoice:
 METRIC_G0 = MetricChoice(G0)
 METRIC_GPLUS = MetricChoice(GPLUS)
 METRIC_GMINUS = MetricChoice(GMINUS)
+
+#: the pointwise tensor fields of the ansatz (`tensors.eval_field`)
+FIELDS = (G0, GPLUS, GMINUS, GP, "omega+", "omega-", "J+", "J-")
 
 
 def metric_gp(p: Quadratic) -> MetricChoice:
@@ -633,20 +635,15 @@ class SignCells:
         return self.cell_of.get((sum(_cmp(c, x) < 0 for c in self.crit), s))
 
     @cached_property
-    def _table(self):
-        """Cell index by (slab, sign(x - y) > 0, sign q > 0), -1 for none,
-        and the critical values as floats."""
-        table = np.full((len(self.slabs), 2, 2), -1)
-        for (i, (sxy, sq)), n in self.cell_of.items():
-            table[i, int(sxy > 0), int(sq > 0)] = n
-        return table, np.array([float(c) for c in self.crit])
+    def _crit_floats(self) -> List[float]:
+        """The critical values as floats, converted on first use."""
+        return [float(c) for c in self.crit]
 
-    def cells_of(self, xs, sign_xy: int, sign_q: int):
-        """The cell index (-1 for none) of float points with the given sign
-        pair, from the slab holding each x (the slab left of a wall for a
-        point on it); elementwise on arrays."""
-        table, crit = self._table
-        return table[np.searchsorted(crit, xs), int(sign_xy > 0), int(sign_q > 0)]
+    def slab_cell(self, x: float, pair: Tuple[int, int]) -> Optional[int]:
+        """The cell of sign pair `pair` in the slab holding the float x (the
+        slab left of a wall for a point on it); None when that slab has no
+        piece of the pair."""
+        return self.cell_of.get((bisect_left(self._crit_floats, x), pair))
 
     # -- the closure of each cell ----------------------------------------
     def _end_pieces(self, i: int, e, side: int):
@@ -779,30 +776,62 @@ class BoxComponent:
         qv = self.q.polarize(x, y)
         if (1 if qv > 0 else -1 if qv < 0 else 0) != self.sign_q:
             return False
-        if not self.shared:
-            return True
-        return bool(self.cells.cells_of(x, self.sign_xy, self.sign_q) == self.index)
+        return (not self.shared
+                or self.cells.slab_cell(x, (self.sign_xy, self.sign_q)) == self.index)
 
     def sample_points(self, n: int = 12) -> List[Tuple[float, float]]:
         """The points of the 3n x 3n sample grid that lie in the cell (x
         outer, y inner), thinned by a stride to about n^2 of them; the
-        witness alone when the grid misses the cell."""
-        xs = np.array(self.x_range.samples(3 * n))[:, None]
-        ys = np.array(self.y_range.samples(3 * n))[None, :]
-        sxy = np.sign(xs - ys)
-        sq = np.sign(self.q.polarize(xs, ys))
-        inside = (self.x_range.contains(xs) & self.y_range.contains(ys)
-                  & (sxy == self.sign_xy) & (sq == self.sign_q))
-        if self.shared:
-            inside &= (self.cells.cells_of(xs, self.sign_xy, self.sign_q)
-                       == self.index)
-        i, j = np.nonzero(inside)
-        pts = list(zip(xs[i, 0].tolist(), ys[0, j].tolist()))
-        if not pts:
+        witness alone when the grid misses the cell.
+
+        The grid is walked column by column with the float tests of
+        `contains`.  On a column the cell's y-samples are one run: it ends
+        at y = x, found by bisection (for floats x - y > 0 iff x > y), and
+        at the sign change of q(x, .), which is affine in y, found by
+        bisecting for its root and moving the split with pointwise sign
+        tests.  Only on a column where q(x, .) is zero up to rounding (the
+        fold line x = r of a double root r of q) is every point tested."""
+        xs, ys = self.x_range.samples(3 * n), self.y_range.samples(3 * n)
+        (xlo, xhi), (ylo, yhi) = self.x_range.bounds, self.y_range.bounds
+        y0, y1 = bisect_right(ys, ylo), bisect_left(ys, yhi)
+        f0, f1, f2 = self.q.floats
+        sxy, sq = self.sign_xy, self.sign_q
+
+        def holds(x, y):
+            qv = f0 * x * y + f1 * (x + y) + f2
+            return (1 if qv > 0 else -1 if qv < 0 else 0) == sq
+
+        runs = []          # (x, indices into ys of the cell's points)
+        for x in xs[bisect_right(xs, xlo):bisect_left(xs, xhi)]:
+            if self.shared and self.cells.slab_cell(x, (sxy, sq)) != self.index:
+                continue
+            if sxy > 0:
+                j0, j1 = y0, min(y1, bisect_left(ys, x))
+            else:
+                j0, j1 = max(y0, bisect_right(ys, x)), y1
+            a, b = f0 * x + f1, f1 * x + f2         # q(x, y) = a y + b
+            if (abs(a) <= 1e-9 * (abs(f0 * x) + abs(f1))
+                    and abs(b) <= 1e-9 * (abs(f1 * x) + abs(f2))):
+                runs.append((x, [j for j in range(j0, j1) if holds(x, ys[j])]))
+                continue
+            # the cell is the part of the run on one side of the root of q
+            suffix = (a >= 0) == (sq > 0)
+            k = bisect_left(ys, -b / a if a else -math.copysign(math.inf, b), j0, j1)
+            while k > j0 and holds(x, ys[k - 1]) == suffix:
+                k -= 1
+            while k < j1 and holds(x, ys[k]) != suffix:
+                k += 1
+            runs.append((x, range(k, j1) if suffix else range(j0, k)))
+        total = sum(len(js) for _, js in runs)
+        if not total:
             # the grid misses a thin cell; its witness stands in
             return [(float(self.witness[0]), float(self.witness[1]))]
-        stride = max(1, len(pts) // (n * n))
-        return pts[::stride]
+        stride = max(1, total // (n * n))
+        pts, seen = [], 0
+        for x, js in runs:
+            pts += [(x, ys[j]) for j in js[-seen % stride::stride]]
+            seen += len(js)
+        return pts
 
 
 def _positivity_check(P: Poly, iv: Interval, name: str):

@@ -24,14 +24,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .quadratics import (
     OO,
     Mobius,
     Poly,
     ProjPoint,
     compatible_quadratic,
+    coordinate_jets,
+    polar_jet,
     proj_eq,
     proj_rep,
     rat,
@@ -49,7 +49,6 @@ from .ansatz import (
     mobius_transport,
 )
 from .moment import identify_t
-from .tensors import coordinate_jets, metric_components, polar_jet
 
 EDGE = "Edge"
 FOLD = "Fold"
@@ -273,8 +272,11 @@ def _analytic_r(spec: AnsatzSpec, metric: MetricChoice,
 
 
 def _transversal_point(spec: AnsatzSpec, fold: BoundaryComponent,
-                       phi: float) -> Tuple[float, float, np.ndarray]:
-    """(x, y, d phi) at parameter phi along the transversal from the base."""
+                       phi: float):
+    """(x, y, d phi) at parameter phi along the transversal from the base,
+    d phi as an array."""
+    import numpy as np
+
     x0, y0 = fold.base_point
     s = float(fold.approach_sign or 1)
     if fold.kind == FOLD and fold.sign == "+":
@@ -294,6 +296,10 @@ def estimate_r(spec: AnsatzSpec, metric: MetricChoice, fold: BoundaryComponent,
                lo: float = 1e-6, hi: float = 1e-3, n: int = 30) -> float:
     """Least-squares slope of log ||d phi||_g against log phi along the
     transversal from the fold's base point."""
+    import numpy as np
+
+    from .tensors import metric_components
+
     phis = np.geomspace(lo, hi, n)
     logs = []
     for phi in phis:

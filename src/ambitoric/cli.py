@@ -31,10 +31,9 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from .quadratics import Mobius, Quadratic, Quartic, rat
 from .ansatz import (
+    FIELDS,
     AnsatzSpec,
     Interval,
     MetricChoice,
@@ -43,13 +42,6 @@ from .ansatz import (
     fibre_volume,
     mobius_transport,
     validate,
-)
-from .tensors import (
-    FIELDS,
-    FramePoint,
-    eval_field,
-    kaehler_volume_coefficient,
-    omega_top_coefficient,
 )
 from .moment import (
     Conic,
@@ -177,6 +169,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .tensors import FramePoint, eval_field
+
     spec = _load_spec(args.spec)
     x, y = (float(v) for v in args.at.split(","))
     fields = [args.field] if args.field else list(FIELDS)
@@ -192,6 +186,8 @@ def _cmd_eval(args) -> int:
 
 def _size(m) -> float:
     """The max-norm of a matrix."""
+    import numpy as np
+
     return float(np.max(np.abs(m)))
 
 
@@ -211,6 +207,15 @@ _CHECK_BOUNDS = {"J+^2=-Id": 1e-8, "J-J+ commute": 1e-8, "omega+=g+J+": 1e-8,
 
 
 def _cmd_check(args) -> int:
+    import numpy as np
+
+    from .tensors import (
+        FramePoint,
+        eval_field,
+        kaehler_volume_coefficient,
+        omega_top_coefficient,
+    )
+
     spec = _load_spec(args.spec)
     comps = validate(spec)
     rng = np.random.default_rng(7)

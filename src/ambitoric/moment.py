@@ -25,22 +25,23 @@ from functools import lru_cache
 from math import gcd, hypot
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .quadratics import (
     OO,
     ProjPoint,
     Quadratic,
+    _inv,
+    _mul,
     compatible_quadratic,
+    coordinate_jets,
     coordinates,
     cross,
     inner,
+    polar_jet,
     proj_rep,
     rat,
     transversal,
 )
 from .ansatz import AnsatzSpec, LatticeMatrix, lattice_coordinates
-from .tensors import FramePoint, _inv, _mul, coordinate_jets, eval_field, polar_jet
 
 
 class MomentError(ValueError):
@@ -384,6 +385,8 @@ def convexity_check(samples, spread: float = 2.5):
     A folded image leaves a conic-shaped void inside the hull; the witness
     returned is a hull point far from every sample.  Collinear clouds are
     convex by convention."""
+    import numpy as np
+
     pts = np.array([(s.mu1, s.mu2) if isinstance(s, MomentPoint) else tuple(s)
                     for s in samples], dtype=float)
     if len(pts) < 3:
@@ -424,10 +427,12 @@ def convexity_check(samples, spread: float = 2.5):
 
 
 def moment_differential(spec: AnsatzSpec, sign: str, K: Sequence[Fraction],
-                        x: float, y: float) -> np.ndarray:
-    """d mu_K at (x, y) in the frame (dx, dy, dt1, dt2): the first-order part
-    of the jet of mu_K = K . mu^sign = -N(x,y)/D(x,y), with the numerator N
-    and the denominator D of moment_map."""
+                        x: float, y: float):
+    """d mu_K at (x, y) in the frame (dx, dy, dt1, dt2), as an array: the
+    first-order part of the jet of mu_K = K . mu^sign = -N(x,y)/D(x,y), with
+    the numerator N and the denominator D of moment_map."""
+    import numpy as np
+
     b1, b2 = _basis(spec, sign)
     N = b1.scaled(K[0]).plus(b2.scaled(K[1]))
     X, Y = coordinate_jets(x, y)
@@ -441,6 +446,10 @@ def hamiltonian_residual(spec: AnsatzSpec, sign: str, K: Sequence[Fraction],
     """|d mu_K + K -| omega| / max(|d mu_K|, |K -| omega|) at (x, y), in the
     max-norm, where (K -| omega)_b = K^a omega_ab.  Relative, because both
     terms grow without bound towards the folds."""
+    import numpy as np
+
+    from .tensors import FramePoint, eval_field
+
     Kv = np.array([0.0, 0.0, float(K[0]), float(K[1])])
     w = eval_field(spec, "omega" + sign, FramePoint(x, y)).components
     dmu, Kw = moment_differential(spec, sign, K, x, y), Kv @ w

@@ -22,8 +22,11 @@ Conventions used throughout the package:
   with weight 1, quartics (and A, B of degree <= 4) with weight 2.
 
 Coefficients are exact `fractions.Fraction` values; evaluation accepts
-floats (or numpy arrays of them, elementwise) and degrades gracefully to
-double precision, with float coefficients converted once per object.
+floats and degrades gracefully to double precision, with float
+coefficients converted once per object.  Second jets in (x, y) of
+polynomials and polarizations (`polar_jet`, `coordinate_jets`) live here
+too, for the metric of `tensors` and the gradients of `moment`,
+`boundary` and `special`.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +93,6 @@ OO = _ProjInf()
 #: extended endpoint type: Fraction, or None meaning the infinite endpoint
 #: (-oo in a lower slot, +oo in an upper slot); projectively both are OO.
 ProjPoint = Union[Fraction, _ProjInf]
-
-
-def _real(v):
-    """v as a float; numpy arrays pass through for elementwise evaluation."""
-    return v if isinstance(v, np.ndarray) else float(v)
 
 
 def proj_eq(a: ProjPoint, b: ProjPoint) -> bool:
@@ -306,7 +302,7 @@ class Quadratic:
         if isinstance(z, Fraction):
             return self.c0 * z * z + 2 * self.c1 * z + self.c2
         f0, f1, f2 = self.floats
-        zf = _real(z)
+        zf = float(z)
         return f0 * zf * zf + 2.0 * f1 * zf + f2
 
     __call__ = value
@@ -316,7 +312,7 @@ class Quadratic:
         if isinstance(x, Fraction) and isinstance(y, Fraction):
             return self.c0 * x * y + self.c1 * (x + y) + self.c2
         f0, f1, f2 = self.floats
-        xf, yf = _real(x), _real(y)
+        xf, yf = float(x), float(y)
         return f0 * xf * yf + f1 * (xf + yf) + f2
 
     def polarize_hom(self, X, W, Y, V):
@@ -400,6 +396,61 @@ def compatible_quadratic(q: Quadratic, gamma: Fraction) -> Quadratic:
     double root of q."""
     g = rat(gamma)
     return cross(Quadratic(1, -g, g * g), q)
+
+
+# ---------------------------------------------------------------------------
+# jets in (x, y): the value alone, or the second jet (value, d/dx, d/dy,
+# d2/dx2, d2/dxdy, d2/dy2)
+# ---------------------------------------------------------------------------
+
+def _mul(a, b):
+    """Product of two jets of the same length."""
+    if len(a) == 1:
+        return (a[0] * b[0],)
+    a0, ax, ay, axx, axy, ayy = a
+    b0, bx, by, bxx, bxy, byy = b
+    return (a0 * b0, a0 * bx + ax * b0, a0 * by + ay * b0,
+            a0 * bxx + 2 * ax * bx + axx * b0,
+            a0 * bxy + ax * by + ay * bx + axy * b0,
+            a0 * byy + 2 * ay * by + ayy * b0)
+
+
+def _inv(a):
+    """Reciprocal of a jet with nonzero value."""
+    r = 1 / a[0]
+    if len(a) == 1:
+        return (r,)
+    a0, ax, ay, axx, axy, ayy = a
+    r2 = r * r
+    return (r, -ax * r2, -ay * r2, (2 * ax * ax * r - axx) * r2,
+            (2 * ax * ay * r - axy) * r2, (2 * ay * ay * r - ayy) * r2)
+
+
+def _poly_jet(P: Poly, Z, axis: int):
+    """Jet of P(x) (axis 0) or P(y) (axis 1), as long as the coordinate jet
+    Z of x or y, by Horner's rule."""
+    z = Z[0]
+    if len(Z) == 1:
+        return (P(z),)
+    p = dp = ddp = 0
+    for c in reversed(P.coeffs if isinstance(z, Fraction) else P.floats):
+        p, dp, ddp = p * z + c, dp * z + p, ddp * z + 2 * dp
+    return (p, dp, 0, ddp, 0, 0) if axis == 0 else (p, 0, dp, 0, 0, ddp)
+
+
+def polar_jet(p: Quadratic, X, Y):
+    """Jet of the polarization p(X, Y) = c0 X Y + c1 (X + Y) + c2."""
+    c0, c1, c2 = p.coeffs() if isinstance(X[0], Fraction) else p.floats
+    v = tuple(c0 * u + c1 * (a + b) for u, a, b in zip(_mul(X, Y), X, Y))
+    return (v[0] + c2,) + v[1:]
+
+
+def coordinate_jets(x, y):
+    """The second jets of x and y: Fractions when both are, floats
+    otherwise.  X[:1] is the jet of the value alone."""
+    if not (isinstance(x, Fraction) and isinstance(y, Fraction)):
+        x, y = float(x), float(y)
+    return (x, 1, 0, 0, 0, 0), (y, 0, 1, 0, 0, 0)
 
 
 PARABOLIC = "Parabolic"

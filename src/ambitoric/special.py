@@ -23,7 +23,9 @@ from .quadratics import (
     Poly,
     Quadratic,
     Quartic,
+    coordinate_jets,
     inner,
+    polar_jet,
     rat,
     rational_sqrt,
     transvectant2,
@@ -36,7 +38,6 @@ from .ansatz import (
     metric_gp,
 )
 from .moment import LineInTstar, Polygon
-from .tensors import coordinate_jets, polar_jet
 
 EXTERIOR = "Exterior"
 INTERIOR = "Interior"

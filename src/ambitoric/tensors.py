@@ -15,9 +15,11 @@ f^-1, f, or (x-y) q / p^2; the complex structures are J+- = g+-^{-1} omega+-.
 
 Every metric entry is a rational function of (x, y), so `_metric_jet`, the
 one place that spells out the formula above, carries each one as a second
-jet (value, d/dx, d/dy, d2/dx2, d2/dxdy, d2/dy2) and `curvature` gets dg
-and ddg with no truncation error; on Fraction points (coefficients picked
-as in `Poly.__call__`) the curvature is exact.  Float curvature loses
+jet (value, d/dx, d/dy, d2/dx2, d2/dxdy, d2/dy2; the jet helpers live in
+`quadratics`) and `curvature` gets dg and ddg with no truncation error,
+while `metric_components` runs the same formula on values alone.  On
+Fraction points (coefficients picked as in `Poly.__call__`) the curvature
+is exact.  Float curvature loses
 digits next to a fold, where the fibre block A tau(y) tau(y)^T +
 B tau(x) tau(x)^T is nearly singular and s = |tau(x) ^ tau(y)| /
 (|tau(x)| |tau(y)|) tends to 0.  Max-norm relative error of float R against
@@ -55,7 +57,7 @@ from .ansatz import (
     AnsatzSpec,
     MetricChoice,
 )
-from .quadratics import Poly, Quadratic
+from .quadratics import _inv, _mul, _poly_jet, coordinate_jets, polar_jet
 
 
 class SingularEvaluation(ValueError):
@@ -85,62 +87,24 @@ class TensorBlock:
 
 
 # ---------------------------------------------------------------------------
-# second jets (value, d/dx, d/dy, d2/dx2, d2/dxdy, d2/dy2) in (x, y)
+# the metric as a jet in (x, y)
 # ---------------------------------------------------------------------------
 
-def _mul(a, b):
-    a0, ax, ay, axx, axy, ayy = a
-    b0, bx, by, bxx, bxy, byy = b
-    return (a0 * b0, a0 * bx + ax * b0, a0 * by + ay * b0,
-            a0 * bxx + 2 * ax * bx + axx * b0,
-            a0 * bxy + ax * by + ay * bx + axy * b0,
-            a0 * byy + 2 * ay * by + ayy * b0)
-
-
-def _inv(a):
-    a0, ax, ay, axx, axy, ayy = a
-    r = 1 / a0
-    r2 = r * r
-    return (r, -ax * r2, -ay * r2, (2 * ax * ax * r - axx) * r2,
-            (2 * ax * ay * r - axy) * r2, (2 * ay * ay * r - ayy) * r2)
-
-
-def _poly_jet(P: Poly, z, axis: int):
-    """Jet of P(x) (axis 0) or P(y) (axis 1) by Horner's rule."""
-    p = dp = ddp = 0
-    for c in reversed(P.coeffs if isinstance(z, Fraction) else P.floats):
-        p, dp, ddp = p * z + c, dp * z + p, ddp * z + 2 * dp
-    return (p, dp, 0, ddp, 0, 0) if axis == 0 else (p, 0, dp, 0, 0, ddp)
-
-
-def polar_jet(p: Quadratic, X, Y):
-    """Jet of the polarization p(X, Y) = c0 X Y + c1 (X + Y) + c2."""
-    c0, c1, c2 = p.coeffs() if isinstance(X[0], Fraction) else p.floats
-    v = tuple(c0 * u + c1 * (a + b) for u, a, b in zip(_mul(X, Y), X, Y))
-    return (v[0] + c2,) + v[1:]
-
-
-def coordinate_jets(x, y):
-    """The jets of x and y: Fractions when both are, floats otherwise."""
-    if not (isinstance(x, Fraction) and isinstance(y, Fraction)):
-        x, y = float(x), float(y)
-    return (x, 1, 0, 0, 0, 0), (y, 0, 1, 0, 0, 0)
-
-
-def _metric_jet(spec: AnsatzSpec, metric: MetricChoice, x, y) -> np.ndarray:
-    """Jet of the metric at (x, y) as a (6, 4, 4) array, jet index first;
-    Fraction points give an object array of Fractions."""
-    X, Y = coordinate_jets(x, y)
-    A, B = _poly_jet(spec.A, X[0], 0), _poly_jet(spec.B, Y[0], 1)
+def _metric_jet(spec: AnsatzSpec, metric: MetricChoice, x, y, n: int = 6) -> np.ndarray:
+    """Jet of the metric at (x, y) as an (n, 4, 4) array, jet index first:
+    n = 6 for the second jet, n = 1 for the value alone.  Fraction points
+    give an object array of Fractions."""
+    X, Y = (Z[:n] for Z in coordinate_jets(x, y))
+    A, B = _poly_jet(spec.A, X, 0), _poly_jet(spec.B, Y, 1)
     if A[0] == 0 or B[0] == 0:
         raise SingularEvaluation("A or B vanishes at the evaluation point")
     q = polar_jet(spec.q, X, Y)
-    d = (X[0] - Y[0], 1, -1, 0, 0, 0)
+    d = tuple(u - v for u, v in zip(X, Y))
     den = _mul(d, q)
     if den[0] == 0:
         raise SingularEvaluation("(x - y) q(x, y) vanishes at the evaluation point")
     if metric.tag == G0:
-        scale = (1, 0, 0, 0, 0, 0)
+        scale = (1, 0, 0, 0, 0, 0)[:n]
     elif metric.tag == GPLUS:
         scale = _mul(d, _inv(q))     # g+ = f^-1 g0 with f = q/(x-y)
     elif metric.tag == GMINUS:
@@ -153,7 +117,7 @@ def _metric_jet(spec: AnsatzSpec, metric: MetricChoice, x, y) -> np.ndarray:
     tx = [polar_jet(t, X, X) for t in spec.tau_basis]
     ty = [polar_jet(t, Y, Y) for t in spec.tau_basis]
     w = _mul(_inv(_mul(den, den)), scale)
-    J = np.zeros((6, 4, 4), dtype=object if isinstance(X[0], Fraction) else float)
+    J = np.zeros((n, 4, 4), dtype=object if isinstance(X[0], Fraction) else float)
     J[:, 0, 0] = _mul(_inv(A), scale)
     J[:, 1, 1] = _mul(_inv(B), scale)
     for i, j in ((0, 0), (0, 1), (1, 1)):
@@ -190,12 +154,9 @@ def _omega_components(spec: AnsatzSpec, sign: str, x: float, y: float) -> np.nda
     return w
 
 
-FIELDS = ("g0", "g+", "g-", "gp", "omega+", "omega-", "J+", "J-")
-
-
 def metric_components(spec: AnsatzSpec, metric: MetricChoice, x, y) -> np.ndarray:
     """The 4x4 metric at (x, y); Fractions when x and y are Fractions."""
-    return _metric_jet(spec, metric, x, y)[0]
+    return _metric_jet(spec, metric, x, y, 1)[0]
 
 
 def eval_field(spec: AnsatzSpec, fieldname: str, pt: FramePoint) -> TensorBlock:
@@ -270,9 +231,9 @@ def curvature(spec: AnsatzSpec, metric: MetricChoice, pt: FramePoint) -> Curvatu
     metric at pt; exact Fractions when pt.x and pt.y are Fractions."""
     J = _metric_jet(spec, metric, pt.x, pt.y)
     if J.dtype != object:
-        x, y = float(pt.x), float(pt.y)
-        (u1, u2), (v1, v2) = ([t.value(z) for t in spec.tau_basis] for z in (x, y))
-        A, B = _poly_jet(spec.A, x, 0), _poly_jet(spec.B, y, 1)
+        X, Y = coordinate_jets(pt.x, pt.y)
+        (u1, u2), (v1, v2) = ([t.value(Z[0]) for t in spec.tau_basis] for Z in (X, Y))
+        A, B = _poly_jet(spec.A, X, 0), _poly_jet(spec.B, Y, 1)
         if not (abs(u1 * v2 - u2 * v1) >= MIN_FIBRE_SINE * math.hypot(u1, u2) * math.hypot(v1, v2)
                 and abs(A[0]) >= MIN_ROOT_DISTANCE * abs(A[1])
                 and abs(B[0]) >= MIN_ROOT_DISTANCE * abs(B[2])):

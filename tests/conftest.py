@@ -5,7 +5,7 @@ import pathlib
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume
+from hypothesis import Phase, assume, settings
 from hypothesis import strategies as st
 
 from ambitoric import (
@@ -21,6 +21,10 @@ from ambitoric import (
 )
 from ambitoric.ansatz import METRIC_G0
 from ambitoric.special import INTERIOR
+
+#: `pytest --hypothesis-profile=ci`: every example, but a failure is reported
+#: as found, since shrinking a failing example over Fractions takes minutes
+settings.register_profile("ci", phases=[p for p in Phase if p is not Phase.shrink])
 
 I2 = ((F(1), F(0)), (F(0), F(1)))
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"

@@ -26,7 +26,7 @@ from ambitoric.ansatz import (
     metric_gp,
 )
 
-from conftest import geometry_specs, make_spec
+from conftest import boxes_and_transports, geometry_specs, make_spec, transported_boxes
 
 
 def test_rejects_nonpositive_A():
@@ -161,16 +161,50 @@ def _reference_sample_points(comp, n):
     return pts[::max(1, len(pts) // (n * n))]
 
 
+def _assert_sample_points_match(spec, ns=(2, 5, 6, 24, 28)):
+    for comp in validate(spec):
+        for n in ns:
+            got = comp.sample_points(n)
+            # a cell the grid misses gives its witness
+            want = (_reference_sample_points(comp, n)
+                    or [(float(comp.witness[0]), float(comp.witness[1]))])
+            assert all(type(x) is float and type(y) is float for x, y in got)
+            assert [(x.hex(), y.hex()) for x, y in got] == [(x.hex(), y.hex()) for x, y in want]
+
+
 @pytest.mark.parametrize("name", sorted(geometry_specs()))
 def test_sample_points_match_pointwise_double_loop(name):
-    """The vectorized grid keeps the points, order and floats of a double
-    loop over the grid with BoxComponent.contains."""
-    for comp in validate(geometry_specs()[name]):
-        for n in (2, 5, 28):
-            got = comp.sample_points(n)
-            assert all(type(x) is float and type(y) is float for x, y in got)
-            assert ([(x.hex(), y.hex()) for x, y in got]
-                    == [(x.hex(), y.hex()) for x, y in _reference_sample_points(comp, n)])
+    """The column walk keeps the points, order and floats of a double loop
+    over the grid with BoxComponent.contains, at the grids of `check` (6)
+    and `moment` (24) among others."""
+    _assert_sample_points_match(geometry_specs()[name])
+
+
+def test_sample_points_match_on_shared_and_thin_cells(sliver_spec, merged_spec):
+    _assert_sample_points_match(sliver_spec)
+    _assert_sample_points_match(merged_spec)
+
+
+def test_sample_points_on_a_column_along_the_fold_line():
+    """q = (z - 2/5)^2 has the fold line x = 2/5, which is the middle sample
+    column for odd 3n; there the float q(x, y) is rounding noise of either
+    sign, and the column keeps exactly the points `contains` accepts."""
+    r = F(2, 5)
+    spec = AnsatzSpec(q=Quadratic(1, -r, r * r), A=Poly([0, 2 * r, -1]),
+                      B=Poly([-6, 5, -1]), x_interval=Interval(0, 2 * r),
+                      y_interval=Interval(2, 3), lattice=((1, 0), (0, 1)),
+                      tau_basis=(Quadratic(1, -r, r * r), Quadratic(0, 1, -2 * r)))
+    x = spec.x_interval.samples(15)[7]
+    assert x == float(r)
+    assert len({spec.q.polarize(x, y) > 0 for y in spec.y_interval.samples(15)}) == 2
+    _assert_sample_points_match(spec, (3, 5, 7))
+
+
+@given(st.one_of(boxes_and_transports().map(lambda sm: sm[0]), transported_boxes()),
+       st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_sample_points_match_pointwise_on_planted_boxes(spec, n):
+    _assert_sample_points_match(spec, (n,))
 
 
 #: sha256 prefixes of the sample_points(2, 5, 28) floats of every cell,

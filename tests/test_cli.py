@@ -133,22 +133,50 @@ def test_check_relative_bound_still_fails_a_wrong_pairing(sliver_spec):
     assert relative_residual(Jp @ wm - wm @ Jp, (Jp, wm)) > 1e-6
 
 
-def test_decision_path_never_imports_sympy(tmp_path):
-    golden = json.loads((GOLDEN_DIR / "case1_proper_fold.json").read_text())
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(golden["spec"]))
-    code = ("import sys\n"
-            "from ambitoric.cli import main\n"
-            f"main(['classify', {str(spec)!r}])\n"
-            f"main(['validate', {str(spec)!r}])\n"
-            "sys.exit(4 if 'sympy' in sys.modules else 0)\n")
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter with src/ on the path."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_decision_path_never_imports_sympy(tmp_path):
+    """validate, classify and moment load none of sympy, numpy or scipy."""
+    golden = json.loads((GOLDEN_DIR / "case1_proper_fold.json").read_text())
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(golden["spec"]))
+    csv, svg = tmp_path / "m.csv", tmp_path / "m.svg"
+    run = _run_python(
+        "import sys\n"
+        "from ambitoric.cli import main\n"
+        f"main(['classify', {str(spec)!r}])\n"
+        f"main(['validate', {str(spec)!r}])\n"
+        f"main(['moment', {str(spec)!r}, '--sign', '-', '--csv', {str(csv)!r}, "
+        f"'--svg', {str(svg)!r}])\n"
+        "loaded = [m for m in ('sympy', 'numpy', 'scipy') if m in sys.modules]\n"
+        "sys.exit(f'loaded {loaded}' if loaded else 0)\n")
     assert run.returncode == 0, run.stderr
     assert '"verdicts"' in run.stdout and '"components"' in run.stdout
+    assert '"samples"' in run.stdout and svg.read_text().endswith("</svg>\n")
+
+
+def test_package_import_defers_numpy_to_the_float_layer():
+    run = _run_python(
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import ambitoric\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded by import ambitoric'\n"
+        "spec = ambitoric.kerr(ambitoric.KerrParams(1, Fraction(1, 2)))\n"
+        "x, y = ambitoric.validate(spec)[0].sample_points(2)[0]\n"
+        "pack = ambitoric.curvature(spec, spec.metric, ambitoric.FramePoint(x, y))\n"
+        "assert abs(pack.ricci).max() < 1e-9, pack.ricci\n"
+        "assert 'numpy' in sys.modules and 'curvature' in vars(ambitoric)\n"
+        "from ambitoric import eval_field, FIELDS\n"
+        "assert ambitoric.eval_field is sys.modules['ambitoric.tensors'].eval_field\n"
+        "assert 'gp' in FIELDS and not hasattr(ambitoric, 'no_such_name')\n")
+    assert run.returncode == 0, run.stderr
 
 
 def test_csc_gen_command(tmp_path, capsys):

@@ -7,6 +7,7 @@ from ambitoric import FramePoint, KerrParams, Quadratic, curvature, eval_field, 
 from ambitoric.ansatz import METRIC_G0, METRIC_GMINUS, METRIC_GPLUS, metric_gp
 from ambitoric.tensors import (
     SingularEvaluation,
+    _metric_jet,
     kaehler_volume_coefficient,
     metric_components,
     omega_top_coefficient,
@@ -25,6 +26,18 @@ def test_metric_symmetric_positive(any_spec):
         g = metric_components(any_spec, METRIC_G0, x, y)
         assert np.allclose(g, g.T)
         assert np.all(np.linalg.eigvalsh(g) > 0)
+
+
+def test_metric_value_is_the_value_of_its_jet():
+    """metric_components evaluates the jet formula on values alone, bit for
+    bit the value of the second jet, at float and at Fraction points."""
+    for spec in geometry_specs().values():
+        for comp in validate(spec):
+            for x, y in comp.sample_points(2) + [comp.witness]:
+                for met in (METRIC_G0, METRIC_GPLUS, METRIC_GMINUS, spec.metric):
+                    g = metric_components(spec, met, x, y)
+                    assert g.dtype == (object if type(x) is F else float)
+                    assert (g == _metric_jet(spec, met, x, y)[0]).all()
 
 
 def test_complex_structures_square_to_minus_id(any_spec):
