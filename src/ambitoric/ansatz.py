@@ -111,34 +111,20 @@ class Interval:
     def samples(self, n: int) -> List[float]:
         return [self.param((i + 0.5) / n) for i in range(n)]
 
-    def midpoint(self) -> float:
-        return self.param(0.5)
-
     def transport(self, m: Mobius) -> "Interval":
-        """Image interval under a Mobius map; the pole must not be interior."""
+        """Image interval under a Mobius map whose pole is not inside; an
+        endpoint at the pole goes to the infinite end on its side.  The map
+        preserves the orientation of RP^1 iff det > 0, and the image runs
+        from m(lo) to m(hi) in that orientation."""
         pole = m.pole()
-        if pole is not OO and self.contains(float(pole)):
-            # interior pole only acceptable if it IS an endpoint
-            if not ((self.lo is not None and pole == self.lo)
-                    or (self.hi is not None and pole == self.hi)):
-                raise ValidationError(
-                    f"interval ({self.lo}, {self.hi}) straddles the Mobius pole {pole}")
-        a, b = self.endpoints_proj()
-        ia, ib = m.apply(a), m.apply(b)
-        mid = m.apply_float(self.midpoint())
-        finite = [p for p in (ia, ib) if p is not OO]
-        if len(finite) == 2:
-            lo, hi = sorted(finite)
-            if not (float(lo) < mid < float(hi)):
-                raise ValidationError(
-                    f"interval ({self.lo}, {self.hi}) straddles the Mobius pole")
-            return Interval(lo, hi)
-        if len(finite) == 1:
-            f = finite[0]
-            if mid > float(f):
-                return Interval(f, None)
-            return Interval(None, f)
-        raise ValidationError("both endpoints map to infinity")
+        if (pole is not OO and (self.lo is None or self.lo < pole)
+                and (self.hi is None or pole < self.hi)):
+            raise ValidationError(
+                f"interval ({self.lo}, {self.hi}) straddles the Mobius pole {pole}")
+        ends = [m.apply(e) for e in self.endpoints_proj()]
+        if m.det() < 0:
+            ends.reverse()
+        return Interval(*(None if e is OO else e for e in ends))
 
     def __repr__(self):
         lo = "-oo" if self.lo is None else str(self.lo)

@@ -6,8 +6,9 @@ box edges {x or y = endpoint} it meets along a segment), folds (arcs of
 for the diagonal-Ricci metric the P-locus {p(x,y) = 0} where it crosses
 the cell.  All of these are read from the cell's exact decomposition.
 
-Edge distance is decided exactly: with m the root multiplicity of A (or B)
-at the endpoint and e the order of the metric's conformal scale along the
+Edge distance is decided exactly, by one homogeneous rule at every endpoint
+gamma = (X : W) of RP^1, OO included: with m the root multiplicity of A (or
+B) at the endpoint and e the order of the metric's conformal scale along the
 edge, the transverse length integral int dx / x^{(m-e)/2} diverges iff
 m - e >= 2.  Proper folds are assigned the asymptotic gradient exponent r
 of ||d phi||_g ~ phi^r along a transversal; the boundary piece is
@@ -20,13 +21,12 @@ numerical cross-check the tests compare it against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .quadratics import (
     OO,
-    Mobius,
     Poly,
     ProjPoint,
     compatible_quadratic,
@@ -34,7 +34,6 @@ from .quadratics import (
     polar_jet,
     proj_eq,
     proj_rep,
-    rat,
 )
 from .ansatz import (
     G0,
@@ -46,7 +45,6 @@ from .ansatz import (
     MetricChoice,
     ValidationError,
     lattice_contains,
-    mobius_transport,
 )
 from .moment import identify_t
 
@@ -160,23 +158,6 @@ def decompose_boundary(spec: AnsatzSpec, comp: BoxComponent) -> List[BoundaryCom
 # edges
 # ---------------------------------------------------------------------------
 
-def _gauge_to_finite(spec: AnsatzSpec) -> Tuple[AnsatzSpec, Mobius]:
-    """A Mobius map z -> 1/(z - s) with the pole s outside both closed
-    intervals, sending infinity to 0."""
-    finite = [e for iv in (spec.x_interval, spec.y_interval)
-              for e in (iv.lo, iv.hi) if e is not None]
-    candidates = []
-    if all(iv.lo is not None for iv in (spec.x_interval, spec.y_interval)):
-        candidates.append(min(e for e in finite) - 1)
-    if all(iv.hi is not None for iv in (spec.x_interval, spec.y_interval)):
-        candidates.append(max(e for e in finite) + 1)
-    if not candidates:
-        raise ValidationError("no common finite gauge for the edge at infinity")
-    s = candidates[0]
-    m = Mobius(0, 1, 1, -s)
-    return mobius_transport(spec, m), m
-
-
 def _scale_edge_order(spec: AnsatzSpec, metric: MetricChoice,
                       fold_edge: bool) -> int:
     """Vanishing order of the metric's conformal scale in the transverse
@@ -191,22 +172,21 @@ def _scale_edge_order(spec: AnsatzSpec, metric: MetricChoice,
 
 def edge_status(spec: AnsatzSpec, metric: MetricChoice,
                 edge: BoundaryComponent) -> DistanceStatus:
-    """Exact edge verdict; edges at infinity are gauge-transported first."""
+    """Exact edge verdict at gamma = (X : W), the same at OO as anywhere.
+
+    The multiplicity m of gamma as a root of the weight-2 form P (A or B)
+    decides the distance.  At a simple root the compatible normal is
+    s identify_t((W z - X)^2 x q, '-') / D, s = -2 on an X edge and 2 on a
+    Y edge, with D = d_X P / W = -d_W P / X (Euler's identity) the slope
+    of P(X, W) at its root: P'(gamma) at W = 1 and -a3 at OO.  Numerator
+    and D both scale as the square of the representative, so the normal
+    does not depend on it."""
     if edge.kind != EDGE:
         raise ValueError("edge_status needs an Edge component")
-    if edge.gamma is OO:
-        spec2, m = _gauge_to_finite(spec)
-        qdr2 = spec2.q.double_root()
-        g2 = m.apply(OO)
-        edge2 = replace(edge, gamma=g2,
-                        is_fold_and_edge=qdr2 is not None and proj_eq(g2, qdr2))
-        st = edge_status(spec2, metric, edge2)
-        return replace(st, note=(st.note + " (via gauge z -> 1/(z-s))").strip())
-
-    g = rat(edge.gamma)
     P = spec.A if edge.axis == "X" else spec.B
-    m_root = P.root_multiplicity(g) if P(g) == 0 else 0
+    m_root = P.root_multiplicity(edge.gamma)
     if not edge.is_fold_and_edge and m_root == 0:
+        g = "oo" if edge.gamma is OO else edge.gamma
         raise ValidationError(
             f"edge {edge.axis}={g}: endpoint is not a root of "
             f"{'A' if edge.axis == 'X' else 'B'}; not a true metric boundary")
@@ -219,12 +199,9 @@ def edge_status(spec: AnsatzSpec, metric: MetricChoice,
     if edge.is_fold_and_edge:
         note = "fold-edge: compatible normal degenerate"
     elif convergent:
-        pg = compatible_quadratic(spec.q, g)
-        D = P.derivative()(g)
-        if D == 0:
-            raise ValidationError("simple root with vanishing derivative?")
-        v = identify_t(spec, pg, "-")
-        s = Fraction(-2 if edge.axis == "X" else 2, 1) / D
+        D = -P.coeffs[3] if edge.gamma is OO else P.derivative()(edge.gamma)
+        v = identify_t(spec, compatible_quadratic(spec.q, edge.gamma), "-")
+        s = (-2 if edge.axis == "X" else 2) / D
         n = (s * v[0], s * v[1])
         normal = (n, lattice_contains(spec.lattice, n))
     return DistanceStatus(metric=metric, verdict=verdict,

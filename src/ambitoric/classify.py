@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .quadratics import Quadratic, proj_rep
+from .quadratics import Quadratic
 from .ansatz import (
     GMINUS,
     GP,
@@ -189,11 +189,9 @@ def classify(spec: AnsatzSpec) -> List[Tuple[BoxComponent, Verdict]]:
 def complete_orbifold_check(q: Quadratic, x_interval: Interval,
                             y_interval: Interval, lattice: LatticeMatrix,
                             A, B) -> Tuple[bool, List[str]]:
-    """Global g0-completeness of the quotient: the box must avoid both fold
-    factors, every finite-distance endpoint must contribute its compatible
-    normal to the lattice, and corners with two convergent integrals must
-    stay off (x - y) q(x, y) = 0."""
-    diags: List[str] = []
+    """Global g0-completeness of the quotient: the box must be a single
+    cell of (x - y) q(x, y) != 0, and that cell completable under g0
+    (rules (i)-(iv)).  The diagnostics are the report lines."""
     try:
         spec = AnsatzSpec(q=q, A=A, B=B, x_interval=x_interval,
                           y_interval=y_interval, lattice=lattice,
@@ -202,53 +200,6 @@ def complete_orbifold_check(q: Quadratic, x_interval: Interval,
     except ValidationError as err:
         return False, [f"invalid ansatz data: {err}"]
     if len(comps) != 1:
-        diags.append("(x - y) q(x, y) changes sign inside the box")
-        return False, diags
-    comp = comps[0]
-    pieces = decompose_boundary(spec, comp)
-    if any(c.kind in (FOLD, PLOCUS) for c in pieces):
-        diags.append("fold locus meets the box interior")
-        return False, diags
-
-    ok = True
-    edge_conv = {}
-    for c in pieces:
-        if c.kind != EDGE:
-            continue
-        try:
-            st = edge_status(spec, METRIC_G0, c)
-        except ValidationError as err:
-            diags.append(f"{c.describe()}: {err}")
-            ok = False
-            edge_conv[(c.axis, c.gamma)] = False
-            continue
-        conv = bool(st.integral_convergent)
-        edge_conv[(c.axis, c.gamma)] = conv
-        if not conv:
-            diags.append(f"{c.describe()}: integral divergent, condition vacuous")
-            continue
-        if st.compatible_normal is None:
-            diags.append(f"{c.describe()}: convergent but no compatible normal")
-            ok = False
-        else:
-            n, member = st.compatible_normal
-            if member:
-                diags.append(
-                    f"{c.describe()}: normal ({n[0]}, {n[1]}) in lattice")
-            else:
-                diags.append(
-                    f"{c.describe()}: normal ({n[0]}, {n[1]}) NOT in lattice")
-                ok = False
-
-    for c in pieces:
-        if c.kind != CORNER:
-            continue
-        gx, gy = c.corner
-        if edge_conv.get(("X", gx)) and edge_conv.get(("Y", gy)):
-            X, W = proj_rep(gx)
-            Y, V = proj_rep(gy)
-            val = (X * V - Y * W) * q.polarize_hom(X, W, Y, V)
-            if val == 0:
-                diags.append(f"{c.describe()}: lies on (x - y) q(x, y) = 0")
-                ok = False
-    return ok, diags
+        return False, ["(x - y) q(x, y) changes sign inside the box"]
+    verdict = completability_verdict(spec, METRIC_G0, comps[0])
+    return verdict.completable, [r.line() for r in verdict.reports]

@@ -36,6 +36,7 @@ from .quadratics import (
     coordinates,
     cross,
     inner,
+    null_quadratic,
     polar_jet,
     proj_rep,
     rat,
@@ -265,34 +266,26 @@ def _tangency(line: LineInTstar, conic: Conic) -> Optional[TangencyCertificate]:
 
 def _edge_image(spec: AnsatzSpec, sign: str, axis: str, gamma: ProjPoint):
     """The image of {axis = gamma}: a line, or the point it collapses to."""
+    X, W = proj_rep(gamma)
     if sign == "+":
         # n . mu+ = b along the edge iff n1 sigma1 + n2 sigma2 + b q is
         # orthogonal to every quadratic with root gamma, i.e. a multiple of
-        # (W z - X)^2 for gamma = (X : W)
-        X, W = proj_rep(gamma)
-        a1, a2, b = coordinates(Quadratic(W * W, -W * X, X * X),
-                                *spec.sigma_basis, spec.q)
+        # (W z - X)^2
+        a1, a2, b = coordinates(null_quadratic(gamma), *spec.sigma_basis, spec.q)
         if a1 == 0 and a2 == 0:
             raise MomentError(f"mu+ has its pole along the edge {axis} = {gamma}")
         return _line(a1, a2, b)
     # mu- is antisymmetric under x <-> y, hence the axis sign
     sgn = 1 if axis == "X" else -1
-    if gamma is OO:
-        # mu-_i -> -sgn (tau_i.c1 + tau_i.c0 s) along the edge, affine in s
-        t1, t2 = _basis(spec, sign)
-        base = (-sgn * t1.c1, -sgn * t2.c1)
-        if t1.c0 == 0 and t2.c0 == 0:
-            return base
-        n1, n2 = t2.c0, -t1.c0
-        return _line(n1, n2, n1 * base[0] + n2 * base[1])
-    g = rat(gamma)
-    p = compatible_quadratic(spec.q, g)
+    p = compatible_quadratic(spec.q, gamma)
     if p.is_zero():
-        # gamma is the double root of q: the edge is a fold line
-        x, y = (g, g + 1) if axis == "X" else (g + 1, g)
-        return moment_map(spec, sign, x, y).as_tuple()
+        # gamma is the double root of q: the edge is a fold line, along which
+        # mu-_i = -tau_i(gamma, delta) / (gamma - delta) is constant; read it
+        # at delta = (-W : X)
+        return tuple(-sgn * t.polarize_hom(X, W, -W, X) / (X * X + W * W)
+                     for t in _basis(spec, sign))
     n1, n2 = identify_t(spec, p, sign)
-    return _line(n1, n2, sgn * spec.q.value(g) / 2)
+    return _line(n1, n2, sgn * spec.q.polarize_hom(X, W, X, W) / 2)
 
 
 def level_set_line(spec: AnsatzSpec, sign: str, axis: str,

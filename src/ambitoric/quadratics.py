@@ -390,12 +390,18 @@ def transversal(q: Quadratic) -> Quadratic:
     return next(u for u in units if inner(u, q) != 0)
 
 
-def compatible_quadratic(q: Quadratic, gamma: Fraction) -> Quadratic:
-    """p^(gamma)(x,y) = (x-gamma) q(y,gamma)/2 + q(x,gamma) (y-gamma)/2 as a
-    quadratic, which is (z - gamma)^2 x q; identically zero iff gamma is a
-    double root of q."""
-    g = rat(gamma)
-    return cross(Quadratic(1, -g, g * g), q)
+def null_quadratic(gamma: ProjPoint) -> Quadratic:
+    """(W z - X)^2 for gamma = (X : W): the null quadratic with the double
+    root gamma, and <p, (W z - X)^2> = -p(X, W) for every quadratic p."""
+    X, W = proj_rep(gamma)
+    return Quadratic(W * W, -W * X, X * X)
+
+
+def compatible_quadratic(q: Quadratic, gamma: ProjPoint) -> Quadratic:
+    """(W z - X)^2 x q for gamma = (X : W); at a finite gamma it is
+    p^(gamma)(x,y) = (x-gamma) q(y,gamma)/2 + q(x,gamma) (y-gamma)/2.
+    Identically zero iff gamma is a double root of q."""
+    return cross(null_quadratic(gamma), q)
 
 
 # ---------------------------------------------------------------------------

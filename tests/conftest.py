@@ -69,22 +69,52 @@ _CANONICAL_Q = {
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
+def _positive_between(lo, hi, m_lo, m_hi):
+    """(z - lo)^m_lo (hi - z)^m_hi, positive on (lo, hi)."""
+    P = Poly([1])
+    for factor in [Poly([-lo, 1])] * m_lo + [Poly([hi, -1])] * m_hi:
+        P = P * factor
+    return P
+
+
 @st.composite
-def boxes_and_transports(draw):
-    """(spec, m): a canonical box of a drawn conic type, with A and B simple
-    roots at its ends, and a Mobius map whose pole lies outside both closed
-    intervals."""
+def canonical_boxes(draw, multiplicities=st.just(1)):
+    """A canonical box of a drawn conic type, with A and B vanishing at its
+    ends to the drawn multiplicities."""
     q = _CANONICAL_Q[draw(st.sampled_from(sorted(_CANONICAL_Q)))]
     a, c = draw(small), draw(small)
     b = a + draw(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3))
     d = c + draw(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3))
-    spec = make_spec(q, Poly([-a * b, a + b, -1]).coeffs,
-                     Poly([-c * d, c + d, -1]).coeffs, (a, b), (c, d))
+    A, B = (_positive_between(lo, hi, draw(multiplicities), draw(multiplicities)).coeffs
+            for lo, hi in ((a, b), (c, d)))
+    return make_spec(q, A, B, (a, b), (c, d))
+
+
+@st.composite
+def boxes_and_transports(draw):
+    """(spec, m): a canonical box with simple roots of A and B at its ends,
+    and a Mobius map whose pole lies outside both closed intervals."""
+    spec = draw(canonical_boxes())
     m = draw(st.tuples(*[st.integers(-3, 3)] * 4)
              .filter(lambda e: e[0] * e[3] != e[1] * e[2]).map(lambda e: Mobius(*e)))
     pole = m.pole()
-    assume(pole is OO or not any(lo <= pole <= hi for lo, hi in ((a, b), (c, d))))
+    assume(pole is OO or not any(iv.lo <= pole <= iv.hi
+                                 for iv in (spec.x_interval, spec.y_interval)))
     return spec, m
+
+
+@st.composite
+def boxes_and_pole_transports(draw):
+    """(spec, m): a canonical box with roots of multiplicity 1 or 2 of A and
+    B at its ends, and a Mobius map z -> (a z + b)/(z - e) sending one of
+    its endpoints e to OO, with e not inside the other interval."""
+    spec = draw(canonical_boxes(st.integers(1, 2)))
+    e = draw(st.sampled_from([v for iv in (spec.x_interval, spec.y_interval)
+                              for v in (iv.lo, iv.hi)]))
+    assume(not any(iv.lo < e < iv.hi for iv in (spec.x_interval, spec.y_interval)))
+    a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    assume(a * e + b != 0)
+    return spec, Mobius(a, b, 1, -e)
 
 
 def transported_boxes():

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis.strategies import one_of
 
 from ambitoric import (
     Interval,
@@ -19,6 +21,8 @@ from ambitoric import (
     validate,
 )
 from ambitoric.ansatz import METRIC_G0, METRIC_GMINUS, METRIC_GPLUS, metric_gp
+from ambitoric.moment import level_set_line
+from ambitoric.quadratics import OO
 from ambitoric.boundary import (
     EDGE,
     FINITE,
@@ -27,7 +31,7 @@ from ambitoric.boundary import (
     improper_length_samples,
 )
 
-from conftest import make_spec
+from conftest import boxes_and_pole_transports, boxes_and_transports, make_spec
 
 
 def _edges(spec):
@@ -135,33 +139,40 @@ def test_p_locus_infinitely_distant():
     assert abs(estimate_r(spec, metric_gp(p), ploci[0]) - 1.0) < 0.05
 
 
-def test_edge_status_gauge_invariant(hyperbolic_spec):
-    rng = random.Random(5)
-    done = 0
-    while done < 6:
-        a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
-        if a * d - b * c == 0:
-            continue
-        m = Mobius(a, b, c, d)
-        try:
-            spec2 = mobius_transport(hyperbolic_spec, m)
-        except Exception:
-            continue
-        done += 1
-        v1 = sorted((e.axis, st.verdict, st.compatible_normal[1])
-                    for e in _edges(hyperbolic_spec)
-                    for st in [edge_status(hyperbolic_spec, METRIC_G0, e)])
-        v2 = sorted((e.axis, st.verdict, st.compatible_normal[1])
-                    for e in _edges(spec2)
-                    for st in [edge_status(spec2, METRIC_G0, e)])
-        assert v1 == v2
+def _edges_by_level(spec):
+    return {(e.axis, e.gamma): e for comp in validate(spec)
+            for e in decompose_boundary(spec, comp) if e.kind == EDGE}
+
+
+@given(one_of(boxes_and_transports(), boxes_and_pole_transports()))
+@example((make_spec(Quadratic(0, 1, 0), [-2, 3, -1], [0, 1, -1], (1, 2), (0, 1)),
+          Mobius(0, 1, 1, -1)))
+@settings(max_examples=60, deadline=None)
+def test_edge_status_gauge_invariant(spec_m):
+    """Moving the box by a Mobius map, also one that sends an endpoint to
+    OO, keeps edge by edge the verdict, the exact compatible normal with its
+    lattice membership, and the mu- image line.  (mu+ shifts by a constant
+    under transport, so its lines are left out.)  The example shares the
+    endpoint 1 between x and y, so the moved box is unbounded on both sides
+    of OO."""
+    spec, m = spec_m
+    moved = mobius_transport(spec, m)
+    before, after = _edges_by_level(spec), _edges_by_level(moved)
+    assert {(axis, m.apply(g)) for axis, g in before} == set(after)
+    for (axis, g), edge in before.items():
+        mg = m.apply(g)
+        st, st_moved = (edge_status(s, METRIC_G0, e)
+                        for s, e in ((spec, edge), (moved, after[(axis, mg)])))
+        assert (st.verdict, st.compatible_normal) == \
+            (st_moved.verdict, st_moved.compatible_normal)
+        lines = [level_set_line(s, "-", axis, h) for s, h in ((spec, g), (moved, mg))]
+        assert len({(ln.normal, ln.offset, ln.degenerate_point) for ln in lines}) == 1
 
 
 def test_edge_at_infinity_handled():
     spec = make_spec(Quadratic(0, 0, 1), [-1, 1, -1, 1], [-2, -3, -1],
                      (1, None), (-2, -1))
     edges = _edges(spec)
-    from ambitoric.quadratics import OO
     inf_edges = [e for e in edges if e.gamma is OO]
     assert len(inf_edges) == 1
     st = edge_status(spec, METRIC_G0, inf_edges[0])

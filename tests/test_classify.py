@@ -16,6 +16,7 @@ from ambitoric import (
     validate,
 )
 from ambitoric.ansatz import METRIC_G0, METRIC_GMINUS, metric_gp
+from ambitoric.boundary import INFINITELY_DISTANT
 from ambitoric.classify import (
     RULE_CORNER,
     RULE_EDGE_NORMAL,
@@ -139,6 +140,26 @@ def test_complete_orbifold_check_accepts(hyperbolic_spec):
         hyperbolic_spec.y_interval, I2,
         hyperbolic_spec.A, hyperbolic_spec.B)
     assert ok, diags
+    # the diagnostics are the report lines of the g0 verdict
+    [comp] = validate(hyperbolic_spec)
+    v = completability_verdict(hyperbolic_spec, METRIC_G0, comp)
+    assert diags == [r.line() for r in v.reports]
+
+
+def test_edges_at_infinity_on_opposite_unbounded_sides():
+    # x in (1, oo), y in (-oo, 0): A = x - 1 and B = -y vanish to order
+    # 4 - 1 = 3 at OO, so both edges at OO and the corner (oo, oo) are
+    # infinitely distant; no Mobius gauge is involved
+    spec = make_spec(Quadratic(0, 1, 0), [-1, 1], [0, -1], (1, None), (None, 0))
+    seen = set()
+    for _comp, v in classify(spec):
+        for r in v.reports:
+            name = r.component.describe()
+            assert "gauge" not in r.line()
+            if name in ("Edge X=oo", "Edge Y=oo") or name.startswith("Corner (oo, oo)"):
+                assert r.ok and r.status.verdict == INFINITELY_DISTANT, r.line()
+                seen.add(name.split(" [")[0])
+    assert seen == {"Edge X=oo", "Edge Y=oo", "Corner (oo, oo)"}
 
 
 def test_complete_orbifold_check_rejects_fold():

@@ -155,6 +155,10 @@ def test_compatible_quadratic_is_orthogonal_and_vanishes_at_gamma(q, g):
     assert inner(p, q) == 0
     assert p.polarize(g, g) == 0
     assert p == cross(Quadratic(1, -g, g * g), q)
+    # at OO = (1 : 0), where p(OO) is the leading coefficient c0
+    p = compatible_quadratic(q, OO)
+    assert inner(p, q) == 0 and p.c0 == 0
+    assert p == cross(Quadratic(0, 0, 1), q)
 
 
 def test_poly_root_multiplicity():
