@@ -4,8 +4,10 @@ Exact rational core (quadratics, Mobius gauge, ansatz validation), numeric
 tensor evaluation and curvature, moment maps with their fold conics,
 boundary distance analysis, and completability classification.
 
-Only the float layer loads numpy: the names of `tensors` are imported on
-first access, so validation, classification and moment maps run without it.
+Only `curvature` loads numpy (and `estimate_r` and `convexity_check`, the
+numeric cross-checks): the names of `tensors` are imported on first
+access, and its fields are 4x4 tuples, so validation, classification,
+moment maps and the Kaehler invariants run without it.
 """
 
 from .quadratics import (
@@ -79,7 +81,7 @@ _TENSORS = ("FramePoint", "curvature", "eval_field")
 
 
 def __getattr__(name):
-    """Import `tensors` (and numpy) on first access to one of its names."""
+    """Import `tensors` on first access to one of its names."""
     if name not in _TENSORS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import tensors

@@ -420,31 +420,27 @@ def convexity_check(samples, spread: float = 2.5):
 
 
 def moment_differential(spec: AnsatzSpec, sign: str, K: Sequence[Fraction],
-                        x: float, y: float):
-    """d mu_K at (x, y) in the frame (dx, dy, dt1, dt2), as an array: the
-    first-order part of the jet of mu_K = K . mu^sign = -N(x,y)/D(x,y), with
-    the numerator N and the denominator D of moment_map."""
-    import numpy as np
-
+                        x: float, y: float) -> tuple:
+    """d mu_K at (x, y) in the frame (dx, dy, dt1, dt2): the first-order
+    part of the jet of mu_K = K . mu^sign = -N(x,y)/D(x,y), with the
+    numerator N and the denominator D of moment_map."""
     b1, b2 = _basis(spec, sign)
     N = b1.scaled(K[0]).plus(b2.scaled(K[1]))
     X, Y = coordinate_jets(x, y)
     D = polar_jet(spec.q, X, Y) if sign == "+" else (X[0] - Y[0], 1, -1, 0, 0, 0)
     mu = _mul(polar_jet(N, X, Y), _inv(D))
-    return np.array([-mu[1], -mu[2], 0.0, 0.0])
+    z = type(mu[0])(0)
+    return (-mu[1], -mu[2], z, z)
 
 
 def hamiltonian_residual(spec: AnsatzSpec, sign: str, K: Sequence[Fraction],
-                         x: float, y: float) -> float:
+                         x: float, y: float, omega) -> float:
     """|d mu_K + K -| omega| / max(|d mu_K|, |K -| omega|) at (x, y), in the
-    max-norm, where (K -| omega)_b = K^a omega_ab.  Relative, because both
-    terms grow without bound towards the folds."""
-    import numpy as np
-
-    from .tensors import FramePoint, eval_field
-
-    Kv = np.array([0.0, 0.0, float(K[0]), float(K[1])])
-    w = eval_field(spec, "omega" + sign, FramePoint(x, y)).components
-    dmu, Kw = moment_differential(spec, sign, K, x, y), Kv @ w
-    return float(np.max(np.abs(dmu + Kw))
-                 / max(np.max(np.abs(dmu)), np.max(np.abs(Kw))))
+    max-norm, where omega is the 4x4 omega^sign at (x, y) and
+    (K -| omega)_b = K^a omega_ab.  Relative, because both terms grow
+    without bound towards the folds."""
+    k1, k2 = float(K[0]), float(K[1])
+    Kw = [k1 * u + k2 * v for u, v in zip(omega[2], omega[3])]
+    dmu = moment_differential(spec, sign, K, x, y)
+    return float(max(abs(u + v) for u, v in zip(dmu, Kw))
+                 / max(abs(u) for u in (*dmu, *Kw)))

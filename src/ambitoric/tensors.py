@@ -37,6 +37,17 @@ SingularEvaluation.  Of 1474 admitted points (cell samples, random and
 near-corner points of the goldens, Kerr exterior samples, and lines
 towards folds, roots and the P-locus) none was off by more than 5.9e-9,
 and no Kerr exterior sample is refused.
+
+Every field is a 4x4 nested tuple, of Fractions at Fraction points, and
+only `curvature` loads numpy.  A metric here is a dx^2 + b dy^2 + h_ij dt_i
+dt_j and omega pairs (dx, dy) with (dt1, dt2) only, so J = g^{-1} omega is
+the block inverse
+
+    J[0, 2:] = omega[0, 2:] / a,   J[1, 2:] = omega[1, 2:] / b,
+    J[2:, :2] = h^{-1} omega[2:, :2],
+
+zero elsewhere, and the coefficient of dx^dy^dt1^dt2 in dx ^ dcx ^ dy ^ dcy
+(dc u = -du o J) is minus the minor J[0,2] J[1,3] - J[0,3] J[1,2].
 """
 
 from __future__ import annotations
@@ -44,8 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .ansatz import (
     G0,
@@ -58,6 +68,9 @@ from .ansatz import (
     MetricChoice,
 )
 from .quadratics import _inv, _mul, _poly_jet, coordinate_jets, polar_jet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SingularEvaluation(ValueError):
@@ -80,20 +93,17 @@ ENDOMORPHISM = "Endomorphism"
 @dataclass(frozen=True)
 class TensorBlock:
     kind: str
-    components: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", np.asarray(self.components, dtype=float))
+    components: tuple     # 4x4 nested tuples
 
 
 # ---------------------------------------------------------------------------
 # the metric as a jet in (x, y)
 # ---------------------------------------------------------------------------
 
-def _metric_jet(spec: AnsatzSpec, metric: MetricChoice, x, y, n: int = 6) -> np.ndarray:
-    """Jet of the metric at (x, y) as an (n, 4, 4) array, jet index first:
-    n = 6 for the second jet, n = 1 for the value alone.  Fraction points
-    give an object array of Fractions."""
+def _metric_jet(spec: AnsatzSpec, metric: MetricChoice, x, y, n: int = 6) -> tuple:
+    """Jet of the metric at (x, y) as n nested 4x4 tuples, jet index first:
+    n = 6 for the second jet, n = 1 for the value alone.  The entries are
+    Fractions at Fraction points, floats otherwise."""
     X, Y = (Z[:n] for Z in coordinate_jets(x, y))
     A, B = _poly_jet(spec.A, X, 0), _poly_jet(spec.B, Y, 1)
     if A[0] == 0 or B[0] == 0:
@@ -117,46 +127,53 @@ def _metric_jet(spec: AnsatzSpec, metric: MetricChoice, x, y, n: int = 6) -> np.
     tx = [polar_jet(t, X, X) for t in spec.tau_basis]
     ty = [polar_jet(t, Y, Y) for t in spec.tau_basis]
     w = _mul(_inv(_mul(den, den)), scale)
-    J = np.zeros((n, 4, 4), dtype=object if isinstance(X[0], Fraction) else float)
-    J[:, 0, 0] = _mul(_inv(A), scale)
-    J[:, 1, 1] = _mul(_inv(B), scale)
+    h = {}
     for i, j in ((0, 0), (0, 1), (1, 1)):
         fibre = zip(_mul(A, _mul(ty[i], ty[j])), _mul(B, _mul(tx[i], tx[j])))
-        J[:, 2 + i, 2 + j] = J[:, 2 + j, 2 + i] = _mul(tuple(u + v for u, v in fibre), w)
-    return J
+        h[i, j] = _mul(tuple(u + v for u, v in fibre), w)
+    z = (type(X[0])(0),) * n
+    rows = ((_mul(_inv(A), scale), z, z, z), (z, _mul(_inv(B), scale), z, z),
+            (z, z, h[0, 0], h[0, 1]), (z, z, h[0, 1], h[1, 1]))
+    return tuple(zip(*(zip(*row) for row in rows)))
 
 
 # ---------------------------------------------------------------------------
 # field evaluation
 # ---------------------------------------------------------------------------
 
-def _omega_components(spec: AnsatzSpec, sign: str, x: float, y: float) -> np.ndarray:
-    t1, t2 = spec.tau_basis
-    tx = np.array([t1.value(x), t2.value(x)])
-    ty = np.array([t1.value(y), t2.value(y)])
+def _omega_components(spec: AnsatzSpec, sign: str, x, y) -> tuple:
     if sign == "+":
         qv = spec.q.polarize(x, y)
-        if qv == 0.0:
+        if qv == 0:
             raise SingularEvaluation("omega+ is singular on q(x, y) = 0")
-        den = qv * qv
-        sy = 1.0
+        den, sy = qv * qv, 1
     else:
         d = x - y
-        if d == 0.0:
+        if d == 0:
             raise SingularEvaluation("omega- is singular on x = y")
-        den = d * d
-        sy = -1.0
-    w = np.zeros((4, 4))
-    w[0, 2:] = ty / den
-    w[1, 2:] = sy * tx / den
-    w[2:, 0] = -w[0, 2:]
-    w[2:, 1] = -w[1, 2:]
-    return w
+        den, sy = d * d, -1
+    (u1, v1), (u2, v2) = ((t.value(y) / den, sy * t.value(x) / den)
+                          for t in spec.tau_basis)
+    z = type(den)(0)
+    return ((z, z, u1, u2), (z, z, v1, v2), (-u1, -v1, z, z), (-u2, -v2, z, z))
 
 
-def metric_components(spec: AnsatzSpec, metric: MetricChoice, x, y) -> np.ndarray:
+def metric_components(spec: AnsatzSpec, metric: MetricChoice, x, y) -> tuple:
     """The 4x4 metric at (x, y); Fractions when x and y are Fractions."""
     return _metric_jet(spec, metric, x, y, 1)[0]
+
+
+def complex_structure(g, w) -> tuple:
+    """J = g^-1 omega for a metric g that is diagonal on (dx, dy) and a
+    form omega that pairs (dx, dy) with (dt1, dt2) only (module docstring)."""
+    a, b = g[0][0], g[1][1]
+    h00, h01, h11 = g[2][2], g[2][3], g[3][3]
+    det = h00 * h11 - h01 * h01
+    z = w[0][0]
+    return ((z, z, w[0][2] / a, w[0][3] / a),
+            (z, z, w[1][2] / b, w[1][3] / b),
+            tuple((h11 * w[2][k] - h01 * w[3][k]) / det for k in (0, 1)) + (z, z),
+            tuple((h00 * w[3][k] - h01 * w[2][k]) / det for k in (0, 1)) + (z, z))
 
 
 def eval_field(spec: AnsatzSpec, fieldname: str, pt: FramePoint) -> TensorBlock:
@@ -174,10 +191,9 @@ def eval_field(spec: AnsatzSpec, fieldname: str, pt: FramePoint) -> TensorBlock:
         return TensorBlock(TWO_FORM, _omega_components(spec, fieldname[-1], x, y))
     if fieldname in ("J+", "J-"):
         s = fieldname[-1]
-        gpm = metric_components(spec, METRIC_GPLUS if s == "+" else METRIC_GMINUS, x, y)
+        g = metric_components(spec, METRIC_GPLUS if s == "+" else METRIC_GMINUS, x, y)
         w = _omega_components(spec, s, x, y)
-        J = np.linalg.solve(np.asarray(gpm, dtype=float), w)
-        return TensorBlock(ENDOMORPHISM, J)
+        return TensorBlock(ENDOMORPHISM, complex_structure(g, w))
     raise ValueError(f"unknown field {fieldname!r}")
 
 
@@ -185,29 +201,19 @@ def eval_field(spec: AnsatzSpec, fieldname: str, pt: FramePoint) -> TensorBlock:
 # top-form helpers (fold degeneracy identity)
 # ---------------------------------------------------------------------------
 
-def pfaffian4(w: np.ndarray) -> float:
-    """Pfaffian of a 4x4 antisymmetric matrix."""
-    return w[0, 1] * w[2, 3] - w[0, 2] * w[1, 3] + w[0, 3] * w[1, 2]
+def pfaffian4(w) -> float:
+    """Pfaffian of a 4x4 antisymmetric matrix: for omega, the coefficient of
+    dx^dy^dt1^dt2 in omega^2 / 2 (the Liouville normalization, under which
+    the fold-degeneracy identity against f^{-+2}/(A B) dx ^ dcx ^ dy ^ dcy
+    holds with constant one)."""
+    return w[0][1] * w[2][3] - w[0][2] * w[1][3] + w[0][3] * w[1][2]
 
 
-def omega_top_coefficient(spec: AnsatzSpec, sign: str, x: float, y: float) -> float:
-    """Coefficient of dx^dy^dt1^dt2 in omega_sign^2 / 2 (the Liouville
-    normalization, under which the fold-degeneracy identity against
-    f^{-+2}/(A B) dx ^ dcx ^ dy ^ dcy holds with constant one)."""
-    w = _omega_components(spec, sign, x, y)
-    return pfaffian4(w)
-
-
-def kaehler_volume_coefficient(spec: AnsatzSpec, sign: str, x: float, y: float) -> float:
-    """Coefficient of dx^dy^dt1^dt2 in dx ^ dcx ^ dy ^ dcy where dc is taken
-    with respect to J_sign (dc u = -du o J)."""
-    J = eval_field(spec, "J" + sign, FramePoint(x, y)).components
-    rows = np.zeros((4, 4))
-    rows[0, 0] = 1.0            # dx
-    rows[1] = -J[0, :]          # dcx
-    rows[2, 1] = 1.0            # dy
-    rows[3] = -J[1, :]          # dcy
-    return float(np.linalg.det(rows))
+def kaehler_volume_coefficient(J) -> float:
+    """Coefficient of dx^dy^dt1^dt2 in dx ^ dcx ^ dy ^ dcy, where dc is
+    taken with respect to J (dc u = -du o J): minus the minor of J's first
+    two rows in the fibre columns."""
+    return J[0][3] * J[1][2] - J[0][2] * J[1][3]
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +235,10 @@ class CurvaturePack:
 def curvature(spec: AnsatzSpec, metric: MetricChoice, pt: FramePoint) -> CurvaturePack:
     """Christoffel/Riemann/Ricci/scalar from the exact second jet of the
     metric at pt; exact Fractions when pt.x and pt.y are Fractions."""
-    J = _metric_jet(spec, metric, pt.x, pt.y)
+    import numpy as np
+
+    jet = _metric_jet(spec, metric, pt.x, pt.y)
+    J = np.array(jet, dtype=object if isinstance(jet[0][0][0], Fraction) else float)
     if J.dtype != object:
         X, Y = coordinate_jets(pt.x, pt.y)
         (u1, u2), (v1, v2) = ([t.value(Z[0]) for t in spec.tau_basis] for Z in (X, Y))
@@ -239,9 +248,11 @@ def curvature(spec: AnsatzSpec, metric: MetricChoice, pt: FramePoint) -> Curvatu
                 and abs(B[0]) >= MIN_ROOT_DISTANCE * abs(B[2])):
             raise SingularEvaluation("float curvature is ill-conditioned this close "
                                      "to a fold or to a root of A or B")
-    g, Z = J[0], np.zeros_like(J[0])
-    dg = np.array([J[1], J[2], Z, Z])
-    ddg = np.array([[J[3], J[4], Z, Z], [J[4], J[5], Z, Z], [Z] * 4, [Z] * 4])
+    g = J[0]
+    dg = np.zeros((4, 4, 4), dtype=J.dtype)           # d_c g_ab, only c = x, y
+    dg[:2] = J[1:3]
+    ddg = np.zeros((4, 4, 4, 4), dtype=J.dtype)
+    ddg[0, :2], ddg[1, :2] = J[3:5], J[4:6]
 
     # inverse of g by blocks: two 1x1 on (dx, dy), one 2x2 on (dt1, dt2)
     a, b, c = g[2, 2], g[2, 3], g[3, 3]

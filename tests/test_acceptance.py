@@ -56,7 +56,7 @@ from ambitoric.special import INTERIOR, scalar_closed_form
 from ambitoric.tensors import (
     kaehler_volume_coefficient,
     metric_components,
-    omega_top_coefficient,
+    pfaffian4,
 )
 
 from conftest import fold_points, make_spec
@@ -128,21 +128,21 @@ def test_kaehler_identity_suite(any_spec):
     for x, y in pts:
         pt = FramePoint(x, y)
         for s, met in (("+", METRIC_GPLUS), ("-", METRIC_GMINUS)):
-            J = eval_field(any_spec, "J" + s, pt).components
-            g = metric_components(any_spec, met, x, y)
-            w = eval_field(any_spec, "omega" + s, pt).components
+            J = np.asarray(eval_field(any_spec, "J" + s, pt).components)
+            g = np.asarray(metric_components(any_spec, met, x, y))
+            w = np.asarray(eval_field(any_spec, "omega" + s, pt).components)
             assert np.max(np.abs(J @ J + np.eye(4))) < 1e-10
             assert np.max(np.abs(J.T @ g @ J - g)) < 1e-10
             assert np.max(np.abs(g @ J - w)) < 1e-10
-        Jp = eval_field(any_spec, "J+", pt).components
-        Jm = eval_field(any_spec, "J-", pt).components
+        Jp = np.asarray(eval_field(any_spec, "J+", pt).components)
+        Jm = np.asarray(eval_field(any_spec, "J-", pt).components)
         assert np.max(np.abs(Jp @ Jm - Jm @ Jp)) < 1e-10
     # dw and the top-power identity on a subsample
     for x, y in pts[:10]:
         for s in ("+", "-"):
             def w_at(xx, yy):
-                return eval_field(any_spec, "omega" + s,
-                                  FramePoint(xx, yy)).components
+                return np.asarray(eval_field(any_spec, "omega" + s,
+                                             FramePoint(xx, yy)).components)
             dw = {0: (w_at(x + h, y) - w_at(x - h, y)) / (2 * h),
                   1: (w_at(x, y + h) - w_at(x, y - h)) / (2 * h),
                   2: np.zeros((4, 4)), 3: np.zeros((4, 4))}
@@ -154,8 +154,10 @@ def test_kaehler_identity_suite(any_spec):
         f = float(conformal_factor(any_spec, x, y))
         AB = float(any_spec.A(x)) * float(any_spec.B(y))
         for s, ex in (("+", -2), ("-", 2)):
-            lhs = omega_top_coefficient(any_spec, s, x, y)
-            rhs = f ** ex / AB * kaehler_volume_coefficient(any_spec, s, x, y)
+            pt = FramePoint(x, y)
+            lhs = pfaffian4(eval_field(any_spec, "omega" + s, pt).components)
+            J = eval_field(any_spec, "J" + s, pt).components
+            rhs = f ** ex / AB * kaehler_volume_coefficient(J)
             assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(lhs))
 
 
@@ -190,9 +192,9 @@ def test_gauge_pushforward_agreement(hyperbolic_spec):
             jy = dm / (float(c) * y + float(d)) ** 2
             J = np.diag([jx, jy, 1.0, 1.0])
             for name in ("g0", "omega+", "omega-"):
-                T1 = eval_field(hyperbolic_spec, name,
-                                FramePoint(x, y)).components
-                T2 = eval_field(spec2, name, FramePoint(xt, yt)).components
+                T1 = np.asarray(eval_field(hyperbolic_spec, name,
+                                           FramePoint(x, y)).components)
+                T2 = np.asarray(eval_field(spec2, name, FramePoint(xt, yt)).components)
                 scale = max(1.0, float(np.max(np.abs(T1))))
                 assert np.max(np.abs(J.T @ T2 @ J - T1)) < 1e-8 * scale
 

@@ -4,12 +4,13 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ambitoric.cli import main, relative_residual
 
 from conftest import make_spec
-from ambitoric import FramePoint, Quadratic, eval_field, validate
+from ambitoric import AnsatzSpec, FramePoint, Quadratic, eval_field, validate
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -124,7 +125,7 @@ def test_check_passes_on_the_sliver(tmp_path, capsys, sliver_spec):
 def test_check_relative_bound_still_fails_a_wrong_pairing(sliver_spec):
     x, y = map(float, validate(sliver_spec)[0].witness)
     pt = FramePoint(x, y)
-    Jp, Jm, gp, wp, wm = (eval_field(sliver_spec, f, pt).components
+    Jp, Jm, gp, wp, wm = (np.asarray(eval_field(sliver_spec, f, pt).components)
                           for f in ("J+", "J-", "g+", "omega+", "omega-"))
     # check's bound on these is 1e-8
     assert relative_residual(gp @ Jp - wp, (gp, Jp), (wp,)) < 1e-12
@@ -143,10 +144,13 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
 
 
 def test_decision_path_never_imports_sympy(tmp_path):
-    """validate, classify and moment load none of sympy, numpy or scipy."""
+    """validate, classify, moment, check and eval load none of sympy, numpy
+    or scipy."""
     golden = json.loads((GOLDEN_DIR / "case1_proper_fold.json").read_text())
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(golden["spec"]))
+    at = ",".join(str(float(v)) for v in
+                  validate(AnsatzSpec.from_dict(golden["spec"]))[0].witness)
     csv, svg = tmp_path / "m.csv", tmp_path / "m.svg"
     run = _run_python(
         "import sys\n"
@@ -155,11 +159,14 @@ def test_decision_path_never_imports_sympy(tmp_path):
         f"main(['validate', {str(spec)!r}])\n"
         f"main(['moment', {str(spec)!r}, '--sign', '-', '--csv', {str(csv)!r}, "
         f"'--svg', {str(svg)!r}])\n"
+        f"assert main(['check', {str(spec)!r}]) == 0\n"
+        f"assert main(['eval', {str(spec)!r}, '--at=' + {at!r}]) == 0\n"
         "loaded = [m for m in ('sympy', 'numpy', 'scipy') if m in sys.modules]\n"
         "sys.exit(f'loaded {loaded}' if loaded else 0)\n")
     assert run.returncode == 0, run.stderr
     assert '"verdicts"' in run.stdout and '"components"' in run.stdout
     assert '"samples"' in run.stdout and svg.read_text().endswith("</svg>\n")
+    assert '"passed": 216' in run.stdout and '"J-"' in run.stdout
 
 
 def test_package_import_defers_numpy_to_the_float_layer():

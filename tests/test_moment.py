@@ -34,7 +34,7 @@ from ambitoric.moment import (
 )
 from ambitoric.tensors import FramePoint, eval_field
 
-from conftest import I2, fold_points, make_spec, small, transported_boxes
+from conftest import I2, fold_points, geometry_specs, make_spec, small, transported_boxes
 
 
 def test_moment_map_exact_on_rationals(hyperbolic_spec):
@@ -222,8 +222,9 @@ def test_hamiltonian_property(hyperbolic_spec):
     pts = validate(hyperbolic_spec)[0].sample_points(4)
     for x, y in pts[:6]:
         for sign in ("+", "-"):
+            w = eval_field(hyperbolic_spec, "omega" + sign, FramePoint(x, y)).components
             for K in ((F(1), F(0)), (F(0), F(1)), (F(2), F(-3))):
-                res = hamiltonian_residual(hyperbolic_spec, sign, K, x, y)
+                res = hamiltonian_residual(hyperbolic_spec, sign, K, x, y, w)
                 assert res < 1e-6
 
 
@@ -265,15 +266,33 @@ def test_convexity_collinear_by_convention():
     assert ok
 
 
+@pytest.mark.parametrize("name", sorted(geometry_specs()))
+def test_moment_differential_agrees_with_numpy(name):
+    """d mu_K at float points against the exact d mu_K at the same point and
+    against -K -| omega from numpy, at the witnesses and sample points."""
+    spec = geometry_specs()[name]
+    for comp in validate(spec):
+        for x, y in [tuple(map(float, comp.witness))] + comp.sample_points(6):
+            for sign in "+-":
+                for K in ((F(1), F(0)), (F(2), F(-3))):
+                    dmu = np.asarray(moment_differential(spec, sign, K, x, y))
+                    exact = moment_differential(spec, sign, K, F(x), F(y))
+                    w = np.asarray(eval_field(spec, "omega" + sign, FramePoint(x, y)).components)
+                    Kw = np.array([0.0, 0.0, float(K[0]), float(K[1])]) @ w
+                    size = np.max(np.abs(dmu))
+                    assert np.max(np.abs(dmu - np.array(exact, dtype=float))) <= 1e-12 * size
+                    assert np.max(np.abs(dmu + Kw)) <= 1e-12 * size
+
+
 def test_hamiltonian_residual_detects_wrong_pairing(any_spec):
     # d mu_K + K -| omega vanishes only for the matching K and sign
     x, y = map(float, validate(any_spec)[0].witness)
     K, other = (F(1), F(0)), (F(0), F(1))
     for sign, flip in (("+", "-"), ("-", "+")):
-        assert hamiltonian_residual(any_spec, sign, K, x, y) < 1e-9
-        dmu = moment_differential(any_spec, sign, K, x, y)
-        w = eval_field(any_spec, "omega" + sign, FramePoint(x, y)).components
-        w_flip = eval_field(any_spec, "omega" + flip, FramePoint(x, y)).components
+        w = np.asarray(eval_field(any_spec, "omega" + sign, FramePoint(x, y)).components)
+        assert hamiltonian_residual(any_spec, sign, K, x, y, w) < 1e-9
+        dmu = np.asarray(moment_differential(any_spec, sign, K, x, y))
+        w_flip = np.asarray(eval_field(any_spec, "omega" + flip, FramePoint(x, y)).components)
         wrong_k = np.array([0.0, 0.0, float(other[0]), float(other[1])]) @ w
         wrong_sign = np.array([0.0, 0.0, float(K[0]), float(K[1])]) @ w_flip
         assert np.max(np.abs(dmu + wrong_k)) > 1e-2
