@@ -72,17 +72,28 @@ def _basis(spec: AnsatzSpec, sign: str) -> Tuple[Quadratic, Quadratic]:
 
 
 def moment_map(spec: AnsatzSpec, sign: str, x, y) -> MomentPoint:
-    """mu^sign at (x, y); exact when x, y are Fractions."""
-    exact = isinstance(x, Fraction) and isinstance(y, Fraction)
+    """mu^sign at (x, y); exact when x, y are Fractions.  At float points
+    the polarizations read the cached float coefficients, in the order of
+    operations of `Quadratic.polarize`."""
     basis = _basis(spec, sign)
-    den = spec.q.polarize(x, y) if sign == "+" else x - y
+    exact = isinstance(x, Fraction) and isinstance(y, Fraction)
+    if exact:
+        den = spec.q.polarize(x, y) if sign == "+" else x - y
+    else:
+        x, y = float(x), float(y)
+        if sign == "+":
+            c0, c1, c2 = spec.q.floats
+            den = c0 * x * y + c1 * (x + y) + c2
+        else:
+            den = x - y
     if den == 0:
         pole = "q(x, y)" if sign == "+" else "x - y"
         raise MomentError(f"mu{sign} pole: {pole} = 0")
-    vals = [-b.polarize(x, y) / den for b in basis]
     if exact:
-        return MomentPoint(vals[0], vals[1])
-    return MomentPoint(float(vals[0]), float(vals[1]))
+        return MomentPoint(-basis[0].polarize(x, y) / den, -basis[1].polarize(x, y) / den)
+    (a0, a1, a2), (b0, b1, b2) = basis[0].floats, basis[1].floats
+    return MomentPoint(-(a0 * x * y + a1 * (x + y) + a2) / den,
+                       -(b0 * x * y + b1 * (x + y) + b2) / den)
 
 
 def moment_pairing(spec: AnsatzSpec, sign: str, p: Quadratic, x, y):

@@ -13,35 +13,66 @@ of symplectic forms are
 where dtau(y) = sum_i tau_i(y) dt_i.  The metric choices scale g0 by 1,
 f^-1, f, or (x-y) q / p^2; the complex structures are J+- = g+-^{-1} omega+-.
 
-Every metric entry is a rational function of (x, y), so `_metric_jet`, the
+Every metric entry is a rational function of (x, y), so `_block_jets`, the
 one place that spells out the formula above, carries each one as a second
 jet (value, d/dx, d/dy, d2/dx2, d2/dxdy, d2/dy2; the jet helpers live in
-`quadratics`) and `curvature` gets dg and ddg with no truncation error,
-while `metric_components` runs the same formula on values alone.  On
-Fraction points (coefficients picked as in `Poly.__call__`) the curvature
-is exact.  Float curvature loses
-digits next to a fold, where the fibre block A tau(y) tau(y)^T +
-B tau(x) tau(x)^T is nearly singular and s = |tau(x) ^ tau(y)| /
-(|tau(x)| |tau(y)|) tends to 0.  Max-norm relative error of float R against
-exact R at (3/2, -3/2 - delta), q = 2z, A = -(z-1)(z-2), B = -z(z+3):
+`quadratics`) and `curvature` gets the derivatives with no truncation
+error, while `metric_components` runs the same formula on values alone.
+On Fraction points (coefficients picked as in `Poly.__call__`) the
+curvature is exact.
 
-    delta  0.1      0.05    0.03    0.02    0.01    1e-3    1e-4
-    s      0.046    0.024   0.015   0.0097  0.0049  4.9e-4  4.9e-5
-    error  1.4e-10  2.2e-9  5.8e-9  1.0e-7  1.1e-6  4.2e-3  1.6e+2
+Curvature in closed form.  Every metric here is a dx^2 + b dy^2 + H, with
+H = h_ij dt_i dt_j, and all of a, b, H depend on (x, y) alone.  With
+R_abcd = g_ae R^e_bcd, R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb +
+Gamma^a_ce Gamma^e_db - Gamma^a_de Gamma^e_cb, Greek indices in (x, y),
+Latin ones in (t1, t2), and Gamma^gamma_{alpha beta} the Christoffel
+symbols of the base a dx^2 + b dy^2:
 
-Near a double root of A or B it grows like the inverse square of the
-distance (2.1e-8 at 1e-3 from the double root -3 of B in the golden
-case4_double_root_edges).  Float points with s < MIN_FIBRE_SINE or a
-Newton step |A/A'|, |B/B'| below MIN_ROOT_DISTANCE raise
-SingularEvaluation.  Of 1474 admitted points (cell samples, random and
-near-corner points of the goldens, Kerr exterior samples, and lines
-towards folds, roots and the P-locus) none was off by more than 5.9e-9,
-and no Kerr exterior sample is refused.
+    R_xyxy = -(a_yy + b_xx)/2 + (a_x b_x + a_y^2)/(4a) + (a_y b_y + b_x^2)/(4b)
+    R_{i alpha j beta} = [d_beta H H^-1 d_alpha H]_ij / 4
+                         - [d_alpha d_beta H - Gamma^gamma_{alpha beta} d_gamma H]_ij / 2
+    R_{xy ij} = [d_y H H^-1 d_x H - d_x H H^-1 d_y H]_ij / 4
+    R_t1t2t1t2 = -(det d_x H / a + det d_y H / b) / 4
+
+The metric is invariant under t -> -t, so every component with an odd
+number of fibre indices vanishes, and these 13 numbers (R_xyxy,
+R_t1t2t1t2, R_xyt1t2 and the 10 R_{i alpha j beta}) give all 256 by the
+symmetries of R.  With M^{alpha beta}_ij = R_{i alpha j beta} and
+<P, Q> = P_ij Q_ij:
+
+    Ric_xx = R_xyxy / b + <H^-1, M^xx>,   Ric_yy = R_xyxy / a + <H^-1, M^yy>,
+    Ric_xy = <H^-1, M^xy>,   Ric_{alpha i} = 0,
+    Ric_ij = M^xx_ij / a + M^yy_ij / b + R_t1t2t1t2 H_ij / det H,
+
+and the scalar is their trace against g^-1.  At Fraction points these
+equal the general 4x4 formulas exactly (tests/curvature_reference.py).
+
+Float curvature loses digits next to a fold, where the fibre block
+A tau(y) tau(y)^T + B tau(x) tau(x)^T is nearly singular and
+s = |tau(x) ^ tau(y)| / (|tau(x)| |tau(y)|) tends to 0, though far fewer
+than the general 4x4 formulas.  Max-norm relative error of float R against
+exact R at (3/2, -3/2 - delta), q = 2z, A = -(z-1)(z-2), B = -z(z+3), for
+the closed form and for the general formulas:
+
+    delta     0.1      0.05     0.03     0.02     0.01     1e-3     1e-4
+    s         0.046    0.024    0.015    0.0097   0.0049   4.9e-4   4.9e-5
+    closed    1.0e-13  2.3e-13  6.0e-13  4.0e-12  5.2e-12  8.2e-10  2.1e-7
+    general   1.2e-10  2.2e-9   2.8e-9   1.0e-7   1.1e-6   4.2e-3   1.6e+2
+
+Near a double root of A or B the error still grows like the inverse square
+of the distance, alike for both (2.1e-8 at 1e-3 from the double root -3 of
+B in the golden case4_double_root_edges): it is in the jet of A or B, not
+in the curvature.  Float points with s < MIN_FIBRE_SINE or a Newton step
+|A/A'|, |B/B'| below MIN_ROOT_DISTANCE raise SingularEvaluation.  Of 3867
+admitted points (sample_points(8) of every cell of the goldens and the
+Kerr exterior and interior, and points up to 20% beyond them, under g0,
+g+, g- and the spec's metric) none was off by more than 2.2e-9, that one
+next to the double root of case4, and no Kerr exterior sample is refused.
 
 Every field is a 4x4 nested tuple, of Fractions at Fraction points, and
-only `curvature` loads numpy.  A metric here is a dx^2 + b dy^2 + h_ij dt_i
-dt_j and omega pairs (dx, dy) with (dt1, dt2) only, so J = g^{-1} omega is
-the block inverse
+only `curvature` loads numpy, to return its tensors as arrays.  A metric
+here is a dx^2 + b dy^2 + h_ij dt_i dt_j and omega pairs (dx, dy) with
+(dt1, dt2) only, so J = g^{-1} omega is the block inverse
 
     J[0, 2:] = omega[0, 2:] / a,   J[1, 2:] = omega[1, 2:] / b,
     J[2:, :2] = h^{-1} omega[2:, :2],
@@ -55,6 +86,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import TYPE_CHECKING
 
 from .ansatz import (
@@ -100,9 +132,11 @@ class TensorBlock:
 # the metric as a jet in (x, y)
 # ---------------------------------------------------------------------------
 
-def _metric_jet(spec: AnsatzSpec, metric: MetricChoice, x, y, n: int = 6) -> tuple:
-    """Jet of the metric at (x, y) as n nested 4x4 tuples, jet index first:
-    n = 6 for the second jet, n = 1 for the value alone.  The entries are
+def _block_jets(spec: AnsatzSpec, metric: MetricChoice, x, y, n: int = 6) -> tuple:
+    """Jets of the blocks of the metric a dx^2 + b dy^2 + h_ij dt_i dt_j at
+    (x, y): (a, b, (h00, h01, h11), (A, B, tx, ty)), where the last four are
+    the jets of A(x), B(y), tau_i(x) and tau_i(y) that the blocks are made
+    of.  n = 6 gives second jets, n = 1 values alone; the entries are
     Fractions at Fraction points, floats otherwise."""
     X, Y = (Z[:n] for Z in coordinate_jets(x, y))
     A, B = _poly_jet(spec.A, X, 0), _poly_jet(spec.B, Y, 1)
@@ -127,14 +161,11 @@ def _metric_jet(spec: AnsatzSpec, metric: MetricChoice, x, y, n: int = 6) -> tup
     tx = [polar_jet(t, X, X) for t in spec.tau_basis]
     ty = [polar_jet(t, Y, Y) for t in spec.tau_basis]
     w = _mul(_inv(_mul(den, den)), scale)
-    h = {}
+    h = []
     for i, j in ((0, 0), (0, 1), (1, 1)):
         fibre = zip(_mul(A, _mul(ty[i], ty[j])), _mul(B, _mul(tx[i], tx[j])))
-        h[i, j] = _mul(tuple(u + v for u, v in fibre), w)
-    z = (type(X[0])(0),) * n
-    rows = ((_mul(_inv(A), scale), z, z, z), (z, _mul(_inv(B), scale), z, z),
-            (z, z, h[0, 0], h[0, 1]), (z, z, h[0, 1], h[1, 1]))
-    return tuple(zip(*(zip(*row) for row in rows)))
+        h.append(_mul(tuple(u + v for u, v in fibre), w))
+    return _mul(_inv(A), scale), _mul(_inv(B), scale), h, (A, B, tx, ty)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +191,9 @@ def _omega_components(spec: AnsatzSpec, sign: str, x, y) -> tuple:
 
 def metric_components(spec: AnsatzSpec, metric: MetricChoice, x, y) -> tuple:
     """The 4x4 metric at (x, y); Fractions when x and y are Fractions."""
-    return _metric_jet(spec, metric, x, y, 1)[0]
+    (a,), (b,), ((h00,), (h01,), (h11,)), _ = _block_jets(spec, metric, x, y, 1)
+    z = type(a)(0)
+    return ((a, z, z, z), (z, b, z, z), (z, z, h00, h01), (z, z, h01, h11))
 
 
 def complex_structure(g, w) -> tuple:
@@ -232,52 +265,96 @@ class CurvaturePack:
     scalar: float         # a Fraction at Fraction points
 
 
-def curvature(spec: AnsatzSpec, metric: MetricChoice, pt: FramePoint) -> CurvaturePack:
-    """Christoffel/Riemann/Ricci/scalar from the exact second jet of the
-    metric at pt; exact Fractions when pt.x and pt.y are Fractions."""
+#: the 13 components of `_block_curvature` as R_abcd, frame indices
+#: (x, y, t1, t2) = (0, 1, 2, 3): R_xyxy, R_t1t2t1t2, R_xyt1t2, then
+#: R_{i alpha j beta} for (alpha beta) = xx, yy (ij = 00, 01, 11) and
+#: xy (ij = 00, 01, 10, 11)
+_COMPONENTS = ((0, 1, 0, 1), (2, 3, 2, 3), (0, 1, 2, 3),
+               (2, 0, 2, 0), (2, 0, 3, 0), (3, 0, 3, 0),
+               (2, 1, 2, 1), (2, 1, 3, 1), (3, 1, 3, 1),
+               (2, 0, 2, 1), (2, 0, 3, 1), (3, 0, 2, 1), (3, 0, 3, 1))
+
+
+@cache
+def _riemann_index():
+    """For each of the 256 entries of R in C order, its index into (the 13
+    components, zero, the 13 negated), as an array made on first use:
+    R_abcd = -R_bacd = -R_abdc = R_cdab, and an entry with an odd number of
+    fibre indices is zero."""
     import numpy as np
 
-    jet = _metric_jet(spec, metric, pt.x, pt.y)
-    J = np.array(jet, dtype=object if isinstance(jet[0][0][0], Fraction) else float)
-    if J.dtype != object:
-        X, Y = coordinate_jets(pt.x, pt.y)
-        (u1, u2), (v1, v2) = ([t.value(Z[0]) for t in spec.tau_basis] for Z in (X, Y))
-        A, B = _poly_jet(spec.A, X, 0), _poly_jet(spec.B, Y, 1)
+    table = [13] * 256
+    for k, (a, b, c, d) in enumerate(_COMPONENTS):
+        for a, b, c, d in ((a, b, c, d), (c, d, a, b)):
+            for i, j, l, m, s in ((a, b, c, d, 0), (b, a, c, d, 14),
+                                  (a, b, d, c, 14), (b, a, d, c, 0)):
+                table[64 * i + 16 * j + 4 * l + m] = k + s
+    return np.array(table)
+
+
+def _block_curvature(a, b, h) -> tuple:
+    """(the 13 components of R, (Ric_xx, Ric_xy, Ric_yy), (Ric_ij), scalar)
+    of a dx^2 + b dy^2 + h_ij dt_i dt_j from the second jets of a, b and
+    h = (h00, h01, h11), by the closed form of the module docstring."""
+    a0, ax, ay, _, _, ayy = a
+    b0, bx, by, bxx, _, _ = b
+    H, Hx, Hy, Hxx, Hxy, Hyy = zip(*h)     # symmetric 2x2 as (m00, m01, m11)
+    p00, p01, p11 = H
+    det = p00 * p11 - p01 * p01
+
+    def K(P, Q):
+        """P H^-1 Q for symmetric P and Q, as (00, 01, 10, 11)."""
+        n00, n01 = p11 * Q[0] - p01 * Q[1], p11 * Q[1] - p01 * Q[2]
+        n10, n11 = p00 * Q[1] - p01 * Q[0], p00 * Q[2] - p01 * Q[1]
+        return ((P[0] * n00 + P[1] * n10) / det, (P[0] * n01 + P[1] * n11) / det,
+                (P[1] * n00 + P[2] * n10) / det, (P[1] * n01 + P[2] * n11) / det)
+
+    def M(k, D, gx, gy):
+        """R_{i alpha j beta} from k = d_beta H H^-1 d_alpha H, D = d_alpha
+        d_beta H and (gx, gy) = Gamma^(x, y)_{alpha beta}."""
+        s00, s01, s11 = (d - gx * u - gy * v for d, u, v in zip(D, Hx, Hy))
+        return tuple(u / 4 - v / 2 for u, v in zip(k, (s00, s01, s01, s11)))
+
+    def trace(m):
+        """<H^-1, m> for m = (00, 01, 10, 11)."""
+        return (p11 * m[0] - p01 * (m[1] + m[2]) + p00 * m[3]) / det
+
+    a2, b2 = 2 * a0, 2 * b0
+    Kyx = K(Hy, Hx)
+    Mxx = M(K(Hx, Hx), Hxx, ax / a2, -ay / b2)
+    Myy = M(K(Hy, Hy), Hyy, -bx / a2, by / b2)
+    Mxy = M(Kyx, Hxy, ay / a2, bx / b2)
+    r_xyxy = -(ayy + bxx) / 2 + (ax * bx + ay * ay) / (2 * a2) + (ay * by + bx * bx) / (2 * b2)
+    r_fibre = -((Hx[0] * Hx[2] - Hx[1] * Hx[1]) / a0 + (Hy[0] * Hy[2] - Hy[1] * Hy[1]) / b0) / 4
+    r_xy12 = (Kyx[1] - Kyx[2]) / 4
+    components = (r_xyxy, r_fibre, r_xy12, Mxx[0], Mxx[1], Mxx[3],
+                  Myy[0], Myy[1], Myy[3]) + Mxy
+    base = (r_xyxy / b0 + trace(Mxx), trace(Mxy), r_xyxy / a0 + trace(Myy))
+    f = r_fibre / det
+    fibre = tuple(u / a0 + v / b0 + f * w for u, v, w in zip(Mxx, Myy, (p00, p01, p01, p11)))
+    scalar = base[0] / a0 + base[2] / b0 + trace(fibre)
+    return components, base, fibre, scalar
+
+
+def curvature(spec: AnsatzSpec, metric: MetricChoice, pt: FramePoint) -> CurvaturePack:
+    """Riemann/Ricci/scalar from the exact second jet of the metric at pt;
+    exact Fractions when pt.x and pt.y are Fractions."""
+    import numpy as np
+
+    a, b, h, (A, B, tx, ty) = _block_jets(spec, metric, pt.x, pt.y)
+    exact = isinstance(a[0], Fraction)
+    if not exact:
+        (u1, u2), (v1, v2) = ([t[0] for t in T] for T in (tx, ty))
         if not (abs(u1 * v2 - u2 * v1) >= MIN_FIBRE_SINE * math.hypot(u1, u2) * math.hypot(v1, v2)
                 and abs(A[0]) >= MIN_ROOT_DISTANCE * abs(A[1])
                 and abs(B[0]) >= MIN_ROOT_DISTANCE * abs(B[2])):
             raise SingularEvaluation("float curvature is ill-conditioned this close "
                                      "to a fold or to a root of A or B")
-    g = J[0]
-    dg = np.zeros((4, 4, 4), dtype=J.dtype)           # d_c g_ab, only c = x, y
-    dg[:2] = J[1:3]
-    ddg = np.zeros((4, 4, 4, 4), dtype=J.dtype)
-    ddg[0, :2], ddg[1, :2] = J[3:5], J[4:6]
-
-    # inverse of g by blocks: two 1x1 on (dx, dy), one 2x2 on (dt1, dt2)
-    a, b, c = g[2, 2], g[2, 3], g[3, 3]
-    det = a * c - b * b
-    ginv = np.zeros_like(g)
-    ginv[0, 0], ginv[1, 1] = 1 / g[0, 0], 1 / g[1, 1]
-    ginv[2, 2], ginv[2, 3], ginv[3, 2], ginv[3, 3] = c / det, -b / det, -b / det, a / det
-    # T[d, b, c] = d_b g_{dc} + d_c g_{db} - d_d g_{bc}
-    T = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
-    Gamma = np.einsum("ad,dbc->abc", ginv, T) / 2
-
-    dginv = -np.einsum("ae,deh,hb->dab", ginv, dg, ginv)
-    dT = ddg.transpose(0, 2, 1, 3) + ddg.transpose(0, 2, 3, 1) - ddg
-    dGamma = (np.einsum("ead,dbc->eabc", dginv, T)
-              + np.einsum("ad,edbc->eabc", ginv, dT)) / 2
-
-    # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
-    #             + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}
-    # (C order, so that the contractions below sum in the same order as on
-    # an array filled entry by entry)
-    Rup = np.ascontiguousarray(dGamma.transpose(1, 3, 0, 2) - dGamma.transpose(1, 3, 2, 0))
-    Rup += np.einsum("ace,edb->abcd", Gamma, Gamma)
-    Rup -= np.einsum("ade,ecb->abcd", Gamma, Gamma)
-
-    riemann = np.einsum("ae,ebcd->abcd", g, Rup)
-    ricci = np.einsum("abad->bd", Rup)
-    scalar = np.einsum("bd,bd->", ginv, ricci)
+    components, (rxx, rxy, ryy), (r00, r01, _, r11), scalar = _block_curvature(a, b, h)
+    z = type(a[0])(0)
+    dtype = object if exact else float
+    values = np.array(components + (z,), dtype=dtype)
+    riemann = np.concatenate((values, -values[:13])).take(_riemann_index()).reshape(4, 4, 4, 4)
+    ricci = np.array((rxx, rxy, z, z, rxy, ryy, z, z, z, z, r00, r01, z, z, r01, r11),
+                     dtype=dtype).reshape(4, 4)
     return CurvaturePack(riemann=riemann, ricci=ricci, scalar=scalar)

@@ -78,10 +78,12 @@ def _positive_between(lo, hi, m_lo, m_hi):
 
 
 @st.composite
-def canonical_boxes(draw, multiplicities=st.just(1)):
-    """A canonical box of a drawn conic type, with A and B vanishing at its
-    ends to the drawn multiplicities."""
-    q = _CANONICAL_Q[draw(st.sampled_from(sorted(_CANONICAL_Q)))]
+def canonical_boxes(draw, multiplicities=st.just(1),
+                    conics=st.sampled_from(sorted(_CANONICAL_Q))):
+    """A canonical box of a drawn conic type ("Elliptic", "Hyperbolic" or
+    "Parabolic"), with A and B vanishing at its ends to the drawn
+    multiplicities."""
+    q = _CANONICAL_Q[draw(conics)]
     a, c = draw(small), draw(small)
     b = a + draw(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3))
     d = c + draw(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3))

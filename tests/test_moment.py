@@ -52,6 +52,27 @@ def test_moment_map_poles(hyperbolic_spec):
         moment_map(hyperbolic_spec, "+", F(1), F(-1))   # q(x,y) = x + y = 0
 
 
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_float_moment_map_is_bitwise_the_polarization(sign):
+    """At float points moment_map reads the cached float coefficients; its
+    bits are those of -b.polarize(x, y) / den at the sample_points(6) of
+    the 8 goldens, and a float pole still raises."""
+    goldens = {n: s for n, s in geometry_specs().items() if not n.startswith("kerr")}
+    assert len(goldens) == 8
+    for spec in goldens.values():
+        b1, b2 = spec.sigma_basis if sign == "+" else spec.tau_basis
+        for comp in validate(spec):
+            for x, y in comp.sample_points(6):
+                den = spec.q.polarize(x, y) if sign == "+" else x - y
+                expected = (-b1.polarize(x, y) / den, -b2.polarize(x, y) / den)
+                got = moment_map(spec, sign, x, y).as_tuple()
+                assert [v.hex() for v in got] == [v.hex() for v in expected]
+    spec = goldens["case5_accept"]
+    assert spec.q == Quadratic(0, 1, 0)      # q(x, y) = x + y
+    with pytest.raises(MomentError):
+        moment_map(spec, sign, 2.5, -2.5 if sign == "+" else 2.5)
+
+
 def test_identify_t_normal_forms(hyperbolic_spec):
     # q = 2z: the constant 1 sits at (1, 0), z^2 at (0, -1) in the '+' chart
     assert identify_t(hyperbolic_spec, Quadratic(0, 0, 1), "+") == (1, 0)
