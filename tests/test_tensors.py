@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ambitoric import FramePoint, KerrParams, Quadratic, curvature, eval_field, kerr, validate
@@ -195,15 +195,20 @@ def _is_zero(a) -> bool:
     return all(v == 0 for v in np.asarray(a).flat)
 
 
+@pytest.mark.parametrize("M, alpha", [(1, F(1, 2)), (2, F(3, 2)), (1, F(1, 12))])
+def test_kerr_gp_is_exactly_ricci_flat(M, alpha):
+    spec = kerr(KerrParams(M, alpha))
+    pack = curvature(spec, spec.metric, FramePoint(F(7 * M, 2), alpha / 3))
+    assert isinstance(pack.scalar, F)
+    assert _is_zero(pack.ricci)
+
+
 @settings(max_examples=30, deadline=None)
 @given(M=st.fractions(min_value=F(1, 4), max_value=4, max_denominator=12),
        ratio=st.fractions(min_value=F(-11, 12), max_value=F(11, 12), max_denominator=12),
        x=st.fractions(min_value=-8, max_value=8, max_denominator=12),
        y=st.fractions(min_value=-4, max_value=4, max_denominator=12))
-@example(M=1, ratio=F(1, 2), x=F(7, 2), y=F(1, 6))
-@example(M=2, ratio=F(3, 4), x=F(7), y=F(1, 2))
-@example(M=1, ratio=F(1, 12), x=F(7, 2), y=F(1, 36))
-def test_kerr_gp_is_exactly_ricci_flat(M, ratio, x, y):
+def test_kerr_gp_is_ricci_flat_at_drawn_points(M, ratio, x, y):
     """Ricci of the Kerr gp vanishes identically, so at every rational
     point off A = 0, B = 0, x = y and q(x, y) = x + y = 0, inside the box
     or not."""
