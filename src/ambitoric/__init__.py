@@ -15,7 +15,6 @@ from .quadratics import (
     Mobius,
     Poly,
     Quadratic,
-    Quartic,
     conic_type,
     inner,
     rat,
@@ -32,7 +31,6 @@ from .ansatz import (
     METRIC_GMINUS,
     ValidationError,
     conformal_factor,
-    fibre_volume,
     metric_gp,
     mobius_transport,
     validate,

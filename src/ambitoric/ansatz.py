@@ -57,6 +57,17 @@ class ValidationError(ValueError):
     """Raised when an AnsatzSpec violates its defining inequalities."""
 
 
+def json_field(d: dict, key: str, parse):
+    """parse(d[key]) for a field of a JSON object; a missing or malformed
+    field raises a ValidationError that names it."""
+    if key not in d:
+        raise ValidationError(f"missing field {key!r}")
+    try:
+        return parse(d[key])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
+        raise ValidationError(f"field {key!r}: {err}") from err
+
+
 # ---------------------------------------------------------------------------
 # intervals with endpoints in RP^1
 # ---------------------------------------------------------------------------
@@ -77,6 +88,12 @@ class Interval:
             raise ValidationError(f"empty interval ({lo}, {hi})")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+
+    @classmethod
+    def from_json(cls, ends) -> "Interval":
+        """[lo, hi] as written in JSON; "-inf", "inf" or null is an infinite end."""
+        lo, hi = (None if e in ("-inf", "inf", None) else e for e in ends)
+        return cls(lo, hi)
 
     @cached_property
     def bounds(self) -> Tuple[float, float]:
@@ -324,26 +341,24 @@ class AnsatzSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnsatzSpec":
-        def endpoint(s):
-            return None if s in ("inf", "-inf", None) else rat(s)
+        """The spec that `to_dict` wrote; a missing or malformed field raises
+        a ValidationError that names it."""
+        def quadratic(v):
+            return Quadratic(*v)
 
-        met = d.get("metric", "g0")
-        if isinstance(met, dict):
-            metric = metric_gp(Quadratic(*met["gp"]))
-        else:
-            metric = MetricChoice(met)
-        tau = d.get("tau_basis")
+        def metric(m):
+            return metric_gp(quadratic(m["gp"])) if isinstance(m, dict) else MetricChoice(m)
+
         return cls(
-            q=Quadratic(*d["q"]),
-            A=Poly(d["A"]),
-            B=Poly(d["B"]),
-            x_interval=Interval(endpoint(d["x_interval"][0]),
-                                endpoint(d["x_interval"][1])),
-            y_interval=Interval(endpoint(d["y_interval"][0]),
-                                endpoint(d["y_interval"][1])),
-            lattice=d["lattice"],
-            metric=metric,
-            tau_basis=None if tau is None else tuple(Quadratic(*t) for t in tau),
+            q=json_field(d, "q", quadratic),
+            A=json_field(d, "A", Poly),
+            B=json_field(d, "B", Poly),
+            x_interval=json_field(d, "x_interval", Interval.from_json),
+            y_interval=json_field(d, "y_interval", Interval.from_json),
+            lattice=json_field(d, "lattice", _as_lattice),
+            metric=json_field(d, "metric", metric) if "metric" in d else METRIC_G0,
+            tau_basis=(json_field(d, "tau_basis", lambda t: tuple(map(quadratic, t)))
+                       if d.get("tau_basis") is not None else None),
         )
 
 
@@ -861,27 +876,6 @@ def conformal_factor(spec: AnsatzSpec, x, y):
     den = x - y
     if den == 0:
         raise ZeroDivisionError("conformal factor has a pole on x = y")
-    return num / den
-
-
-def fibre_volume(spec: AnsatzSpec, metric: MetricChoice, x, y):
-    """Torus-fibre volume up to one global constant:
-    g+ -> AB/q(x,y)^4, g0 -> AB/((x-y)^2 q(x,y)^2), g- -> AB/(x-y)^4,
-    gp -> AB/p(x,y)^4.  A vanishing denominator yields a signed infinity."""
-    Av, Bv = float(spec.A(x)), float(spec.B(y))
-    qv = float(spec.q.polarize(x, y))
-    d = float(x - y)
-    if metric.tag == GPLUS:
-        den = qv ** 4
-    elif metric.tag == G0:
-        den = d * d * qv * qv
-    elif metric.tag == GMINUS:
-        den = d ** 4
-    else:
-        den = float(metric.p.polarize(x, y)) ** 4
-    num = Av * Bv
-    if den == 0.0:
-        return math.copysign(math.inf, num)
     return num / den
 
 

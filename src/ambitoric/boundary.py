@@ -27,7 +27,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .quadratics import (
     OO,
-    Poly,
     ProjPoint,
     compatible_quadratic,
     coordinate_jets,
@@ -207,26 +206,6 @@ def edge_status(spec: AnsatzSpec, metric: MetricChoice,
     return DistanceStatus(metric=metric, verdict=verdict,
                           integral_convergent=convergent,
                           compatible_normal=normal, note=note)
-
-
-def improper_length_samples(P: Poly, gamma: Fraction, side: int,
-                            outer: float, eps_list: Sequence[float]) -> List[float]:
-    """Partial lengths int_{gamma+side*eps}^{gamma+side*outer} dx/sqrt|P|,
-    the quadrature cross-check of the multiplicity rule."""
-    from scipy.integrate import quad
-
-    g = float(gamma)
-
-    def f(x):
-        return 1.0 / math.sqrt(abs(P(x)))
-
-    out = []
-    for eps in eps_list:
-        a, b = g + side * eps, g + side * outer
-        lo, hi = min(a, b), max(a, b)
-        val, _ = quad(f, lo, hi, limit=200)
-        out.append(val)
-    return out
 
 
 # ---------------------------------------------------------------------------

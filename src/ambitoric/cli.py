@@ -14,12 +14,14 @@ Spec files are JSON objects with rational numbers written as strings:
 
 Interval endpoints accept "inf" / "-inf"; an optional "tau_basis" lists
 two q-orthogonal quadratics (written by `gauge` when the transported q is
-not in canonical form).  `validate`, `check`, `classify` and `moment`
+not in canonical form).  A `csc-gen` data file holds "q", "p", "rho", the
+five coefficients a0..a4 of "R", and optionally "x_interval",
+"y_interval" and "lattice".  `validate`, `check`, `classify` and `moment`
 work on the same exact cells, the connected components of the box minus
 the folds (`validate` lists one sign pair per cell, so a pair can repeat);
 only `moment --grid` sets a sample density (default 24).
-Exit codes: 0 success, 1 negative classification verdict, 2 input error,
-3 internal invariant failure.
+Exit codes: 0 success, 1 negative classification verdict, 2 input error
+(a missing or malformed field is named), 3 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -31,15 +33,15 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .quadratics import Mobius, Quadratic, Quartic, rat
+from .quadratics import Mobius, Poly, Quadratic, rat
 from .ansatz import (
     FIELDS,
     AnsatzSpec,
     Interval,
-    MetricChoice,
     ValidationError,
+    _as_lattice,
     conformal_factor,
-    fibre_volume,
+    json_field,
     mobius_transport,
     validate,
 )
@@ -268,10 +270,10 @@ def _cmd_check(args) -> int:
                 rhs = (f ** ex / (float(spec.A(x)) * float(spec.B(y)))
                        * kaehler_volume_coefficient(J))
                 record(f"omega{s}^2 identity", abs(lhs - rhs) / max(1.0, abs(lhs)))
-            v0 = fibre_volume(spec, MetricChoice("g0"), x, y) ** 2
-            vpm = (fibre_volume(spec, MetricChoice("g+"), x, y)
-                   * fibre_volume(spec, MetricChoice("g-"), x, y))
-            record("fibre volume relation", abs(v0 - vpm) / max(1.0, v0))
+            # det h of the (dt1, dt2) blocks: h+ = h0 / f and h- = f h0
+            h0, hp, hm = (g[2][2] * g[3][3] - g[2][3] * g[3][2] for g in (g0, gp, gm))
+            record("fibre volume relation",
+                   relative_residual(h0 * h0 - hp * hm, (h0, h0), (hp, hm)))
             for s, w in (("+", wp), ("-", wm)):
                 record(f"Hamiltonian mu{s}", hamiltonian_residual(spec, s, K, x, y, w))
     report = {"passed": passed, "failed": failed, "failures": failures,
@@ -397,8 +399,6 @@ def _cmd_examples(args) -> int:
         }
         _dump_json(out, args.out)
         return EXIT_OK
-    if name.startswith("csc:"):
-        return _cmd_csc_gen_from(name.split(":", 1)[1], args.out)
     raise ValidationError(f"unknown example {name!r}")
 
 
@@ -416,36 +416,26 @@ def _cmd_gauge(args) -> int:
     return EXIT_OK
 
 
-def _cmd_csc_gen_from(path: str, out: Optional[str]) -> int:
-    with open(path) as fh:
-        d = json.load(fh)
-    data = CSCData(
-        q=Quadratic(*d["q"]),
-        p=Quadratic(*d["p"]),
-        rho=Quadratic(*d["rho"]),
-        R=Quartic(*d["R"]),
-    )
-    kwargs = {}
-    if "x_interval" in d:
-        kwargs["x_interval"] = Interval(
-            None if d["x_interval"][0] == "-inf" else rat(d["x_interval"][0]),
-            None if d["x_interval"][1] == "inf" else rat(d["x_interval"][1]))
-    if "y_interval" in d:
-        kwargs["y_interval"] = Interval(
-            None if d["y_interval"][0] == "-inf" else rat(d["y_interval"][0]),
-            None if d["y_interval"][1] == "inf" else rat(d["y_interval"][1]))
-    if "lattice" in d:
-        kwargs["lattice"] = tuple(tuple(rat(v) for v in row)
-                                  for row in d["lattice"])
-    spec, report = csc_construct(data, **kwargs)
-    obj = spec.to_dict()
-    obj["report"] = {"einstein": report.einstein, "csc": report.csc}
-    _dump_json(obj, out)
-    return EXIT_OK
+def _quartic(coeffs) -> Poly:
+    """R written as its five coefficients a0, ..., a4, ascending."""
+    if len(coeffs) != 5:
+        raise ValueError(f"a quartic has 5 coefficients, not {len(coeffs)}")
+    return Poly(coeffs)
 
 
 def _cmd_csc_gen(args) -> int:
-    return _cmd_csc_gen_from(args.data, args.out)
+    with open(args.data) as fh:
+        d = json.load(fh)
+    data = CSCData(*(json_field(d, k, lambda v: Quadratic(*v)) for k in ("q", "p", "rho")),
+                   R=json_field(d, "R", _quartic))
+    box = {k: json_field(d, k, parse) for k, parse in (
+        ("x_interval", Interval.from_json), ("y_interval", Interval.from_json),
+        ("lattice", _as_lattice)) if k in d}
+    spec, report = csc_construct(data, **box)
+    obj = spec.to_dict()
+    obj["report"] = {"einstein": report.einstein, "csc": report.csc}
+    _dump_json(obj, args.out)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("examples", help="named example registry")
     common(p, spec=False)
-    p.add_argument("name", help="kerr | kerr-interior | cp2 | hirzebruch:k | csc:<file>")
+    p.add_argument("name", help="kerr | kerr-interior | cp2 | hirzebruch:k")
     p.add_argument("--format", default="json", choices=["json", "svg"])
     p.set_defaults(fn=_cmd_examples)
 

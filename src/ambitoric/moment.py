@@ -26,7 +26,6 @@ from math import gcd, hypot
 from typing import List, Optional, Sequence, Tuple
 
 from .quadratics import (
-    OO,
     ProjPoint,
     Quadratic,
     _inv,
@@ -229,22 +228,19 @@ def fold_conic(spec: AnsatzSpec, sign: str) -> Conic:
     to the Gram matrix of the dual directions (b2 x b3, b3 x b1, b1 x b2).
     On Z- = {q(x, y) = 0} l lies in q-perp = span(tau); with G the Gram
     matrix of tau this gives mu^T G^-1 mu = 1/2.
-    For parabolic q the '-' image is the point pair +-(c0 r + c1) of the
-    tau basis at the double root r of q (the limits +-c1 when r = oo)."""
+    For parabolic q, Z- is the line pair x = r, y = r at the double root r
+    of q (OO included), and its '-' image the point pair p, -p: p is the
+    image of the edge {x = r}, and mu- is odd under x <-> y."""
     if sign == "+":
         b1, b2, b3 = (*spec.sigma_basis, spec.q)
         H = _gram((cross(b2, b3), cross(b3, b1), cross(b1, b2)))
         D = (-1, -1, 1)
         return _conic([[D[i] * D[j] * H[i][j] for j in range(3)] for i in range(3)])
-    t1, t2 = _basis(spec, sign)
     r = spec.q.double_root()
     if r is not None:
-        if r is OO:
-            p = (t1.c1, t2.c1)
-        else:
-            p = (t1.c0 * r + t1.c1, t2.c0 * r + t2.c1)
+        p = _edge_image(spec, sign, "X", r)
         return Conic(matrix=None, degenerate=True, points=(p, (-p[0], -p[1])))
-    (g11, g12), (_, g22) = _gram((t1, t2))
+    (g11, g12), (_, g22) = _gram(_basis(spec, sign))
     det = g11 * g22 - g12 * g12
     zero = Fraction(0)
     # mu^T adj(G) mu = det / 2

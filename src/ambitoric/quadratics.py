@@ -19,7 +19,8 @@ Conventions used throughout the package:
   an inner product (`coordinates`, `ansatz.sigma_from_tau`);
 * Mobius maps act on points of the projective line (infinity is the
   first-class value OO) and on polynomials as binary forms: quadratics
-  with weight 1, quartics (and A, B of degree <= 4) with weight 2.
+  with weight 1, polynomials of degree <= 4 (A, B and the R of the CSC
+  family) as quartics, with weight 2.
 
 Coefficients are exact `fractions.Fraction` values; evaluation accepts
 floats and degrades gracefully to double precision, with float
@@ -479,44 +480,21 @@ def conic_type(q: Quadratic) -> str:
 
 
 # ---------------------------------------------------------------------------
-# quartics and the second transvectant
+# the second transvectant
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Quartic:
-    """R(z) = a4*z^4 + a3*z^3 + a2*z^2 + a1*z + a0."""
-
-    a0: Fraction
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-
-    def __init__(self, a0, a1, a2, a3, a4):
-        for name, v in zip("a0 a1 a2 a3 a4".split(), (a0, a1, a2, a3, a4)):
-            object.__setattr__(self, name, rat(v))
-
-    def as_poly(self) -> Poly:
-        return Poly([self.a0, self.a1, self.a2, self.a3, self.a4])
-
-    def value(self, z):
-        return self.as_poly()(z)
-
-    __call__ = value
-
-
-def transvectant2(p: Quadratic, R: Quartic) -> Quadratic:
-    """The quadratic (p, R)^(2) = p*R'' - 3*p'*R' + 6*p''*R.
+def transvectant2(p: Quadratic, R: Poly) -> Quadratic:
+    """The quadratic (p, R)^(2) = p*R'' - 3*p'*R' + 6*p''*R, for R of degree
+    <= 4 read as a binary quartic (its missing top coefficients are 0).
 
     The quartic and cubic coefficients of the combination cancel identically;
     the remainder is returned in the half-linear-coefficient convention."""
     pp = p.as_poly()
-    rp = R.as_poly()
-    r1 = rp.derivative()
+    r1 = R.derivative()
     r2 = r1.derivative()
     p1 = pp.derivative()
     p2 = p1.derivative()
-    total = pp * r2 - Poly([3]) * p1 * r1 + Poly([6]) * p2 * rp
+    total = pp * r2 - Poly([3]) * p1 * r1 + Poly([6]) * p2 * R
     cs = list(total.coeffs) + [Fraction(0)] * (5 - len(total.coeffs))
     if any(c != 0 for c in cs[3:]):
         raise AssertionError("transvectant degree cancellation failed")
@@ -529,10 +507,8 @@ def transvectant2(p: Quadratic, R: Quartic) -> Quadratic:
 
 @dataclass(frozen=True)
 class Mobius:
-    """z -> (a*z + b) / (c*z + d) with exact rational entries, det != 0.
-
-    Entries are stored as given; `canonical()` rescales them to a primitive
-    integer representative with positive first nonzero entry."""
+    """z -> (a*z + b) / (c*z + d) with exact rational entries, det != 0,
+    stored as given."""
 
     a: Fraction
     b: Fraction
@@ -548,32 +524,8 @@ class Mobius:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
 
-    @classmethod
-    def identity(cls) -> "Mobius":
-        return cls(1, 0, 0, 1)
-
     def det(self) -> Fraction:
         return self.a * self.d - self.b * self.c
-
-    def entries(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.a, self.b, self.c, self.d)
-
-    def canonical(self) -> "Mobius":
-        from math import gcd
-        nums = [e.numerator for e in self.entries()]
-        dens = [e.denominator for e in self.entries()]
-        lcm = 1
-        for d in dens:
-            lcm = lcm * d // gcd(lcm, d)
-        ints = [int(e * lcm) for e in self.entries()]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        first = next(v for v in ints if v != 0)
-        if first < 0:
-            ints = [-v for v in ints]
-        return Mobius(*ints)
 
     def inverse(self) -> "Mobius":
         return Mobius(self.d, -self.b, -self.c, self.a)

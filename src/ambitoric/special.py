@@ -22,7 +22,6 @@ from typing import List, Optional, Tuple
 from .quadratics import (
     Poly,
     Quadratic,
-    Quartic,
     coordinate_jets,
     inner,
     polar_jet,
@@ -130,7 +129,7 @@ class CSCData:
     q: Quadratic
     p: Quadratic
     rho: Quadratic
-    R: Quartic
+    R: Poly
 
 
 @dataclass(frozen=True)
@@ -146,11 +145,13 @@ def csc_construct(data: CSCData,
                   y_interval: Optional[Interval] = None,
                   lattice: Optional[LatticeMatrix] = None
                   ) -> Tuple[AnsatzSpec, CSCReport]:
-    """A = p rho + R, B = p rho - R, metric gp(p).
+    """A = p rho + R, B = p rho - R, metric gp(p), for deg R <= 4.
 
     Requires exactly: <p, q> = 0, <rho, p> = 0 and <(q,R)^(2), p> = 0.
     When no box is supplied, a positivity box is searched on a rational
     grid.  The report flags the Einstein case rho || q."""
+    if data.R.degree > 4:
+        raise ValidationError(f"R has degree {data.R.degree}, above 4")
     errs = []
     if inner(data.p, data.q) != 0:
         errs.append("p is not orthogonal to q")
@@ -162,8 +163,8 @@ def csc_construct(data: CSCData,
         raise ValidationError("; ".join(errs))
 
     prho = data.p.as_poly() * data.rho.as_poly()
-    A = prho + data.R.as_poly()
-    B = prho - data.R.as_poly()
+    A = prho + data.R
+    B = prho - data.R
     if x_interval is None:
         x_interval = _positivity_box(A)
     if y_interval is None:

@@ -49,7 +49,6 @@ from ambitoric.boundary import (
     FOLD,
     INFINITELY_DISTANT,
     PLOCUS,
-    improper_length_samples,
 )
 from ambitoric.moment import delzant_check, moment_pairing
 from ambitoric.special import INTERIOR, scalar_closed_form
@@ -60,6 +59,7 @@ from ambitoric.tensors import (
 )
 
 from conftest import fold_points, make_spec
+from quadrature_reference import improper_length_samples
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 

@@ -14,7 +14,6 @@ from ambitoric import (
     Quadratic,
     ValidationError,
     conformal_factor,
-    fibre_volume,
     mobius_transport,
     validate,
 )
@@ -25,6 +24,7 @@ from ambitoric.ansatz import (
     lattice_contains,
     metric_gp,
 )
+from ambitoric.tensors import metric_components
 
 from conftest import boxes_and_transports, geometry_specs, make_spec, transported_boxes
 
@@ -68,12 +68,25 @@ def test_conformal_factor_exact(hyperbolic_spec):
     assert f == F(2) / F(3)
 
 
-def test_fibre_volume_geometric_mean(any_spec):
-    for x, y in validate(any_spec)[0].sample_points(4):
-        v0 = fibre_volume(any_spec, METRIC_G0, x, y)
-        vp = fibre_volume(any_spec, METRIC_GPLUS, x, y)
-        vm = fibre_volume(any_spec, METRIC_GMINUS, x, y)
-        assert abs(v0 * v0 - vp * vm) < 1e-9 * max(1.0, v0 * v0)
+def _assert_fibre_volume_relation(spec):
+    # g+ = g0 / f and g- = f g0, so the fibre blocks h of (dt1, dt2) have
+    # det h0^2 = det h+ det h-, the relation `check` tests
+    for comp in validate(spec):
+        x, y = comp.witness
+        g0, gp, gm = (metric_components(spec, m, x, y)
+                      for m in (METRIC_G0, METRIC_GPLUS, METRIC_GMINUS))
+        h0, hp, hm = (g[2][2] * g[3][3] - g[2][3] * g[3][2] for g in (g0, gp, gm))
+        assert isinstance(h0, F) and h0 != 0
+        assert h0 * h0 == hp * hm
+
+
+def test_fibre_volume_relation_is_exact(any_spec):
+    _assert_fibre_volume_relation(any_spec)
+
+
+@pytest.mark.parametrize("name", sorted(geometry_specs()))
+def test_fibre_volume_relation_on_the_geometry_specs(name):
+    _assert_fibre_volume_relation(geometry_specs()[name])
 
 
 def test_lattice_membership():

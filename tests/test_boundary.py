@@ -28,10 +28,10 @@ from ambitoric.boundary import (
     FINITE,
     FOLD,
     INFINITELY_DISTANT,
-    improper_length_samples,
 )
 
 from conftest import boxes_and_pole_transports, boxes_and_transports, make_spec
+from quadrature_reference import improper_length_samples
 
 
 def _edges(spec):

@@ -13,6 +13,9 @@ from conftest import make_spec
 from ambitoric import AnsatzSpec, FramePoint, Quadratic, eval_field, validate
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+CASE5 = json.loads((GOLDEN_DIR / "case5_accept.json").read_text())["spec"]
+CSC_DATA = {"q": ["0", "1", "0"], "p": ["1", "0", "-4"],
+            "rho": ["1", "1", "4"], "R": ["1", "4", "0", "1", "1"]}
 
 
 @pytest.fixture
@@ -187,10 +190,8 @@ def test_package_import_defers_numpy_to_the_float_layer():
 
 
 def test_csc_gen_command(tmp_path, capsys):
-    data = {"q": ["0", "1", "0"], "p": ["1", "0", "-4"],
-            "rho": ["1", "1", "4"], "R": ["1", "4", "0", "1", "1"]}
     p = tmp_path / "data.json"
-    p.write_text(json.dumps(data))
+    p.write_text(json.dumps(CSC_DATA))
     assert main(["csc-gen", str(p)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["report"]["csc"] is True
@@ -219,3 +220,52 @@ def test_validate_and_classify_agree_on_components(tmp_path, capsys):
     classified = [v["component"] for v in json.loads(capsys.readouterr().out)["verdicts"]]
     assert len(validated) == 2
     assert validated == classified
+
+
+def test_check_fails_a_wrong_fibre_block(spec_file, monkeypatch, capsys):
+    import ambitoric.tensors as tensors
+
+    right = tensors.metric_components
+
+    def wrong(spec, metric, x, y):
+        # doubles the (dt1, dt2) block of g-, so det h- is 4 times too big
+        g = right(spec, metric, x, y)
+        return g if metric.tag != "g-" else g[:2] + tuple(
+            tuple(2 * v for v in row) for row in g[2:])
+
+    monkeypatch.setattr(tensors, "metric_components", wrong)
+    assert main(["check", spec_file]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert any(f.startswith("fibre volume relation:") for f in out["failures"])
+    assert out["worst_residual"]["fibre volume relation"] > 0.5
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    ("classify", {k: v for k, v in CASE5.items() if k != "A"}, "'A'"),
+    ("validate", dict(CASE5, q=["0", "1"]), "'q'"),
+    ("csc-gen", dict(CSC_DATA, R=["1", "4", "0", "1"]), "'R'"),
+], ids=["spec-without-A", "spec-q-of-two", "csc-R-of-four"])
+def test_malformed_input_exits_2_and_names_the_field(tmp_path, capsys, command,
+                                                     payload, field):
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(payload))
+    assert main([command, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
+def test_traced_layers_resolve():
+    # perfbench's traced runs look up every layer by name; a renamed or
+    # deleted layer function would make them raise
+    import importlib
+    import importlib.util
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for _, module, attr, _, _ in tracing.LAYERS:
+        owner = importlib.import_module(module)
+        for name in attr.split("."):
+            owner = getattr(owner, name)
+        assert callable(owner), (module, attr)

@@ -11,7 +11,6 @@ from ambitoric.quadratics import (
     Mobius,
     Poly,
     Quadratic,
-    Quartic,
     compatible_quadratic,
     conic_type,
     coordinates,
@@ -266,16 +265,16 @@ def test_transport_quadratic_weight_one():
 
 def test_transvectant_is_quadratic_and_bilinear():
     p = Quadratic(1, 0, -4)
-    R = Quartic(1, 4, 0, 1, 1)
+    R = Poly([1, 4, 0, 1, 1])
     t = transvectant2(p, R)
     assert isinstance(t, Quadratic)
-    t2 = transvectant2(p, Quartic(2, 8, 0, 2, 2))
+    t2 = transvectant2(p, Poly([2, 8, 0, 2, 2]))
     assert t2.coeffs() == tuple(2 * c for c in t.coeffs())
 
 
 def test_transvectant_of_q_with_powers():
     # (q, z^4)^(2) for q = 2z: q R'' - 3 q' R' + 6 q'' R with q'' = 0
     q = Quadratic(0, 1, 0)
-    t = transvectant2(q, Quartic(0, 0, 0, 0, 1))
+    t = transvectant2(q, Poly([0, 0, 0, 0, 1]))
     # 2z * 12 z^2 - 3 * 2 * 4 z^3 = 0
     assert t.is_zero()

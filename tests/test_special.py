@@ -11,7 +11,6 @@ from ambitoric import (
     KerrParams,
     Poly,
     Quadratic,
-    Quartic,
     ValidationError,
     csc_construct,
     curvature,
@@ -64,12 +63,19 @@ def test_csc_orthogonality_enforced():
     with pytest.raises(ValidationError):
         csc_construct(CSCData(q=Quadratic(0, 1, 0), p=Quadratic(0, 1, 0),
                               rho=Quadratic(0, 0, 1),
-                              R=Quartic(1, 0, 0, 0, 0)))
+                              R=Poly([1, 0, 0, 0, 0])))
+
+
+def test_csc_construct_rejects_a_quintic_R():
+    data = CSCData(q=Quadratic(0, 1, 0), p=Quadratic(1, 0, -4),
+                   rho=Quadratic(1, 1, 4), R=Poly([1, 4, 0, 1, 1, 1]))
+    with pytest.raises(ValidationError, match="degree 5"):
+        csc_construct(data)
 
 
 def test_csc_polynomials_split_exactly():
     data = CSCData(q=Quadratic(0, 1, 0), p=Quadratic(1, 0, -4),
-                   rho=Quadratic(1, 1, 4), R=Quartic(1, 4, 0, 1, 1))
+                   rho=Quadratic(1, 1, 4), R=Poly([1, 4, 0, 1, 1]))
     assert inner(data.p, data.q) == 0
     assert inner(data.rho, data.p) == 0
     assert inner(transvectant2(data.q, data.R), data.p) == 0
@@ -77,14 +83,14 @@ def test_csc_polynomials_split_exactly():
     prho = data.p.as_poly() * data.rho.as_poly()
     assert (spec.A + spec.B).coeffs == (prho + prho).coeffs
     assert (spec.A - spec.B).coeffs == \
-        (data.R.as_poly() + data.R.as_poly()).coeffs
+        (data.R + data.R).coeffs
     assert not report.einstein
 
 
 def test_einstein_case_is_einstein():
     # rho = 2q gives Ric = lambda g
     data = CSCData(q=Quadratic(0, 1, 0), p=Quadratic(1, 0, -4),
-                   rho=Quadratic(0, 2, 0), R=Quartic(1, 0, 1, 0, 1))
+                   rho=Quadratic(0, 2, 0), R=Poly([1, 0, 1, 0, 1]))
     spec, report = csc_construct(
         data, x_interval=Interval(-7, -1),
         y_interval=Interval(F(-43, 32), F(-13, 32)))
@@ -99,7 +105,7 @@ def test_einstein_case_is_einstein():
 
 def test_einstein_case_is_exactly_einstein():
     data = CSCData(q=Quadratic(0, 1, 0), p=Quadratic(1, 0, -4),
-                   rho=Quadratic(0, 2, 0), R=Quartic(1, 0, 1, 0, 1))
+                   rho=Quadratic(0, 2, 0), R=Poly([1, 0, 1, 0, 1]))
     spec, _ = csc_construct(
         data, x_interval=Interval(-7, -1),
         y_interval=Interval(F(-43, 32), F(-13, 32)))
