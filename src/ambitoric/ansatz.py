@@ -68,6 +68,14 @@ def json_field(d: dict, key: str, parse):
         raise ValidationError(f"field {key!r}: {err}") from err
 
 
+def json_list(v):
+    """v, where a JSON array is required; a string, whose characters would
+    otherwise be read as the entries, raises TypeError."""
+    if isinstance(v, str):
+        raise TypeError(f"expected a list, not the string {v!r}")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # intervals with endpoints in RP^1
 # ---------------------------------------------------------------------------
@@ -92,7 +100,7 @@ class Interval:
     @classmethod
     def from_json(cls, ends) -> "Interval":
         """[lo, hi] as written in JSON; "-inf", "inf" or null is an infinite end."""
-        lo, hi = (None if e in ("-inf", "inf", None) else e for e in ends)
+        lo, hi = (None if e in ("-inf", "inf", None) else e for e in json_list(ends))
         return cls(lo, hi)
 
     @cached_property
@@ -242,7 +250,7 @@ LatticeMatrix = Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]
 
 
 def _as_lattice(mat) -> LatticeMatrix:
-    rows = tuple(tuple(rat(v) for v in row) for row in mat)
+    rows = tuple(tuple(rat(v) for v in json_list(row)) for row in json_list(mat))
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise ValueError("lattice must be a 2x2 matrix")
     det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
@@ -344,20 +352,20 @@ class AnsatzSpec:
         """The spec that `to_dict` wrote; a missing or malformed field raises
         a ValidationError that names it."""
         def quadratic(v):
-            return Quadratic(*v)
+            return Quadratic(*json_list(v))
 
         def metric(m):
             return metric_gp(quadratic(m["gp"])) if isinstance(m, dict) else MetricChoice(m)
 
         return cls(
             q=json_field(d, "q", quadratic),
-            A=json_field(d, "A", Poly),
-            B=json_field(d, "B", Poly),
+            A=json_field(d, "A", lambda v: Poly(json_list(v))),
+            B=json_field(d, "B", lambda v: Poly(json_list(v))),
             x_interval=json_field(d, "x_interval", Interval.from_json),
             y_interval=json_field(d, "y_interval", Interval.from_json),
             lattice=json_field(d, "lattice", _as_lattice),
             metric=json_field(d, "metric", metric) if "metric" in d else METRIC_G0,
-            tau_basis=(json_field(d, "tau_basis", lambda t: tuple(map(quadratic, t)))
+            tau_basis=(json_field(d, "tau_basis", lambda t: tuple(map(quadratic, json_list(t))))
                        if d.get("tau_basis") is not None else None),
         )
 

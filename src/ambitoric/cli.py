@@ -42,26 +42,9 @@ from .ansatz import (
     _as_lattice,
     conformal_factor,
     json_field,
+    json_list,
     mobius_transport,
     validate,
-)
-from .moment import (
-    Conic,
-    MomentError,
-    fold_conic,
-    hamiltonian_residual,
-    level_set_line,
-    moment_map,
-)
-from .classify import classify
-from .special import (
-    CSCData,
-    EXTERIOR,
-    INTERIOR,
-    KerrParams,
-    csc_construct,
-    kerr,
-    standard_polygon,
 )
 
 EXIT_OK = 0
@@ -224,6 +207,7 @@ _CHECK_BOUNDS = {"J+^2=-Id": 1e-8, "J-J+ commute": 1e-8, "omega+=g+J+": 1e-8,
 
 
 def _cmd_check(args) -> int:
+    from .moment import hamiltonian_residual
     from .tensors import (
         FramePoint,
         complex_structure,
@@ -283,6 +267,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import classify
+
     spec = _load_spec(args.spec)
     results = classify(spec)
     out = []
@@ -297,6 +283,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_moment(args) -> int:
+    from .moment import MomentError, fold_conic, level_set_line, moment_map
+
     spec = _load_spec(args.spec)
     comps = validate(spec)
     sign = args.sign
@@ -332,7 +320,7 @@ def _cmd_moment(args) -> int:
             for g in iv.endpoints_proj():
                 try:
                     line = level_set_line(spec, sign, axis, g)
-                except (MomentError, ValueError):
+                except ValueError:
                     continue
                 if line.degenerate_point is not None:
                     point = tuple(float(v) for v in line.degenerate_point)
@@ -362,6 +350,8 @@ def _line_segment(line, box):
 
 
 def _cmd_kerr(args) -> int:
+    from .special import EXTERIOR, INTERIOR, KerrParams, kerr
+
     params = KerrParams(rat(args.mass), rat(args.alpha))
     region = EXTERIOR if args.region == "exterior" else INTERIOR
     spec = kerr(params, region)
@@ -370,6 +360,9 @@ def _cmd_kerr(args) -> int:
 
 
 def _cmd_examples(args) -> int:
+    from .moment import Conic
+    from .special import EXTERIOR, INTERIOR, KerrParams, kerr, standard_polygon
+
     name = args.name
     if name in ("kerr", "kerr-exterior", "kerr-interior"):
         region = INTERIOR if name == "kerr-interior" else EXTERIOR
@@ -383,7 +376,9 @@ def _cmd_examples(args) -> int:
             ring = list(poly.vertices) + [poly.vertices[0]]
             body = [vp.polyline(ring, "#204a87", 2.0)]
             conic_box = ((vp.x0, vp.x1), (vp.y0, vp.y1))
-            for br in _conic_polylines(_HYPERBOLA, conic_box):
+            # 4 mu1 mu2 + 1 = 0, the conic the standard polygons are tangent to
+            hyperbola = Conic(matrix=((0, 2, 0), (2, 0, 0), (0, 0, 1)))
+            for br in _conic_polylines(hyperbola, conic_box):
                 body.append(vp.polyline(br, "#cc0000"))
             text = _svg_document(vp.size, vp.size, body)
             if args.out:
@@ -402,12 +397,6 @@ def _cmd_examples(args) -> int:
     raise ValidationError(f"unknown example {name!r}")
 
 
-#: 4 mu1 mu2 + 1 = 0, the conic the standard polygons are tangent to
-_HYPERBOLA = Conic(matrix=((Fraction(0), Fraction(2), Fraction(0)),
-                           (Fraction(2), Fraction(0), Fraction(0)),
-                           (Fraction(0), Fraction(0), Fraction(1))))
-
-
 def _cmd_gauge(args) -> int:
     spec = _load_spec(args.spec)
     a, b, c, d = (rat(v) for v in args.mobius.split(","))
@@ -418,16 +407,18 @@ def _cmd_gauge(args) -> int:
 
 def _quartic(coeffs) -> Poly:
     """R written as its five coefficients a0, ..., a4, ascending."""
-    if len(coeffs) != 5:
+    if len(json_list(coeffs)) != 5:
         raise ValueError(f"a quartic has 5 coefficients, not {len(coeffs)}")
     return Poly(coeffs)
 
 
 def _cmd_csc_gen(args) -> int:
+    from .special import CSCData, csc_construct
+
     with open(args.data) as fh:
         d = json.load(fh)
-    data = CSCData(*(json_field(d, k, lambda v: Quadratic(*v)) for k in ("q", "p", "rho")),
-                   R=json_field(d, "R", _quartic))
+    data = CSCData(*(json_field(d, k, lambda v: Quadratic(*json_list(v)))
+                     for k in ("q", "p", "rho")), R=json_field(d, "R", _quartic))
     box = {k: json_field(d, k, parse) for k, parse in (
         ("x_interval", Interval.from_json), ("y_interval", Interval.from_json),
         ("lattice", _as_lattice)) if k in d}
@@ -512,8 +503,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError, MomentError, ValueError, OSError,
-            json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except AssertionError as err:

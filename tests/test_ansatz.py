@@ -114,6 +114,18 @@ def test_serialization_keeps_a_basis_of_noncanonical_q():
     assert AnsatzSpec.from_dict(d) == spec
 
 
+@pytest.mark.parametrize("field, value", [
+    ("q", "010"), ("A", "123"), ("B", "123"), ("x_interval", "23"),
+    ("y_interval", "01"), ("lattice", "1001"), ("lattice", ["10", "01"]),
+    ("tau_basis", ["010", "101"]), ("metric", {"gp": "001"}),
+])
+def test_a_string_where_a_list_is_required_names_the_field(hyperbolic_spec, field, value):
+    # a string would otherwise be read as the list of its characters
+    d = dict(hyperbolic_spec.to_dict(), **{field: value})
+    with pytest.raises(ValidationError, match=f"field '{field}': expected a list"):
+        AnsatzSpec.from_dict(d)
+
+
 def test_sigma_basis_is_solved_once(any_spec):
     assert any_spec.sigma_basis is any_spec.sigma_basis
 

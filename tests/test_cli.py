@@ -172,6 +172,71 @@ def test_decision_path_never_imports_sympy(tmp_path):
     assert '"passed": 216' in run.stdout and '"J-"' in run.stdout
 
 
+@pytest.mark.parametrize("argv, loads", [
+    (["validate"], ()),
+    (["moment", "--sign", "+"], ("moment",)),
+    (["check"], ("moment", "tensors")),
+    (["classify"], ("moment", "boundary", "classify")),
+], ids=["validate", "moment", "check", "classify"])
+def test_each_subcommand_loads_only_its_modules(tmp_path, argv, loads):
+    golden = json.loads((GOLDEN_DIR / "case1_proper_fold.json").read_text())
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(golden["spec"]))
+    run = _run_python(
+        "import sys\n"
+        "from ambitoric.cli import main\n"
+        f"assert main([{argv[0]!r}, {str(spec)!r}, '--out', {str(tmp_path / 'o')!r}]"
+        f" + {argv[1:]!r}) <= 1\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('ambitoric'))))\n")
+    assert run.returncode == 0, run.stderr
+    expected = {"ambitoric", "ambitoric.cli", "ambitoric.quadratics", "ambitoric.ansatz"}
+    assert set(run.stdout.split()) == expected | {f"ambitoric.{m}" for m in loads}
+
+
+#: the public names of the package
+PUBLIC = (
+    "AnsatzSpec BoxComponent CSCData Conic DistanceStatus FIELDS FramePoint "
+    "Interval KerrParams LineInTstar METRIC_G0 METRIC_GMINUS METRIC_GPLUS "
+    "MetricChoice Mobius MomentError MomentPoint OO Poly Polygon Quadratic "
+    "ValidationError Verdict classify compatible_quadratic completability_verdict "
+    "complete_orbifold_check conformal_factor conic_type convexity_check "
+    "corner_status csc_construct curvature decompose_boundary delzant_check "
+    "edge_status estimate_r eval_field fold_conic fold_status identify_t inner "
+    "kerr level_set_line metric_gp mobius_transport moment_map p_image_line rat "
+    "scalar_closed_form standard_polygon transvectant2 validate").split()
+
+_IS_CLASSIFY = ("assert ambitoric.classify is sys.modules['ambitoric.classify'].classify"
+                ", ambitoric.classify\n")
+
+
+@pytest.mark.parametrize("code", [
+    "import ambitoric.classify\n" + _IS_CLASSIFY,
+    "import ambitoric\nambitoric.classify\nimport ambitoric.classify\n" + _IS_CLASSIFY,
+    "from ambitoric.cli import main\nassert main(['classify', SPEC, '--out', OUT]) == 0\n"
+    "import ambitoric\n" + _IS_CLASSIFY,
+    f"import ambitoric\nassert ambitoric.__all__ == {sorted(PUBLIC)!r}\n",
+    "ns = {}\nexec('from ambitoric import *', ns)\n"
+    f"assert sorted(set(ns) - {{'__builtins__'}}) == {sorted(PUBLIC)!r}\n",
+    "import ambitoric\nassert not hasattr(ambitoric, 'no_such_name')\n",
+], ids=["submodule-first", "function-first", "after-cli-classify", "all",
+        "star-import", "unknown-name"])
+def test_package_namespace(tmp_path, code):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(CASE5))
+    run = _run_python("import sys\n" + code.replace("SPEC", repr(str(spec)))
+                      .replace("OUT", repr(str(tmp_path / "out.json"))))
+    assert run.returncode == 0, run.stderr
+
+
+def test_readme_example_runs():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    code = readme.split("## Example")[1].split("```python\n")[1].split("```")[0]
+    assert "from ambitoric import *" in code
+    run = _run_python(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "True True\n"
+
+
 def test_package_import_defers_numpy_to_the_float_layer():
     run = _run_python(
         "import sys\n"
@@ -244,7 +309,12 @@ def test_check_fails_a_wrong_fibre_block(spec_file, monkeypatch, capsys):
     ("classify", {k: v for k, v in CASE5.items() if k != "A"}, "'A'"),
     ("validate", dict(CASE5, q=["0", "1"]), "'q'"),
     ("csc-gen", dict(CSC_DATA, R=["1", "4", "0", "1"]), "'R'"),
-], ids=["spec-without-A", "spec-q-of-two", "csc-R-of-four"])
+    ("classify", dict(CASE5, A="-6512"), "'A'"),
+    ("classify", dict(CASE5, x_interval="23"), "'x_interval'"),
+    ("csc-gen", dict(CSC_DATA, R="14011"), "'R'"),
+    ("csc-gen", dict(CSC_DATA, rho="114"), "'rho'"),
+], ids=["spec-without-A", "spec-q-of-two", "csc-R-of-four", "spec-A-string",
+        "spec-interval-string", "csc-R-string", "csc-rho-string"])
 def test_malformed_input_exits_2_and_names_the_field(tmp_path, capsys, command,
                                                      payload, field):
     p = tmp_path / "input.json"
