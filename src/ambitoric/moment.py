@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, hypot
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .quadratics import (
     ProjPoint,
@@ -48,13 +48,14 @@ class MomentError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MomentPoint:
+class MomentPoint(NamedTuple):
+    """A point of the moment image; an immutable, hashable pair."""
+
     mu1: float
     mu2: float
 
     def as_tuple(self):
-        return (self.mu1, self.mu2)
+        return tuple(self)
 
 
 # ---------------------------------------------------------------------------
@@ -71,26 +72,19 @@ def _basis(spec: AnsatzSpec, sign: str) -> Tuple[Quadratic, Quadratic]:
 
 
 def moment_map(spec: AnsatzSpec, sign: str, x, y) -> MomentPoint:
-    """mu^sign at (x, y); exact when x, y are Fractions.  At float points
-    the polarizations read the cached float coefficients, in the order of
-    operations of `Quadratic.polarize`."""
-    basis = _basis(spec, sign)
-    exact = isinstance(x, Fraction) and isinstance(y, Fraction)
-    if exact:
-        den = spec.q.polarize(x, y) if sign == "+" else x - y
+    """mu^sign at (x, y); exact when x, y are Fractions.  Numerators and
+    denominator are polarizations in the order of operations of
+    `Quadratic.polarize`, of the cached float coefficients at float points."""
+    s1, s2 = _basis(spec, sign)
+    if type(x) is not float and isinstance(x, Fraction) and isinstance(y, Fraction):
+        (c0, c1, c2), (a0, a1, a2), (b0, b1, b2) = spec.q.coeffs(), s1.coeffs(), s2.coeffs()
     else:
         x, y = float(x), float(y)
-        if sign == "+":
-            c0, c1, c2 = spec.q.floats
-            den = c0 * x * y + c1 * (x + y) + c2
-        else:
-            den = x - y
+        (c0, c1, c2), (a0, a1, a2), (b0, b1, b2) = spec.q.floats, s1.floats, s2.floats
+    den = c0 * x * y + c1 * (x + y) + c2 if sign == "+" else x - y
     if den == 0:
         pole = "q(x, y)" if sign == "+" else "x - y"
         raise MomentError(f"mu{sign} pole: {pole} = 0")
-    if exact:
-        return MomentPoint(-basis[0].polarize(x, y) / den, -basis[1].polarize(x, y) / den)
-    (a0, a1, a2), (b0, b1, b2) = basis[0].floats, basis[1].floats
     return MomentPoint(-(a0 * x * y + a1 * (x + y) + a2) / den,
                        -(b0 * x * y + b1 * (x + y) + b2) / den)
 
@@ -387,8 +381,7 @@ def convexity_check(samples, spread: float = 2.5):
     convex by convention."""
     import numpy as np
 
-    pts = np.array([(s.mu1, s.mu2) if isinstance(s, MomentPoint) else tuple(s)
-                    for s in samples], dtype=float)
+    pts = np.array([tuple(s) for s in samples], dtype=float)
     if len(pts) < 3:
         raise MomentError("need at least 3 samples")
     # collinearity / rank test

@@ -24,10 +24,11 @@ Conventions used throughout the package:
 
 Coefficients are exact `fractions.Fraction` values; evaluation accepts
 floats and degrades gracefully to double precision, with float
-coefficients converted once per object.  Second jets in (x, y) of
-polynomials and polarizations (`polar_jet`, `coordinate_jets`) live here
-too, for the metric of `tensors` and the gradients of `moment`,
-`boundary` and `special`.
+coefficients converted once per object.  Jets live here too: second jets
+in (x, y) of polarizations (`polar_jet`, `coordinate_jets`), for the
+metric of `tensors` and the gradients of `moment`, `boundary` and
+`special`, and the 1-D jets of polynomials and quadratics in x alone or y
+alone that the metric of `tensors` is made of.
 """
 
 from __future__ import annotations
@@ -407,7 +408,8 @@ def compatible_quadratic(q: Quadratic, gamma: ProjPoint) -> Quadratic:
 
 # ---------------------------------------------------------------------------
 # jets in (x, y): the value alone, or the second jet (value, d/dx, d/dy,
-# d2/dx2, d2/dxdy, d2/dy2)
+# d2/dx2, d2/dxdy, d2/dy2); and 1-D jets (value, d, d2) of functions of x
+# alone or of y alone, which the metric of `tensors` is made of
 # ---------------------------------------------------------------------------
 
 def _mul(a, b):
@@ -433,23 +435,58 @@ def _inv(a):
             (2 * ax * ay * r - axy) * r2, (2 * ay * ay * r - ayy) * r2)
 
 
-def _poly_jet(P: Poly, Z, axis: int):
-    """Jet of P(x) (axis 0) or P(y) (axis 1), as long as the coordinate jet
-    Z of x or y, by Horner's rule."""
-    z = Z[0]
-    if len(Z) == 1:
+def _poly_jet(P: Poly, z, n: int):
+    """1-D jet of P at z, by Horner's rule; its value alone when n = 1."""
+    if n == 1:
         return (P(z),)
     p = dp = ddp = 0
     for c in reversed(P.coeffs if isinstance(z, Fraction) else P.floats):
         p, dp, ddp = p * z + c, dp * z + p, ddp * z + 2 * dp
-    return (p, dp, 0, ddp, 0, 0) if axis == 0 else (p, 0, dp, 0, 0, ddp)
+    return (p, dp, ddp)
+
+
+def _diag_jet(p: Quadratic, z, n: int):
+    """1-D jet of p(z) = p(z, z), in the order of operations of `polar_jet`;
+    its value alone when n = 1."""
+    c0, c1, c2 = p.coeffs() if isinstance(z, Fraction) else p.floats
+    v = c0 * (z * z) + c1 * (z + z) + c2
+    return (v,) if n == 1 else (v, c0 * (z + z) + 2 * c1, 2 * c0)
+
+
+def _mul1(u, v):
+    """Product of two 1-D jets in the same variable."""
+    if len(u) == 1:
+        return (u[0] * v[0],)
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return (u0 * v0, u0 * v1 + u1 * v0, u0 * v2 + 2 * u1 * v1 + u2 * v0)
+
+
+def _separable(A, T, B, S):
+    """Jet of A(x) T(y) + B(y) S(x) from the 1-D jets of its four factors."""
+    if len(A) == 1:
+        return (A[0] * T[0] + B[0] * S[0],)
+    (a, ax, axx), (t, ty, tyy), (b, by, byy), (s, sx, sxx) = A, T, B, S
+    return (a * t + b * s, ax * t + b * sx, a * ty + by * s,
+            axx * t + b * sxx, ax * ty + by * sx, a * tyy + byy * s)
+
+
+def _lift(u, axis: int):
+    """The 1-D jet u of a function of x (axis 0) or of y (axis 1) as a jet
+    in (x, y)."""
+    if len(u) == 1:
+        return u
+    u0, u1, u2 = u
+    return (u0, u1, 0, u2, 0, 0) if axis == 0 else (u0, 0, u1, 0, 0, u2)
 
 
 def polar_jet(p: Quadratic, X, Y):
-    """Jet of the polarization p(X, Y) = c0 X Y + c1 (X + Y) + c2."""
-    c0, c1, c2 = p.coeffs() if isinstance(X[0], Fraction) else p.floats
-    v = tuple(c0 * u + c1 * (a + b) for u, a, b in zip(_mul(X, Y), X, Y))
-    return (v[0] + c2,) + v[1:]
+    """Jet of the polarization p(x, y) = c0 x y + c1 (x + y) + c2, as long
+    as the coordinate jets X, Y of x and y (`coordinate_jets`)."""
+    x, y = X[0], Y[0]
+    c0, c1, c2 = p.coeffs() if isinstance(x, Fraction) else p.floats
+    v = c0 * (x * y) + c1 * (x + y) + c2
+    return (v,) if len(X) == 1 else (v, c0 * y + c1, c0 * x + c1, 0, c0, 0)
 
 
 def coordinate_jets(x, y):

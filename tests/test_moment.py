@@ -14,6 +14,7 @@ from ambitoric import (
     Interval,
     Mobius,
     MomentError,
+    MomentPoint,
     Polygon,
     Quadratic,
     convexity_check,
@@ -56,21 +57,41 @@ def test_moment_map_poles(hyperbolic_spec):
 def test_float_moment_map_is_bitwise_the_polarization(sign):
     """At float points moment_map reads the cached float coefficients; its
     bits are those of -b.polarize(x, y) / den at the sample_points(6) of
-    the 8 goldens, and a float pole still raises."""
-    goldens = {n: s for n, s in geometry_specs().items() if not n.startswith("kerr")}
-    assert len(goldens) == 8
-    for spec in goldens.values():
+    the 8 goldens and the Kerr exterior and interior.  At their witnesses
+    the exact map is the same quotient of Fractions.  A float pole still
+    raises."""
+    specs = geometry_specs()
+    assert len(specs) == 10
+    for spec in specs.values():
         b1, b2 = spec.sigma_basis if sign == "+" else spec.tau_basis
         for comp in validate(spec):
-            for x, y in comp.sample_points(6):
+            for x, y in comp.sample_points(6) + [comp.witness]:
                 den = spec.q.polarize(x, y) if sign == "+" else x - y
                 expected = (-b1.polarize(x, y) / den, -b2.polarize(x, y) / den)
                 got = moment_map(spec, sign, x, y).as_tuple()
-                assert [v.hex() for v in got] == [v.hex() for v in expected]
-    spec = goldens["case5_accept"]
+                if isinstance(x, F):
+                    assert got == expected and {type(v) for v in got} == {F}
+                else:
+                    assert [v.hex() for v in got] == [v.hex() for v in expected]
+    spec = specs["case5_accept"]
     assert spec.q == Quadratic(0, 1, 0)      # q(x, y) = x + y
     with pytest.raises(MomentError):
         moment_map(spec, sign, 2.5, -2.5 if sign == "+" else 2.5)
+
+
+def test_moment_point_api():
+    """MomentPoint: two named coordinates, a plain tuple of them, equal and
+    equally hashed when the coordinates are, and immutable."""
+    p = MomentPoint(F(1, 2), -0.25)
+    assert (p.mu1, p.mu2) == (F(1, 2), -0.25)
+    assert p.as_tuple() == (F(1, 2), -0.25) and type(p.as_tuple()) is tuple
+    assert p == MomentPoint(F(1, 2), -0.25) and hash(p) == hash(MomentPoint(0.5, -0.25))
+    assert p != MomentPoint(F(1, 2), 0.25)
+    assert len({p, MomentPoint(0.5, -0.25), MomentPoint(0, 0)}) == 2
+    for name in ("mu1", "mu2", "mu3"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 0)
+    assert (p.mu1, p.mu2) == (F(1, 2), -0.25)
 
 
 def test_identify_t_normal_forms(hyperbolic_spec):

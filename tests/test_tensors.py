@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,13 +10,14 @@ from ambitoric import FramePoint, KerrParams, Quadratic, curvature, eval_field, 
 from ambitoric.ansatz import METRIC_G0, METRIC_GMINUS, METRIC_GPLUS, metric_gp
 from ambitoric.tensors import (
     SingularEvaluation,
+    _block_jets,
     kaehler_volume_coefficient,
     metric_components,
     pfaffian4,
 )
 
-from conftest import canonical_boxes, geometry_specs
-from curvature_reference import metric_jet, reference_curvature
+from conftest import canonical_boxes, geometry_specs, transported_boxes
+from curvature_reference import metric_jet, reference_block_jets, reference_curvature
 
 
 def _points(spec, n=3):
@@ -31,7 +33,8 @@ def test_metric_symmetric_positive(any_spec):
 
 def test_metric_value_is_the_value_of_its_jet():
     """metric_components evaluates the jet formula on values alone, bit for
-    bit the value of the second jet, at float and at Fraction points."""
+    bit the value of the reference's second jet, at float and at Fraction
+    points."""
     for spec in geometry_specs().values():
         for comp in validate(spec):
             for x, y in comp.sample_points(2) + [comp.witness]:
@@ -189,6 +192,20 @@ def test_curvature_refuses_points_near_the_fold():
         curvature(spec, METRIC_G0, FramePoint(1.5, -1.5001))
 
 
+def test_float_curvature_admits_the_kerr_interior_samples():
+    """The 41 sample_points(3) of the Kerr interior cells (M = 1, alpha =
+    1/2), whose fibre sine goes down to 8.5e-4, are all admitted, and float
+    R is within 1e-9 max|R| of the exact R at the same point."""
+    spec = geometry_specs()["kerr-interior"]
+    pts = [p for comp in validate(spec) for p in comp.sample_points(3)]
+    assert len(pts) == 41
+    for x, y in pts:
+        for metric in _metrics(spec):
+            R = curvature(spec, metric, FramePoint(x, y)).riemann
+            exact = curvature(spec, metric, FramePoint(F(x), F(y))).riemann.astype(float)
+            assert np.max(np.abs(R - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+
 
 
 def _is_zero(a) -> bool:
@@ -306,13 +323,22 @@ def test_exact_curvature_equals_the_reference(name):
                                    reference_curvature(spec, metric, pt))
 
 
+def _fibre_sine(spec, x, y) -> float:
+    """s = |tau(x) ^ tau(y)| / (|tau(x)| |tau(y)|) at a float point."""
+    (u1, u2), (v1, v2) = ([t.value(z) for t in spec.tau_basis] for z in (x, y))
+    return abs(u1 * v2 - u2 * v1) / (math.hypot(u1, u2) * math.hypot(v1, v2))
+
+
 @pytest.mark.parametrize("name", sorted(geometry_specs()))
 def test_float_curvature_agrees_with_the_reference(name):
     """Float R within 1e-12 max|R| of the einsums at sample_points(5).
     Next to the folds of case1 and the Kerr interior the einsums themselves
     are up to 3.8e-10 max|R| from the exact R at the same point, and the
     closed form 5.8e-12: there the gap must be the reference's own error,
-    and the closed form within 1e-11 of exact."""
+    and the closed form within 1e-11 of exact.  Kerr interior points with
+    fibre sine s < 0.02 (down to 6.8e-4, closed form up to 2.1e-11 from
+    exact) need only be within 1e-9 of exact, the bound MIN_FIBRE_SINE is
+    chosen for (tensors docstring)."""
     spec = geometry_specs()[name]
     checked = 0
     for comp in validate(spec):
@@ -328,8 +354,12 @@ def test_float_curvature_agrees_with_the_reference(name):
                 checked += 1
                 if gap > 1e-12 * size:
                     exact = curvature(spec, metric, FramePoint(F(x), F(y))).riemann.astype(float)
-                    assert np.max(np.abs(R - exact)) <= 1e-11 * size
-                    assert gap <= 1e-12 * size + np.max(np.abs(ref - exact))
+                    err = np.max(np.abs(R - exact))
+                    if _fibre_sine(spec, x, y) < 0.02:
+                        assert err <= 1e-9 * size
+                    else:
+                        assert err <= 1e-11 * size
+                        assert gap <= 1e-12 * size + np.max(np.abs(ref - exact))
     assert checked
 
 
@@ -354,3 +384,41 @@ def test_closed_form_curvature_at_rational_points(conic, data):
     except SingularEvaluation:
         assume(False)
     _assert_same_curvature(curvature(spec, metric, pt), ref)
+
+
+def _axis_slots(jet, axis):
+    """The 1-D jet inside a second jet of a function of x (axis 0) or of y
+    (axis 1), and the slots that must be zero."""
+    keep = ((0, 1, 3), (0, 2, 5))[axis]
+    return (tuple(jet[k] for k in keep),
+            tuple(jet[k] for k in range(6) if k not in keep))
+
+
+@pytest.mark.parametrize("conic", ["Elliptic", "Hyperbolic", "Parabolic"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_separable_jets_equal_the_general_jets(conic, data):
+    """_block_jets against the general second jets of the reference, at a
+    rational point of a canonical box or of a Mobius-transported one, whose
+    coefficients are not 0 or 1 (exactly), and at its float (under ==),
+    under g0, g+, g- and a gp: the blocks agree entry by entry, the 1-D jets
+    of A, B and tau are the reference's nonzero slots, and both refuse the
+    same points."""
+    spec = data.draw(st.one_of(canonical_boxes(conics=st.just(conic)), transported_boxes()))
+    x, y = (iv.lo + (iv.hi - iv.lo) * data.draw(_UNIT)
+            for iv in (spec.x_interval, spec.y_interval))
+    for pt in ((x, y), (float(x), float(y))):
+        for metric in (METRIC_G0, METRIC_GPLUS, METRIC_GMINUS, metric_gp(Quadratic(1, 1, 3))):
+            try:
+                ref = reference_block_jets(spec, metric, *pt)
+            except SingularEvaluation:
+                with pytest.raises(SingularEvaluation):
+                    _block_jets(spec, metric, *pt)
+                continue
+            a, b, h, factors = _block_jets(spec, metric, *pt)
+            assert {type(v) for jet in (a, b, *h) for v in jet} == {type(pt[0])}
+            assert (a, b, h) == ref[:3]
+            (A, B, tx, ty), (rA, rB, rtx, rty) = factors, ref[3]
+            for jets, refs, axis in (([A] + tx, [rA] + rtx, 0), ([B] + ty, [rB] + rty, 1)):
+                for jet, rjet in zip(jets, refs):
+                    assert (jet, (0, 0, 0)) == _axis_slots(rjet, axis)
