@@ -76,6 +76,7 @@ def moment_map(spec: AnsatzSpec, sign: str, x, y) -> MomentPoint:
     denominator are polarizations in the order of operations of
     `Quadratic.polarize`, of the cached float coefficients at float points."""
     s1, s2 = _basis(spec, sign)
+    # type() first: isinstance against Fraction goes through ABCMeta, slow on floats
     if type(x) is not float and isinstance(x, Fraction) and isinstance(y, Fraction):
         (c0, c1, c2), (a0, a1, a2), (b0, b1, b2) = spec.q.coeffs(), s1.coeffs(), s2.coeffs()
     else:
