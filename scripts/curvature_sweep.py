@@ -10,7 +10,9 @@ g+, g- and the spec's metric, float `curvature` (with the fibre-sine guard
 off, the root guard on) is compared with the exact curvature at the same
 rational point, as the max-norm relative error of R.  Prints, for each set
 and each band of the fibre sine s, the number of points and the worst
-error.
+error.  Exits 1 when a sample-point evaluation that the guard admits
+(s >= MIN_FIBRE_SINE) is off by more than TOLERANCE; the lines next to the
+fold are a report only.
 
 Usage: PYTHONPATH=src python scripts/curvature_sweep.py   (about 40 s)
 """
@@ -18,6 +20,7 @@ Usage: PYTHONPATH=src python scripts/curvature_sweep.py   (about 40 s)
 import json
 import math
 import pathlib
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -29,6 +32,8 @@ from ambitoric.special import INTERIOR
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden"
 BANDS = (0, 1e-4, 5e-4, 1e-3, 2e-3, 5e-3, 0.02, math.inf)
+#: the worst admitted sample point is at 2.0e-10 (`tensors` docstring)
+TOLERANCE = 1e-9
 
 
 def fibre_sine(spec, x, y) -> float:
@@ -82,7 +87,13 @@ def main():
     line = [(x0, -x0 + e * d) for x0 in (1.2, 1.5, 1.8) for d in deltas for e in (1, -1)]
     report("lines next to the fold of case1", list(errors(case1, line)))
     print(f"MIN_FIBRE_SINE = {guard:g}")
+    bad = [e for s, e in rows if s >= guard and e > TOLERANCE]
+    if bad:
+        print(f"FAIL: {len(bad)} admitted sample points off by more than "
+              f"{TOLERANCE:g}, worst {max(bad):.1e}")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -9,6 +9,7 @@ to the classification rules, then eyeball the diff.
 import json
 import pathlib
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 
 from ambitoric import (
@@ -53,8 +54,8 @@ CASES = {
                         (2, 3), (-1, 0), METRIC_G0),
     # Kerr exterior with exact horizon roots; lattice spanned by the
     # compatible edge normals
-    "case6_kerr_exterior": kerr(
-        KerrParams(1, F(3, 4)),
+    "case6_kerr_exterior": replace(
+        kerr(KerrParams(1, F(3, 4))),
         lattice=((F(81, 20), F(3, 4)), (F(-4, 5), F(-4, 3)))),
     # gp metric with the P-locus through the corner (2, -1): rule iv fires
     "case7_p_corner_gp": box(HYP, [-2, 3, -1], [0, -1, -1],

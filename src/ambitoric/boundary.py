@@ -28,6 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 from .quadratics import (
     OO,
     ProjPoint,
+    _poly_jet,
     compatible_quadratic,
     coordinate_jets,
     polar_jet,
@@ -198,7 +199,7 @@ def edge_status(spec: AnsatzSpec, metric: MetricChoice,
     if edge.is_fold_and_edge:
         note = "fold-edge: compatible normal degenerate"
     elif convergent:
-        D = -P.coeffs[3] if edge.gamma is OO else P.derivative()(edge.gamma)
+        D = -P.coeffs[3] if edge.gamma is OO else _poly_jet(P.coeffs, edge.gamma, 2)[1]
         v = identify_t(spec, compatible_quadratic(spec.q, edge.gamma), "-")
         s = (-2 if edge.axis == "X" else 2) / D
         n = (s * v[0], s * v[1])
@@ -233,18 +234,18 @@ def _transversal_point(spec: AnsatzSpec, fold: BoundaryComponent,
     d phi as an array."""
     import numpy as np
 
-    x0, y0 = fold.base_point
+    x0, y0 = fold.base_point           # a rational point
     s = float(fold.approach_sign or 1)
     if fold.kind == FOLD and fold.sign == "+":
         x, y = x0 + s * phi / 2.0, y0 - s * phi / 2.0
         grad = np.array([1.0, -1.0, 0.0, 0.0])
         return x, y, grad
     curve = spec.q if fold.kind == FOLD else spec.metric.p
-    _, gx, gy = polar_jet(curve, *coordinate_jets(x0, y0))[:3]
+    _, gx, gy = polar_jet(curve.coeffs(), *coordinate_jets(x0, y0))[:3]
     n2 = gx * gx + gy * gy
-    x = x0 + s * phi * gx / n2
+    x = x0 + s * phi * gx / n2       # a float point: s is a float
     y = y0 + s * phi * gy / n2
-    grad = np.array([*polar_jet(curve, *coordinate_jets(x, y))[1:3], 0.0, 0.0])
+    grad = np.array([*polar_jet(curve.floats, *coordinate_jets(x, y))[1:3], 0.0, 0.0])
     return x, y, grad
 
 

@@ -79,18 +79,18 @@ def _svg_document(width: float, height: float, body: List[str]) -> str:
 
 
 class _Viewport:
-    """Affine map from moment coordinates to SVG pixels."""
+    """Affine map from moment coordinates to SVG pixels: the points' box,
+    scaled into a `size` x `size` square inside a `margin`."""
 
-    def __init__(self, pts: List[Tuple[float, float]], size: float = 480.0,
-                 margin: float = 40.0):
+    size, margin = 480.0, 40.0
+
+    def __init__(self, pts: List[Tuple[float, float]]):
         xs = [p[0] for p in pts]
         ys = [p[1] for p in pts]
         self.x0, self.x1 = min(xs), max(xs)
         self.y0, self.y1 = min(ys), max(ys)
         span = max(self.x1 - self.x0, self.y1 - self.y0, 1e-9)
-        self.scale = (size - 2 * margin) / span
-        self.margin = margin
-        self.size = size
+        self.scale = (self.size - 2 * self.margin) / span
 
     def map(self, p: Tuple[float, float]) -> Tuple[float, float]:
         u = self.margin + (p[0] - self.x0) * self.scale

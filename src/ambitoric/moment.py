@@ -35,6 +35,7 @@ from .quadratics import (
     coordinates,
     cross,
     inner,
+    is_exact,
     null_quadratic,
     polar_jet,
     proj_rep,
@@ -72,12 +73,11 @@ def _basis(spec: AnsatzSpec, sign: str) -> Tuple[Quadratic, Quadratic]:
 
 
 def moment_map(spec: AnsatzSpec, sign: str, x, y) -> MomentPoint:
-    """mu^sign at (x, y); exact when x, y are Fractions.  Numerators and
+    """mu^sign at (x, y), in the domain `is_exact` picks.  Numerators and
     denominator are polarizations in the order of operations of
-    `Quadratic.polarize`, of the cached float coefficients at float points."""
+    `Quadratic.polarize`."""
     s1, s2 = _basis(spec, sign)
-    # type() first: isinstance against Fraction goes through ABCMeta, slow on floats
-    if type(x) is not float and isinstance(x, Fraction) and isinstance(y, Fraction):
+    if is_exact(x, y):
         (c0, c1, c2), (a0, a1, a2), (b0, b1, b2) = spec.q.coeffs(), s1.coeffs(), s2.coeffs()
     else:
         x, y = float(x), float(y)
@@ -156,14 +156,16 @@ class Conic:
     degenerate: bool = False
     points: Tuple[Tuple[Fraction, Fraction], ...] = ()
 
-    def evaluate(self, m1, m2):
+    def form(self, u, v):
+        """The bilinear form u^T Q v of homogeneous 3-vectors u, v."""
         Q = self.matrix
-        v = (m1, m2, 1)
-        if isinstance(m1, float) or isinstance(m2, float):
-            Qf = [[float(c) for c in row] for row in Q]
-            return sum(Qf[i][j] * float(v[i]) * float(v[j])
-                       for i in range(3) for j in range(3))
-        return sum(Q[i][j] * v[i] * v[j] for i in range(3) for j in range(3))
+        return sum(Q[i][j] * u[i] * v[j] for i in range(3) for j in range(3))
+
+    def evaluate(self, m1, m2):
+        """v^T Q v at v = (m1, m2, 1), in the domain `is_exact` picks: a
+        Fraction entry of Q times a float rounds as its float would."""
+        v = (m1, m2, 1) if is_exact(m1, m2) else (float(m1), float(m2), 1.0)
+        return self.form(v, v)
 
 
 @dataclass(frozen=True)
@@ -247,22 +249,10 @@ def _tangency(line: LineInTstar, conic: Conic) -> Optional[TangencyCertificate]:
         return None
     n1, n2 = line.normal
     c = line.offset
-    # a point on the line and its direction
-    if n1 != 0:
-        p0 = (c / n1, Fraction(0))
-    else:
-        p0 = (Fraction(0), c / n2)
-    d = (-n2, n1)
-    Q = conic.matrix
-
-    def qform(u, v):
-        return sum(Q[i][j] * u[i] * v[j] for i in range(3) for j in range(3))
-
-    P = (p0[0], p0[1], Fraction(1))
-    D = (d[0], d[1], Fraction(0))
-    a = qform(D, D)
-    b = 2 * qform(P, D)
-    cc = qform(P, P)
+    # a point P on the line and its direction D, homogeneous
+    P = (c / n1, Fraction(0), Fraction(1)) if n1 != 0 else (Fraction(0), c / n2, Fraction(1))
+    D = (-n2, n1, Fraction(0))
+    a, b, cc = conic.form(D, D), 2 * conic.form(P, D), conic.form(P, P)
     return TangencyCertificate(leading=a, discriminant=b * b - 4 * a * cc)
 
 
@@ -330,8 +320,8 @@ class Polygon:
         if n != len(self.normals) or n < 3:
             raise ValueError("need matching vertex and normal counts, >= 3")
 
-    def edge_check(self, tol: float = 1e-9) -> bool:
-        """Normals are orthogonal to their edges and point inward."""
+    def edge_check(self) -> bool:
+        """Normals are orthogonal to their edges (to 1e-9) and point inward."""
         n = len(self.vertices)
         cx = sum(v[0] for v in self.vertices) / n
         cy = sum(v[1] for v in self.vertices) / n
@@ -339,7 +329,7 @@ class Polygon:
             ax, ay = self.vertices[i]
             bx, by = self.vertices[(i + 1) % n]
             nx, ny = float(self.normals[i][0]), float(self.normals[i][1])
-            if abs(nx * (bx - ax) + ny * (by - ay)) > tol * max(1.0, hypot(bx - ax, by - ay)):
+            if abs(nx * (bx - ax) + ny * (by - ay)) > 1e-9 * max(1.0, hypot(bx - ax, by - ay)):
                 return False
             if nx * (cx - ax) + ny * (cy - ay) <= 0:
                 return False
@@ -428,8 +418,10 @@ def moment_differential(spec: AnsatzSpec, sign: str, K: Sequence[Fraction],
     b1, b2 = _basis(spec, sign)
     N = b1.scaled(K[0]).plus(b2.scaled(K[1]))
     X, Y = coordinate_jets(x, y)
-    D = polar_jet(spec.q, X, Y) if sign == "+" else (X[0] - Y[0], 1, -1, 0, 0, 0)
-    mu = _mul(polar_jet(N, X, Y), _inv(D))
+    exact = is_exact(X[0], Y[0])
+    D = (polar_jet(spec.q.coeffs() if exact else spec.q.floats, X, Y) if sign == "+"
+         else (X[0] - Y[0], 1, -1, 0, 0, 0))
+    mu = _mul(polar_jet(N.coeffs() if exact else N.floats, X, Y), _inv(D))
     z = type(mu[0])(0)
     return (-mu[1], -mu[2], z, z)
 

@@ -22,13 +22,14 @@ Conventions used throughout the package:
   with weight 1, polynomials of degree <= 4 (A, B and the R of the CSC
   family) as quartics, with weight 2.
 
-Coefficients are exact `fractions.Fraction` values; evaluation accepts
-floats and degrades gracefully to double precision, with float
-coefficients converted once per object.  Jets live here too: second jets
-in (x, y) of polarizations (`polar_jet`, `coordinate_jets`), for the
-metric of `tensors` and the gradients of `moment`, `boundary` and
-`special`, and the 1-D jets of polynomials and quadratics in x alone or y
-alone that the metric of `tensors` is made of.
+Coefficients are exact `fractions.Fraction` values.  Every evaluator of
+the package follows one rule, `is_exact`: a point whose coordinates are
+all Fractions is evaluated exactly, any other (ints included) in floats,
+on float coefficients converted once per object.  Jets live here too:
+second jets in (x, y) of polarizations (`polar_jet`, `coordinate_jets`),
+and the 1-D jets of polynomials and quadratics in x alone or y alone that
+the metric of `tensors` is made of; they take the coefficients (`coeffs`
+or `floats`) that their caller chose by the rule.
 """
 
 from __future__ import annotations
@@ -141,10 +142,7 @@ class Poly:
         return tuple(float(c) for c in self.coeffs)
 
     def __call__(self, z):
-        acc = 0
-        for c in reversed(self.coeffs if isinstance(z, Fraction) else self.floats):
-            acc = acc * z + c
-        return acc
+        return _poly_jet(self.coeffs if is_exact(z) else self.floats, z, 1)[0]
 
     def derivative(self) -> "Poly":
         if len(self.coeffs) == 1:
@@ -301,21 +299,18 @@ class Quadratic:
 
     # -- evaluation --------------------------------------------------------
     def value(self, z):
-        if isinstance(z, Fraction):
-            return self.c0 * z * z + 2 * self.c1 * z + self.c2
-        f0, f1, f2 = self.floats
-        zf = float(z)
-        return f0 * zf * zf + 2.0 * f1 * zf + f2
+        """p(z) = p(z, z); in floats 2 c1 z rounds as c1 (z + z)."""
+        return self.polarize(z, z)
 
     __call__ = value
 
     def polarize(self, x, y):
         """Symmetric bivariate form p(x,y) = c0*xy + c1*(x+y) + c2."""
-        if isinstance(x, Fraction) and isinstance(y, Fraction):
-            return self.c0 * x * y + self.c1 * (x + y) + self.c2
-        f0, f1, f2 = self.floats
-        xf, yf = float(x), float(y)
-        return f0 * xf * yf + f1 * (xf + yf) + f2
+        if is_exact(x, y):
+            c0, c1, c2 = self.coeffs()
+        else:
+            (c0, c1, c2), x, y = self.floats, float(x), float(y)
+        return c0 * x * y + c1 * (x + y) + c2
 
     def polarize_hom(self, X, W, Y, V):
         """Homogenized polarization numerator c0*XY + c1*(XV + YW) + c2*WV,
@@ -435,20 +430,23 @@ def _inv(a):
             (2 * ax * ay * r - axy) * r2, (2 * ay * ay * r - ayy) * r2)
 
 
-def _poly_jet(P: Poly, z, n: int):
-    """1-D jet of P at z, by Horner's rule; its value alone when n = 1."""
-    if n == 1:
-        return (P(z),)
+def _poly_jet(cs: Sequence, z, n: int):
+    """The first n of (P, P', P'') at z, for the polynomial P with ascending
+    coefficients cs, by Horner's rule."""
     p = dp = ddp = 0
-    for c in reversed(P.coeffs if isinstance(z, Fraction) else P.floats):
-        p, dp, ddp = p * z + c, dp * z + p, ddp * z + 2 * dp
-    return (p, dp, ddp)
+    for c in reversed(cs):
+        if n == 3:
+            ddp = ddp * z + 2 * dp
+        if n > 1:
+            dp = dp * z + p
+        p = p * z + c
+    return (p, dp, ddp)[:n]
 
 
-def _diag_jet(p: Quadratic, z, n: int):
-    """1-D jet of p(z) = p(z, z), in the order of operations of `polar_jet`;
-    its value alone when n = 1."""
-    c0, c1, c2 = p.coeffs() if isinstance(z, Fraction) else p.floats
+def _diag_jet(cs: Sequence, z, n: int):
+    """1-D jet of p(z) = p(z, z), p with coefficients cs, in the order of
+    operations of `polar_jet`; its value alone when n = 1."""
+    c0, c1, c2 = cs
     v = c0 * (z * z) + c1 * (z + z) + c2
     return (v,) if n == 1 else (v, c0 * (z + z) + 2 * c1, 2 * c0)
 
@@ -480,19 +478,29 @@ def _lift(u, axis: int):
     return (u0, u1, 0, u2, 0, 0) if axis == 0 else (u0, 0, u1, 0, 0, u2)
 
 
-def polar_jet(p: Quadratic, X, Y):
-    """Jet of the polarization p(x, y) = c0 x y + c1 (x + y) + c2, as long
-    as the coordinate jets X, Y of x and y (`coordinate_jets`)."""
+def polar_jet(cs: Sequence, X, Y):
+    """Jet of the polarization c0 x y + c1 (x + y) + c2, cs = (c0, c1, c2),
+    as long as the coordinate jets X, Y of x and y (`coordinate_jets`)."""
     x, y = X[0], Y[0]
-    c0, c1, c2 = p.coeffs() if isinstance(x, Fraction) else p.floats
+    c0, c1, c2 = cs
     v = c0 * (x * y) + c1 * (x + y) + c2
     return (v,) if len(X) == 1 else (v, c0 * y + c1, c0 * x + c1, 0, c0, 0)
 
 
+def is_exact(*coords) -> bool:
+    """The number-domain rule: a point is exact iff every coordinate is a
+    Fraction; an int counts as float.  type() first: isinstance against
+    Fraction goes through ABCMeta, slow on floats."""
+    for v in coords:
+        if type(v) is float or not isinstance(v, Fraction):
+            return False
+    return True
+
+
 def coordinate_jets(x, y):
-    """The second jets of x and y: Fractions when both are, floats
-    otherwise.  X[:1] is the jet of the value alone."""
-    if not (isinstance(x, Fraction) and isinstance(y, Fraction)):
+    """The second jets of x and y: Fractions at an exact point (`is_exact`),
+    floats otherwise.  X[:1] is the jet of the value alone."""
+    if not is_exact(x, y):
         x, y = float(x), float(y)
     return (x, 1, 0, 0, 0, 0), (y, 0, 1, 0, 0, 0)
 

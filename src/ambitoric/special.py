@@ -22,8 +22,10 @@ from typing import List, Optional, Tuple
 from .quadratics import (
     Poly,
     Quadratic,
+    _poly_jet,
     coordinate_jets,
     inner,
+    is_exact,
     polar_jet,
     rat,
     rational_sqrt,
@@ -88,34 +90,30 @@ class KerrParams:
         return lo, hi, False
 
 
-def kerr(params: KerrParams, region: str = EXTERIOR,
-         lattice: Optional[LatticeMatrix] = None,
-         x_interval: Optional[Interval] = None) -> AnsatzSpec:
-    """Hyperbolic Kerr spec with metric gp, p = 1.
+def kerr(params: KerrParams, region: str = EXTERIOR) -> AnsatzSpec:
+    """Hyperbolic Kerr spec with metric gp, p = 1, on the standard lattice.
 
     Exterior: x in (x+, oo).  Interior: x in (-alpha, x-), the region left
-    of the inner horizon bounded by the B roots; this box is a modeling
-    default and can be overridden via x_interval."""
+    of the inner horizon bounded by the B roots, a modeling default."""
     M, a = params.M, params.alpha
     A = Poly([-a * a, -2 * M, Fraction(1)])
     B = Poly([a * a, 0, -1])
     xm, xp, _exact = params.horizon_roots()
-    if x_interval is None:
-        if region == EXTERIOR:
-            x_interval = Interval(xp, None)
-        elif region == INTERIOR:
-            if -abs(a) >= xm:
-                raise ValidationError("interior box empty for these parameters")
-            x_interval = Interval(-abs(a), xm)
-        else:
-            raise ValueError(f"unknown Kerr region {region!r}")
+    if region == EXTERIOR:
+        x_interval = Interval(xp, None)
+    elif region == INTERIOR:
+        if -abs(a) >= xm:
+            raise ValidationError("interior box empty for these parameters")
+        x_interval = Interval(-abs(a), xm)
+    else:
+        raise ValueError(f"unknown Kerr region {region!r}")
     return AnsatzSpec(
         q=Quadratic(0, 1, 0),
         A=A,
         B=B,
         x_interval=x_interval,
         y_interval=Interval(-abs(a), abs(a)),
-        lattice=lattice if lattice is not None else _ID_LATTICE,
+        lattice=_ID_LATTICE,
         metric=metric_gp(Quadratic(0, 0, 1)),
     )
 
@@ -216,11 +214,9 @@ def _positivity_box(P: Poly, avoid: Optional[Interval] = None) -> Interval:
 # closed-form scalar curvatures
 # ---------------------------------------------------------------------------
 
-def _gen_transvectant(f1, df1, ddf1, P: Poly, z) -> float:
-    """f1 f2'' - 3 f1' f2' + 6 f1'' f2 with f1 data supplied pointwise."""
-    d1 = P.derivative()
-    d2 = d1.derivative()
-    return f1 * d2(z) - 3 * df1 * d1(z) + 6 * ddf1 * P(z)
+def _gen_transvectant(f1, df1, ddf1, P) -> float:
+    """f1 f2'' - 3 f1' f2' + 6 f1'' f2 from the jets of f1 and P = f2."""
+    return f1 * P[2] - 3 * df1 * P[1] + 6 * ddf1 * P[0]
 
 
 def scalar_closed_form(spec: AnsatzSpec, sign: str, x: float, y: float) -> float:
@@ -229,20 +225,22 @@ def scalar_closed_form(spec: AnsatzSpec, sign: str, x: float, y: float) -> float
 
     For '-' the weight function is (x - y)^2 as a function of x (resp. y);
     for '+' it is q(x, y)^2.  Both are divided by (x - y) q(x, y)."""
-    qv = spec.q.polarize(x, y)
+    X, Y = coordinate_jets(x, y)
+    x, y = X[0], Y[0]
+    exact = is_exact(x, y)
+    # q(x, y), its gradient, and d2q/dxdy = c0
+    qv, qx, qy, _, c0, _ = polar_jet(spec.q.coeffs() if exact else spec.q.floats, X, Y)
     d = x - y
     if d == 0 or qv == 0:
         raise ZeroDivisionError("scalar closed form has a pole on the folds")
+    A = _poly_jet(spec.A.coeffs if exact else spec.A.floats, x, 3)
+    B = _poly_jet(spec.B.coeffs if exact else spec.B.floats, y, 3)
     if sign == "-":
-        tA = _gen_transvectant(d * d, 2 * d, 2, spec.A, x)
-        tB = _gen_transvectant(d * d, -2 * d, 2, spec.B, y)
+        tA = _gen_transvectant(d * d, 2 * d, 2, A)
+        tB = _gen_transvectant(d * d, -2 * d, 2, B)
     elif sign == "+":
-        _, qx, qy = polar_jet(spec.q, *coordinate_jets(x, y))[:3]   # grad q(x, y)
-        c0 = spec.q.c0
-        tA = _gen_transvectant(qv * qv, 2 * qv * qx,
-                               2 * qx * qx + 2 * qv * c0, spec.A, x)
-        tB = _gen_transvectant(qv * qv, 2 * qv * qy,
-                               2 * qy * qy + 2 * qv * c0, spec.B, y)
+        tA = _gen_transvectant(qv * qv, 2 * qv * qx, 2 * qx * qx + 2 * qv * c0, A)
+        tB = _gen_transvectant(qv * qv, 2 * qv * qy, 2 * qy * qy + 2 * qv * c0, B)
     else:
         raise ValueError("sign must be '+' or '-'")
     return -(tA + tB) / (d * qv)

@@ -22,8 +22,8 @@ on y alone, so each of these is a 1-D jet (value, d, d2), and the fibre
 numerators A tau_i(y) tau_j(y) + B tau_i(x) tau_j(x) are formed from them
 directly.  Only (x - y) q(x, y), the scale of the metric choice and their
 products with these are full second jets.  The jet helpers live in
-`quadratics`.  On Fraction points (coefficients picked as in
-`Poly.__call__`) the curvature is exact.
+`quadratics`; `_block_jets` hands them the coefficients that the rule
+`quadratics.is_exact` picks.  On Fraction points the curvature is exact.
 
 Curvature in closed form.  Every metric here is a dx^2 + b dy^2 + H, with
 H = h_ij dt_i dt_j, and all of a, b, H depend on (x, y) alone.  With
@@ -67,16 +67,13 @@ Near a double root of A or B the error still grows like the inverse square
 of the distance, alike for both (2.1e-8 at 1e-3 from the double root -3 of
 B in the golden case4_double_root_edges): it is in the jet of A or B, not
 in the curvature.  Float points with s < MIN_FIBRE_SINE or a Newton step
-|A/A'|, |B/B'| below MIN_ROOT_DISTANCE raise SingularEvaluation.
-`scripts/curvature_sweep.py` measures the error at sample_points(8) of
-every cell of the goldens and the Kerr exterior and interior, at the same
-points pushed 20% further from the cell's witness, and at the Kerr
-sample_points(3), under g0, g+, g- and the spec's metric: of the 6825
-evaluations admitted, none is off by more than 2.0e-10, and every Kerr
-sample is admitted, the interior ones down to s = 5.5e-4.  Along the lines
-(x0, -x0 -+ delta), x0 = 1.2, 1.5, 1.8, next to the fold of the table the
-error stays below 4.2e-10 for s >= 1e-3 but reaches 3.9e-9 for s in
-[5e-4, 1e-3): s alone does not fix the loss.
+|A/A'|, |B/B'| below MIN_ROOT_DISTANCE raise SingularEvaluation.  Over
+the sample points of the goldens and Kerr in `scripts/curvature_sweep.py`
+(which fails above 1e-9), none of the 6825 evaluations admitted is off by
+more than 2.0e-10, and every Kerr sample is admitted, the interior ones
+down to s = 5.5e-4.  Along (x0, -x0 -+ delta) next to the fold of the
+table, the error stays below 4.2e-10 for s >= 1e-3 but reaches 3.9e-9 for
+s in [5e-4, 1e-3): s alone does not fix the loss.
 
 Every field is a 4x4 nested tuple, of Fractions at Fraction points, and
 only `curvature` loads numpy, to return its tensors as arrays.  A metric
@@ -94,7 +91,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING
 
@@ -117,6 +113,7 @@ from .quadratics import (
     _poly_jet,
     _separable,
     coordinate_jets,
+    is_exact,
     polar_jet,
 )
 
@@ -159,10 +156,12 @@ def _block_jets(spec: AnsatzSpec, metric: MetricChoice, x, y, n: int = 6) -> tup
     Fractions at Fraction points, floats otherwise."""
     X, Y = (Z[:n] for Z in coordinate_jets(x, y))
     x, y, k = X[0], Y[0], min(n, 3)
-    A, B = _poly_jet(spec.A, x, k), _poly_jet(spec.B, y, k)
+    exact = is_exact(x, y)
+    A = _poly_jet(spec.A.coeffs if exact else spec.A.floats, x, k)
+    B = _poly_jet(spec.B.coeffs if exact else spec.B.floats, y, k)
     if A[0] == 0 or B[0] == 0:
         raise SingularEvaluation("A or B vanishes at the evaluation point")
-    q = polar_jet(spec.q, X, Y)
+    q = polar_jet(spec.q.coeffs() if exact else spec.q.floats, X, Y)
     d = (x - y, 1, -1, 0, 0, 0)[:n]
     den = _mul(d, q)
     if den[0] == 0:
@@ -174,12 +173,13 @@ def _block_jets(spec: AnsatzSpec, metric: MetricChoice, x, y, n: int = 6) -> tup
     elif metric.tag == GMINUS:
         scale = _mul(q, _inv(d))
     else:
-        p = polar_jet(metric.p, X, Y)
+        p = polar_jet(metric.p.coeffs() if exact else metric.p.floats, X, Y)
         if p[0] == 0:
             raise SingularEvaluation("g_p is singular on the P-locus")
         scale = _mul(den, _inv(_mul(p, p)))
-    tx = [_diag_jet(t, x, k) for t in spec.tau_basis]
-    ty = [_diag_jet(t, y, k) for t in spec.tau_basis]
+    taus = [t.coeffs() if exact else t.floats for t in spec.tau_basis]
+    tx = [_diag_jet(t, x, k) for t in taus]
+    ty = [_diag_jet(t, y, k) for t in taus]
     w = _mul(_inv(_mul(den, den)), scale)
     h = [_mul(_separable(A, _mul1(ty[i], ty[j]), B, _mul1(tx[i], tx[j])), w)
          for i, j in ((0, 0), (0, 1), (1, 1))]
@@ -204,7 +204,7 @@ def _omega_components(spec: AnsatzSpec, sign: str, x, y) -> tuple:
         den, sy = d * d, -1
     (u1, v1), (u2, v2) = ((t.value(y) / den, sy * t.value(x) / den)
                           for t in spec.tau_basis)
-    z = type(den)(0)
+    z = type(u1)(0)
     return ((z, z, u1, u2), (z, z, v1, v2), (-u1, -v1, z, z), (-u2, -v2, z, z))
 
 
@@ -361,7 +361,7 @@ def curvature(spec: AnsatzSpec, metric: MetricChoice, pt: FramePoint) -> Curvatu
     import numpy as np
 
     a, b, h, (A, B, tx, ty) = _block_jets(spec, metric, pt.x, pt.y)
-    exact = isinstance(a[0], Fraction)
+    exact = is_exact(pt.x, pt.y)
     if not exact:
         (u1, u2), (v1, v2) = ([t[0] for t in T] for T in (tx, ty))
         if not (abs(u1 * v2 - u2 * v1) >= MIN_FIBRE_SINE * math.hypot(u1, u2) * math.hypot(v1, v2)

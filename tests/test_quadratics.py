@@ -5,7 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ambitoric.ansatz import Interval, ValidationError, _positivity_check, sigma_from_tau
+from ambitoric.ansatz import (
+    METRIC_GPLUS,
+    Interval,
+    ValidationError,
+    _positivity_check,
+    sigma_from_tau,
+)
+from ambitoric.moment import fold_conic, moment_differential, moment_map
 from ambitoric.quadratics import (
     OO,
     Mobius,
@@ -16,6 +23,7 @@ from ambitoric.quadratics import (
     coordinates,
     cross,
     inner,
+    is_exact,
     poly_transport,
     proj_eq,
     rat,
@@ -23,6 +31,8 @@ from ambitoric.quadratics import (
     transvectant2,
     transversal,
 )
+from ambitoric.special import KerrParams, kerr, scalar_closed_form
+from ambitoric.tensors import FramePoint, curvature, eval_field, metric_components
 
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=12)
@@ -41,6 +51,41 @@ def test_quadratic_value_and_polarization():
     for z in (F(0), F(1), F(-5, 2)):
         assert q.polarize(z, z) == q.value(z)
     assert q.polarize(F(1), F(2)) == 1 * 2 + 2 * 3 + 3
+
+
+_KERR = kerr(KerrParams(1, F(1, 2)))
+
+#: every evaluator of the package at a point (x, y) of the Kerr exterior; a
+#: one-variable evaluator is read at y, whose point is that one coordinate
+_EVALUATORS = {
+    "Poly.__call__": lambda x, y: _KERR.B(y),
+    "Quadratic.value": lambda x, y: _KERR.tau_basis[0].value(y),
+    "Quadratic.polarize": lambda x, y: _KERR.q.polarize(x, y),
+    "moment_map": lambda x, y: moment_map(_KERR, "+", x, y),
+    "moment_differential": lambda x, y: moment_differential(_KERR, "-", (F(1), F(2)), x, y),
+    "metric_components": lambda x, y: metric_components(_KERR, _KERR.metric, x, y),
+    "eval_field": lambda x, y: tuple(eval_field(_KERR, f, FramePoint(x, y)).components
+                                     for f in ("g0", "g+", "g-", "gp", "omega+", "omega-", "J+", "J-")),
+    "curvature.scalar": lambda x, y: curvature(_KERR, METRIC_GPLUS, FramePoint(x, y)).scalar,
+    "Conic.evaluate": lambda x, y: fold_conic(_KERR, "+").evaluate(x, y),
+    "scalar_closed_form": lambda x, y: scalar_closed_form(_KERR, "+", x, y),
+}
+
+
+def _entries(v):
+    return [u for w in v for u in _entries(w)] if isinstance(v, tuple) else [v]
+
+
+@pytest.mark.parametrize("name", sorted(_EVALUATORS))
+@pytest.mark.parametrize("point, kind", [((F(3), F(1, 4)), F), ((3.0, 0.25), float),
+                                         ((F(3), 0.25), float), ((3, 0), float)],
+                         ids=["fractions", "floats", "mixed", "ints"])
+def test_one_number_domain_rule(name, point, kind):
+    """is_exact: a point is exact iff every coordinate is a Fraction, and an
+    int counts as float.  Every evaluator returns Fractions at exact points
+    and floats at all others."""
+    assert is_exact(*point) == (kind is F)
+    assert {type(v) for v in _entries(_EVALUATORS[name](*point))} == {kind}
 
 
 def test_conic_types_of_normal_forms():
