@@ -7,10 +7,9 @@ boundary distance analysis, and completability classification.
 Every public name is imported on first access (PEP 562): `import ambitoric`
 loads no submodule, and a name loads only the module that defines it and
 that module's own imports.  So `validate` needs only `quadratics` and
-`ansatz`, and only `curvature` loads numpy (and `estimate_r` and
-`convexity_check`, the numeric cross-checks).  `classify` is both a
-submodule and a function; the package keeps the name for the function in
-every import order.
+`ansatz`, and only `curvature` and `convexity_check` load numpy.
+`classify` is both a submodule and a function; the package keeps the name
+for the function in every import order.
 """
 
 import importlib

@@ -65,7 +65,6 @@ class BoundaryComponent:
     sign: Optional[str] = None                 # folds: "+" | "-"
     corner: Optional[Tuple[ProjPoint, ProjPoint]] = None
     is_fold_and_edge: bool = False
-    proper: bool = False                       # folds: meets the open box
     on_positive_fold: bool = False             # corners
     on_negative_fold: bool = False
     on_p_locus: bool = False
@@ -78,9 +77,9 @@ class BoundaryComponent:
             g = "oo" if self.gamma is OO else str(self.gamma)
             return f"Edge {self.axis}={g}{tag}"
         if self.kind == FOLD:
-            return f"Fold {self.sign}" + (" (proper)" if self.proper else "")
+            return f"Fold {self.sign} (proper)"
         if self.kind == PLOCUS:
-            return "PLocus" + (" (proper)" if self.proper else "")
+            return "PLocus (proper)"
         gx, gy = self.corner
         fx = "oo" if gx is OO else str(gx)
         fy = "oo" if gy is OO else str(gy)
@@ -97,12 +96,9 @@ class BoundaryComponent:
 
 @dataclass(frozen=True)
 class DistanceStatus:
-    metric: MetricChoice
     verdict: str
     r_exponent: Optional[float] = None
-    integral_convergent: Optional[bool] = None
     compatible_normal: Optional[Tuple[Tuple[Fraction, Fraction], bool]] = None
-    note: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +106,36 @@ class DistanceStatus:
 # ---------------------------------------------------------------------------
 
 def decompose_boundary(spec: AnsatzSpec, comp: BoxComponent) -> List[BoundaryComponent]:
-    """Edges, corners, folds and (under gp) P-locus segments of the cell's
-    closure, read from the cell: an edge or a corner is listed when the
-    closure meets it, a fold (one piece per fold, the line x = r of a line
-    pair {q = 0} apart) when one of its arcs bounds the cell, and the
-    P-locus when {p = 0} passes through the open cell."""
+    """Edges, folds, (under gp) P-locus segments and corners of the cell's
+    closure, in that order, the order of the verdict's reports.  They are
+    read from the cell: an edge or a corner is listed when the closure
+    meets it, a fold (one piece per fold, the line x = r of a line pair
+    {q = 0} apart) when one of its arcs bounds the cell, and the P-locus
+    when {p = 0} passes through the open cell."""
     out: List[BoundaryComponent] = []
     qdr = spec.q.double_root()
     for axis, g in dict.fromkeys((e.axis, e.gamma) for e in comp.edges):
         fe = qdr is not None and proj_eq(g, qdr)
         out.append(BoundaryComponent(kind=EDGE, axis=axis, gamma=g,
                                      is_fold_and_edge=fe))
+
+    for sign, vertical, approach in (("+", False, comp.sign_xy),
+                                     ("-", True, comp.sign_q),
+                                     ("-", False, comp.sign_q)):
+        arcs = [a for a in comp.folds
+                if a.sign == sign and (a.at is not None) == vertical]
+        if arcs:
+            out.append(BoundaryComponent(kind=FOLD, sign=sign,
+                                         base_point=arcs[len(arcs) // 2].base,
+                                         approach_sign=approach))
+
+    if spec.metric.tag == GP:
+        p = spec.metric.p
+        pv = p.polarize(*comp.witness)
+        pside = (pv > 0) - (pv < 0)
+        for base in comp.cells.locus_points(p, comp.index):
+            out.append(BoundaryComponent(kind=PLOCUS, base_point=base,
+                                         approach_sign=pside))
 
     for gx, gy in comp.corners:
         X, W = proj_rep(gx)
@@ -133,24 +148,6 @@ def decompose_boundary(spec: AnsatzSpec, comp: BoxComponent) -> List[BoundaryCom
                                      on_positive_fold=pos,
                                      on_negative_fold=neg,
                                      on_p_locus=onp))
-
-    for sign, vertical, approach in (("+", False, comp.sign_xy),
-                                     ("-", True, comp.sign_q),
-                                     ("-", False, comp.sign_q)):
-        arcs = [a for a in comp.folds
-                if a.sign == sign and (a.at is not None) == vertical]
-        if arcs:
-            out.append(BoundaryComponent(kind=FOLD, sign=sign, proper=True,
-                                         base_point=arcs[len(arcs) // 2].base,
-                                         approach_sign=approach))
-
-    if spec.metric.tag == GP:
-        p = spec.metric.p
-        pv = p.polarize(*comp.witness)
-        pside = (pv > 0) - (pv < 0)
-        for base in comp.cells.locus_points(p, comp.index):
-            out.append(BoundaryComponent(kind=PLOCUS, proper=True,
-                                         base_point=base, approach_sign=pside))
     return out
 
 
@@ -158,8 +155,7 @@ def decompose_boundary(spec: AnsatzSpec, comp: BoxComponent) -> List[BoundaryCom
 # edges
 # ---------------------------------------------------------------------------
 
-def _scale_edge_order(spec: AnsatzSpec, metric: MetricChoice,
-                      fold_edge: bool) -> int:
+def _scale_edge_order(metric: MetricChoice, fold_edge: bool) -> int:
     """Vanishing order of the metric's conformal scale in the transverse
     coordinate along the edge.  Nonzero only for fold-edges, where q(x,y)
     vanishes to first order off the edge."""
@@ -190,23 +186,18 @@ def edge_status(spec: AnsatzSpec, metric: MetricChoice,
         raise ValidationError(
             f"edge {edge.axis}={g}: endpoint is not a root of "
             f"{'A' if edge.axis == 'X' else 'B'}; not a true metric boundary")
-    e = _scale_edge_order(spec, metric, edge.is_fold_and_edge)
+    e = _scale_edge_order(metric, edge.is_fold_and_edge)
     convergent = (m_root - e) < 2
     verdict = FINITE if convergent else INFINITELY_DISTANT
 
     normal = None
-    note = ""
-    if edge.is_fold_and_edge:
-        note = "fold-edge: compatible normal degenerate"
-    elif convergent:
+    if convergent and not edge.is_fold_and_edge:
         D = -P.coeffs[3] if edge.gamma is OO else _poly_jet(P.coeffs, edge.gamma, 2)[1]
         v = identify_t(spec, compatible_quadratic(spec.q, edge.gamma), "-")
         s = (-2 if edge.axis == "X" else 2) / D
         n = (s * v[0], s * v[1])
         normal = (n, lattice_contains(spec.lattice, n))
-    return DistanceStatus(metric=metric, verdict=verdict,
-                          integral_convergent=convergent,
-                          compatible_normal=normal, note=note)
+    return DistanceStatus(verdict=verdict, compatible_normal=normal)
 
 
 # ---------------------------------------------------------------------------
@@ -228,47 +219,43 @@ def _analytic_r(spec: AnsatzSpec, metric: MetricChoice,
     return table[metric.tag]
 
 
+#: log phi at the 30 geometric steps from 1e-6 to 1e-3 that `estimate_r` fits
+_LOG_PHIS = tuple(math.log(1e-6) + k * math.log(1e3) / 29 for k in range(30))
+
+
 def _transversal_point(spec: AnsatzSpec, fold: BoundaryComponent,
                        phi: float):
-    """(x, y, d phi) at parameter phi along the transversal from the base,
-    d phi as an array."""
-    import numpy as np
-
+    """(x, y, (d_x phi, d_y phi)) at parameter phi along the transversal
+    from the base; d phi has no dt part."""
     x0, y0 = fold.base_point           # a rational point
     s = float(fold.approach_sign or 1)
     if fold.kind == FOLD and fold.sign == "+":
-        x, y = x0 + s * phi / 2.0, y0 - s * phi / 2.0
-        grad = np.array([1.0, -1.0, 0.0, 0.0])
-        return x, y, grad
+        return x0 + s * phi / 2.0, y0 - s * phi / 2.0, (1.0, -1.0)
     curve = spec.q if fold.kind == FOLD else spec.metric.p
     _, gx, gy = polar_jet(curve.coeffs(), *coordinate_jets(x0, y0))[:3]
     n2 = gx * gx + gy * gy
     x = x0 + s * phi * gx / n2       # a float point: s is a float
     y = y0 + s * phi * gy / n2
-    grad = np.array([*polar_jet(curve.floats, *coordinate_jets(x, y))[1:3], 0.0, 0.0])
-    return x, y, grad
+    return x, y, tuple(polar_jet(curve.floats, *coordinate_jets(x, y))[1:3])
 
 
-def estimate_r(spec: AnsatzSpec, metric: MetricChoice, fold: BoundaryComponent,
-               lo: float = 1e-6, hi: float = 1e-3, n: int = 30) -> float:
+def estimate_r(spec: AnsatzSpec, metric: MetricChoice, fold: BoundaryComponent) -> float:
     """Least-squares slope of log ||d phi||_g against log phi along the
-    transversal from the fold's base point."""
-    import numpy as np
-
+    transversal from the fold's base point.  The metric is a dx^2 + b dy^2
+    plus a fibre block and d phi has no dt part, so
+    ||d phi||_g^2 = (d_x phi)^2 / a + (d_y phi)^2 / b."""
     from .tensors import metric_components
 
-    phis = np.geomspace(lo, hi, n)
     logs = []
-    for phi in phis:
-        x, y, grad = _transversal_point(spec, fold, float(phi))
+    for t in _LOG_PHIS:
+        x, y, (gx, gy) = _transversal_point(spec, fold, math.exp(t))
         g = metric_components(spec, metric, x, y)
-        ginv = np.linalg.inv(g)
         # on components where the conformal factor is negative the scaled
         # metric is negative definite; the length scale is |g|
-        norm = math.sqrt(abs(float(grad @ ginv @ grad)))
-        logs.append(math.log(norm))
-    slope = np.polyfit(np.log(phis), np.array(logs), 1)[0]
-    return float(slope)
+        logs.append(0.5 * math.log(abs(gx * gx / g[0][0] + gy * gy / g[1][1])))
+    tm, lm = sum(_LOG_PHIS) / len(logs), sum(logs) / len(logs)
+    return (sum((t - tm) * (v - lm) for t, v in zip(_LOG_PHIS, logs))
+            / sum((t - tm) ** 2 for t in _LOG_PHIS))
 
 
 def fold_status(spec: AnsatzSpec, metric: MetricChoice,
@@ -278,15 +265,14 @@ def fold_status(spec: AnsatzSpec, metric: MetricChoice,
         raise ValueError("fold_status needs a Fold or PLocus component")
     r = _analytic_r(spec, metric, fold)
     verdict = INFINITELY_DISTANT if r >= 1.0 else FINITE
-    return DistanceStatus(metric=metric, verdict=verdict, r_exponent=r)
+    return DistanceStatus(verdict=verdict, r_exponent=r)
 
 
 # ---------------------------------------------------------------------------
 # corners
 # ---------------------------------------------------------------------------
 
-def corner_status(spec: AnsatzSpec, metric: MetricChoice,
-                  corner: BoundaryComponent,
+def corner_status(metric: MetricChoice, corner: BoundaryComponent,
                   adjacent: Sequence[DistanceStatus]
                   ) -> Tuple[DistanceStatus, bool, str]:
     """Corner verdict from the adjacent edge/fold statuses, plus the
@@ -296,7 +282,7 @@ def corner_status(spec: AnsatzSpec, metric: MetricChoice,
         raise ValueError("corner_status needs a Corner component")
     infinitely = any(a.verdict == INFINITELY_DISTANT for a in adjacent)
     verdict = INFINITELY_DISTANT if infinitely else FINITE
-    status = DistanceStatus(metric=metric, verdict=verdict)
+    status = DistanceStatus(verdict=verdict)
     if infinitely:
         return status, True, "adjacent infinitely distant piece"
     if metric.tag == GP and corner.on_p_locus:

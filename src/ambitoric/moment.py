@@ -55,9 +55,6 @@ class MomentPoint(NamedTuple):
     mu1: float
     mu2: float
 
-    def as_tuple(self):
-        return tuple(self)
-
 
 # ---------------------------------------------------------------------------
 # the maps
@@ -150,10 +147,10 @@ def _primitive(vec: Sequence[Fraction]) -> Tuple[Fraction, ...]:
 class Conic:
     """Symmetric 3x3 coefficient matrix Q in homogeneous (mu1, mu2, 1);
     a point (m1, m2) lies on the conic iff v^T Q v = 0 for v = (m1, m2, 1).
-    Degenerate images (a point pair) carry the explicit point list."""
+    A degenerate image (a point pair) has matrix None and carries the
+    explicit point list."""
 
     matrix: Optional[Tuple[Tuple[Fraction, ...], ...]]
-    degenerate: bool = False
     points: Tuple[Tuple[Fraction, Fraction], ...] = ()
 
     def form(self, u, v):
@@ -236,7 +233,7 @@ def fold_conic(spec: AnsatzSpec, sign: str) -> Conic:
     r = spec.q.double_root()
     if r is not None:
         p = _edge_image(spec, sign, "X", r)
-        return Conic(matrix=None, degenerate=True, points=(p, (-p[0], -p[1])))
+        return Conic(matrix=None, points=(p, (-p[0], -p[1])))
     (g11, g12), (_, g22) = _gram(_basis(spec, sign))
     det = g11 * g22 - g12 * g12
     zero = Fraction(0)
@@ -362,11 +359,11 @@ def delzant_check(polygon: Polygon, lattice: LatticeMatrix) -> List[CornerVerdic
     return out
 
 
-def convexity_check(samples, spread: float = 2.5):
+def convexity_check(samples):
     """Decide whether the sample cloud fills its own convex hull.
 
     A convex moment image sampled on a grid leaves no hole: every point of
-    the hull is within a couple of nearest-neighbour spacings of a sample.
+    the hull is within 2.5 local nearest-neighbour spacings of a sample.
     A folded image leaves a conic-shaped void inside the hull; the witness
     returned is a hull point far from every sample.  Collinear clouds are
     convex by convention."""
@@ -405,7 +402,7 @@ def convexity_check(samples, spread: float = 2.5):
     dists, idx = tree.query(probes)
     ratio = dists / np.maximum(local[idx], 1e-300)
     worst = int(np.argmax(ratio))
-    if ratio[worst] > spread:
+    if ratio[worst] > 2.5:
         return False, MomentPoint(*probes[worst])
     return True, None
 

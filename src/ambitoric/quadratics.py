@@ -590,19 +590,17 @@ class Mobius:
         return -self.d / self.c
 
     def apply(self, p: ProjPoint) -> ProjPoint:
+        """(a p + b)/(c p + d) in the domain `is_exact` picks.  An exact
+        pole goes to OO; a float one raises ZeroDivisionError."""
         if p is OO:
-            if self.c == 0:
-                return OO
-            return self.a / self.c
-        p = rat(p)
+            return OO if self.c == 0 else self.a / self.c
+        if not is_exact(p):
+            a, b, c, d = (float(v) for v in (self.a, self.b, self.c, self.d))
+            return (a * p + b) / (c * p + d)
         den = self.c * p + self.d
         if den == 0:
             return OO
         return (self.a * p + self.b) / den
-
-    def apply_float(self, x: float) -> float:
-        den = float(self.c) * x + float(self.d)
-        return (float(self.a) * x + float(self.b)) / den
 
 
 def transport_quadratic(q: Quadratic, m: Mobius) -> Quadratic:

@@ -133,9 +133,6 @@ class CSCData:
 @dataclass(frozen=True)
 class CSCReport:
     einstein: bool
-    csc: bool
-    A: Poly
-    B: Poly
 
 
 def csc_construct(data: CSCData,
@@ -173,9 +170,7 @@ def csc_construct(data: CSCData,
         lattice=lattice if lattice is not None else _ID_LATTICE,
         metric=metric_gp(data.p),
     )
-    report = CSCReport(einstein=data.rho.is_multiple_of(data.q),
-                       csc=True, A=A, B=B)
-    return spec, report
+    return spec, CSCReport(einstein=data.rho.is_multiple_of(data.q))
 
 
 def _positivity_box(P: Poly, avoid: Optional[Interval] = None) -> Interval:

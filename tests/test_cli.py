@@ -128,7 +128,7 @@ def test_check_passes_on_the_sliver(tmp_path, capsys, sliver_spec):
 def test_check_relative_bound_still_fails_a_wrong_pairing(sliver_spec):
     x, y = map(float, validate(sliver_spec)[0].witness)
     pt = FramePoint(x, y)
-    Jp, Jm, gp, wp, wm = (np.asarray(eval_field(sliver_spec, f, pt).components)
+    Jp, Jm, gp, wp, wm = (np.asarray(eval_field(sliver_spec, f, pt))
                           for f in ("J+", "J-", "g+", "omega+", "omega-"))
     # check's bound on these is 1e-8
     assert relative_residual(gp @ Jp - wp, (gp, Jp), (wp,)) < 1e-12

@@ -61,10 +61,11 @@ _EVALUATORS = {
     "Poly.__call__": lambda x, y: _KERR.B(y),
     "Quadratic.value": lambda x, y: _KERR.tau_basis[0].value(y),
     "Quadratic.polarize": lambda x, y: _KERR.q.polarize(x, y),
+    "Mobius.apply": lambda x, y: Mobius(1, 1, 1, 2).apply(y),
     "moment_map": lambda x, y: moment_map(_KERR, "+", x, y),
     "moment_differential": lambda x, y: moment_differential(_KERR, "-", (F(1), F(2)), x, y),
     "metric_components": lambda x, y: metric_components(_KERR, _KERR.metric, x, y),
-    "eval_field": lambda x, y: tuple(eval_field(_KERR, f, FramePoint(x, y)).components
+    "eval_field": lambda x, y: tuple(eval_field(_KERR, f, FramePoint(x, y))
                                      for f in ("g0", "g+", "g-", "gp", "omega+", "omega-", "J+", "J-")),
     "curvature.scalar": lambda x, y: curvature(_KERR, METRIC_GPLUS, FramePoint(x, y)).scalar,
     "Conic.evaluate": lambda x, y: fold_conic(_KERR, "+").evaluate(x, y),

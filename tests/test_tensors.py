@@ -48,15 +48,15 @@ def test_complex_structures_square_to_minus_id(any_spec):
     for x, y in _points(any_spec):
         pt = FramePoint(x, y)
         for name in ("J+", "J-"):
-            J = np.asarray(eval_field(any_spec, name, pt).components)
+            J = np.asarray(eval_field(any_spec, name, pt))
             assert np.max(np.abs(J @ J + np.eye(4))) < 1e-10
 
 
 def test_structures_commute_opposite_orientation(any_spec):
     for x, y in _points(any_spec):
         pt = FramePoint(x, y)
-        Jp = np.asarray(eval_field(any_spec, "J+", pt).components)
-        Jm = np.asarray(eval_field(any_spec, "J-", pt).components)
+        Jp = np.asarray(eval_field(any_spec, "J+", pt))
+        Jm = np.asarray(eval_field(any_spec, "J-", pt))
         assert np.max(np.abs(Jp @ Jm - Jm @ Jp)) < 1e-10
         # opposite orientations: the products J+J- and J-J+ square to +Id
         K = Jp @ Jm
@@ -68,8 +68,8 @@ def test_kaehler_compatibility(any_spec):
         pt = FramePoint(x, y)
         for s, met in (("+", METRIC_GPLUS), ("-", METRIC_GMINUS)):
             g = np.asarray(metric_components(any_spec, met, x, y))
-            J = np.asarray(eval_field(any_spec, "J" + s, pt).components)
-            w = np.asarray(eval_field(any_spec, "omega" + s, pt).components)
+            J = np.asarray(eval_field(any_spec, "J" + s, pt))
+            w = np.asarray(eval_field(any_spec, "omega" + s, pt))
             assert np.max(np.abs(J.T @ g @ J - g)) < 1e-10
             assert np.max(np.abs(g @ J - w)) < 1e-10
             assert np.max(np.abs(w + w.T)) < 1e-12
@@ -81,7 +81,7 @@ def test_omega_closed(any_spec):
     for x, y in _points(any_spec, 2):
         def w(xx, yy, s):
             return np.asarray(eval_field(any_spec, "omega" + s,
-                                         FramePoint(xx, yy)).components)
+                                         FramePoint(xx, yy)))
 
         for s in ("+", "-"):
             dw_x = (w(x + h, y, s) - w(x - h, y, s)) / (2 * h)
@@ -110,8 +110,8 @@ def test_omega_top_vs_volume(any_spec):
         f = float(conformal_factor(any_spec, x, y))
         AB = float(any_spec.A(x)) * float(any_spec.B(y))
         for s, ex in (("+", -2), ("-", 2)):
-            lhs = pfaffian4(eval_field(any_spec, "omega" + s, FramePoint(x, y)).components)
-            J = eval_field(any_spec, "J" + s, FramePoint(x, y)).components
+            lhs = pfaffian4(eval_field(any_spec, "omega" + s, FramePoint(x, y)))
+            J = eval_field(any_spec, "J" + s, FramePoint(x, y))
             rhs = f ** ex / AB * kaehler_volume_coefficient(J)
             assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(lhs))
 
@@ -126,7 +126,7 @@ def test_kaehler_identities_are_exact_at_fraction_points(name):
     for comp in validate(spec):
         x, y = comp.witness
         pt = FramePoint(x, y)
-        T = {f: np.array(eval_field(spec, f, pt).components, dtype=object)
+        T = {f: np.array(eval_field(spec, f, pt), dtype=object)
              for f in ("g0", "g+", "g-", "omega+", "omega-", "J+", "J-")}
         assert all(type(v) is F for t in T.values() for v in t.flat)
         f = conformal_factor(spec, x, y)
@@ -151,9 +151,9 @@ def test_block_inverse_agrees_with_numpy(name):
     for comp in validate(spec):
         for x, y in [tuple(map(float, comp.witness))] + comp.sample_points(6):
             for s, met in (("+", METRIC_GPLUS), ("-", METRIC_GMINUS)):
-                J = np.asarray(eval_field(spec, "J" + s, FramePoint(x, y)).components)
+                J = np.asarray(eval_field(spec, "J" + s, FramePoint(x, y)))
                 g = np.asarray(metric_components(spec, met, x, y))
-                w = np.asarray(eval_field(spec, "omega" + s, FramePoint(x, y)).components)
+                w = np.asarray(eval_field(spec, "omega" + s, FramePoint(x, y)))
                 size = np.max(np.abs(J))
                 assert np.max(np.abs(J - np.linalg.solve(g, w))) <= 1e-11 * size
                 rows = np.array([[1, 0, 0, 0], -J[0], [0, 1, 0, 0], -J[1]])
