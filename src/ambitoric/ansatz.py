@@ -318,6 +318,11 @@ class AnsatzSpec:
         """The companions (sigma1, sigma2) of the torus basis, solved once."""
         return tuple(sigma_from_tau(t, self.q) for t in self.tau_basis)
 
+    @cached_property
+    def moment_frames(self) -> dict:
+        """sign -> the moment frame of `moment._frame`, built on first use."""
+        return {}
+
     def with_metric(self, metric: MetricChoice) -> "AnsatzSpec":
         return replace(self, metric=metric)
 

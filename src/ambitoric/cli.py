@@ -33,7 +33,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .quadratics import Mobius, Poly, Quadratic, rat
+from .quadratics import OO, Mobius, Poly, Quadratic, rat
 from .ansatz import (
     FIELDS,
     AnsatzSpec,
@@ -305,6 +305,16 @@ def _cmd_moment(args) -> int:
         conic_out = [[str(c) for c in row] for row in conic.matrix]
     else:
         conic_out = {"points": [[str(a), str(b)] for a, b in conic.points]}
+    lines, lines_out = [], []
+    for axis, iv in (("X", spec.x_interval), ("Y", spec.y_interval)):
+        for g in iv.endpoints_proj():
+            entry = {"axis": axis, "gamma": "oo" if g is OO else str(g)}
+            try:
+                lines.append(level_set_line(spec, sign, axis, g))
+                entry.update(_line_json(lines[-1]))
+            except MomentError as err:
+                entry["pole"] = str(err)
+            lines_out.append(entry)
     if args.svg:
         mus = [(r[2], r[3]) for r in rows]
         vp = _Viewport(mus)
@@ -315,23 +325,31 @@ def _cmd_moment(args) -> int:
             body.append(vp.dots(points, "#cc0000", 3.0))
         for br in _conic_polylines(conic, box):
             body.append(vp.polyline(br, "#cc0000"))
-        for axis, iv in (("X", spec.x_interval), ("Y", spec.y_interval)):
-            for g in iv.endpoints_proj():
-                try:
-                    line = level_set_line(spec, sign, axis, g)
-                except ValueError:
-                    continue
-                if line.degenerate_point is not None:
-                    point = tuple(float(v) for v in line.degenerate_point)
-                    body.append(vp.dots([point], "#4e9a06", 3.0))
-                else:
-                    body.append(vp.polyline(
-                        _line_segment(line, box), "#4e9a06", 1.0))
+        for line in lines:
+            if line.degenerate_point is not None:
+                point = tuple(float(v) for v in line.degenerate_point)
+                body.append(vp.dots([point], "#4e9a06", 3.0))
+            else:
+                body.append(vp.polyline(_line_segment(line, box), "#4e9a06", 1.0))
         with open(args.svg, "w") as fh:
             fh.write(_svg_document(vp.size, vp.size, body))
-    _dump_json({"sign": sign, "samples": len(rows), "conic": conic_out},
-               args.out)
+    _dump_json({"sign": sign, "samples": len(rows), "conic": conic_out,
+                "lines": lines_out}, args.out)
     return EXIT_OK
+
+
+def _line_json(line) -> dict:
+    """An edge image as exact strings: the point it collapses to, or the
+    line {normal . mu = offset} with the leading coefficient and the
+    discriminant of its tangency certificate against the fold conic (none
+    when the conic is a point pair)."""
+    if line.degenerate_point is not None:
+        return {"point": [str(v) for v in line.degenerate_point]}
+    out = {"normal": [str(v) for v in line.normal], "offset": str(line.offset)}
+    if line.tangency is not None:
+        out.update(leading=str(line.tangency.leading),
+                   discriminant=str(line.tangency.discriminant))
+    return out
 
 
 def _line_segment(line, box):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, hypot
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -33,7 +32,7 @@ from .quadratics import (
     compatible_quadratic,
     coordinate_jets,
     coordinates,
-    cross,
+    dual_frame,
     inner,
     is_exact,
     null_quadratic,
@@ -96,21 +95,38 @@ def moment_pairing(spec: AnsatzSpec, sign: str, p: Quadratic, x, y):
     return v[0] * mp.mu1 + v[1] * mp.mu2
 
 
+class _Frame(NamedTuple):
+    """The moment frame of a spec and sign (`_frame`)."""
+
+    dual: tuple                     # `dual_frame` of (b1, b2, q) or (b1, b2, u)
+    conic: "Conic"
+    adjugate: Optional[tuple]       # of conic.matrix, None for a point pair
+
+
+def _frame(spec: AnsatzSpec, sign: str) -> _Frame:
+    """The moment frame of mu^sign, built on first use and kept on the spec
+    instance (`AnsatzSpec.moment_frames`), so every exact moment call reads
+    it without hashing the spec.  It holds the `dual_frame` of (b1, b2, q)
+    for the basis b of mu^sign, the fold conic and its adjugate.  (b1, b2, q)
+    spans all quadratics except for '-' with parabolic q, where q lies in
+    span(tau) = q-perp; the frame then takes a transversal u of q in place
+    of q, and every p of q-perp has u-coordinate 0."""
+    frame = spec.moment_frames.get(sign)
+    if frame is None:
+        b1, b2 = _basis(spec, sign)
+        dual = dual_frame(b1, b2, spec.q) or dual_frame(b1, b2, transversal(spec.q))
+        conic = _fold_conic(spec, sign, dual[0])
+        adj = None if conic.matrix is None else _adjugate(conic.matrix)
+        frame = spec.moment_frames[sign] = _Frame(dual, conic, adj)
+    return frame
+
+
 def _coordinates(spec: AnsatzSpec, p: Quadratic, sign: str):
     """(v1, v2, lambda) with p = v1 b1 + v2 b2 + lambda q for the basis b of
-    mu^sign.  (b1, b2, q) spans all quadratics except for '-' with parabolic
-    q, where q lies in span(tau) = q-perp, which holds p; lambda is 0 then,
-    and v1, v2 are the ratios of p x b2 and b1 x p to b1 x b2, read off
-    against a transversal u of q (<b1 x b2, u> != 0 as b1 x b2 is parallel
-    to q)."""
+    mu^sign, from the frame; lambda is 0 for '-' with parabolic q."""
     if inner(p, spec.q) != 0:
         raise MomentError("p is not orthogonal to q")
-    b1, b2 = _basis(spec, sign)
-    sol = coordinates(p, b1, b2, spec.q)
-    if sol is None:
-        v1, v2, _ = coordinates(p, b1, b2, transversal(spec.q))
-        return v1, v2, Fraction(0)
-    return sol
+    return coordinates(p, _frame(spec, sign).dual)
 
 
 def identify_t(spec: AnsatzSpec, p: Quadratic, sign: str = "+") -> Tuple[Fraction, Fraction]:
@@ -209,25 +225,38 @@ def _gram(basis: Sequence[Quadratic]):
     return [[inner(u, v) for v in basis] for u in basis]
 
 
-@lru_cache(maxsize=256)
+def _adjugate(Q):
+    """The adjugate of the symmetric 3x3 matrix Q."""
+    (a, b, d), (_, c, e), (_, _, f) = Q
+    return ((c * f - e * e, d * e - b * f, b * e - c * d),
+            (d * e - b * f, a * f - d * d, b * d - a * e),
+            (b * e - c * d, b * d - a * e, a * c - b * b))
+
+
 def fold_conic(spec: AnsatzSpec, sign: str) -> Conic:
+    """The image conic of the fold Z_sign under mu^sign (`_fold_conic`),
+    built once per spec and sign with the moment frame (`_frame`), which is
+    kept on the spec instance; every call returns the same object."""
+    return _frame(spec, sign).conic
+
+
+def _fold_conic(spec: AnsatzSpec, sign: str, duals) -> Conic:
     """The image conic of the fold Z_sign under mu^sign, in closed form,
-    computed once per spec and sign (every edge's tangency certificate in
-    level_set_line reads it again).
+    from the dual vectors of the frame.
 
     With l = (z - x)(z - y), every quadratic p has p(x, y) = -<p, l>, and
     <l, l> = (x - y)^2 / 2.  On Z+ = {x = y} the quadratic l is null; writing
     l in the basis b = (sigma1, sigma2, q) gives w^T G^-1 w = 0 for
     w = (-mu1, -mu2, 1) and G the Gram matrix of b; G^-1 is proportional
-    to the Gram matrix of the dual directions (b2 x b3, b3 x b1, b1 x b2).
+    to the Gram matrix of the dual vectors (b2 x b3, b3 x b1, b1 x b2) of
+    the frame.
     On Z- = {q(x, y) = 0} l lies in q-perp = span(tau); with G the Gram
     matrix of tau this gives mu^T G^-1 mu = 1/2.
     For parabolic q, Z- is the line pair x = r, y = r at the double root r
     of q (OO included), and its '-' image the point pair p, -p: p is the
     image of the edge {x = r}, and mu- is odd under x <-> y."""
     if sign == "+":
-        b1, b2, b3 = (*spec.sigma_basis, spec.q)
-        H = _gram((cross(b2, b3), cross(b3, b1), cross(b1, b2)))
+        H = _gram(duals)
         D = (-1, -1, 1)
         return _conic([[D[i] * D[j] * H[i][j] for j in range(3)] for i in range(3)])
     r = spec.q.double_root()
@@ -241,16 +270,25 @@ def fold_conic(spec: AnsatzSpec, sign: str) -> Conic:
     return _conic([[g22, -g12, zero], [-g12, g11, zero], [zero, zero, -det / 2]])
 
 
-def _tangency(line: LineInTstar, conic: Conic) -> Optional[TangencyCertificate]:
-    if conic.matrix is None:
+def _tangency(line: LineInTstar, frame: _Frame) -> Optional[TangencyCertificate]:
+    """The line {n . mu = c} meets the fold conic Q where t solves
+    (P + t D)^T Q (P + t D) = 0, for a point P of the line and its direction
+    D = (-n2, n1, 0): leading coefficient D^T Q D and discriminant
+    4 ((P^T Q D)^2 - (P^T Q P)(D^T Q D)).  By the exact identity
+    (u^T Q u)(v^T Q v) - (u^T Q v)^2 = (u x v)^T adj(Q) (u x v), and as
+    P x D = (-n1, -n2, c) for either P = (c/n1, 0, 1) or (0, c/n2, 1), the
+    discriminant is -4 l^T adj(Q) l with l = (n1, n2, -c); the adjugate is
+    the frame's (`_frame`)."""
+    if frame.adjugate is None:
         return None
+    (q00, q01, _), (_, q11, _), _ = frame.conic.matrix
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = frame.adjugate
     n1, n2 = line.normal
-    c = line.offset
-    # a point P on the line and its direction D, homogeneous
-    P = (c / n1, Fraction(0), Fraction(1)) if n1 != 0 else (Fraction(0), c / n2, Fraction(1))
-    D = (-n2, n1, Fraction(0))
-    a, b, cc = conic.form(D, D), 2 * conic.form(P, D), conic.form(P, P)
-    return TangencyCertificate(leading=a, discriminant=b * b - 4 * a * cc)
+    c = -line.offset
+    lal = (a00 * n1 * n1 + a11 * n2 * n2 + a22 * c * c
+           + 2 * (a01 * n1 * n2 + a02 * n1 * c + a12 * n2 * c))
+    return TangencyCertificate(leading=q00 * n2 * n2 - 2 * q01 * n1 * n2 + q11 * n1 * n1,
+                               discriminant=-4 * lal)
 
 
 def _edge_image(spec: AnsatzSpec, sign: str, axis: str, gamma: ProjPoint):
@@ -260,7 +298,7 @@ def _edge_image(spec: AnsatzSpec, sign: str, axis: str, gamma: ProjPoint):
         # n . mu+ = b along the edge iff n1 sigma1 + n2 sigma2 + b q is
         # orthogonal to every quadratic with root gamma, i.e. a multiple of
         # (W z - X)^2
-        a1, a2, b = coordinates(null_quadratic(gamma), *spec.sigma_basis, spec.q)
+        a1, a2, b = coordinates(null_quadratic(gamma), _frame(spec, sign).dual)
         if a1 == 0 and a2 == 0:
             raise MomentError(f"mu+ has its pole along the edge {axis} = {gamma}")
         return _line(a1, a2, b)
@@ -285,7 +323,7 @@ def level_set_line(spec: AnsatzSpec, sign: str, axis: str,
     if isinstance(image, tuple):
         return LineInTstar(normal=(Fraction(0), Fraction(0)), offset=Fraction(0),
                            degenerate_point=image)
-    return replace(image, tangency=_tangency(image, fold_conic(spec, sign)))
+    return replace(image, tangency=_tangency(image, _frame(spec, sign)))
 
 
 def p_image_line(spec: AnsatzSpec, sign: str, p: Quadratic) -> LineInTstar:

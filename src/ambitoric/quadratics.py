@@ -16,7 +16,8 @@ Conventions used throughout the package:
       (a x b) x c = -(<a, c> b - <b, c> a) / 2
 
   so every exact linear solve on quadratics is a cross product divided by
-  an inner product (`coordinates`, `ansatz.sigma_from_tau`);
+  an inner product (`dual_frame` with `coordinates`,
+  `ansatz.sigma_from_tau`);
 * Mobius maps act on points of the projective line (infinity is the
   first-class value OO) and on polynomials as binary forms: quadratics
   with weight 1, polynomials of degree <= 4 (A, B and the R of the CSC
@@ -367,17 +368,24 @@ def cross(a: Quadratic, b: Quadratic) -> Quadratic:
                      a.c1 * b.c2 - a.c2 * b.c1)
 
 
-def coordinates(p: Quadratic, b1: Quadratic, b2: Quadratic,
-                b3: Quadratic) -> Optional[Tuple[Fraction, Fraction, Fraction]]:
-    """(v1, v2, v3) with p = v1 b1 + v2 b2 + v3 b3, by Cramer's rule in
-    triple products: v1 = <p, b2 x b3> / <b1, b2 x b3>, and cyclically.
-    None when the three are linearly dependent."""
+def dual_frame(b1: Quadratic, b2: Quadratic, b3: Quadratic):
+    """The dual vectors (b2 x b3, b3 x b1, b1 x b2) of a basis and its
+    determinant <b1, b2 x b3>, or None when the three are linearly
+    dependent.  Build it once per basis; `coordinates` reads it."""
     n1 = cross(b2, b3)
     det = inner(b1, n1)
     if det == 0:
         return None
-    return (inner(p, n1) / det, inner(p, cross(b3, b1)) / det,
-            inner(p, cross(b1, b2)) / det)
+    return (n1, cross(b3, b1), cross(b1, b2)), det
+
+
+def coordinates(p: Quadratic, frame) -> Tuple[Fraction, Fraction, Fraction]:
+    """(v1, v2, v3) with p = v1 b1 + v2 b2 + v3 b3, for the `dual_frame` of
+    (b1, b2, b3): by Cramer's rule in triple products v1 = <p, b2 x b3> /
+    <b1, b2 x b3>, and cyclically, so 3 inner products and 3 divisions.
+    `moment` keeps the frame of each spec and sign on the spec instance."""
+    (n1, n2, n3), det = frame
+    return inner(p, n1) / det, inner(p, n2) / det, inner(p, n3) / det
 
 
 def transversal(q: Quadratic) -> Quadratic:

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from ambitoric.cli import main, relative_residual
 
 from conftest import make_spec
-from ambitoric import AnsatzSpec, FramePoint, Quadratic, eval_field, validate
+from ambitoric import OO, AnsatzSpec, FramePoint, MomentError, Quadratic, eval_field, validate
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 CASE5 = json.loads((GOLDEN_DIR / "case5_accept.json").read_text())["spec"]
@@ -272,6 +273,49 @@ def test_moment_svg_draws_degenerate_edge_image(tmp_path, capsys):
     assert main(["moment", str(p), "--sign", "-", "--svg", str(svg)]) == 0
     capsys.readouterr()
     assert svg.read_text().endswith("</svg>\n")
+
+
+def test_moment_json_gives_every_edge_image(tmp_path, capsys, monkeypatch):
+    """`lines` holds one entry per box edge: the exact line with its tangency
+    certificate, the point the edge collapses to, or the pole of mu+ along
+    it.  --svg draws those lines: level_set_line runs once per edge."""
+    import ambitoric.moment as moment
+    calls = []
+    build = moment.level_set_line
+    monkeypatch.setattr(moment, "level_set_line", lambda *a: calls.append(a) or build(*a))
+    g = json.loads((GOLDEN_DIR / "case2_fold_edge_g0.json").read_text())
+    p = tmp_path / "case2.json"
+    p.write_text(json.dumps(g["spec"]))
+    spec = AnsatzSpec.from_dict(g["spec"])
+    kinds = {}
+    for sign in "+-":
+        calls.clear()
+        assert main(["moment", str(p), "--sign", sign, "--svg", str(tmp_path / "m.svg")]) == 0
+        lines = json.loads(capsys.readouterr().out)["lines"]
+        assert [(d["axis"], d["gamma"]) for d in lines] == [
+            ("X", "1"), ("X", "oo"), ("Y", "-2"), ("Y", "-1")]
+        assert len(calls) == 4
+        for d in lines:
+            gamma = OO if d["gamma"] == "oo" else F(d["gamma"])
+            kinds[sign, d["gamma"]] = sorted(set(d) - {"axis", "gamma"})
+            if "pole" in d:
+                with pytest.raises(MomentError):
+                    build(spec, sign, d["axis"], gamma)
+                continue
+            line = build(spec, sign, d["axis"], gamma)
+            if "point" in d:
+                assert d["point"] == [str(v) for v in line.degenerate_point]
+                continue
+            assert (d["normal"], d["offset"]) == ([str(v) for v in line.normal], str(line.offset))
+            if line.tangency is not None:
+                assert (d["leading"], d["discriminant"]) == (
+                    str(line.tangency.leading), str(line.tangency.discriminant))
+                assert d["discriminant"] == "0"
+    tangent = ["discriminant", "leading", "normal", "offset"]
+    assert kinds == {("+", "1"): tangent, ("+", "oo"): ["pole"], ("+", "-2"): tangent,
+                     ("+", "-1"): tangent, ("-", "1"): ["normal", "offset"],
+                     ("-", "oo"): ["point"], ("-", "-2"): ["normal", "offset"],
+                     ("-", "-1"): ["normal", "offset"]}
 
 
 def test_validate_and_classify_agree_on_components(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import json
 import math
 import pathlib
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from ambitoric import (
     OO,
     AnsatzSpec,
+    Conic,
     Interval,
     Mobius,
     MomentError,
@@ -27,15 +30,27 @@ from ambitoric import (
     p_image_line,
     validate,
 )
+from ambitoric import moment
 from ambitoric.moment import (
+    LineInTstar,
     TangencyCertificate,
     hamiltonian_residual,
     moment_differential,
     moment_pairing,
 )
+from ambitoric.quadratics import coordinates, cross, null_quadratic
 from ambitoric.tensors import FramePoint, eval_field
 
-from conftest import I2, fold_points, geometry_specs, make_spec, small, transported_boxes
+from conftest import (
+    I2,
+    canonical_boxes,
+    fold_points,
+    geometry_specs,
+    make_spec,
+    small,
+    transported_boxes,
+)
+from moment_reference import cramer, reference_coordinates, reference_tangency
 
 
 def test_moment_map_exact_on_rationals(hyperbolic_spec):
@@ -171,15 +186,23 @@ def test_level_set_line_tangency(hyperbolic_spec):
         assert line.normal[0] * mp.mu1 + line.normal[1] * mp.mu2 == line.offset
 
 
-def test_fold_conic_is_computed_once_per_spec_and_sign(hyperbolic_spec):
-    """Every edge's tangency certificate reads the same two conics."""
-    fold_conic.cache_clear()
+def test_fold_conic_is_computed_once_per_spec_and_sign(hyperbolic_spec, monkeypatch):
+    """Every edge's tangency certificate reads the conic of the spec's
+    moment frame, which is built once per spec instance and sign."""
+    built = []
+    build = moment._fold_conic
+    monkeypatch.setattr(moment, "_fold_conic",
+                        lambda spec, sign, duals: built.append(sign) or build(spec, sign, duals))
+    spec = dataclasses.replace(hyperbolic_spec)
     for sign in "+-":
-        for axis, gamma in (("X", F(2)), ("X", F(3)), ("Y", F(-1)), ("Y", F(0))):
-            level_set_line(hyperbolic_spec, sign, axis, gamma)
-        assert fold_conic(hyperbolic_spec, sign) is fold_conic(hyperbolic_spec, sign)
-    info = fold_conic.cache_info()
-    assert (info.misses, info.hits) == (2, 10)
+        for _ in range(2):
+            for axis, gamma in (("X", F(2)), ("X", F(3)), ("Y", F(-1)), ("Y", F(0))):
+                level_set_line(spec, sign, axis, gamma)
+        assert fold_conic(spec, sign) is fold_conic(spec, sign)
+    assert built == ["+", "-"]
+    # no cache keyed by the spec's value: an equal instance builds its own
+    assert fold_conic(dataclasses.replace(spec), "+") == fold_conic(spec, "+")
+    assert built == ["+", "-", "+"]
 
 
 def test_tangency_certificate_is_exact():
@@ -339,3 +362,97 @@ def test_hamiltonian_residual_detects_wrong_pairing(any_spec):
         wrong_sign = np.array([0.0, 0.0, float(K[0]), float(K[1])]) @ w_flip
         assert np.max(np.abs(dmu + wrong_k)) > 1e-2
         assert np.max(np.abs(dmu + wrong_sign)) > 1e-2
+
+
+_BOXES = {c: canonical_boxes(conics=st.just(c)) for c in ("Elliptic", "Hyperbolic", "Parabolic")}
+_BOXES["transported"] = transported_boxes()
+_LINE_PART = st.one_of(st.just(F(0)), small)
+
+
+def _edge_lines(spec, sign):
+    for axis, iv in (("X", spec.x_interval), ("Y", spec.y_interval)):
+        for gamma in iv.endpoints_proj():
+            try:
+                yield level_set_line(spec, sign, axis, gamma)
+            except MomentError:
+                continue
+
+
+@pytest.mark.parametrize("kind", sorted(_BOXES))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_tangency_from_the_adjugate_is_the_point_and_direction_formula(kind, data):
+    """The certificate read off the frame's adjugate equals, as Fractions,
+    the one from a point and the direction of the line, for every edge image
+    and for drawn lines (n1 = 0 and n2 = 0 included) against both folds."""
+    spec = data.draw(_BOXES[kind])
+    drawn = data.draw(st.lists(st.tuples(_LINE_PART, _LINE_PART, small)
+                               .filter(lambda t: t[0] != 0 or t[1] != 0), max_size=4))
+    for sign in "+-":
+        frame = moment._frame(spec, sign)
+        for line in _edge_lines(spec, sign):
+            if line.degenerate_point is None:
+                assert line.tangency == reference_tangency(line, frame.conic)
+        for n1, n2, c in drawn:
+            line = LineInTstar(normal=(n1, n2), offset=c)
+            assert moment._tangency(line, frame) == reference_tangency(line, frame.conic)
+
+
+@given(st.lists(small, min_size=6, max_size=6),
+       st.lists(st.tuples(_LINE_PART, _LINE_PART, small)
+                .filter(lambda t: t[0] != 0 or t[1] != 0), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_tangency_identity_holds_for_every_symmetric_conic(entries, drawn):
+    """The adjugate form of the certificate does not rest on the fold
+    conics' shape (they have no linear terms): it equals the point-and-
+    direction formula for any symmetric Q."""
+    a, b, c, d, e, f = entries
+    conic = Conic(matrix=((a, b, d), (b, c, e), (d, e, f)))
+    frame = moment._Frame(None, conic, moment._adjugate(conic.matrix))
+    for n1, n2, off in drawn:
+        line = LineInTstar(normal=(n1, n2), offset=off)
+        assert moment._tangency(line, frame) == reference_tangency(line, conic)
+
+
+def test_tangency_certificates_of_the_geometry_specs():
+    """The edge images of the goldens and Kerr hold lines with n1 = 0, with
+    n2 = 0 and asymptotes (leading coefficient 0); every certificate equals
+    the point-and-direction one and is tangent."""
+    kinds = collections.Counter()
+    for spec in geometry_specs().values():
+        for sign in "+-":
+            conic = fold_conic(spec, sign)
+            for line in _edge_lines(spec, sign):
+                if line.tangency is None:
+                    continue
+                assert line.tangency == reference_tangency(line, conic)
+                assert line.tangency.ok
+                kinds.update(k for k, hit in (("n1 = 0", line.normal[0] == 0),
+                                              ("n2 = 0", line.normal[1] == 0),
+                                              ("asymptote", line.tangency.leading == 0)) if hit)
+    assert set(kinds) == {"n1 = 0", "n2 = 0", "asymptote"}, kinds
+
+
+@pytest.mark.parametrize("kind", sorted(_BOXES))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_identify_t_from_the_frame_is_a_fresh_cramer_solve(kind, data):
+    """Coordinates of q-orthogonal quadratics read off the moment frame equal
+    a fresh Cramer solve, including the transversal of a parabolic q under
+    '-'; so do the '+' coordinates of the null quadratics of the edges."""
+    spec = data.draw(_BOXES[kind])
+    rs = data.draw(st.lists(st.tuples(small, small, small), min_size=1, max_size=4))
+    for sign in "+-":
+        for r in rs:
+            p = cross(spec.q, Quadratic(*r))
+            if p.is_zero():
+                continue
+            want = reference_coordinates(spec, p, sign)
+            assert moment._coordinates(spec, p, sign) == want
+            assert identify_t(spec, p, sign) == want[:2]
+    sigma1, sigma2 = spec.sigma_basis
+    frame = moment._frame(spec, "+")
+    for iv in (spec.x_interval, spec.y_interval):
+        for gamma in iv.endpoints_proj():
+            N = null_quadratic(gamma)
+            assert coordinates(N, frame.dual) == cramer(N, sigma1, sigma2, spec.q)

@@ -22,6 +22,7 @@ from ambitoric.quadratics import (
     conic_type,
     coordinates,
     cross,
+    dual_frame,
     inner,
     is_exact,
     poly_transport,
@@ -175,11 +176,11 @@ def test_sigma_solves_the_cross_product_equation_in_its_gauge(q, r, u):
 @given(quadratics, quadratics, quadratics, quadratics)
 @settings(max_examples=60, deadline=None)
 def test_coordinates_rebuild_p(b1, b2, b3, p):
-    v = coordinates(p, b1, b2, b3)
+    frame = dual_frame(b1, b2, b3)
     if _det(b1, b2, b3) == 0:
-        assert v is None
+        assert frame is None
     else:
-        assert _combo(v, (b1, b2, b3)) == p
+        assert _combo(coordinates(p, frame), (b1, b2, b3)) == p
 
 
 @given(_nonzero_q(), quadratics, quadratics, st.tuples(rationals, rationals))
@@ -190,7 +191,7 @@ def test_coordinates_in_q_perp_against_a_transversal(q, r1, r2, v):
     t1, t2 = cross(q, r1), cross(q, r2)
     assume(not cross(t1, t2).is_zero())
     p = _combo(v, (t1, t2))
-    assert coordinates(p, t1, t2, transversal(q)) == (*v, 0)
+    assert coordinates(p, dual_frame(t1, t2, transversal(q))) == (*v, 0)
 
 
 @given(_nonzero_q(), rationals)
