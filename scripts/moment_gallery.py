@@ -3,7 +3,7 @@
 forms, plus the strongly non-convex Kerr interior image.
 
 Writes SVG files into the directory given as the first argument
-(default: ./gallery).
+(default: ./gallery).  Exits 1 when any `moment` call fails.
 """
 
 import json
@@ -39,6 +39,7 @@ GALLERY = {
 def main():
     outdir = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "gallery")
     outdir.mkdir(parents=True, exist_ok=True)
+    failed = 0
     for name, spec in GALLERY.items():
         sf = outdir / f"{name}.spec.json"
         sf.write_text(json.dumps(spec.to_dict(), indent=2, sort_keys=True))
@@ -48,9 +49,11 @@ def main():
             code = cli_main(["moment", str(sf), "--sign", sign,
                              "--grid", "20", "--svg", str(svg),
                              "--out", str(rep)])
+            failed += code != 0
             status = "ok" if code == 0 else f"exit {code}"
             print(f"{name:14s} mu^{sign}: {svg.name} [{status}]")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -6,9 +6,9 @@ metric choice) of an ambitoric ansatz restricted to a coordinate box.
 {x = y} and {q(x,y) = 0} into its connected components, the cells.  It
 finds them exactly, by a cylindrical decomposition in x over rationals and
 quadratic surds (`SignCells`).  Each cell carries its sign pair
-(sign(x - y), sign q), a rational interior witness, and the box-edge
-segments, corners and fold arcs of its closure.  One sign pair can hold
-several cells.
+(sign(x - y), sign q), a rational interior witness, and what bounds it:
+the box edges and corners of its closure and a rational base point on
+each fold next to it.  One sign pair can hold several cells.
 
 The spec also carries a basis (tau_1, tau_2) of quadratics orthogonal to q:
 the images of the torus generators (d/dt1, d/dt2) under the identification
@@ -30,7 +30,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from itertools import groupby
 from typing import List, Optional, Sequence, Tuple
 
 from .quadratics import (
@@ -573,32 +572,6 @@ def _finite(v):
     return None if isinstance(v, float) else v
 
 
-@dataclass(frozen=True)
-class EdgeSegment:
-    """The open part of the box edge {axis = gamma} in a cell's closure: the
-    other coordinate runs over (lo, hi).  Ends are exact: a Fraction, a
-    quadratic surd where the folds cross, or None for an infinite end."""
-
-    axis: str
-    gamma: ProjPoint
-    lo: object
-    hi: object
-
-
-@dataclass(frozen=True)
-class FoldArc:
-    """An arc of a fold in a cell's closure.  A graph arc of {x = y} ('+') or
-    of the involution graph of {q = 0} ('-') runs over the x-range (lo, hi);
-    a vertical arc, the line x = at of a line pair {q = 0}, runs over the
-    y-range (lo, hi).  `base` is a rational point on the arc."""
-
-    sign: str
-    lo: object
-    hi: object
-    base: Tuple[Fraction, Fraction]
-    at: Optional[Fraction] = None
-
-
 class SignCells:
     """The cylindrical decomposition of one box (see the comment above).
     `crit` are the critical x-values, `slabs[i]` the fibre pieces over a
@@ -670,11 +643,17 @@ class SignCells:
                 for s, lo, hi, _ in self.slabs[i]]
 
     def closure(self):
-        """Per cell: edge segments, corners and fold arcs of its closure."""
+        """Per cell: the box edges (axis, gamma) its closure meets along a
+        segment, the box corners in it, and its folds.  A fold is
+        (sign, vertical, base): `vertical` marks the line x = r of a line
+        pair {q = 0}, and `base` is a rational point of the fold strictly
+        inside the box, next to the cell.  Edges and corners come in
+        first-seen order, folds in the order ('+', False), ('-', True),
+        ('-', False)."""
         X, Y = self.X, self.Y
         n = len(self.members)
-        edges = [[] for _ in range(n)]
-        corners = [[] for _ in range(n)]
+        edges = [{} for _ in range(n)]
+        corners = [{} for _ in range(n)]
         ylo = -math.inf if Y.lo is None else Y.lo
         yhi = math.inf if Y.hi is None else Y.hi
         gy = Y.endpoints_proj()
@@ -683,52 +662,35 @@ class SignCells:
                               (gx[1], X.hi, len(self.slabs) - 1, -1)):
             for cell, lo, hi in self._end_pieces(i, e, side):
                 if lo < hi:
-                    edges[cell].append(EdgeSegment("X", g, _finite(lo), _finite(hi)))
+                    edges[cell]["X", g] = None
                 if lo == ylo:
-                    corners[cell].append((g, gy[0]))
+                    corners[cell][g, gy[0]] = None
                 if hi == yhi:
-                    corners[cell].append((g, gy[1]))
+                    corners[cell][g, gy[1]] = None
         for k, g in ((0, gy[0]), (-1, gy[1])):
-            cells = [self.cell_of[(i, slab[k][0])] for i, slab in enumerate(self.slabs)]
-            for cell, run in groupby(range(len(cells)), key=cells.__getitem__):
-                run = list(run)
-                edges[cell].append(
-                    EdgeSegment("Y", g, self.ends[run[0]], self.ends[run[-1] + 1]))
-        folds = [[] for _ in range(n)]
+            for i, slab in enumerate(self.slabs):
+                edges[self.cell_of[(i, slab[k][0])]]["Y", g] = None
+        folds = [{} for _ in range(n)]
         for i, slab in enumerate(self.slabs):
+            x = self.xs[i]
             for s, lo, hi, _ in slab:
                 for cut in {lo, hi} & {_DIAG, _FOLD}:
-                    folds[self.cell_of[(i, s)]].append((cut, i))
-        arcs = [self._arcs(f) for f in folds]
+                    # the base sits over the first slab where the fold bounds the cell
+                    folds[self.cell_of[(i, s)]].setdefault(
+                        (cut, False), (x, x if cut == _DIAG else _involution(self.q, x)))
         for j, c in enumerate(self.crit):
             if not self.walls[j]:
                 # a vertical line of {q = 0}: the wall through the double root
                 for i, side in ((j, -1), (j + 1, 1)):
                     for cell, lo, hi in self._end_pieces(i, c, side):
                         if lo < hi:
-                            lo, hi = _finite(lo), _finite(hi)
-                            arcs[cell].append(FoldArc(
-                                _FOLD, lo, hi, (c, _rational_between(lo, hi)), at=c))
-        return [(tuple(edges[k]), tuple(dict.fromkeys(corners[k])), tuple(arcs[k]))
+                            folds[cell][_FOLD, True] = (
+                                c, _rational_between(_finite(lo), _finite(hi)))
+        return [(tuple(edges[k]), tuple(corners[k]),
+                 tuple((s, v, folds[k][s, v])
+                       for s, v in ((_DIAG, False), (_FOLD, True), (_FOLD, False))
+                       if (s, v) in folds[k]))
                 for k in range(n)]
-
-    def _arcs(self, adjacent) -> List[FoldArc]:
-        """Merge the (fold, slab) adjacencies of one cell into arcs over
-        consecutive slabs; the graph of {q = 0} breaks at its pole."""
-        q = self.q
-        runs = []
-        for cut, i in sorted(adjacent):
-            if runs and runs[-1][0] == cut and runs[-1][2] == i - 1 and (
-                    cut == _DIAG or q.c0 == 0 or self.crit[i - 1] != -q.c1 / q.c0):
-                runs[-1][2] = i
-            else:
-                runs.append([cut, i, i])
-        out = []
-        for cut, i, j in runs:
-            x = self.xs[(i + j) // 2]
-            y = x if cut == _DIAG else _involution(q, x)
-            out.append(FoldArc(cut, self.ends[i], self.ends[j + 1], (x, y)))
-        return out
 
     # -- the zero locus of another quadratic --------------------------------
     def locus_points(self, p: Quadratic, cell: int) -> List[Tuple[Fraction, Fraction]]:
@@ -765,9 +727,11 @@ class BoxComponent:
 
     On the cell, x - y has the sign sign_xy and q(x, y) the sign sign_q.
     One sign pair can hold several cells.  `witness` is a rational point
-    inside the cell.  Its closure is described by `edges` (the open
-    box-edge segments it meets), `corners` (the box corners in it, as
-    projective pairs) and `folds` (the fold arcs bounding it)."""
+    inside the cell.  What bounds it is `edges` (the distinct box edges
+    (axis, gamma) its closure meets along a segment), `corners` (the box
+    corners in its closure, as projective pairs) and `folds` (one
+    (sign, vertical, base) per fold class next to it; see
+    `SignCells.closure`)."""
 
     x_range: Interval
     y_range: Interval
@@ -775,9 +739,9 @@ class BoxComponent:
     sign_q: int
     q: Quadratic
     witness: Tuple[Fraction, Fraction]
-    edges: Tuple[EdgeSegment, ...]
+    edges: Tuple[Tuple[str, ProjPoint], ...]
     corners: Tuple[Tuple[ProjPoint, ProjPoint], ...]
-    folds: Tuple[FoldArc, ...]
+    folds: Tuple[Tuple[str, bool, Tuple[Fraction, Fraction]], ...]
     cells: SignCells = field(repr=False, compare=False)
     index: int = field(repr=False, compare=False)
     shared: bool = field(repr=False, compare=False)   # sign pair not unique
@@ -869,14 +833,9 @@ def validate(spec: AnsatzSpec) -> List[BoxComponent]:
     _positivity_check(spec.B, spec.y_interval, "B")
     cells = SignCells(spec)
     pairs = [keys[0][1] for keys in cells.members]
-    out = []
-    for n, (keys, (edges, corners, folds)) in enumerate(
-            zip(cells.members, cells.closure())):
-        sxy, sq = pairs[n]
-        out.append(BoxComponent(spec.x_interval, spec.y_interval, sxy, sq,
-                                spec.q, cells.witness(keys), edges, corners,
-                                folds, cells, n, pairs.count(pairs[n]) > 1))
-    return out
+    return [BoxComponent(spec.x_interval, spec.y_interval, *pairs[n], spec.q,
+                         cells.witness(keys), *bound, cells, n, pairs.count(pairs[n]) > 1)
+            for n, (keys, bound) in enumerate(zip(cells.members, cells.closure()))]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Boundary decomposition and metric-distance analysis.
 
 The closure of a cell (`ansatz.BoxComponent`) decomposes into edges (the
-box edges {x or y = endpoint} it meets along a segment), folds (arcs of
-{x = y} and {q(x,y) = 0} bounding it), the box corners it contains, and
+box edges {x or y = endpoint} it meets along a segment), folds ({x = y}
+and {q(x,y) = 0} where they bound it), the box corners it contains, and
 for the diagonal-Ricci metric the P-locus {p(x,y) = 0} where it crosses
 the cell.  All of these are read from the cell's exact decomposition.
 
@@ -108,26 +108,21 @@ class DistanceStatus:
 def decompose_boundary(spec: AnsatzSpec, comp: BoxComponent) -> List[BoundaryComponent]:
     """Edges, folds, (under gp) P-locus segments and corners of the cell's
     closure, in that order, the order of the verdict's reports.  They are
-    read from the cell: an edge or a corner is listed when the closure
-    meets it, a fold (one piece per fold, the line x = r of a line pair
-    {q = 0} apart) when one of its arcs bounds the cell, and the P-locus
-    when {p = 0} passes through the open cell."""
+    read from the cell: an edge or a corner when the closure meets it, a
+    fold (one piece per fold, the line x = r of a line pair {q = 0}
+    apart) when it bounds the cell, at the cell's base point on it, and
+    the P-locus when {p = 0} passes through the open cell."""
     out: List[BoundaryComponent] = []
     qdr = spec.q.double_root()
-    for axis, g in dict.fromkeys((e.axis, e.gamma) for e in comp.edges):
+    for axis, g in comp.edges:
         fe = qdr is not None and proj_eq(g, qdr)
         out.append(BoundaryComponent(kind=EDGE, axis=axis, gamma=g,
                                      is_fold_and_edge=fe))
 
-    for sign, vertical, approach in (("+", False, comp.sign_xy),
-                                     ("-", True, comp.sign_q),
-                                     ("-", False, comp.sign_q)):
-        arcs = [a for a in comp.folds
-                if a.sign == sign and (a.at is not None) == vertical]
-        if arcs:
-            out.append(BoundaryComponent(kind=FOLD, sign=sign,
-                                         base_point=arcs[len(arcs) // 2].base,
-                                         approach_sign=approach))
+    for sign, _, base in comp.folds:
+        out.append(BoundaryComponent(
+            kind=FOLD, sign=sign, base_point=base,
+            approach_sign=comp.sign_xy if sign == "+" else comp.sign_q))
 
     if spec.metric.tag == GP:
         p = spec.metric.p

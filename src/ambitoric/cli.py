@@ -156,8 +156,10 @@ def _cmd_validate(args) -> int:
 def _cmd_eval(args) -> int:
     from .tensors import FramePoint, eval_field
 
-    spec = _load_spec(args.spec)
     x, y = (float(v) for v in args.at.split(","))
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"--at needs finite coordinates, got {args.at!r}")
+    spec = _load_spec(args.spec)
     fields = [args.field] if args.field else list(FIELDS)
     out = {"x": x, "y": y, "f": float(conformal_factor(spec, x, y))}
     for f in fields:
@@ -284,6 +286,8 @@ def _cmd_classify(args) -> int:
 def _cmd_moment(args) -> int:
     from .moment import MomentError, fold_conic, level_set_line, moment_map
 
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
     spec = _load_spec(args.spec)
     comps = validate(spec)
     sign = args.sign

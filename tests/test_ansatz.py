@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -26,7 +27,13 @@ from ambitoric.ansatz import (
 )
 from ambitoric.tensors import metric_components
 
-from conftest import boxes_and_transports, geometry_specs, make_spec, transported_boxes
+from conftest import (
+    boxes_and_transports,
+    canonical_boxes,
+    geometry_specs,
+    make_spec,
+    transported_boxes,
+)
 
 
 def test_rejects_nonpositive_A():
@@ -280,7 +287,52 @@ def test_sliver_has_two_cells(sliver_spec):
     assert [(c.sign_xy, c.sign_q) for c in comps] == [(1, -1), (1, 1)]
     sliver = comps[0]
     assert sliver.corners == ((F(2), F(-201, 100)),)
-    assert [(e.axis, e.gamma) for e in sliver.edges] == [("X", 2), ("Y", F(-201, 100))]
+    assert sliver.edges == (("X", 2), ("Y", F(-201, 100)))
+
+
+def _strictly_inside(iv, v):
+    return (iv.lo is None or iv.lo < v) and (iv.hi is None or v < iv.hi)
+
+
+@st.composite
+def line_pair_boxes(draw):
+    """A canonical box with q = (z - r)^2 instead, r strictly inside the
+    x-interval: {q = 0} is the line pair x = r, y = r.  No transport of a
+    canonical box puts the double root inside it."""
+    spec = draw(canonical_boxes(st.integers(1, 2)))
+    X = spec.x_interval
+    r = X.lo + (X.hi - X.lo) * draw(st.sampled_from([F(1, 4), F(1, 3), F(1, 2)]))
+    q = Quadratic(1, -r, r * r)
+    return replace(spec, q=q, tau_basis=(q, Quadratic(0, 1, -2 * r)))
+
+
+@given(st.one_of(canonical_boxes(st.integers(1, 2)), transported_boxes(),
+                 line_pair_boxes()))
+@settings(max_examples=80, deadline=None)
+def test_closure_holds_what_bounds_each_cell(spec):
+    """Edges and corners are listed once each, and every fold base lies
+    exactly on its fold, strictly inside the box, with the cell on the
+    side of it that the cell's sign of x - y or q picks."""
+    q = spec.q
+    for comp in validate(spec):
+        assert len(set(comp.edges)) == len(comp.edges)
+        assert len(set(comp.corners)) == len(comp.corners)
+        hash(comp)
+        classes = [(sign, vertical) for sign, vertical, _ in comp.folds]
+        assert classes == [c for c in (("+", False), ("-", True), ("-", False))
+                           if c in classes]
+        for sign, vertical, (x, y) in comp.folds:
+            if sign == "+":
+                assert x == y and not vertical
+                step, s = (1, -1), comp.sign_xy
+            else:
+                assert q.polarize(x, y) == 0
+                step, s = (q.c0 * y + q.c1, q.c0 * x + q.c1), comp.sign_q
+            assert _strictly_inside(spec.x_interval, x)
+            assert _strictly_inside(spec.y_interval, y)
+            assert any(comp.cells.cell_at(x + s * step[0] / 2 ** k,
+                                          y + s * step[1] / 2 ** k) == comp.index
+                       for k in range(41))
 
 
 def test_merged_box_has_six_cells(merged_spec):

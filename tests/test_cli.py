@@ -39,6 +39,24 @@ def test_eval_command(spec_file, capsys):
     assert len(out["g0"]) == 4
 
 
+@pytest.mark.parametrize("at", ["nan,1", "inf,1", "1,-inf"])
+def test_eval_rejects_a_non_finite_point(spec_file, capsys, at):
+    # JSON has no NaN or infinity: a non-finite point must not reach the output
+    assert main(["eval", spec_file, f"--at={at}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --at")
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_moment_rejects_a_grid_below_one(spec_file, capsys, grid):
+    # a grid of 0 used to report the witness alone as "samples": 1
+    assert main(["moment", spec_file, f"--grid={grid}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --grid")
+    assert main(["moment", spec_file, "--grid", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["samples"] >= 1
+
+
 def test_classify_exit_codes(spec_file, tmp_path, capsys):
     assert main(["classify", spec_file]) == 0
     capsys.readouterr()
