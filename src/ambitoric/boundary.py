@@ -28,7 +28,6 @@ from typing import List, Optional, Sequence, Tuple
 from .quadratics import (
     OO,
     ProjPoint,
-    _poly_jet,
     compatible_quadratic,
     coordinate_jets,
     polar_jet,
@@ -187,7 +186,7 @@ def edge_status(spec: AnsatzSpec, metric: MetricChoice,
 
     normal = None
     if convergent and not edge.is_fold_and_edge:
-        D = -P.coeffs[3] if edge.gamma is OO else _poly_jet(P.coeffs, edge.gamma, 2)[1]
+        D = -P.coeffs[3] if edge.gamma is OO else P.jet(edge.gamma, 2)[1]
         v = identify_t(spec, compatible_quadratic(spec.q, edge.gamma), "-")
         s = (-2 if edge.axis == "X" else 2) / D
         n = (s * v[0], s * v[1])

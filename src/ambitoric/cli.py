@@ -156,9 +156,12 @@ def _cmd_validate(args) -> int:
 def _cmd_eval(args) -> int:
     from .tensors import FramePoint, eval_field
 
-    x, y = (float(v) for v in args.at.split(","))
+    try:
+        x, y = (float(v) for v in args.at.split(","))
+    except ValueError:
+        x = y = math.nan
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"--at needs finite coordinates, got {args.at!r}")
+        raise ValueError(f"--at needs two finite coordinates x,y, got {args.at!r}")
     spec = _load_spec(args.spec)
     fields = [args.field] if args.field else list(FIELDS)
     out = {"x": x, "y": y, "f": float(conformal_factor(spec, x, y))}

@@ -29,6 +29,7 @@ from .quadratics import (
     Quadratic,
     _inv,
     _mul,
+    _over_common,
     compatible_quadratic,
     coordinate_jets,
     coordinates,
@@ -100,24 +101,30 @@ class _Frame(NamedTuple):
 
     dual: tuple                     # `dual_frame` of (b1, b2, q) or (b1, b2, u)
     conic: "Conic"
-    adjugate: Optional[tuple]       # of conic.matrix, None for a point pair
+    twice: Optional[tuple]          # 2 conic.matrix in ints, None for a point pair
+    adjugate: Optional[tuple]       # of twice, in ints
 
 
 def _frame(spec: AnsatzSpec, sign: str) -> _Frame:
     """The moment frame of mu^sign, built on first use and kept on the spec
     instance (`AnsatzSpec.moment_frames`), so every exact moment call reads
     it without hashing the spec.  It holds the `dual_frame` of (b1, b2, q)
-    for the basis b of mu^sign, the fold conic and its adjugate.  (b1, b2, q)
-    spans all quadratics except for '-' with parabolic q, where q lies in
-    span(tau) = q-perp; the frame then takes a transversal u of q in place
-    of q, and every p of q-perp has u-coordinate 0."""
+    for the basis b of mu^sign, the fold conic Q, and 2Q with its adjugate
+    as integer matrices: the conic is scaled to primitive integer
+    coefficients, so 2Q is integral, and `_tangency` reads these two.
+    (b1, b2, q) spans all quadratics except for '-' with parabolic q, where
+    q lies in span(tau) = q-perp; the frame then takes a transversal u of q
+    in place of q, and every p of q-perp has u-coordinate 0."""
     frame = spec.moment_frames.get(sign)
     if frame is None:
         b1, b2 = _basis(spec, sign)
         dual = dual_frame(b1, b2, spec.q) or dual_frame(b1, b2, transversal(spec.q))
         conic = _fold_conic(spec, sign, dual[0])
-        adj = None if conic.matrix is None else _adjugate(conic.matrix)
-        frame = spec.moment_frames[sign] = _Frame(dual, conic, adj)
+        twice = adj = None
+        if conic.matrix is not None:
+            twice = tuple(tuple(int(2 * v) for v in row) for row in conic.matrix)
+            adj = _adjugate(twice)
+        frame = spec.moment_frames[sign] = _Frame(dual, conic, twice, adj)
     return frame
 
 
@@ -143,14 +150,8 @@ def identify_t(spec: AnsatzSpec, p: Quadratic, sign: str = "+") -> Tuple[Fractio
 
 def _primitive(vec: Sequence[Fraction]) -> Tuple[Fraction, ...]:
     """Scale a rational vector to a primitive integer one, first nonzero > 0."""
-    vec = [rat(v) for v in vec]
-    lcm = 1
-    for v in vec:
-        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-    ints = [int(v * lcm) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    ints, _ = _over_common(vec)
+    g = gcd(*ints)
     if g:
         ints = [v // g for v in ints]
     first = next((v for v in ints if v != 0), 0)
@@ -277,18 +278,20 @@ def _tangency(line: LineInTstar, frame: _Frame) -> Optional[TangencyCertificate]
     4 ((P^T Q D)^2 - (P^T Q P)(D^T Q D)).  By the exact identity
     (u^T Q u)(v^T Q v) - (u^T Q v)^2 = (u x v)^T adj(Q) (u x v), and as
     P x D = (-n1, -n2, c) for either P = (c/n1, 0, 1) or (0, c/n2, 1), the
-    discriminant is -4 l^T adj(Q) l with l = (n1, n2, -c); the adjugate is
-    the frame's (`_frame`)."""
+    discriminant is -4 l^T adj(Q) l = -l^T adj(2Q) l with l = (n1, n2, -c).
+    Both are computed on the integers of the frame (`_frame`), 2Q and
+    adj(2Q), and on the numerators of l over their common denominator e,
+    so each is one Fraction over 2 e^2 or e^2."""
     if frame.adjugate is None:
         return None
-    (q00, q01, _), (_, q11, _), _ = frame.conic.matrix
+    (q00, q01, _), (_, q11, _), _ = frame.twice
     (a00, a01, a02), (_, a11, a12), (_, _, a22) = frame.adjugate
-    n1, n2 = line.normal
-    c = -line.offset
+    (n1, n2, c), e = _over_common((*line.normal, line.offset))
     lal = (a00 * n1 * n1 + a11 * n2 * n2 + a22 * c * c
-           + 2 * (a01 * n1 * n2 + a02 * n1 * c + a12 * n2 * c))
-    return TangencyCertificate(leading=q00 * n2 * n2 - 2 * q01 * n1 * n2 + q11 * n1 * n1,
-                               discriminant=-4 * lal)
+           + 2 * (a01 * n1 * n2 - a02 * n1 * c - a12 * n2 * c))
+    return TangencyCertificate(
+        leading=Fraction(q00 * n2 * n2 - 2 * q01 * n1 * n2 + q11 * n1 * n1, 2 * e * e),
+        discriminant=Fraction(-lal, e * e))
 
 
 def _edge_image(spec: AnsatzSpec, sign: str, axis: str, gamma: ProjPoint):

@@ -28,9 +28,24 @@ the package follows one rule, `is_exact`: a point whose coordinates are
 all Fractions is evaluated exactly, any other (ints included) in floats,
 on float coefficients converted once per object.  Jets live here too:
 second jets in (x, y) of polarizations (`polar_jet`, `coordinate_jets`),
-and the 1-D jets of polynomials and quadratics in x alone or y alone that
-the metric of `tensors` is made of; they take the coefficients (`coeffs`
-or `floats`) that their caller chose by the rule.
+and the 1-D jets of polynomials (`Poly.jet`) and quadratics in x alone or
+y alone that the metric of `tensors` is made of; the quadratic ones take
+the coefficients (`coeffs` or `floats`) that their caller chose by the
+rule.
+
+The exact kernels compute on integers.  A Quadratic keeps its
+coefficients as integer numerators over a common denominator,
+(n0, n1, n2, d) = `numerators`, and a Poly keeps (ns, d); both are built
+on first use, like `floats`.  `inner`, `cross` (and so
+`compatible_quadratic`), `coordinates` and `polarize_hom` form each
+result as an integer over a product of denominators, and the quadratics
+that `cross` and `null_quadratic` return keep theirs.  At a point a/b in
+lowest terms, `Poly.jet` runs Horner's rule homogeneously at (a : b), and
+`Poly.root_multiplicity` and `Poly._deflate` divide by b z - a in
+integers.  So each returned value costs one normalised Fraction instead
+of one per product.  Every exact result is a Fraction, never an int:
+`is_exact` reads an int as a float, so a leaked int would move later
+code to floats.
 """
 
 from __future__ import annotations
@@ -64,6 +79,13 @@ def rat(v) -> Fraction:
             raise ValueError("non-finite float coefficient")
         return Fraction(v)
     raise TypeError(f"cannot convert {v!r} to an exact rational")
+
+
+def _over_common(values) -> Tuple[Tuple[int, ...], int]:
+    """(ns, d) with values[i] = ns[i] / d, for rationals (Fractions or
+    ints) over their least common denominator d > 0."""
+    d = math.lcm(*[v.denominator for v in values])
+    return tuple([v.numerator * (d // v.denominator) for v in values]), d
 
 
 def rational_sqrt(v: Fraction) -> Optional[Fraction]:
@@ -142,8 +164,42 @@ class Poly:
         """The coefficients as floats, converted on first use."""
         return tuple(float(c) for c in self.coeffs)
 
+    @cached_property
+    def numerators(self) -> Tuple[Tuple[int, ...], int]:
+        """(ns, d): the coefficients as integers ns over their least common
+        denominator d, built on first use."""
+        return _over_common(self.coeffs)
+
     def __call__(self, z):
-        return _poly_jet(self.coeffs if is_exact(z) else self.floats, z, 1)[0]
+        return self.jet(z, 1)[0]
+
+    def jet(self, z, n: int):
+        """The first n of (P, P', P'') at z, in the domain `is_exact` picks,
+        by Horner's rule.  At a rational z = a/b it runs on the numerators
+        c/d at (a : b): after j steps each accumulator is an integer over
+        d b^(j-1), and each entry is one Fraction at the end."""
+        if not is_exact(z):
+            p = dp = ddp = 0
+            for c in reversed(self.floats):
+                if n == 3:
+                    ddp = ddp * z + 2 * dp
+                if n > 1:
+                    dp = dp * z + p
+                p = p * z + c
+            return (p, dp, ddp)[:n]
+        cs, d = self.numerators
+        a, b = z.numerator, z.denominator
+        p = dp = ddp = 0
+        bk = 1
+        for c in reversed(cs):
+            if n == 3:
+                ddp = ddp * a + 2 * dp * b
+            if n > 1:
+                dp = dp * a + p * b
+            p = p * a + c * bk
+            bk *= b
+        den = d * bk // b
+        return tuple(Fraction(v, den) for v in (p, dp, ddp)[:n])
 
     def derivative(self) -> "Poly":
         if len(self.coeffs) == 1:
@@ -192,21 +248,34 @@ class Poly:
         return Poly(r[:n - 1])
 
     # -- roots -------------------------------------------------------------
-    def _deflate(self, g: Fraction) -> Tuple[int, "Poly"]:
-        """(m, Q) with self = (z - g)^m * Q and Q(g) != 0, by repeated
-        synthetic division; self must be nonzero."""
+    def _divide(self, g: Fraction) -> Tuple[int, Sequence[int]]:
+        """(m, cs) with self = (b z - a)^m cs(z) / d and cs(g) != 0, for
+        g = a/b in lowest terms and the numerators of self over d; self must
+        be nonzero.  By Gauss's lemma b z - a divides an integer polynomial
+        iff g is a root, so each step is an exact integer long division, and
+        one with a remainder ends the count."""
+        cs, d = self.numerators
+        a, b = g.numerator, g.denominator
         m = 0
-        cs = list(self.coeffs)
         while True:
-            quot = []
-            acc = Fraction(0)
-            for c in reversed(cs):
-                acc = acc * g + c
+            quot, acc = [], 0
+            for c in reversed(cs[1:]):
+                acc, r = divmod(c + a * acc, b)
+                if r:
+                    return m, cs
                 quot.append(acc)
-            if quot.pop() != 0:
-                return m, Poly(cs)
+            if cs[0] + a * acc != 0:
+                return m, cs
             m += 1
             cs = quot[::-1]
+
+    def _deflate(self, g: Fraction) -> Tuple[int, "Poly"]:
+        """(m, Q) with self = (z - g)^m * Q and Q(g) != 0 (`_divide`)."""
+        m, cs = self._divide(g)
+        if m == 0:
+            return 0, self
+        bm, d = g.denominator ** m, self.numerators[1]
+        return m, Poly([Fraction(c * bm, d) for c in cs])
 
     def root_multiplicity(self, gamma: ProjPoint) -> int:
         """Exact multiplicity of gamma as a root; at OO it is 4 - degree
@@ -217,7 +286,7 @@ class Poly:
             if self.degree > 4:
                 raise ValueError("A/B of degree > 4 have no weight-2 action")
             return 4 - self.degree
-        return self._deflate(rat(gamma))[0]
+        return self._divide(rat(gamma))[0]
 
     def count_roots(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> int:
         """Number of distinct real roots in the open interval (lo, hi); None
@@ -298,6 +367,14 @@ class Quadratic:
         """(c0, c1, c2) as floats, converted on first use."""
         return (float(self.c0), float(self.c1), float(self.c2))
 
+    @cached_property
+    def numerators(self) -> Tuple[int, int, int, int]:
+        """(n0, n1, n2, d) with ci = ni / d and d > 0: over the least common
+        denominator when built on first use, as computed for the results of
+        `cross` and `null_quadratic`."""
+        ns, d = _over_common(self.coeffs())
+        return (*ns, d)
+
     # -- evaluation --------------------------------------------------------
     def value(self, z):
         """p(z) = p(z, z); in floats 2 c1 z rounds as c1 (z + z)."""
@@ -313,10 +390,13 @@ class Quadratic:
             (c0, c1, c2), x, y = self.floats, float(x), float(y)
         return c0 * x * y + c1 * (x + y) + c2
 
-    def polarize_hom(self, X, W, Y, V):
+    def polarize_hom(self, X, W, Y, V) -> Fraction:
         """Homogenized polarization numerator c0*XY + c1*(XV + YW) + c2*WV,
-        defined for projective representatives (X:W), (Y:V)."""
-        return self.c0 * X * Y + self.c1 * (X * V + Y * W) + self.c2 * W * V
+        defined for rational projective representatives (X:W), (Y:V)."""
+        (X, W), e = _over_common((X, W))
+        (Y, V), f = _over_common((Y, V))
+        n0, n1, n2, d = self.numerators
+        return Fraction(n0 * X * Y + n1 * (X * V + Y * W) + n2 * W * V, d * e * f)
 
     # -- structure ---------------------------------------------------------
     def coeffs(self) -> Tuple[Fraction, Fraction, Fraction]:
@@ -359,13 +439,25 @@ class Quadratic:
 
 def inner(q: Quadratic, p: Quadratic) -> Fraction:
     """Signature (2,1) inner product 2*q1*p1 - q2*p0 - q0*p2."""
-    return 2 * q.c1 * p.c1 - q.c2 * p.c0 - q.c0 * p.c2
+    a0, a1, a2, d = q.numerators
+    b0, b1, b2, e = p.numerators
+    return Fraction(2 * a1 * b1 - a2 * b0 - a0 * b2, d * e)
 
 
 def cross(a: Quadratic, b: Quadratic) -> Quadratic:
     """The cross product a x b of the (2,1) inner product (module docstring)."""
-    return Quadratic(a.c0 * b.c1 - a.c1 * b.c0, (a.c0 * b.c2 - a.c2 * b.c0) / 2,
-                     a.c1 * b.c2 - a.c2 * b.c1)
+    a0, a1, a2, d = a.numerators
+    b0, b1, b2, e = b.numerators
+    return _from_numerators(2 * (a0 * b1 - a1 * b0), a0 * b2 - a2 * b0,
+                            2 * (a1 * b2 - a2 * b1), 2 * d * e)
+
+
+def _from_numerators(n0: int, n1: int, n2: int, d: int) -> Quadratic:
+    """The quadratic (n0, n1, n2) / d, d > 0, keeping these as its
+    `numerators`."""
+    q = Quadratic(Fraction(n0, d), Fraction(n1, d), Fraction(n2, d))
+    q.__dict__["numerators"] = (n0, n1, n2, d)
+    return q
 
 
 def dual_frame(b1: Quadratic, b2: Quadratic, b3: Quadratic):
@@ -384,8 +476,14 @@ def coordinates(p: Quadratic, frame) -> Tuple[Fraction, Fraction, Fraction]:
     (b1, b2, b3): by Cramer's rule in triple products v1 = <p, b2 x b3> /
     <b1, b2 x b3>, and cyclically, so 3 inner products and 3 divisions.
     `moment` keeps the frame of each spec and sign on the spec instance."""
-    (n1, n2, n3), det = frame
-    return inner(p, n1) / det, inner(p, n2) / det, inner(p, n3) / det
+    duals, det = frame
+    p0, p1, p2, d = p.numerators
+    num, den = det.numerator, det.denominator
+    out = []
+    for n in duals:
+        a0, a1, a2, e = n.numerators
+        out.append(Fraction((2 * p1 * a1 - p2 * a0 - p0 * a2) * den, d * e * num))
+    return tuple(out)
 
 
 def transversal(q: Quadratic) -> Quadratic:
@@ -398,8 +496,10 @@ def transversal(q: Quadratic) -> Quadratic:
 def null_quadratic(gamma: ProjPoint) -> Quadratic:
     """(W z - X)^2 for gamma = (X : W): the null quadratic with the double
     root gamma, and <p, (W z - X)^2> = -p(X, W) for every quadratic p."""
-    X, W = proj_rep(gamma)
-    return Quadratic(W * W, -W * X, X * X)
+    if gamma is OO:
+        return _from_numerators(0, 0, 1, 1)
+    a, b = gamma.numerator, gamma.denominator
+    return _from_numerators(b * b, -a * b, a * a, b * b)
 
 
 def compatible_quadratic(q: Quadratic, gamma: ProjPoint) -> Quadratic:
@@ -436,19 +536,6 @@ def _inv(a):
     r2 = r * r
     return (r, -ax * r2, -ay * r2, (2 * ax * ax * r - axx) * r2,
             (2 * ax * ay * r - axy) * r2, (2 * ay * ay * r - ayy) * r2)
-
-
-def _poly_jet(cs: Sequence, z, n: int):
-    """The first n of (P, P', P'') at z, for the polynomial P with ascending
-    coefficients cs, by Horner's rule."""
-    p = dp = ddp = 0
-    for c in reversed(cs):
-        if n == 3:
-            ddp = ddp * z + 2 * dp
-        if n > 1:
-            dp = dp * z + p
-        p = p * z + c
-    return (p, dp, ddp)[:n]
 
 
 def _diag_jet(cs: Sequence, z, n: int):

@@ -22,7 +22,6 @@ from typing import List, Optional, Tuple
 from .quadratics import (
     Poly,
     Quadratic,
-    _poly_jet,
     coordinate_jets,
     inner,
     is_exact,
@@ -228,8 +227,8 @@ def scalar_closed_form(spec: AnsatzSpec, sign: str, x: float, y: float) -> float
     d = x - y
     if d == 0 or qv == 0:
         raise ZeroDivisionError("scalar closed form has a pole on the folds")
-    A = _poly_jet(spec.A.coeffs if exact else spec.A.floats, x, 3)
-    B = _poly_jet(spec.B.coeffs if exact else spec.B.floats, y, 3)
+    A = spec.A.jet(x, 3)
+    B = spec.B.jet(y, 3)
     if sign == "-":
         tA = _gen_transvectant(d * d, 2 * d, 2, A)
         tB = _gen_transvectant(d * d, -2 * d, 2, B)

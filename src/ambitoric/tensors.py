@@ -110,7 +110,6 @@ from .quadratics import (
     _lift,
     _mul,
     _mul1,
-    _poly_jet,
     _separable,
     coordinate_jets,
     is_exact,
@@ -146,8 +145,8 @@ def _block_jets(spec: AnsatzSpec, metric: MetricChoice, x, y, n: int = 6) -> tup
     X, Y = (Z[:n] for Z in coordinate_jets(x, y))
     x, y, k = X[0], Y[0], min(n, 3)
     exact = is_exact(x, y)
-    A = _poly_jet(spec.A.coeffs if exact else spec.A.floats, x, k)
-    B = _poly_jet(spec.B.coeffs if exact else spec.B.floats, y, k)
+    A = spec.A.jet(x, k)
+    B = spec.B.jet(y, k)
     if A[0] == 0 or B[0] == 0:
         raise SingularEvaluation("A or B vanishes at the evaluation point")
     q = polar_jet(spec.q.coeffs() if exact else spec.q.floats, X, Y)

@@ -47,6 +47,15 @@ def test_eval_rejects_a_non_finite_point(spec_file, capsys, at):
     assert captured.out == "" and captured.err.startswith("error: --at")
 
 
+@pytest.mark.parametrize("at", ["foo", "1,2,3", "1"])
+def test_eval_rejects_a_malformed_point(spec_file, capsys, at):
+    # these used to fail with "too many values to unpack" or "could not
+    # convert string to float", naming no option
+    assert main(["eval", spec_file, f"--at={at}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --at")
+
+
 @pytest.mark.parametrize("grid", ["0", "-3"])
 def test_moment_rejects_a_grid_below_one(spec_file, capsys, grid):
     # a grid of 0 used to report the witness alone as "samples": 1

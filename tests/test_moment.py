@@ -384,31 +384,37 @@ def _edge_lines(spec, sign):
 def test_tangency_from_the_adjugate_is_the_point_and_direction_formula(kind, data):
     """The certificate read off the frame's adjugate equals, as Fractions,
     the one from a point and the direction of the line, for every edge image
-    and for drawn lines (n1 = 0 and n2 = 0 included) against both folds."""
+    and for drawn lines (n1 = 0 and n2 = 0 included) against both folds.
+    Both entries are Fractions: an int would read as a float to `is_exact`."""
     spec = data.draw(_BOXES[kind])
     drawn = data.draw(st.lists(st.tuples(_LINE_PART, _LINE_PART, small)
                                .filter(lambda t: t[0] != 0 or t[1] != 0), max_size=4))
     for sign in "+-":
         frame = moment._frame(spec, sign)
-        for line in _edge_lines(spec, sign):
-            if line.degenerate_point is None:
-                assert line.tangency == reference_tangency(line, frame.conic)
+        lines = [line for line in _edge_lines(spec, sign) if line.degenerate_point is None]
+        for line in lines:
+            assert line.tangency == reference_tangency(line, frame.conic)
         for n1, n2, c in drawn:
             line = LineInTstar(normal=(n1, n2), offset=c)
-            assert moment._tangency(line, frame) == reference_tangency(line, frame.conic)
+            lines.append(dataclasses.replace(line, tangency=moment._tangency(line, frame)))
+            assert lines[-1].tangency == reference_tangency(line, frame.conic)
+        for cert in (line.tangency for line in lines if line.tangency is not None):
+            assert type(cert.leading) is F and type(cert.discriminant) is F
 
 
-@given(st.lists(small, min_size=6, max_size=6),
+@given(st.lists(st.integers(-40, 40), min_size=6, max_size=6),
        st.lists(st.tuples(_LINE_PART, _LINE_PART, small)
                 .filter(lambda t: t[0] != 0 or t[1] != 0), min_size=1, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_tangency_identity_holds_for_every_symmetric_conic(entries, drawn):
     """The adjugate form of the certificate does not rest on the fold
     conics' shape (they have no linear terms): it equals the point-and-
-    direction formula for any symmetric Q."""
+    direction formula for any symmetric Q with 2Q integral, which every
+    conic scaled to primitive integer coefficients is."""
     a, b, c, d, e, f = entries
-    conic = Conic(matrix=((a, b, d), (b, c, e), (d, e, f)))
-    frame = moment._Frame(None, conic, moment._adjugate(conic.matrix))
+    twice = ((a, b, d), (b, c, e), (d, e, f))
+    conic = Conic(matrix=tuple(tuple(F(v, 2) for v in row) for row in twice))
+    frame = moment._Frame(None, conic, twice, moment._adjugate(twice))
     for n1, n2, off in drawn:
         line = LineInTstar(normal=(n1, n2), offset=off)
         assert moment._tangency(line, frame) == reference_tangency(line, conic)

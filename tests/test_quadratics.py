@@ -25,6 +25,7 @@ from ambitoric.quadratics import (
     dual_frame,
     inner,
     is_exact,
+    null_quadratic,
     poly_transport,
     proj_eq,
     rat,
@@ -34,6 +35,8 @@ from ambitoric.quadratics import (
 )
 from ambitoric.special import KerrParams, kerr, scalar_closed_form
 from ambitoric.tensors import FramePoint, curvature, eval_field, metric_components
+
+import quadratics_reference
 
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=12)
@@ -325,3 +328,68 @@ def test_transvectant_of_q_with_powers():
     t = transvectant2(q, Poly([0, 0, 0, 0, 1]))
     # 2z * 12 z^2 - 3 * 2 * 4 z^3 = 0
     assert t.is_zero()
+
+
+#: coefficients with zeros, signs and denominators up to 10^30
+_wide = st.one_of(st.just(F(0)), st.integers(-6, 6).map(F),
+                  st.fractions(min_value=-8, max_value=8, max_denominator=12),
+                  st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**30)))
+_wide_quadratics = st.builds(Quadratic, _wide, _wide, _wide)
+
+
+def _is_fraction_quadratic(q):
+    """q holds Fractions, and its numerators over d > 0 give them back."""
+    *ns, d = q.numerators
+    return (isinstance(q, Quadratic) and all(type(c) is F for c in q.coeffs())
+            and d > 0 and all(F(n, d) == c for n, c in zip(ns, q.coeffs())))
+
+
+@given(_wide_quadratics, _wide_quadratics, _wide_quadratics, _wide_quadratics,
+       st.lists(_wide, min_size=4, max_size=4), st.one_of(st.just(OO), _wide))
+@settings(max_examples=200, deadline=None)
+def test_quadratic_kernels_equal_their_fraction_references(a, b, c, p, xwyv, gamma):
+    """inner, cross, coordinates, null_quadratic, compatible_quadratic and
+    polarize_hom on integer numerators equal the plain Fraction formulas
+    exactly, and every result is a Fraction: an int would read as a float
+    to `is_exact`."""
+    v = inner(a, b)
+    assert v == quadratics_reference.inner(a, b) and type(v) is F
+    ab = cross(a, b)
+    assert ab == quadratics_reference.cross(a, b) and _is_fraction_quadratic(ab)
+    frame = dual_frame(a, b, c)
+    want = quadratics_reference.coordinates(p, a, b, c)
+    if want is None:
+        assert frame is None
+    else:
+        got = coordinates(p, frame)
+        assert got == want and all(type(w) is F for w in got)
+    null = null_quadratic(gamma)
+    assert null == quadratics_reference.null_quadratic(gamma) and _is_fraction_quadratic(null)
+    pg = compatible_quadratic(p, gamma)
+    assert pg == quadratics_reference.compatible_quadratic(p, gamma)
+    assert _is_fraction_quadratic(pg)
+    h = p.polarize_hom(*xwyv)
+    assert h == quadratics_reference.polarize_hom(p, *xwyv) and type(h) is F
+
+
+@given(st.lists(_wide, min_size=1, max_size=5), _wide, st.integers(0, 3), _wide)
+@settings(max_examples=200, deadline=None)
+def test_poly_kernels_equal_their_fraction_references(cs, g, k, z):
+    """Poly.jet at a rational point, and the root multiplicity and quotient
+    of repeated synthetic division, equal the Fraction Horner scheme
+    exactly, as Fractions; P carries the root g k extra times."""
+    P = Poly(cs)
+    for _ in range(k):
+        P = P * Poly([-g, 1])
+    for n in (1, 2, 3):
+        got = P.jet(z, n)
+        assert got == quadratics_reference.poly_jet(P.coeffs, z, n)
+        assert all(type(w) is F for w in got)
+    assert P.jet(g, 1)[0] == P(g) and type(P(g)) is F
+    if P.is_zero():
+        return
+    m, Q = P._deflate(g)
+    want_m, want_q = quadratics_reference.deflate(P.coeffs, g)
+    assert (m, Q) == (want_m, Poly(want_q)) and m >= k
+    assert all(type(c) is F for c in Q.coeffs)
+    assert P.root_multiplicity(g) == m
