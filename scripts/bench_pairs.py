@@ -12,6 +12,15 @@ when k is even.  For each end-to-end metric of BENCHMARK.json the summary
 gives each side's median and quartiles and the number of pairs in which
 the change was better.  `--trace W` adds one traced run of W on each side.  The line
 counts of `src/` on both sides are recorded too.
+
+Every BENCH file also gets `first_use`: 10 more pairs, alternating the same way,
+that time the exact layer on new spec instances, so that no per-spec cache stays
+warm across rounds.  Each run is one process in that checkout (`FIRST_USE`): it
+imports `perfbench/workloads`, runs `exact_run` once on every case untimed, then
+for each of `FIRST_USE_ROUNDS` rounds rebuilds `exact_cases(seed)` untimed and
+times `exact_run` once per case.  The run's result is the median of those times;
+the summary gives each side's median and quartiles of the run medians and the
+number of pairs in which the change was better.
 """
 
 from __future__ import annotations
@@ -25,6 +34,22 @@ from pathlib import Path
 
 RUN = ["python3", "perfbench/run.py"]
 PAIRS = 10
+FIRST_USE_ROUNDS = 5
+FIRST_USE = """
+import json, statistics, sys, time
+sys.path[:0] = ["src", "perfbench"]
+import workloads
+seed, rounds = int(sys.argv[1]), int(sys.argv[2])
+for case in workloads.exact_cases(seed):
+    workloads.exact_run(case.spec)
+times = []
+for _ in range(rounds):
+    for case in workloads.exact_cases(seed):
+        t = time.perf_counter()
+        workloads.exact_run(case.spec)
+        times.append(time.perf_counter() - t)
+print(json.dumps({"median_s": statistics.median(times), "ops": len(times)}))
+"""
 
 
 def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> list:
@@ -35,20 +60,45 @@ def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> lis
     return out.strip().splitlines()[-2:]
 
 
+def first_use(root: Path, seed: int) -> dict:
+    """One `FIRST_USE` run in root: the median time of `exact_run` per op."""
+    cmd = ["python3", "-c", FIRST_USE, str(seed), str(FIRST_USE_ROUNDS)]
+    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
 def src_lines(root: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((root / "src").rglob("*.py")))
 
 
+def in_pairs(roots: dict, measure, tag: str) -> list:
+    """PAIRS pairs of runs, measure(root) each; pair k runs the parent first
+    when k is odd."""
+    runs = []
+    for k in range(1, PAIRS + 1):
+        order = ("parent", "change") if k % 2 else ("change", "parent")
+        for i, side in enumerate(order):
+            runs.append({"pair": k, "order": i, "side": side, "result": measure(roots[side])})
+            print(tag, k, side, str(runs[-1]["result"])[:120], file=sys.stderr, flush=True)
+    return runs
+
+
+def compare(runs: list, value, better: str = "lower") -> dict:
+    """Each side's median and quartiles of value(result), and the number of
+    pairs in which the change was better."""
+    side = {s: [value(r["result"]) for r in runs if r["side"] == s]
+            for s in ("parent", "change")}
+    out = {s: dict(zip(("q1", "median", "q3"), statistics.quantiles(v, n=4)))
+           for s, v in side.items()}
+    out.update(change_better_pairs=sum((c < p) if better == "lower" else (c > p)
+                                       for p, c in zip(side["parent"], side["change"])),
+               pairs=len(side["parent"]))
+    return out
+
+
 def summary(runs: list, metrics: list) -> dict:
-    out = {}
-    for name, better in metrics:
-        side = {s: [r["result"]["metrics"][name]["value"] for r in runs if r["side"] == s]
-                for s in ("parent", "change")}
-        wins = sum((c < p) if better == "lower" else (c > p)
-                   for p, c in zip(side["parent"], side["change"]))
-        out[name] = {s: dict(zip(("q1", "median", "q3"), statistics.quantiles(v, n=4)))
-                     for s, v in side.items()}
-        out[name].update(change_better_pairs=wins, pairs=len(side["parent"]))
+    out = {name: compare(runs, lambda r, name=name: r["metrics"][name]["value"], better)
+           for name, better in metrics}
     out["failed"] = {s: sorted({(r["result"]["failed"], r["result"]["attempted"])
                                 for r in runs if r["side"] == s})
                      for s in ("parent", "change")}
@@ -78,13 +128,8 @@ def main(argv=None) -> int:
               "src_lines": {s: src_lines(r) for s, r in roots.items()},
               "workloads": {}, "traced": {}}
     for w in (w["name"] for w in bench["workloads"]):
-        runs = []
-        for k in range(1, PAIRS + 1):
-            order = ("parent", "change") if k % 2 else ("change", "parent")
-            for i, side in enumerate(order):
-                line = run(roots[side], w, args.seed, seconds, 0)[-1]
-                runs.append({"pair": k, "order": i, "side": side, "result": json.loads(line)})
-                print(w, k, side, line[:120], file=sys.stderr, flush=True)
+        runs = in_pairs(roots, lambda root: json.loads(run(root, w, args.seed, seconds, 0)[-1]),
+                        w)
         result["workloads"][w] = {"seconds": seconds, "summary": summary(runs, metrics),
                                   "runs": runs}
     for w in args.trace:
@@ -92,6 +137,12 @@ def main(argv=None) -> int:
         for side, root in roots.items():
             traced_line, line = run(root, w, args.seed, seconds, 1)
             result["traced"][w][side] = {"traced_line": traced_line, "result": json.loads(line)}
+    runs = in_pairs(roots, lambda root: first_use(root, args.seed), "first-use")
+    result["first_use"] = {"command": "python3 -c FIRST_USE <seed> "
+                                      f"{FIRST_USE_ROUNDS} (scripts/bench_pairs.py)",
+                           "rounds": FIRST_USE_ROUNDS,
+                           "summary": compare(runs, lambda r: r["median_s"]),
+                           "runs": runs}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 

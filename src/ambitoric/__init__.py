@@ -28,7 +28,7 @@ _EXPORTS = {
               "p_image_line",
     "boundary": "DistanceStatus compatible_quadratic corner_status "
                 "decompose_boundary edge_status estimate_r fold_status",
-    "classify": "Verdict classify complete_orbifold_check completability_verdict",
+    "classify": "Verdict classify completability_verdict",
     "special": "CSCData KerrParams csc_construct kerr scalar_closed_form "
                "standard_polygon",
     "tensors": "FramePoint curvature eval_field",

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from typing import List, Optional, Sequence, Tuple
@@ -38,6 +38,7 @@ from .quadratics import (
     Poly,
     ProjPoint,
     Quadratic,
+    _over_common,
     conic_type,
     cross,
     inner,
@@ -258,20 +259,34 @@ def _as_lattice(mat) -> LatticeMatrix:
     return rows
 
 
-def lattice_coordinates(lattice: LatticeMatrix,
-                        vec: Sequence[Fraction]) -> Tuple[Fraction, Fraction]:
-    """Exact coordinates of a rational vector in the basis of the lattice
-    matrix columns, by the inverse 2x2 matrix."""
-    (a, b), (c, d) = lattice
+def lattice_inverse(lattice: LatticeMatrix):
+    """(rows, den): the inverse e adj(M) / det M of the lattice matrix
+    M / e, M integral, as integer rows over den > 0."""
+    (a, b, c, d), e = _over_common(lattice[0] + lattice[1])
     det = a * d - b * c
-    v0, v1 = rat(vec[0]), rat(vec[1])
-    return (d * v0 - b * v1) / det, (-c * v0 + a * v1) / det
+    e = e if det > 0 else -e
+    return ((e * d, -e * b), (-e * c, e * a)), abs(det)
 
 
-def lattice_contains(lattice: LatticeMatrix, vec: Sequence[Fraction]) -> bool:
+def _lattice_numerators(inverse, vec: Sequence[Fraction]):
+    """(w0, w1, den): the lattice coordinates of a vector, w / den."""
+    (r0, r1), den = inverse
+    (v0, v1), f = _over_common([rat(v) for v in vec])
+    return r0[0] * v0 + r0[1] * v1, r1[0] * v0 + r1[1] * v1, den * f
+
+
+def lattice_coordinates(inverse, vec: Sequence[Fraction]) -> Tuple[Fraction, Fraction]:
+    """Exact coordinates of a rational vector in the basis of the lattice
+    matrix columns, from its `lattice_inverse`."""
+    w0, w1, den = _lattice_numerators(inverse, vec)
+    return Fraction(w0, den), Fraction(w1, den)
+
+
+def lattice_contains(inverse, vec: Sequence[Fraction]) -> bool:
     """Exact membership of a rational vector in the lattice generated by the
-    matrix columns: its lattice coordinates are integers."""
-    return all(w.denominator == 1 for w in lattice_coordinates(lattice, vec))
+    matrix columns, from its `lattice_inverse`: by integer divisibility."""
+    w0, w1, den = _lattice_numerators(inverse, vec)
+    return w0 % den == 0 and w1 % den == 0
 
 
 @dataclass(frozen=True)
@@ -290,6 +305,9 @@ class AnsatzSpec:
     def __post_init__(self):
         if self.q.is_zero():
             raise ValidationError("q must be nonzero")
+        for name, P in (("A", self.A), ("B", self.B)):
+            if P.degree > 4:    # A and B are weight-2 quartics
+                raise ValidationError(f"{name} has degree {P.degree}, above 4")
         object.__setattr__(self, "lattice", _as_lattice(self.lattice))
         if self.tau_basis is None:
             tau = default_tau_basis(self.q)
@@ -322,8 +340,10 @@ class AnsatzSpec:
         """sign -> the moment frame of `moment._frame`, built on first use."""
         return {}
 
-    def with_metric(self, metric: MetricChoice) -> "AnsatzSpec":
-        return replace(self, metric=metric)
+    @cached_property
+    def lattice_inverse(self):
+        """The `lattice_inverse` of the lattice, built on first use."""
+        return lattice_inverse(self.lattice)
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:
@@ -389,19 +409,26 @@ class AnsatzSpec:
 # slabs.  Pieces of neighbouring slabs with the same sign pair join exactly
 # when that sign pair also occurs on the critical line (the wall) between
 # them: a point of the wall off the folds has a neighbourhood of one sign
-# pair, which meets the pieces of that pair on both sides.
+# pair, which meets the pieces of that pair on both sides.  Every sign and
+# comparison is an integer cross-multiplication of numerators, surds as
+# (P + R sqrt(N)) / d included; a midpoint is one Fraction.
 
 def _sign(v) -> int:
-    return (v > 0) - (v < 0)
+    n = v.numerator                     # of an int or a Fraction
+    return (n > 0) - (n < 0)
 
 
 class _Surd:
-    """p + r*sqrt(D) for rationals p, r and a rational non-square D > 0."""
+    """p + r*sqrt(D) for rationals p, r and a rational non-square D > 0;
+    as (P + R sqrt(N)) / d in integers (`ints`), N = num(D) den(D), d > 0."""
 
-    __slots__ = ("p", "r", "D")
+    __slots__ = ("p", "r", "D", "ints")
 
     def __init__(self, p: Fraction, r: Fraction, D: Fraction):
         self.p, self.r, self.D = p, r, D
+        pd, rd, dd = p.denominator, r.denominator, D.denominator
+        self.ints = (p.numerator * rd * dd, r.numerator * pd,
+                     D.numerator * dd, pd * rd * dd)
 
     def __float__(self):
         return float(self.p) + float(self.r) * math.sqrt(self.D)
@@ -410,9 +437,9 @@ class _Surd:
         return f"{self.p} + {self.r}*sqrt({self.D})"
 
 
-def _sign_uvD(u, v, D) -> int:
-    """sign(u + v*sqrt(D)), exactly."""
-    su, sv = _sign(u), _sign(v)
+def _sign_uvD(u: int, v: int, D: int) -> int:
+    """sign(u + v*sqrt(D)) for integers, exactly."""
+    su, sv = (u > 0) - (u < 0), (v > 0) - (v < 0)
     if sv == 0 or D == 0:
         return su
     if su == 0 or su == sv:
@@ -420,48 +447,47 @@ def _sign_uvD(u, v, D) -> int:
     return su * _sign(u * u - v * v * D)
 
 
-def _parts(a):
-    return (a.p, a.r, a.D) if isinstance(a, _Surd) else (a, 0, 0)
-
-
 def _cmp(a, b) -> int:
-    """sign(a - b) for rationals and quadratic surds, exactly; two surds may
-    have different radicands."""
-    (p, r, D), (p2, r2, D2) = _parts(a), _parts(b)
-    if r2 == 0 or D2 == D:
-        return _sign_uvD(p - p2, r - r2, D)
-    # a - b = alpha - beta with alpha = (p - p2) + r sqrt(D), beta = r2 sqrt(D2)
-    sa, sb = _sign_uvD(p - p2, r, D), _sign(r2)
+    """sign(a - b) for rationals and quadratic surds, exactly, by integer
+    cross-multiplication; two surds may have different radicands."""
+    if not isinstance(a, _Surd) and not isinstance(b, _Surd):
+        return _sign(a.numerator * b.denominator - b.numerator * a.denominator)
+    (p, r, D, d), (p2, r2, D2, d2) = (
+        x.ints if isinstance(x, _Surd) else (x.numerator, 0, 0, x.denominator)
+        for x in (a, b))
+    u, v, w = p * d2 - p2 * d, r * d2, r2 * d
+    if w == 0 or D2 == D:
+        return _sign_uvD(u, v - w, D)
+    # a - b = (alpha - beta) / (d d2), alpha = u + v sqrt(D), beta = w sqrt(D2)
+    sa, sb = _sign_uvD(u, v, D), _sign(w)
     if sa != sb:
         return _sign(sa - sb)
-    u = p - p2
-    return sa * _sign_uvD(u * u + r * r * D - r2 * r2 * D2, 2 * u * r, D)
+    return sa * _sign_uvD(u * u + v * v * D - w * w * D2, 2 * u * v, D)
 
 
-def _bounds(a, k: int) -> Tuple[Fraction, Fraction]:
-    """Rationals lo <= a <= hi, at most |r| 2^-k apart."""
+def _bounds(a, k: int) -> Tuple[int, int, int]:
+    """(lo, hi, den): lo/den <= a <= hi/den, at most |r| 2^-k apart."""
     if not isinstance(a, _Surd):
-        return a, a
-    n, d = a.D.numerator, a.D.denominator
-    s = math.isqrt(n * d << 2 * k)          # sqrt(D) = sqrt(n d) / d
-    lo = a.p + a.r * Fraction(s, d << k)
-    hi = a.p + a.r * Fraction(s + 1, d << k)
-    return min(lo, hi), max(lo, hi)
+        return a.numerator, a.numerator, a.denominator
+    P, R, N, d = a.ints
+    s = math.isqrt(N << 2 * k)              # sqrt(N) 2^k, rounded down
+    lo, hi = (P << k) + R * s, (P << k) + R * (s + 1)
+    return (lo, hi, d << k) if R > 0 else (hi, lo, d << k)
 
 
 def _rational_between(a, b) -> Fraction:
     """A rational strictly between a < b; None is an infinite end."""
     if a is None and b is None:
         return Fraction(0)
-    if a is None:
-        return Fraction(math.floor(_bounds(b, 0)[0]) - 1)
-    if b is None:
-        return Fraction(math.ceil(_bounds(a, 0)[1]) + 1)
+    if a is None or b is None:
+        lo, hi, den = _bounds(a if b is None else b, 0)
+        return Fraction(lo // den - 1 if a is None else -(-hi // den) + 1)
     k = 8
     while True:
-        hi, lo = _bounds(a, k)[1], _bounds(b, k)[0]
-        if hi < lo:
-            return (hi + lo) / 2
+        _, hi, e = _bounds(a, k)
+        lo, _, f = _bounds(b, k)
+        if hi * f < lo * e:
+            return Fraction(hi * f + lo * e, 2 * e * f)
         k *= 2
 
 
@@ -490,10 +516,19 @@ def _sorted_inside(values, iv: Interval) -> list:
     return [v for i, v in enumerate(vals) if i == 0 or _cmp(vals[i - 1], v)]
 
 
+def _affine(c: Quadratic, x: Fraction) -> Tuple[int, int]:
+    """(a, b) with c(x, y) = (a y + b) / (d den(x)) for the numerators
+    (n0, n1, n2, d) of c: the fibre of {c = 0} over x is the point -b/a
+    when a != 0."""
+    n0, n1, n2, _ = c.numerators
+    u, v = x.numerator, x.denominator
+    return n0 * u + n1 * v, n1 * u + n2 * v
+
+
 def _involution(c: Quadratic, x: Fraction) -> Optional[Fraction]:
     """The y with c(x, y) = 0, when the fibre of {c = 0} over x is one point."""
-    den = c.c0 * x + c.c1
-    return None if den == 0 else -(c.c1 * x + c.c2) / den
+    a, b = _affine(c, x)
+    return Fraction(-b, a) if a else None
 
 
 def _graph_critical_values(c: Quadratic, Y: Interval,
@@ -521,29 +556,31 @@ _LO, _HI, _DIAG, _FOLD = "lo", "hi", "+", "-"
 def _fibre(q: Quadratic, Y: Interval, x) -> list:
     """The open pieces of {x} x Y minus the folds, bottom to top, as
     (sign pair, lower cut, upper cut, rational y inside the piece)."""
-    c0, c1, c2 = q.coeffs()
     if isinstance(x, _Surd):
         # the folds cross at (x, x): q(x, y) = a (y - x) with a = c0 x + c1
-        sa = _sign_uvD(c0 * x.p + c1, c0 * x.r, x.D)
+        (n0, n1, _, _), (P, R, N, d) = q.numerators, x.ints
+        sa = _sign_uvD(n0 * P + n1 * d, n0 * R, N)
         out = []
         if Y.lo is None or _cmp(Y.lo, x) < 0:
             out.append(((1, -sa), _LO, _DIAG, None))
         if Y.hi is None or _cmp(Y.hi, x) > 0:
             out.append(((-1, sa), _DIAG, _HI, None))
         return out
-    a, b = c0 * x + c1, c1 * x + c2
+    a, b = _affine(q, x)
     if a == 0 and b == 0:
         return []                       # the whole fibre lies on {q = 0}
     cuts = {}
     if _inside(Y, x):
         cuts[x] = _DIAG
-    if a != 0 and _inside(Y, -b / a):
-        cuts.setdefault(-b / a, _FOLD)
+    if a and _inside(Y, Fraction(-b, a)):
+        cuts.setdefault(Fraction(-b, a), _FOLD)
     bounds = [(Y.lo, _LO)] + sorted(cuts.items()) + [(Y.hi, _HI)]
+    u, v = x.numerator, x.denominator
     out = []
     for (lo, klo), (hi, khi) in zip(bounds, bounds[1:]):
         y = _rational_between(lo, hi)
-        out.append(((_sign(x - y), _sign(a * y + b)), klo, khi, y))
+        m, n = y.numerator, y.denominator
+        out.append(((_sign(u * n - m * v), _sign(a * m + b * n)), klo, khi, y))
     return out
 
 
@@ -556,15 +593,15 @@ def _limit(q: Quadratic, Y: Interval, cut: str, e, side: int):
         return math.inf if Y.hi is None else Y.hi
     if cut == _DIAG:
         return e
-    c0, c1, c2 = q.coeffs()
+    n0, n1, _, _ = q.numerators
     if isinstance(e, float):
-        return -c1 / c0 if c0 != 0 else -e
-    a, b = c0 * e + c1, c1 * e + c2
-    if a != 0:
-        return -b / a
+        return Fraction(-n1, n0) if n0 else -e
+    a, b = _affine(q, e)
+    if a:
+        return Fraction(-b, a)
     if b == 0:
         return e                        # q = c0 (x - e)(y - e): the line y = e
-    return -_sign(b) * _sign(c0) * side * math.inf
+    return -_sign(b) * _sign(n0) * side * math.inf
 
 
 def _finite(v):
@@ -616,9 +653,12 @@ class SignCells:
         return self.xs[i], next(p[3] for p in self.slabs[i] if p[0] == s)
 
     def cell_at(self, x: Fraction, y: Fraction) -> Optional[int]:
-        """The cell holding a rational point of the open box, exactly; None
-        on a fold."""
-        s = (_sign(x - y), _sign(self.q.polarize(x, y)))
+        """The cell holding a rational (or float, read exactly) point of the
+        open box; None on a fold."""
+        x, y = rat(x), rat(y)
+        a, b = _affine(self.q, x)
+        m, n = y.numerator, y.denominator
+        s = (_sign(x.numerator * n - m * x.denominator), _sign(a * m + b * n))
         return self.cell_of.get((sum(_cmp(c, x) < 0 for c in self.crit), s))
 
     @cached_property
@@ -813,15 +853,16 @@ class BoxComponent:
 
 
 def _positivity_check(P: Poly, iv: Interval, name: str):
-    """A > 0 on the open interval, decided by an exact Sturm root count
-    (`Poly.count_roots`) plus a sign sample (a root of any multiplicity
-    inside breaks strict positivity)."""
+    """A > 0 on the open interval, decided on the integer numerators of P by
+    an exact Sturm root count (`Poly.count_roots`) plus a sign sample
+    (`Poly.sign`): a root of any multiplicity inside breaks strict
+    positivity."""
     if P.is_zero():
         raise ValidationError(f"{name} is identically zero")
     if P.count_roots(iv.lo, iv.hi) > 0:
         raise ValidationError(f"{name} has a zero inside the interval {iv}")
     # no root inside, so the sign at one interior point is the sign throughout
-    if P(_rational_between(iv.lo, iv.hi)) <= 0:
+    if P.sign(_rational_between(iv.lo, iv.hi)) <= 0:
         raise ValidationError(f"{name} is not positive on {iv}")
 
 

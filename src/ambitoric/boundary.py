@@ -190,7 +190,7 @@ def edge_status(spec: AnsatzSpec, metric: MetricChoice,
         v = identify_t(spec, compatible_quadratic(spec.q, edge.gamma), "-")
         s = (-2 if edge.axis == "X" else 2) / D
         n = (s * v[0], s * v[1])
-        normal = (n, lattice_contains(spec.lattice, n))
+        normal = (n, lattice_contains(spec.lattice_inverse, n))
     return DistanceStatus(verdict=verdict, compatible_normal=normal)
 
 

@@ -19,16 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .quadratics import Quadratic
 from .ansatz import (
     GMINUS,
     GP,
     AnsatzSpec,
     BoxComponent,
-    Interval,
-    LatticeMatrix,
     MetricChoice,
-    METRIC_G0,
     ValidationError,
     validate,
 )
@@ -172,26 +168,3 @@ def classify(spec: AnsatzSpec) -> List[Tuple[BoxComponent, Verdict]]:
     """Verdicts for every cell of the spec under its own metric."""
     return [(c, completability_verdict(spec, spec.metric, c))
             for c in validate(spec)]
-
-
-# ---------------------------------------------------------------------------
-# global completeness of the barycentric metric
-# ---------------------------------------------------------------------------
-
-def complete_orbifold_check(q: Quadratic, x_interval: Interval,
-                            y_interval: Interval, lattice: LatticeMatrix,
-                            A, B) -> Tuple[bool, List[str]]:
-    """Global g0-completeness of the quotient: the box must be a single
-    cell of (x - y) q(x, y) != 0, and that cell completable under g0
-    (rules (i)-(iv)).  The diagnostics are the report lines."""
-    try:
-        spec = AnsatzSpec(q=q, A=A, B=B, x_interval=x_interval,
-                          y_interval=y_interval, lattice=lattice,
-                          metric=METRIC_G0)
-        comps = validate(spec)
-    except ValidationError as err:
-        return False, [f"invalid ansatz data: {err}"]
-    if len(comps) != 1:
-        return False, ["(x - y) q(x, y) changes sign inside the box"]
-    verdict = completability_verdict(spec, METRIC_G0, comps[0])
-    return verdict.completable, [r.line() for r in verdict.reports]

@@ -19,7 +19,7 @@ record both the vector and its negation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, hypot
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -42,7 +42,7 @@ from .quadratics import (
     rat,
     transversal,
 )
-from .ansatz import AnsatzSpec, LatticeMatrix, lattice_coordinates
+from .ansatz import AnsatzSpec, LatticeMatrix, lattice_coordinates, lattice_inverse
 
 
 class MomentError(ValueError):
@@ -111,7 +111,7 @@ def _frame(spec: AnsatzSpec, sign: str) -> _Frame:
     it without hashing the spec.  It holds the `dual_frame` of (b1, b2, q)
     for the basis b of mu^sign, the fold conic Q, and 2Q with its adjugate
     as integer matrices: the conic is scaled to primitive integer
-    coefficients, so 2Q is integral, and `_tangency` reads these two.
+    coefficients, so 2Q is integral, and `_line` reads these two.
     (b1, b2, q) spans all quadratics except for '-' with parabolic q, where
     q lies in span(tau) = q-perp; the frame then takes a transversal u of q
     in place of q, and every p of q-perp has u-coordinate 0."""
@@ -148,16 +148,15 @@ def identify_t(spec: AnsatzSpec, p: Quadratic, sign: str = "+") -> Tuple[Fractio
 # conics and lines
 # ---------------------------------------------------------------------------
 
-def _primitive(vec: Sequence[Fraction]) -> Tuple[Fraction, ...]:
+def _primitive(vec: Sequence[Fraction]) -> Tuple[int, ...]:
     """Scale a rational vector to a primitive integer one, first nonzero > 0."""
     ints, _ = _over_common(vec)
     g = gcd(*ints)
     if g:
+        first = next(v for v in ints if v != 0)
+        g = g if first > 0 else -g
         ints = [v // g for v in ints]
-    first = next((v for v in ints if v != 0), 0)
-    if first < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints)
+    return tuple(ints)
 
 
 @dataclass(frozen=True)
@@ -169,17 +168,6 @@ class Conic:
 
     matrix: Optional[Tuple[Tuple[Fraction, ...], ...]]
     points: Tuple[Tuple[Fraction, Fraction], ...] = ()
-
-    def form(self, u, v):
-        """The bilinear form u^T Q v of homogeneous 3-vectors u, v."""
-        Q = self.matrix
-        return sum(Q[i][j] * u[i] * v[j] for i in range(3) for j in range(3))
-
-    def evaluate(self, m1, m2):
-        """v^T Q v at v = (m1, m2, 1), in the domain `is_exact` picks: a
-        Fraction entry of Q times a float rounds as its float would."""
-        v = (m1, m2, 1) if is_exact(m1, m2) else (float(m1), float(m2), 1.0)
-        return self.form(v, v)
 
 
 @dataclass(frozen=True)
@@ -211,15 +199,33 @@ class LineInTstar:
 def _conic(Q) -> Conic:
     """Conic of the symmetric matrix Q, scaled to the primitive integer
     vector of its coefficients (mu1^2, mu1 mu2, mu2^2, mu1, mu2, 1)."""
-    a, b, c, d, e, f = _primitive((Q[0][0], 2 * Q[0][1], Q[1][1],
-                                   2 * Q[0][2], 2 * Q[1][2], Q[2][2]))
+    a, b, c, d, e, f = map(Fraction, _primitive((Q[0][0], 2 * Q[0][1], Q[1][1],
+                                                 2 * Q[0][2], 2 * Q[1][2], Q[2][2])))
     return Conic(matrix=((a, b / 2, d / 2), (b / 2, c, e / 2), (d / 2, e / 2, f)))
 
 
-def _line(n1, n2, offset) -> LineInTstar:
-    """The line {n1 mu1 + n2 mu2 = offset} in primitive integer scaling."""
+def _line(n1, n2, offset, frame: Optional[_Frame] = None) -> LineInTstar:
+    """The line {n1 mu1 + n2 mu2 = offset} with primitive integers formed
+    once, and its tangency certificate against the fold conic Q of the
+    moment frame `frame`, if one is given and Q is no point pair.  With
+    n . mu = c, a point P of the line and its direction D = (-n2, n1, 0),
+    the line meets Q where (P + t D)^T Q (P + t D) = 0: leading coefficient
+    D^T Q D, discriminant 4 ((P^T Q D)^2 - (P^T Q P)(D^T Q D)).  By
+    (u^T Q u)(v^T Q v) - (u^T Q v)^2 = (u x v)^T adj(Q) (u x v) and
+    P x D = (-n1, -n2, c), that is -l^T adj(2Q) l for l = (n1, n2, -c).
+    Both are read off the integers of l and of 2Q and adj(2Q) (`_frame`)."""
     n1, n2, c = _primitive((n1, n2, -offset))
-    return LineInTstar(normal=(n1, n2), offset=-c)
+    tangency = None
+    if frame is not None and frame.adjugate is not None:
+        (q00, q01, _), (_, q11, _), _ = frame.twice
+        (a00, a01, a02), (_, a11, a12), (_, _, a22) = frame.adjugate
+        lal = (a00 * n1 * n1 + a11 * n2 * n2 + a22 * c * c
+               + 2 * (a01 * n1 * n2 + a02 * n1 * c + a12 * n2 * c))
+        tangency = TangencyCertificate(
+            leading=Fraction(q00 * n2 * n2 - 2 * q01 * n1 * n2 + q11 * n1 * n1, 2),
+            discriminant=Fraction(-lal))
+    return LineInTstar(normal=(Fraction(n1), Fraction(n2)), offset=Fraction(-c),
+                       tangency=tangency)
 
 
 def _gram(basis: Sequence[Quadratic]):
@@ -271,29 +277,6 @@ def _fold_conic(spec: AnsatzSpec, sign: str, duals) -> Conic:
     return _conic([[g22, -g12, zero], [-g12, g11, zero], [zero, zero, -det / 2]])
 
 
-def _tangency(line: LineInTstar, frame: _Frame) -> Optional[TangencyCertificate]:
-    """The line {n . mu = c} meets the fold conic Q where t solves
-    (P + t D)^T Q (P + t D) = 0, for a point P of the line and its direction
-    D = (-n2, n1, 0): leading coefficient D^T Q D and discriminant
-    4 ((P^T Q D)^2 - (P^T Q P)(D^T Q D)).  By the exact identity
-    (u^T Q u)(v^T Q v) - (u^T Q v)^2 = (u x v)^T adj(Q) (u x v), and as
-    P x D = (-n1, -n2, c) for either P = (c/n1, 0, 1) or (0, c/n2, 1), the
-    discriminant is -4 l^T adj(Q) l = -l^T adj(2Q) l with l = (n1, n2, -c).
-    Both are computed on the integers of the frame (`_frame`), 2Q and
-    adj(2Q), and on the numerators of l over their common denominator e,
-    so each is one Fraction over 2 e^2 or e^2."""
-    if frame.adjugate is None:
-        return None
-    (q00, q01, _), (_, q11, _), _ = frame.twice
-    (a00, a01, a02), (_, a11, a12), (_, _, a22) = frame.adjugate
-    (n1, n2, c), e = _over_common((*line.normal, line.offset))
-    lal = (a00 * n1 * n1 + a11 * n2 * n2 + a22 * c * c
-           + 2 * (a01 * n1 * n2 - a02 * n1 * c - a12 * n2 * c))
-    return TangencyCertificate(
-        leading=Fraction(q00 * n2 * n2 - 2 * q01 * n1 * n2 + q11 * n1 * n1, 2 * e * e),
-        discriminant=Fraction(-lal, e * e))
-
-
 def _edge_image(spec: AnsatzSpec, sign: str, axis: str, gamma: ProjPoint):
     """The image of {axis = gamma}: a line, or the point it collapses to."""
     X, W = proj_rep(gamma)
@@ -301,10 +284,11 @@ def _edge_image(spec: AnsatzSpec, sign: str, axis: str, gamma: ProjPoint):
         # n . mu+ = b along the edge iff n1 sigma1 + n2 sigma2 + b q is
         # orthogonal to every quadratic with root gamma, i.e. a multiple of
         # (W z - X)^2
-        a1, a2, b = coordinates(null_quadratic(gamma), _frame(spec, sign).dual)
+        frame = _frame(spec, sign)
+        a1, a2, b = coordinates(null_quadratic(gamma), frame.dual)
         if a1 == 0 and a2 == 0:
             raise MomentError(f"mu+ has its pole along the edge {axis} = {gamma}")
-        return _line(a1, a2, b)
+        return _line(a1, a2, b, frame)
     # mu- is antisymmetric under x <-> y, hence the axis sign
     sgn = 1 if axis == "X" else -1
     p = compatible_quadratic(spec.q, gamma)
@@ -315,7 +299,7 @@ def _edge_image(spec: AnsatzSpec, sign: str, axis: str, gamma: ProjPoint):
         return tuple(-sgn * t.polarize_hom(X, W, -W, X) / (X * X + W * W)
                      for t in _basis(spec, sign))
     n1, n2 = identify_t(spec, p, sign)
-    return _line(n1, n2, sgn * spec.q.polarize_hom(X, W, X, W) / 2)
+    return _line(n1, n2, sgn * spec.q.polarize_hom(X, W, X, W) / 2, _frame(spec, sign))
 
 
 def level_set_line(spec: AnsatzSpec, sign: str, axis: str,
@@ -326,7 +310,7 @@ def level_set_line(spec: AnsatzSpec, sign: str, axis: str,
     if isinstance(image, tuple):
         return LineInTstar(normal=(Fraction(0), Fraction(0)), offset=Fraction(0),
                            degenerate_point=image)
-    return replace(image, tangency=_tangency(image, _frame(spec, sign)))
+    return image
 
 
 def p_image_line(spec: AnsatzSpec, sign: str, p: Quadratic) -> LineInTstar:
@@ -385,13 +369,13 @@ class CornerVerdict:
 def delzant_check(polygon: Polygon, lattice: LatticeMatrix) -> List[CornerVerdict]:
     """Each adjacent normal pair, expressed in the lattice basis, must be an
     integer matrix of determinant +-1."""
-    lattice = [[rat(v) for v in row] for row in lattice]
+    inverse = lattice_inverse([[rat(v) for v in row] for row in lattice])
     out = []
     n = len(polygon.normals)
     for i in range(n):
         n1 = polygon.normals[i]
         n2 = polygon.normals[(i + 1) % n]
-        w1, w2 = lattice_coordinates(lattice, n1), lattice_coordinates(lattice, n2)
+        w1, w2 = lattice_coordinates(inverse, n1), lattice_coordinates(inverse, n2)
         integral = all(w.denominator == 1 for w in (*w1, *w2))
         dd = w1[0] * w2[1] - w1[1] * w2[0] if integral else None
         ok = integral and dd in (1, -1)

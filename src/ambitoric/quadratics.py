@@ -40,12 +40,13 @@ on first use, like `floats`.  `inner`, `cross` (and so
 `compatible_quadratic`), `coordinates` and `polarize_hom` form each
 result as an integer over a product of denominators, and the quadratics
 that `cross` and `null_quadratic` return keep theirs.  At a point a/b in
-lowest terms, `Poly.jet` runs Horner's rule homogeneously at (a : b), and
-`Poly.root_multiplicity` and `Poly._deflate` divide by b z - a in
-integers.  So each returned value costs one normalised Fraction instead
-of one per product.  Every exact result is a Fraction, never an int:
-`is_exact` reads an int as a float, so a leaked int would move later
-code to floats.
+lowest terms, `Poly.jet` and `Poly.sign` run Horner's rule homogeneously
+at (a : b), `Poly.root_multiplicity` divides by b z - a in integers
+(`_divide`), and `Poly.count_roots` builds its Sturm sequence from
+integer pseudo-remainders.  So each returned value costs one normalised
+Fraction instead of one per product.  Every exact result is a Fraction,
+never an int: `is_exact` reads an int as a float, so a leaked int would
+move later code to floats.
 """
 
 from __future__ import annotations
@@ -237,46 +238,7 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __mod__(self, other: "Poly") -> "Poly":
-        """Remainder of division by a nonzero polynomial."""
-        r = list(self.coeffs)
-        n = len(other.coeffs)
-        for k in range(len(r) - n, -1, -1):
-            f = r[k + n - 1] / other.coeffs[-1]
-            for j, c in enumerate(other.coeffs):
-                r[k + j] -= f * c
-        return Poly(r[:n - 1])
-
     # -- roots -------------------------------------------------------------
-    def _divide(self, g: Fraction) -> Tuple[int, Sequence[int]]:
-        """(m, cs) with self = (b z - a)^m cs(z) / d and cs(g) != 0, for
-        g = a/b in lowest terms and the numerators of self over d; self must
-        be nonzero.  By Gauss's lemma b z - a divides an integer polynomial
-        iff g is a root, so each step is an exact integer long division, and
-        one with a remainder ends the count."""
-        cs, d = self.numerators
-        a, b = g.numerator, g.denominator
-        m = 0
-        while True:
-            quot, acc = [], 0
-            for c in reversed(cs[1:]):
-                acc, r = divmod(c + a * acc, b)
-                if r:
-                    return m, cs
-                quot.append(acc)
-            if cs[0] + a * acc != 0:
-                return m, cs
-            m += 1
-            cs = quot[::-1]
-
-    def _deflate(self, g: Fraction) -> Tuple[int, "Poly"]:
-        """(m, Q) with self = (z - g)^m * Q and Q(g) != 0 (`_divide`)."""
-        m, cs = self._divide(g)
-        if m == 0:
-            return 0, self
-        bm, d = g.denominator ** m, self.numerators[1]
-        return m, Poly([Fraction(c * bm, d) for c in cs])
-
     def root_multiplicity(self, gamma: ProjPoint) -> int:
         """Exact multiplicity of gamma as a root; at OO it is 4 - degree
         relative to the weight-2 (quartic) homogenization used for A and B."""
@@ -286,38 +248,85 @@ class Poly:
             if self.degree > 4:
                 raise ValueError("A/B of degree > 4 have no weight-2 action")
             return 4 - self.degree
-        return self._divide(rat(gamma))[0]
+        g = rat(gamma)
+        return _divide(self.numerators[0], g.numerator, g.denominator)[0]
+
+    def sign(self, z: Fraction) -> int:
+        """The sign of P(z) at a rational z (`_sign_at`)."""
+        return _sign_at(self.numerators[0], z.numerator, z.denominator)
 
     def count_roots(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> int:
         """Number of distinct real roots in the open interval (lo, hi); None
         is an infinite end.  Roots at a finite end are divided out first, so
         that neither end is a root, and Sturm's theorem then counts exactly:
         the sign changes of the Sturm sequence drop by one across each
-        distinct root, whatever its multiplicity."""
+        distinct root, whatever its multiplicity.
+
+        It runs on the integer numerators.  The Sturm sequence is p, p' and
+        negated pseudo-remainders: a division step scales the dividend by
+        |lc| of the divisor, never by a negative factor, and each remainder
+        is divided by its positive content, so each entry is a positive
+        multiple of the classical one, in small integers.  Its signs are
+        read at (a : b), or at (+-1 : 0) for an infinite end (`_sign_at`)."""
         if self.is_zero():
             raise ValueError("zero polynomial has infinitely many roots")
-        lo, hi = (None if e is None else rat(e) for e in (lo, hi))
-        p = self
-        for e in (lo, hi):
-            if e is not None:
-                p = p._deflate(e)[1]
-        seq = [p, p.derivative()]
-        while not seq[-1].is_zero():
-            seq.append((seq[-2] % seq[-1]) * -1)
-        seq.pop()
-        return _sign_changes(seq, lo, -1) - _sign_changes(seq, hi, 1)
+        p, ends = self.numerators[0], []
+        for e, inf in ((lo, -1), (hi, 1)):
+            e = (inf, 0) if e is None else rat(e).as_integer_ratio()
+            if e[1]:
+                p = _divide(p, *e)[1]
+            ends.append(e)
+        seq = [list(p), [k * c for k, c in enumerate(p)][1:]]
+        while seq[-1]:
+            r, g = list(seq[-2]), seq[-1]
+            s, a = (1, g[-1]) if g[-1] > 0 else (-1, -g[-1])
+            while len(r) >= len(g):
+                top, r = s * r[-1], [a * c for c in r[:-1]]
+                k = len(r) - len(g) + 1
+                for j, c in enumerate(g[:-1]):
+                    r[k + j] -= top * c
+                while r and not r[-1]:
+                    r.pop()
+            content = math.gcd(*r)
+            seq.append([-c // content for c in r])
+        return _sign_changes(seq[:-1], *ends[0]) - _sign_changes(seq[:-1], *ends[1])
 
 
-def _sign_changes(seq: Sequence[Poly], at: Optional[Fraction], end: int) -> int:
-    """Sign changes along a Sturm sequence at the point `at`, or, when `at`
-    is None, at the infinite end of sign `end`, read from the leading
-    coefficients."""
-    signs = []
-    for s in seq:
-        v = s(at) if at is not None else s.coeffs[-1] * end ** s.degree
-        if v != 0:
-            signs.append(v > 0)
-    return sum(a != b for a, b in zip(signs, signs[1:]))
+def _divide(cs: Sequence[int], a: int, b: int) -> Tuple[int, Sequence[int]]:
+    """(m, qs) with cs = (b z - a)^m qs and qs(a/b) != 0, for a nonzero
+    integer polynomial cs (ascending) and a/b in lowest terms, b > 0.  By
+    Gauss's lemma b z - a divides an integer polynomial iff a/b is a root,
+    so each step is an exact integer long division, and one with a
+    remainder ends the count."""
+    m = 0
+    while True:
+        quot, acc = [], 0
+        for c in reversed(cs[1:]):
+            acc, r = divmod(c + a * acc, b)
+            if r:
+                return m, cs
+            quot.append(acc)
+        if cs[0] + a * acc != 0:
+            return m, cs
+        m += 1
+        cs = quot[::-1]
+
+
+def _sign_at(cs: Sequence[int], a: int, b: int) -> int:
+    """The sign of the integer polynomial cs (ascending) at (a : b), by
+    Horner's rule on sum c_k a^k b^(n-k): at a/b for b > 0, and at the
+    infinite end of sign a for b = 0."""
+    acc, bk = 0, 1
+    for c in reversed(cs):
+        acc = acc * a + c * bk
+        bk *= b
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_changes(seq: Sequence[Sequence[int]], a: int, b: int) -> int:
+    """Sign changes along an integer Sturm sequence at (a : b) (`_sign_at`)."""
+    signs = [s for s in (_sign_at(p, a, b) for p in seq) if s]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
 
 
 def poly_transport(p: Poly, m: "Mobius", weight: int) -> Poly:
@@ -669,14 +678,6 @@ class Mobius:
 
     def inverse(self) -> "Mobius":
         return Mobius(self.d, -self.b, -self.c, self.a)
-
-    def compose(self, other: "Mobius") -> "Mobius":
-        """self after other: (self @ other)(z) = self(other(z))."""
-        a = self.a * other.a + self.b * other.c
-        b = self.a * other.b + self.b * other.d
-        c = self.c * other.a + self.d * other.c
-        d = self.c * other.b + self.d * other.d
-        return Mobius(a, b, c, d)
 
     def pole(self) -> ProjPoint:
         """The point mapped to infinity."""

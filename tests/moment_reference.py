@@ -1,14 +1,17 @@
 """Reference tangency certificates and coordinate solves for `moment`.
 
-`reference_tangency` is the body that `moment._tangency` had before it read
-the adjugate of the fold conic: it substitutes a point P of the line and its
-direction D into the bilinear form of the conic and forms the quadratic
-a t^2 + b t + c of (P + t D)^T Q (P + t D).
+`reference_tangency` is how the tangency certificate of `moment._line` was
+formed before it read the adjugate of the fold conic: it substitutes a
+point P of the line and its direction D into the bilinear form of the
+conic and forms the quadratic a t^2 + b t + c of (P + t D)^T Q (P + t D).
 
 `reference_coordinates` is the fresh Cramer solve that `moment._coordinates`
 made on every call before the moment frame kept the dual vectors: it builds
 the three cross products again, and against a transversal of q when
 (b1, b2, q) is dependent (q parabolic under '-').
+
+`form` and `evaluate` read a conic's matrix at homogeneous vectors and at
+points of the plane.
 
 The tests hold the frame's results equal to these, exactly.
 """
@@ -16,7 +19,20 @@ The tests hold the frame's results equal to these, exactly.
 from fractions import Fraction
 
 from ambitoric.moment import Conic, LineInTstar, TangencyCertificate
-from ambitoric.quadratics import Quadratic, cross, inner, transversal
+from ambitoric.quadratics import Quadratic, cross, inner, is_exact, transversal
+
+
+def form(conic: Conic, u, v):
+    """The bilinear form u^T Q v of homogeneous 3-vectors u, v."""
+    Q = conic.matrix
+    return sum(Q[i][j] * u[i] * v[j] for i in range(3) for j in range(3))
+
+
+def evaluate(conic: Conic, m1, m2):
+    """v^T Q v at v = (m1, m2, 1), in the domain `is_exact` picks: a
+    Fraction entry of Q times a float rounds as its float would."""
+    v = (m1, m2, 1) if is_exact(m1, m2) else (float(m1), float(m2), 1.0)
+    return form(conic, v, v)
 
 
 def reference_tangency(line: LineInTstar, conic: Conic):
@@ -27,7 +43,7 @@ def reference_tangency(line: LineInTstar, conic: Conic):
     # a point P on the line and its direction D, homogeneous
     P = (c / n1, Fraction(0), Fraction(1)) if n1 != 0 else (Fraction(0), c / n2, Fraction(1))
     D = (-n2, n1, Fraction(0))
-    a, b, cc = conic.form(D, D), 2 * conic.form(P, D), conic.form(P, P)
+    a, b, cc = form(conic, D, D), 2 * form(conic, P, D), form(conic, P, P)
     return TangencyCertificate(leading=a, discriminant=b * b - 4 * a * cc)
 
 

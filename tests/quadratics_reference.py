@@ -1,15 +1,19 @@
-"""Reference Fraction formulas for the exact kernels of `quadratics`.
+"""Reference Fraction formulas for the exact kernels of `quadratics` and
+of the sign cells and lattice test of `ansatz`.
 
 These are the bodies the kernels had before they computed on integer
 numerators: every product and sum is a Fraction operation.  The tests hold
 `inner`, `cross`, `coordinates`, `null_quadratic`, `compatible_quadratic`,
-`polarize_hom`, `Poly._deflate`, `Poly.root_multiplicity` and `Poly.jet`
-at rational points equal to these, exactly and with the same type.
+`polarize_hom`, `quadratics._divide`, `Poly.root_multiplicity`, `Poly.jet` at
+rational points, `Poly.count_roots`, `ansatz._cmp`,
+`ansatz._rational_between`, `ansatz.lattice_coordinates` and
+`ansatz.lattice_contains` equal to these, exactly and with the same type.
 """
 
+import math
 from fractions import Fraction
 
-from ambitoric.quadratics import Quadratic, proj_rep
+from ambitoric.quadratics import Poly, Quadratic, proj_rep
 
 
 def inner(q: Quadratic, p: Quadratic) -> Fraction:
@@ -71,3 +75,108 @@ def poly_jet(coeffs, z, n: int):
             dp = dp * z + p
         p = p * z + c
     return (p, dp, ddp)[:n]
+
+
+def poly_mod(p: Poly, other: Poly) -> Poly:
+    """Remainder of division by a nonzero polynomial."""
+    r = list(p.coeffs)
+    n = len(other.coeffs)
+    for k in range(len(r) - n, -1, -1):
+        f = r[k + n - 1] / other.coeffs[-1]
+        for j, c in enumerate(other.coeffs):
+            r[k + j] -= f * c
+    return Poly(r[:n - 1])
+
+
+def sign_changes(seq, at, end: int) -> int:
+    """Sign changes along a Sturm sequence at `at`, or at the infinite end
+    of sign `end` when `at` is None."""
+    signs = []
+    for s in seq:
+        v = s(at) if at is not None else s.coeffs[-1] * end ** s.degree
+        if v != 0:
+            signs.append(v > 0)
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def count_roots(P: Poly, lo, hi) -> int:
+    """Distinct real roots of the nonzero P in (lo, hi) by Sturm's theorem,
+    after dividing out the roots at the finite ends."""
+    p = P
+    for e in (lo, hi):
+        if e is not None:
+            p = Poly(deflate(p.coeffs, e)[1])
+    seq = [p, p.derivative()]
+    while not seq[-1].is_zero():
+        seq.append(poly_mod(seq[-2], seq[-1]) * -1)
+    seq.pop()
+    return sign_changes(seq, lo, -1) - sign_changes(seq, hi, 1)
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _sign_uvD(u, v, D) -> int:
+    su, sv = _sign(u), _sign(v)
+    if sv == 0 or D == 0:
+        return su
+    if su == 0 or su == sv:
+        return sv
+    return su * _sign(u * u - v * v * D)
+
+
+def _parts(a):
+    return (a, 0, 0) if isinstance(a, Fraction) else (a.p, a.r, a.D)
+
+
+def cmp(a, b) -> int:
+    """sign(a - b) for rationals and surds p + r sqrt(D) (`ansatz._Surd`)."""
+    (p, r, D), (p2, r2, D2) = _parts(a), _parts(b)
+    if r2 == 0 or D2 == D:
+        return _sign_uvD(p - p2, r - r2, D)
+    sa, sb = _sign_uvD(p - p2, r, D), _sign(r2)
+    if sa != sb:
+        return _sign(sa - sb)
+    u = p - p2
+    return sa * _sign_uvD(u * u + r * r * D - r2 * r2 * D2, 2 * u * r, D)
+
+
+def bounds(a, k: int):
+    """Rationals lo <= a <= hi, at most |r| 2^-k apart."""
+    if isinstance(a, Fraction):
+        return a, a
+    n, d = a.D.numerator, a.D.denominator
+    s = math.isqrt(n * d << 2 * k)
+    lo = a.p + a.r * Fraction(s, d << k)
+    hi = a.p + a.r * Fraction(s + 1, d << k)
+    return min(lo, hi), max(lo, hi)
+
+
+def rational_between(a, b) -> Fraction:
+    """A rational strictly between a < b; None is an infinite end."""
+    if a is None and b is None:
+        return Fraction(0)
+    if a is None:
+        return Fraction(math.floor(bounds(b, 0)[0]) - 1)
+    if b is None:
+        return Fraction(math.ceil(bounds(a, 0)[1]) + 1)
+    k = 8
+    while True:
+        hi, lo = bounds(a, k)[1], bounds(b, k)[0]
+        if hi < lo:
+            return (hi + lo) / 2
+        k *= 2
+
+
+def lattice_coordinates(lattice, vec):
+    """Coordinates of a rational vector in the basis of the lattice matrix
+    columns, by the inverse 2x2 matrix."""
+    (a, b), (c, d) = lattice
+    det = a * d - b * c
+    v0, v1 = Fraction(vec[0]), Fraction(vec[1])
+    return (d * v0 - b * v1) / det, (-c * v0 + a * v1) / det
+
+
+def lattice_contains(lattice, vec) -> bool:
+    return all(w.denominator == 1 for w in lattice_coordinates(lattice, vec))

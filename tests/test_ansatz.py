@@ -18,14 +18,24 @@ from ambitoric import (
     mobius_transport,
     validate,
 )
+from ambitoric import classify
 from ambitoric.ansatz import (
     METRIC_G0,
     METRIC_GMINUS,
     METRIC_GPLUS,
+    _cmp,
+    _rational_between,
+    _roots,
+    _Surd,
     lattice_contains,
+    lattice_coordinates,
+    lattice_inverse,
     metric_gp,
 )
+from ambitoric.quadratics import rational_sqrt
 from ambitoric.tensors import metric_components
+
+import quadratics_reference
 
 from conftest import (
     boxes_and_transports,
@@ -98,8 +108,101 @@ def test_fibre_volume_relation_on_the_geometry_specs(name):
 
 def test_lattice_membership():
     lat = ((F(2), F(1)), (F(0), F(1)))   # generators (2,0) and (1,1)
-    assert lattice_contains(lat, (F(3), F(1)))
-    assert not lattice_contains(lat, (F(1), F(0)))
+    assert lattice_contains(lattice_inverse(lat), (F(3), F(1)))
+    assert not lattice_contains(lattice_inverse(lat), (F(1), F(0)))
+
+
+@pytest.mark.parametrize("name, coeffs", [("A", [1, 0, 0, 0, 0, 1]),
+                                          ("B", [1, 0, 0, 0, 0, 0, 2])])
+def test_rejects_A_or_B_of_degree_above_four(hyperbolic_spec, name, coeffs):
+    # the ansatz needs weight-2 quartics: validate, classify and the Mobius
+    # transport used to treat A = 1 + z^5 differently
+    with pytest.raises(ValidationError, match=f"^{name} has degree"):
+        replace(hyperbolic_spec, **{name: Poly(coeffs)})
+    d = hyperbolic_spec.to_dict()
+    d[name] = [str(c) for c in coeffs]
+    with pytest.raises(ValidationError, match=f"^{name} has degree"):
+        AnsatzSpec.from_dict(d)
+
+
+#: rationals with zeros, signs and denominators up to 10^30
+_wide = st.one_of(st.just(F(0)), st.integers(-6, 6).map(F),
+                  st.fractions(min_value=-8, max_value=8, max_denominator=12),
+                  st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**30)))
+_radicands = st.sampled_from([F(2), F(3), F(1, 2), F(8), F(5, 3)]) | st.builds(
+    F, st.integers(1, 10**30), st.integers(1, 10**30)).filter(
+        lambda D: rational_sqrt(D) is None)
+_surds = st.builds(_Surd, _wide, _wide.filter(bool), _radicands)
+#: the values the sign cells compare: rationals, drawn surds with different
+#: radicands, and the roots of quadratics as `_roots` forms them
+_values = st.one_of(_wide, _surds, st.builds(
+    lambda a, b, c: _roots(a, b, c), _wide, _wide, _wide).filter(bool).flatmap(
+        st.sampled_from))
+
+
+@given(_values, _values, _wide, _wide)
+@settings(max_examples=300, deadline=None)
+def test_sign_cell_comparisons_equal_their_fraction_references(a, b, dp, dr):
+    """`_cmp` by integer cross-multiplication and `_rational_between` on
+    integer bounds equal the Fraction bodies exactly, the latter as one
+    Fraction strictly between, also next to an infinite end; surds that
+    share their rational part or differ slightly are compared too."""
+    near = [b]
+    if isinstance(a, _Surd):
+        near += [_Surd(a.p, a.r + dr, a.D) if a.r + dr else a.p,
+                 _Surd(a.p + dp / 10**40, a.r, a.D)]
+    for u, v in [(a, v) for v in near] + [(a, a)]:
+        c = _cmp(u, v)
+        assert c == quadratics_reference.cmp(u, v) == -_cmp(v, u)
+        if c:
+            lo, hi = (u, v) if c < 0 else (v, u)
+            got = _rational_between(lo, hi)
+            assert got == quadratics_reference.rational_between(lo, hi)
+            assert type(got) is F and _cmp(lo, got) < 0 < _cmp(hi, got)
+    for lo, hi in ((a, None), (None, a), (None, None)):
+        got = _rational_between(lo, hi)
+        assert got == quadratics_reference.rational_between(lo, hi) and type(got) is F
+
+
+_lattice_entries = st.one_of(_wide, st.sampled_from([F(k, d) for k in range(-3, 4)
+                                                     for d in (1, 2, 3)]))
+_lattices = st.tuples(st.tuples(_lattice_entries, _lattice_entries),
+                      st.tuples(_lattice_entries, _lattice_entries)).filter(
+    lambda m: m[0][0] * m[1][1] != m[0][1] * m[1][0])
+
+
+@given(_lattices, st.integers(-5, 5), st.integers(-5, 5), _wide, _wide)
+@settings(max_examples=200, deadline=None)
+def test_lattice_test_equals_its_fraction_reference(lattice, k1, k2, v0, v1):
+    """Coordinates and membership from the integer inverse equal the
+    Fraction solve, for members k1 col1 + k2 col2 and for drawn vectors."""
+    (a, b), (c, d) = lattice
+    inverse = lattice_inverse(lattice)
+    for vec in ((k1 * a + k2 * b, k1 * c + k2 * d), (v0, v1)):
+        got = lattice_coordinates(inverse, vec)
+        assert got == quadratics_reference.lattice_coordinates(lattice, vec)
+        assert all(type(w) is F for w in got)
+        assert lattice_contains(inverse, vec) == quadratics_reference.lattice_contains(
+            lattice, vec)
+    assert lattice_contains(inverse, (k1 * a + k2 * b, k1 * c + k2 * d))
+
+
+@given(boxes_and_transports(), _lattices)
+@settings(max_examples=40, deadline=None)
+def test_lattice_test_on_the_normals_of_transported_specs(spec_m, lattice):
+    """Every compatible normal that `classify` tests, on a box and on its
+    Mobius transport, has the membership of the Fraction solve."""
+    spec, m = spec_m
+    spec = replace(spec, lattice=lattice)
+    seen = 0
+    for s in (spec, mobius_transport(spec, m)):
+        for _c, v in classify(s):
+            for r in v.reports:
+                if r.status is not None and r.status.compatible_normal is not None:
+                    n, member = r.status.compatible_normal
+                    assert member == quadratics_reference.lattice_contains(lattice, n)
+                    seen += 1
+    assert seen
 
 
 def test_serialization_roundtrip(any_spec):

@@ -4,6 +4,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -209,7 +210,7 @@ def test_edge_at_infinity_handled():
 
 def test_p_locus_is_reported_in_the_cells_it_crosses(merged_spec):
     # {xy = -1} crosses two of the six cells of the merged box
-    spec = merged_spec.with_metric(metric_gp(Quadratic(1, 0, 1)))
+    spec = replace(merged_spec, metric=metric_gp(Quadratic(1, 0, 1)))
     comps = validate(spec)
     cells = comps[0].cells
     crossed = {cells.cell_at(x, -1 / x) for x in (F(k, 50) for k in range(-149, 150))

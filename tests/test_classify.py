@@ -1,16 +1,18 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 
 from ambitoric import (
+    AnsatzSpec,
     Interval,
     Mobius,
     Poly,
     Quadratic,
+    ValidationError,
     classify,
-    complete_orbifold_check,
     completability_verdict,
     mobius_transport,
     validate,
@@ -25,6 +27,22 @@ from ambitoric.classify import (
 )
 
 from conftest import I2, boxes_and_transports, make_spec
+
+
+def complete_orbifold_check(q, x_interval, y_interval, lattice, A, B):
+    """Global g0-completeness of the quotient: the box must be a single
+    cell of (x - y) q(x, y) != 0, and that cell completable under g0
+    (rules (i)-(iv)).  The diagnostics are the report lines."""
+    try:
+        spec = AnsatzSpec(q=q, A=A, B=B, x_interval=x_interval,
+                          y_interval=y_interval, lattice=lattice, metric=METRIC_G0)
+        comps = validate(spec)
+    except ValidationError as err:
+        return False, [f"invalid ansatz data: {err}"]
+    if len(comps) != 1:
+        return False, ["(x - y) q(x, y) changes sign inside the box"]
+    verdict = completability_verdict(spec, METRIC_G0, comps[0])
+    return verdict.completable, [r.line() for r in verdict.reports]
 
 
 def test_proper_fold_blocks_completability():
@@ -48,7 +66,7 @@ def test_fold_edge_metric_rule():
     [(_c, v0)] = classify(spec)
     assert not v0.completable
     assert any(r.rule == RULE_FOLD_EDGE for r in v0.violations())
-    [(_c, vm)] = classify(spec.with_metric(METRIC_GMINUS))
+    [(_c, vm)] = classify(replace(spec, metric=METRIC_GMINUS))
     assert vm.completable
     assert not vm.extends_ambitoric   # the fold-edge stays finite under g-
 
@@ -58,7 +76,7 @@ def test_fold_corner_rule():
                      (1, 3), (-1, 0))
     [(_c, v)] = classify(spec)
     assert any(r.rule == RULE_CORNER for r in v.violations())
-    [(_c, vm)] = classify(spec.with_metric(METRIC_GMINUS))
+    [(_c, vm)] = classify(replace(spec, metric=METRIC_GMINUS))
     assert vm.completable and not vm.extends_ambitoric
 
 

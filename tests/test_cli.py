@@ -227,7 +227,7 @@ PUBLIC = (
     "Interval KerrParams LineInTstar METRIC_G0 METRIC_GMINUS METRIC_GPLUS "
     "MetricChoice Mobius MomentError MomentPoint OO Poly Polygon Quadratic "
     "ValidationError Verdict classify compatible_quadratic completability_verdict "
-    "complete_orbifold_check conformal_factor conic_type convexity_check "
+    "conformal_factor conic_type convexity_check "
     "corner_status csc_construct curvature decompose_boundary delzant_check "
     "edge_status estimate_r eval_field fold_conic fold_status identify_t inner "
     "kerr level_set_line metric_gp mobius_transport moment_map p_image_line rat "
@@ -393,6 +393,19 @@ def test_malformed_input_exits_2_and_names_the_field(tmp_path, capsys, command,
     assert main([command, str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize("command", ["validate", "check", "classify", "moment"])
+@pytest.mark.parametrize("x_interval", [["2", "3"], ["2", "inf"]])
+def test_A_of_degree_above_four_exits_2(tmp_path, capsys, command, x_interval):
+    # validate, check and moment used to exit 0 on A = 1 + z^5, and classify
+    # exited 0 or 2 depending on whether an x end was infinite
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(dict(CASE5, A=["1", "0", "0", "0", "0", "1"],
+                                 x_interval=x_interval)))
+    assert main([command, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: A has degree 5")
 
 
 def test_traced_layers_resolve():

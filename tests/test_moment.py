@@ -32,7 +32,6 @@ from ambitoric import (
 )
 from ambitoric import moment
 from ambitoric.moment import (
-    LineInTstar,
     TangencyCertificate,
     hamiltonian_residual,
     moment_differential,
@@ -50,7 +49,7 @@ from conftest import (
     small,
     transported_boxes,
 )
-from moment_reference import cramer, reference_coordinates, reference_tangency
+from moment_reference import cramer, evaluate, reference_coordinates, reference_tangency
 
 
 def test_moment_map_exact_on_rationals(hyperbolic_spec):
@@ -148,13 +147,13 @@ def test_fold_conic_hyperbolic_displayed_form(hyperbolic_spec):
 def test_fold_conic_elliptic_circle(elliptic_spec):
     c = fold_conic(elliptic_spec, "-")
     m1, m2 = F(3, 5), F(-4, 5)
-    assert c.evaluate(m1, m2) == 0
-    assert c.evaluate(F(1), F(1)) != 0
+    assert evaluate(c, m1, m2) == 0
+    assert evaluate(c, F(1), F(1)) != 0
 
 
 def test_fold_conic_parabolic_cases(parabolic_spec):
     cp = fold_conic(parabolic_spec, "+")     # mu1^2 = 4 mu2
-    assert cp.evaluate(F(2), F(1)) == 0
+    assert evaluate(cp, F(2), F(1)) == 0
     cm = fold_conic(parabolic_spec, "-")
     assert cm.matrix is None
     assert set(cm.points) == {(F(0), F(1, 2)), (F(0), F(-1, 2))}
@@ -259,7 +258,7 @@ def test_closed_forms_hold_at_fresh_points(spec, xs):
             if conic.matrix is None:
                 assert tuple(mp) in conic.points
             else:
-                assert conic.evaluate(mp.mu1, mp.mu2) == 0
+                assert evaluate(conic, mp.mu1, mp.mu2) == 0
         for axis, iv in (("X", spec.x_interval), ("Y", spec.y_interval)):
             for gamma in iv.endpoints_proj():
                 try:
@@ -384,8 +383,9 @@ def _edge_lines(spec, sign):
 def test_tangency_from_the_adjugate_is_the_point_and_direction_formula(kind, data):
     """The certificate read off the frame's adjugate equals, as Fractions,
     the one from a point and the direction of the line, for every edge image
-    and for drawn lines (n1 = 0 and n2 = 0 included) against both folds.
-    Both entries are Fractions: an int would read as a float to `is_exact`."""
+    of `level_set_line` and for drawn lines (n1 = 0 and n2 = 0 included,
+    scaled to primitive integers by `_line`) against both folds.  Both
+    entries are Fractions: an int would read as a float to `is_exact`."""
     spec = data.draw(_BOXES[kind])
     drawn = data.draw(st.lists(st.tuples(_LINE_PART, _LINE_PART, small)
                                .filter(lambda t: t[0] != 0 or t[1] != 0), max_size=4))
@@ -395,9 +395,13 @@ def test_tangency_from_the_adjugate_is_the_point_and_direction_formula(kind, dat
         for line in lines:
             assert line.tangency == reference_tangency(line, frame.conic)
         for n1, n2, c in drawn:
-            line = LineInTstar(normal=(n1, n2), offset=c)
-            lines.append(dataclasses.replace(line, tangency=moment._tangency(line, frame)))
-            assert lines[-1].tangency == reference_tangency(line, frame.conic)
+            lines.append(moment._line(n1, n2, c, frame))
+            assert lines[-1].tangency == reference_tangency(lines[-1], frame.conic)
+            # the same line: (n1, n2, c) and the scaled one are parallel
+            got = (*lines[-1].normal, lines[-1].offset)
+            assert all(got[i] * v == got[j] * u
+                       for (i, u), (j, v) in [((0, n1), (1, n2)), ((0, n1), (2, c)),
+                                              ((1, n2), (2, c))])
         for cert in (line.tangency for line in lines if line.tangency is not None):
             assert type(cert.leading) is F and type(cert.discriminant) is F
 
@@ -416,8 +420,8 @@ def test_tangency_identity_holds_for_every_symmetric_conic(entries, drawn):
     conic = Conic(matrix=tuple(tuple(F(v, 2) for v in row) for row in twice))
     frame = moment._Frame(None, conic, twice, moment._adjugate(twice))
     for n1, n2, off in drawn:
-        line = LineInTstar(normal=(n1, n2), offset=off)
-        assert moment._tangency(line, frame) == reference_tangency(line, conic)
+        line = moment._line(n1, n2, off, frame)
+        assert line.tangency == reference_tangency(line, conic)
 
 
 def test_tangency_certificates_of_the_geometry_specs():

@@ -18,6 +18,7 @@ from ambitoric.quadratics import (
     Mobius,
     Poly,
     Quadratic,
+    _divide,
     compatible_quadratic,
     conic_type,
     coordinates,
@@ -37,6 +38,7 @@ from ambitoric.special import KerrParams, kerr, scalar_closed_form
 from ambitoric.tensors import FramePoint, curvature, eval_field, metric_components
 
 import quadratics_reference
+from moment_reference import evaluate
 
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=12)
@@ -72,7 +74,7 @@ _EVALUATORS = {
     "eval_field": lambda x, y: tuple(eval_field(_KERR, f, FramePoint(x, y))
                                      for f in ("g0", "g+", "g-", "gp", "omega+", "omega-", "J+", "J-")),
     "curvature.scalar": lambda x, y: curvature(_KERR, METRIC_GPLUS, FramePoint(x, y)).scalar,
-    "Conic.evaluate": lambda x, y: fold_conic(_KERR, "+").evaluate(x, y),
+    "Conic.evaluate": lambda x, y: evaluate(fold_conic(_KERR, "+"), x, y),
     "scalar_closed_form": lambda x, y: scalar_closed_form(_KERR, "+", x, y),
 }
 
@@ -284,11 +286,17 @@ def test_poly_transport_quartic_inversion():
     assert poly_transport(A, m, 2).coeffs == A.coeffs
 
 
+def _compose(m1, m2):
+    """m1 after m2, from the product of their matrices."""
+    return Mobius(m1.a * m2.a + m1.b * m2.c, m1.a * m2.b + m1.b * m2.d,
+                  m1.c * m2.a + m1.d * m2.c, m1.c * m2.b + m1.d * m2.d)
+
+
 def test_mobius_group_laws():
     m1 = Mobius(1, 2, 3, 5)
     m2 = Mobius(0, 1, 1, 0)
     z = F(7, 3)
-    assert m1.compose(m2).apply(z) == m1.apply(m2.apply(z))
+    assert _compose(m1, m2).apply(z) == m1.apply(m2.apply(z))
     assert proj_eq(m1.inverse().apply(m1.apply(z)), z)
     assert m1.apply(m1.pole()) is OO
 
@@ -388,8 +396,42 @@ def test_poly_kernels_equal_their_fraction_references(cs, g, k, z):
     assert P.jet(g, 1)[0] == P(g) and type(P(g)) is F
     if P.is_zero():
         return
-    m, Q = P._deflate(g)
+    ns, d = P.numerators
+    m, qs = _divide(ns, g.numerator, g.denominator)
     want_m, want_q = quadratics_reference.deflate(P.coeffs, g)
-    assert (m, Q) == (want_m, Poly(want_q)) and m >= k
-    assert all(type(c) is F for c in Q.coeffs)
+    # P = (b z - a)^m qs / d = (z - g)^m Q with Q = b^m qs / d
+    assert m == want_m and m >= k
+    assert Poly([F(c * g.denominator ** m, d) for c in qs]) == Poly(want_q)
     assert P.root_multiplicity(g) == m
+
+
+@st.composite
+def _wide_polys(draw):
+    """(P, lo, hi): P of degree 0 to 4 with coefficients whose denominators
+    reach 10^30, often carrying a multiple root or a root at either end;
+    None is an infinite end."""
+    ends = sorted(draw(st.lists(_wide, min_size=2, max_size=2, unique=True)))
+    lo = draw(st.sampled_from([ends[0], None]))
+    hi = draw(st.sampled_from([ends[1], None]))
+    roots = draw(st.lists(st.one_of(_wide, st.sampled_from(ends)), max_size=4))
+    P = Poly([draw(_wide.filter(bool))])
+    for r in roots:
+        P = P * Poly([-r, 1])
+    rest = draw(st.lists(_wide, max_size=5 - len(P.coeffs)))
+    if rest and rest[-1] != 0:
+        P = P * Poly(rest)
+    return P, lo, hi
+
+
+@given(_wide_polys(), _wide)
+@settings(max_examples=300, deadline=None)
+def test_count_roots_equals_its_fraction_reference(case, z):
+    """The Sturm count on integer pseudo-remainders equals the Sturm count
+    on Fraction remainders (`Poly.__mod__` before it was removed), for
+    degrees 0 to 4, multiple roots and roots at either end; and the sign
+    that `Poly.sign` reads by homogeneous Horner is the sign of P(z)."""
+    P, lo, hi = case
+    assert P.degree <= 4
+    assert P.count_roots(lo, hi) == quadratics_reference.count_roots(P, lo, hi)
+    v = P(z)
+    assert P.sign(z) == (v > 0) - (v < 0)
