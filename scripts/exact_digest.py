@@ -5,7 +5,7 @@
     python scripts/exact_digest.py --write    # write tests/exact_digest.json
     python scripts/exact_digest.py --check    # compare with that file
 
-For each seed (1, 7, 43 and 99) the digest is the sha256 of the repr of
+For each seed (1, 5, 7, 43 and 99) the digest is the sha256 of the repr of
 every `exact_run` result over `perfbench/workloads.exact_cases(seed)`, in
 case order: the verdicts of `classify`, both fold conics and the image
 line of every edge.  The repr records types as well as values, so a
@@ -28,7 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = ROOT / "tests" / "exact_digest.json"
-SEEDS = (1, 7, 43, 99)
+SEEDS = (1, 5, 7, 43, 99)
 
 
 def digests() -> dict:

@@ -689,7 +689,8 @@ class SignCells:
         pair {q = 0}, and `base` is a rational point of the fold strictly
         inside the box, next to the cell.  Edges and corners come in
         first-seen order, folds in the order ('+', False), ('-', True),
-        ('-', False)."""
+        ('-', False).  Edges and corners are collected by end index (one
+        index for OO at both ends), so no Fraction is hashed."""
         X, Y = self.X, self.Y
         n = len(self.members)
         edges = [{} for _ in range(n)]
@@ -698,18 +699,20 @@ class SignCells:
         yhi = math.inf if Y.hi is None else Y.hi
         gy = Y.endpoints_proj()
         gx = X.endpoints_proj()
-        for g, e, i, side in ((gx[0], X.lo, 0, 1),
-                              (gx[1], X.hi, len(self.slabs) - 1, -1)):
+        jx = (0, 0 if gx[1] is gx[0] else 1)
+        jy = (0, 0 if gy[1] is gy[0] else 1)
+        for j, e, i, side in ((jx[0], X.lo, 0, 1),
+                              (jx[1], X.hi, len(self.slabs) - 1, -1)):
             for cell, lo, hi in self._end_pieces(i, e, side):
                 if lo < hi:
-                    edges[cell]["X", g] = None
+                    edges[cell]["X", j] = None
                 if lo == ylo:
-                    corners[cell][g, gy[0]] = None
+                    corners[cell][j, jy[0]] = None
                 if hi == yhi:
-                    corners[cell][g, gy[1]] = None
-        for k, g in ((0, gy[0]), (-1, gy[1])):
+                    corners[cell][j, jy[1]] = None
+        for k, j in ((0, jy[0]), (-1, jy[1])):
             for i, slab in enumerate(self.slabs):
-                edges[self.cell_of[(i, slab[k][0])]]["Y", g] = None
+                edges[self.cell_of[(i, slab[k][0])]]["Y", j] = None
         folds = [{} for _ in range(n)]
         for i, slab in enumerate(self.slabs):
             x = self.xs[i]
@@ -726,7 +729,9 @@ class SignCells:
                         if lo < hi:
                             folds[cell][_FOLD, True] = (
                                 c, _rational_between(_finite(lo), _finite(hi)))
-        return [(tuple(edges[k]), tuple(corners[k]),
+        ends = {"X": gx, "Y": gy}
+        return [(tuple((axis, ends[axis][j]) for axis, j in edges[k]),
+                 tuple((gx[i], gy[j]) for i, j in corners[k]),
                  tuple((s, v, folds[k][s, v])
                        for s, v in ((_DIAG, False), (_FOLD, True), (_FOLD, False))
                        if (s, v) in folds[k]))

@@ -28,11 +28,11 @@ from typing import List, Optional, Sequence, Tuple
 from .quadratics import (
     OO,
     ProjPoint,
-    compatible_quadratic,
+    _polar_ints,
     coordinate_jets,
     polar_jet,
     proj_eq,
-    proj_rep,
+    proj_ints,
 )
 from .ansatz import (
     G0,
@@ -45,7 +45,7 @@ from .ansatz import (
     ValidationError,
     lattice_contains,
 )
-from .moment import identify_t
+from .moment import _compatible_coordinates
 
 EDGE = "Edge"
 FOLD = "Fold"
@@ -131,13 +131,15 @@ def decompose_boundary(spec: AnsatzSpec, comp: BoxComponent) -> List[BoundaryCom
             out.append(BoundaryComponent(kind=PLOCUS, base_point=base,
                                          approach_sign=pside))
 
+    # corner flags at the integer representatives (X : W), (Y : V)
+    q = spec.q.numerators
+    p = spec.metric.p.numerators if spec.metric.tag == GP else None
     for gx, gy in comp.corners:
-        X, W = proj_rep(gx)
-        Y, V = proj_rep(gy)
-        pos = X * V - Y * W == 0
-        neg = spec.q.polarize_hom(X, W, Y, V) == 0
-        onp = (spec.metric.tag == GP
-               and spec.metric.p.polarize_hom(X, W, Y, V) == 0)
+        X, W = proj_ints(gx)
+        Y, V = proj_ints(gy)
+        pos = X * V == Y * W
+        neg = _polar_ints(q, X, W, Y, V) == 0
+        onp = p is not None and _polar_ints(p, X, W, Y, V) == 0
         out.append(BoundaryComponent(kind=CORNER, corner=(gx, gy),
                                      on_positive_fold=pos,
                                      on_negative_fold=neg,
@@ -168,9 +170,11 @@ def edge_status(spec: AnsatzSpec, metric: MetricChoice,
     decides the distance.  At a simple root the compatible normal is
     s identify_t((W z - X)^2 x q, '-') / D, s = -2 on an X edge and 2 on a
     Y edge, with D = d_X P / W = -d_W P / X (Euler's identity) the slope
-    of P(X, W) at its root: P'(gamma) at W = 1 and -a3 at OO.  Numerator
-    and D both scale as the square of the representative, so the normal
-    does not depend on it."""
+    of P(X, W) at its root: W^2 P'(X / W) for W > 0 and -a3 at OO.
+    Numerator and D both scale as the square of the representative, so
+    the normal does not depend on it; both are integers at the integer
+    representative (a, b) of gamma (`moment._compatible_coordinates`,
+    `Poly.hom_jet`), and the normal is one Fraction per component."""
     if edge.kind != EDGE:
         raise ValueError("edge_status needs an Edge component")
     P = spec.A if edge.axis == "X" else spec.B
@@ -186,10 +190,16 @@ def edge_status(spec: AnsatzSpec, metric: MetricChoice,
 
     normal = None
     if convergent and not edge.is_fold_and_edge:
-        D = -P.coeffs[3] if edge.gamma is OO else P.jet(edge.gamma, 2)[1]
-        v = identify_t(spec, compatible_quadratic(spec.q, edge.gamma), "-")
-        s = (-2 if edge.axis == "X" else 2) / D
-        n = (s * v[0], s * v[1])
+        a, b = proj_ints(edge.gamma)
+        if b:
+            (_, dp), dd = P.hom_jet(a, b, 2)
+            dn = b * b * dp
+        else:
+            cs, dd = P.numerators
+            dn = -cs[3]
+        u1, u2, k = _compatible_coordinates(spec, a, b)
+        s = (-2 if edge.axis == "X" else 2) * dd
+        n = (Fraction(s * u1, k * dn), Fraction(s * u2, k * dn))
         normal = (n, lattice_contains(spec.lattice_inverse, n))
     return DistanceStatus(verdict=verdict, compatible_normal=normal)
 

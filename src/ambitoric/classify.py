@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from .quadratics import proj_ints
 from .ansatz import (
     GMINUS,
     GP,
@@ -136,12 +137,12 @@ def completability_verdict(spec: AnsatzSpec, metric: MetricChoice,
     over `decompose_boundary`'s pieces: its edges come before the corners
     that read their statuses."""
     reports: List[Report] = []
-    edge_stat = {}      # (axis, gamma) -> status, for the decided edges
+    edge_stat = {}      # (axis, proj_ints(gamma)) -> status, for the decided edges
     for c in decompose_boundary(spec, comp):
         if c.kind == EDGE:
             r = _edge_report(spec, metric, c)
             if r.status is not None:
-                edge_stat[(c.axis, c.gamma)] = r.status
+                edge_stat[c.axis, proj_ints(c.gamma)] = r.status
         elif c.kind == FOLD:
             st = fold_status(spec, metric, c)
             r = Report(c, st, RULE_PROPER_FOLD, False,
@@ -151,7 +152,8 @@ def completability_verdict(spec: AnsatzSpec, metric: MetricChoice,
                        "P-locus infinitely distant under gp")
         else:
             gx, gy = c.corner
-            adj = [edge_stat[k] for k in (("X", gx), ("Y", gy)) if k in edge_stat]
+            adj = [edge_stat[k] for k in (("X", proj_ints(gx)), ("Y", proj_ints(gy)))
+                   if k in edge_stat]
             st, ok, reason = corner_status(metric, c, adj)
             r = Report(c, st, RULE_CORNER, ok, reason)
         reports.append(r)

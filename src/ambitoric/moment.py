@@ -27,18 +27,20 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .quadratics import (
     ProjPoint,
     Quadratic,
+    _cross_ints,
+    _inner_ints,
     _inv,
     _mul,
+    _null_ints,
     _over_common,
-    compatible_quadratic,
+    _polar_ints,
     coordinate_jets,
     coordinates,
     dual_frame,
     inner,
     is_exact,
-    null_quadratic,
     polar_jet,
-    proj_rep,
+    proj_ints,
     rat,
     transversal,
 )
@@ -111,7 +113,10 @@ def _frame(spec: AnsatzSpec, sign: str) -> _Frame:
     it without hashing the spec.  It holds the `dual_frame` of (b1, b2, q)
     for the basis b of mu^sign, the fold conic Q, and 2Q with its adjugate
     as integer matrices: the conic is scaled to primitive integer
-    coefficients, so 2Q is integral, and `_line` reads these two.
+    coefficients, so 2Q is integral, and `_line_ints` reads these two.
+    The dual frame holds integer triples over one denominator, so the
+    edge lines and compatible normals of `_edge_image` and
+    `_compatible_coordinates` are integer inner products.
     (b1, b2, q) spans all quadratics except for '-' with parabolic q, where
     q lies in span(tau) = q-perp; the frame then takes a transversal u of q
     in place of q, and every p of q-perp has u-coordinate 0."""
@@ -148,9 +153,8 @@ def identify_t(spec: AnsatzSpec, p: Quadratic, sign: str = "+") -> Tuple[Fractio
 # conics and lines
 # ---------------------------------------------------------------------------
 
-def _primitive(vec: Sequence[Fraction]) -> Tuple[int, ...]:
-    """Scale a rational vector to a primitive integer one, first nonzero > 0."""
-    ints, _ = _over_common(vec)
+def _primitive(ints: Sequence[int]) -> Tuple[int, ...]:
+    """Scale an integer vector to the primitive one, first nonzero > 0."""
     g = gcd(*ints)
     if g:
         first = next(v for v in ints if v != 0)
@@ -199,22 +203,28 @@ class LineInTstar:
 def _conic(Q) -> Conic:
     """Conic of the symmetric matrix Q, scaled to the primitive integer
     vector of its coefficients (mu1^2, mu1 mu2, mu2^2, mu1, mu2, 1)."""
-    a, b, c, d, e, f = map(Fraction, _primitive((Q[0][0], 2 * Q[0][1], Q[1][1],
-                                                 2 * Q[0][2], 2 * Q[1][2], Q[2][2])))
+    a, b, c, d, e, f = map(Fraction, _primitive(_over_common(
+        (Q[0][0], 2 * Q[0][1], Q[1][1], 2 * Q[0][2], 2 * Q[1][2], Q[2][2]))[0]))
     return Conic(matrix=((a, b / 2, d / 2), (b / 2, c, e / 2), (d / 2, e / 2, f)))
 
 
 def _line(n1, n2, offset, frame: Optional[_Frame] = None) -> LineInTstar:
-    """The line {n1 mu1 + n2 mu2 = offset} with primitive integers formed
-    once, and its tangency certificate against the fold conic Q of the
-    moment frame `frame`, if one is given and Q is no point pair.  With
-    n . mu = c, a point P of the line and its direction D = (-n2, n1, 0),
-    the line meets Q where (P + t D)^T Q (P + t D) = 0: leading coefficient
-    D^T Q D, discriminant 4 ((P^T Q D)^2 - (P^T Q P)(D^T Q D)).  By
+    """The line {n1 mu1 + n2 mu2 = offset} of rationals (`_line_ints`)."""
+    return _line_ints(_over_common((n1, n2, -offset))[0], frame)
+
+
+def _line_ints(l: Sequence[int], frame: Optional[_Frame] = None) -> LineInTstar:
+    """The line {n1 mu1 + n2 mu2 = c} of an integer multiple l of
+    (n1, n2, -c), with primitive integers formed once, and its tangency
+    certificate against the fold conic Q of the moment frame `frame`, if
+    one is given and Q is no point pair.  With n . mu = c, a point P of the
+    line and its direction D = (-n2, n1, 0), the line meets Q where
+    (P + t D)^T Q (P + t D) = 0: leading coefficient D^T Q D, discriminant
+    4 ((P^T Q D)^2 - (P^T Q P)(D^T Q D)).  By
     (u^T Q u)(v^T Q v) - (u^T Q v)^2 = (u x v)^T adj(Q) (u x v) and
     P x D = (-n1, -n2, c), that is -l^T adj(2Q) l for l = (n1, n2, -c).
     Both are read off the integers of l and of 2Q and adj(2Q) (`_frame`)."""
-    n1, n2, c = _primitive((n1, n2, -offset))
+    n1, n2, c = _primitive(l)
     tangency = None
     if frame is not None and frame.adjugate is not None:
         (q00, q01, _), (_, q11, _), _ = frame.twice
@@ -226,10 +236,6 @@ def _line(n1, n2, offset, frame: Optional[_Frame] = None) -> LineInTstar:
             discriminant=Fraction(-lal))
     return LineInTstar(normal=(Fraction(n1), Fraction(n2)), offset=Fraction(-c),
                        tangency=tangency)
-
-
-def _gram(basis: Sequence[Quadratic]):
-    return [[inner(u, v) for v in basis] for u in basis]
 
 
 def _adjugate(Q):
@@ -256,50 +262,69 @@ def _fold_conic(spec: AnsatzSpec, sign: str, duals) -> Conic:
     l in the basis b = (sigma1, sigma2, q) gives w^T G^-1 w = 0 for
     w = (-mu1, -mu2, 1) and G the Gram matrix of b; G^-1 is proportional
     to the Gram matrix of the dual vectors (b2 x b3, b3 x b1, b1 x b2) of
-    the frame.
+    the frame, which `duals` holds up to a positive factor.
     On Z- = {q(x, y) = 0} l lies in q-perp = span(tau); with G the Gram
     matrix of tau this gives mu^T G^-1 mu = 1/2.
     For parabolic q, Z- is the line pair x = r, y = r at the double root r
     of q (OO included), and its '-' image the point pair p, -p: p is the
     image of the edge {x = r}, and mu- is odd under x <-> y."""
     if sign == "+":
-        H = _gram(duals)
+        H = [[_inner_ints(u, v) for v in duals] for u in duals]
         D = (-1, -1, 1)
         return _conic([[D[i] * D[j] * H[i][j] for j in range(3)] for i in range(3)])
     r = spec.q.double_root()
     if r is not None:
         p = _edge_image(spec, sign, "X", r)
         return Conic(matrix=None, points=(p, (-p[0], -p[1])))
-    (g11, g12), (_, g22) = _gram(_basis(spec, sign))
+    tau = _basis(spec, sign)
+    (g11, g12), (_, g22) = [[inner(u, v) for v in tau] for u in tau]
     det = g11 * g22 - g12 * g12
     zero = Fraction(0)
     # mu^T adj(G) mu = det / 2
     return _conic([[g22, -g12, zero], [-g12, g11, zero], [zero, zero, -det / 2]])
 
 
+def _compatible_coordinates(spec: AnsatzSpec, a: int, b: int) -> Optional[Tuple[int, int, int]]:
+    """(u1, u2, k) with identify_t((b z - a)^2 x q, '-') = (u1 / k, u2 / k),
+    or None where (a : b) is the double root of q and that product is 0.
+    It is `_cross_ints` of (b^2, -ab, a^2) and q's numerators over 2 dq, so
+    u is its inner products with the '-' dual triples, over 2 dq e num/den."""
+    q = spec.q.numerators
+    c = _cross_ints(_null_ints(a, b), q)
+    if not any(c):
+        return None
+    ns, e, num, den = _frame(spec, "-").dual
+    return _inner_ints(c, ns[0]) * den, _inner_ints(c, ns[1]) * den, 2 * q[3] * e * num
+
+
 def _edge_image(spec: AnsatzSpec, sign: str, axis: str, gamma: ProjPoint):
-    """The image of {axis = gamma}: a line, or the point it collapses to."""
-    X, W = proj_rep(gamma)
+    """The image of {axis = gamma}: a line, or the point it collapses to,
+    from the integer representative (a, b) of gamma and the frame."""
+    a, b = proj_ints(gamma)
     if sign == "+":
-        # n . mu+ = b along the edge iff n1 sigma1 + n2 sigma2 + b q is
+        # n . mu+ = c along the edge iff n1 sigma1 + n2 sigma2 + c q is
         # orthogonal to every quadratic with root gamma, i.e. a multiple of
-        # (W z - X)^2
-        frame = _frame(spec, sign)
-        a1, a2, b = coordinates(null_quadratic(gamma), frame.dual)
-        if a1 == 0 and a2 == 0:
+        # (b z - a)^2: its coordinates, up to one factor
+        frame, null = _frame(spec, sign), _null_ints(a, b)
+        l1, l2, l3 = (_inner_ints(null, n) for n in frame.dual[0])
+        if l1 == 0 and l2 == 0:
             raise MomentError(f"mu+ has its pole along the edge {axis} = {gamma}")
-        return _line(a1, a2, b, frame)
+        return _line_ints((l1, l2, -l3), frame)
     # mu- is antisymmetric under x <-> y, hence the axis sign
     sgn = 1 if axis == "X" else -1
-    p = compatible_quadratic(spec.q, gamma)
-    if p.is_zero():
+    coords = _compatible_coordinates(spec, a, b)
+    if coords is None:
         # gamma is the double root of q: the edge is a fold line, along which
         # mu-_i = -tau_i(gamma, delta) / (gamma - delta) is constant; read it
-        # at delta = (-W : X)
-        return tuple(-sgn * t.polarize_hom(X, W, -W, X) / (X * X + W * W)
+        # at delta = (-b : a)
+        return tuple(Fraction(-sgn * _polar_ints(t.numerators, a, b, -b, a),
+                              t.numerators[3] * (a * a + b * b))
                      for t in _basis(spec, sign))
-    n1, n2 = identify_t(spec, p, sign)
-    return _line(n1, n2, sgn * spec.q.polarize_hom(X, W, X, W) / 2, _frame(spec, sign))
+    # n . mu- = sgn q(a, b) / 2 for n = (u1, u2) / k, times 2 dq k
+    u1, u2, k = coords
+    q = spec.q.numerators
+    return _line_ints((2 * q[3] * u1, 2 * q[3] * u2, -sgn * _polar_ints(q, a, b, a, b) * k),
+                      _frame(spec, sign))
 
 
 def level_set_line(spec: AnsatzSpec, sign: str, axis: str,

@@ -36,17 +36,21 @@ rule.
 The exact kernels compute on integers.  A Quadratic keeps its
 coefficients as integer numerators over a common denominator,
 (n0, n1, n2, d) = `numerators`, and a Poly keeps (ns, d); both are built
-on first use, like `floats`.  `inner`, `cross` (and so
-`compatible_quadratic`), `coordinates` and `polarize_hom` form each
-result as an integer over a product of denominators, and the quadratics
-that `cross` and `null_quadratic` return keep theirs.  At a point a/b in
-lowest terms, `Poly.jet` and `Poly.sign` run Horner's rule homogeneously
-at (a : b), `Poly.root_multiplicity` divides by b z - a in integers
-(`_divide`), and `Poly.count_roots` builds its Sturm sequence from
-integer pseudo-remainders.  So each returned value costs one normalised
-Fraction instead of one per product.  Every exact result is a Fraction,
-never an int: `is_exact` reads an int as a float, so a leaked int would
-move later code to floats.
+on first use, like `floats`.  Each product has one formula, on integer
+triples (`_inner_ints`, `_cross_ints`, `_polar_ints`, `_null_ints`), and
+`inner`, `cross` (and so `compatible_quadratic`), `null_quadratic` and
+`coordinates` (from the integer triples of a `dual_frame`) wrap it,
+forming each result as an integer over a product of denominators.  A box
+end is read at its integer representative (`proj_ints`), so `moment` and
+`boundary` form edge lines, compatible normals and corner flags with no
+Fraction before the result.  At a point
+a/b in lowest terms, `Poly.jet` (`Poly.hom_jet`) and `Poly.sign` run
+Horner's rule homogeneously at (a : b), `Poly.root_multiplicity`
+divides by b z - a in integers (`_divide`), and `Poly.count_roots` builds
+its Sturm sequence from integer pseudo-remainders.  So each returned
+value costs one normalised Fraction instead of one per product.  Every
+exact result is a Fraction, never an int: `is_exact` reads an int as a
+float, so a leaked int would move later code to floats.
 """
 
 from __future__ import annotations
@@ -128,11 +132,11 @@ def proj_eq(a: ProjPoint, b: ProjPoint) -> bool:
     return a == b
 
 
-def proj_rep(p: ProjPoint) -> Tuple[Fraction, Fraction]:
-    """Homogeneous representative (X, W) with p = X/W; OO -> (1, 0)."""
+def proj_ints(p: ProjPoint) -> Tuple[int, int]:
+    """Integer representative (a, b), p = a/b in lowest terms; OO -> (1, 0)."""
     if p is OO:
-        return Fraction(1), Fraction(0)
-    return Fraction(p), Fraction(1)
+        return 1, 0
+    return p.numerator, p.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +180,8 @@ class Poly:
 
     def jet(self, z, n: int):
         """The first n of (P, P', P'') at z, in the domain `is_exact` picks,
-        by Horner's rule.  At a rational z = a/b it runs on the numerators
-        c/d at (a : b): after j steps each accumulator is an integer over
-        d b^(j-1), and each entry is one Fraction at the end."""
+        by Horner's rule; at a rational z = a/b one Fraction per entry from
+        `hom_jet`."""
         if not is_exact(z):
             p = dp = ddp = 0
             for c in reversed(self.floats):
@@ -188,8 +191,14 @@ class Poly:
                     dp = dp * z + p
                 p = p * z + c
             return (p, dp, ddp)[:n]
+        vals, den = self.hom_jet(z.numerator, z.denominator, n)
+        return tuple(Fraction(v, den) for v in vals)
+
+    def hom_jet(self, a: int, b: int, n: int):
+        """(vals, den): the first n of (P, P', P'') at a/b, b > 0, as integers
+        over den, by Horner's rule on the numerators c/d at (a : b): after j
+        steps each accumulator is an integer over d b^(j-1)."""
         cs, d = self.numerators
-        a, b = z.numerator, z.denominator
         p = dp = ddp = 0
         bk = 1
         for c in reversed(cs):
@@ -199,8 +208,7 @@ class Poly:
                 dp = dp * a + p * b
             p = p * a + c * bk
             bk *= b
-        den = d * bk // b
-        return tuple(Fraction(v, den) for v in (p, dp, ddp)[:n])
+        return (p, dp, ddp)[:n], d * bk // b
 
     def derivative(self) -> "Poly":
         if len(self.coeffs) == 1:
@@ -399,14 +407,6 @@ class Quadratic:
             (c0, c1, c2), x, y = self.floats, float(x), float(y)
         return c0 * x * y + c1 * (x + y) + c2
 
-    def polarize_hom(self, X, W, Y, V) -> Fraction:
-        """Homogenized polarization numerator c0*XY + c1*(XV + YW) + c2*WV,
-        defined for rational projective representatives (X:W), (Y:V)."""
-        (X, W), e = _over_common((X, W))
-        (Y, V), f = _over_common((Y, V))
-        n0, n1, n2, d = self.numerators
-        return Fraction(n0 * X * Y + n1 * (X * V + Y * W) + n2 * W * V, d * e * f)
-
     # -- structure ---------------------------------------------------------
     def coeffs(self) -> Tuple[Fraction, Fraction, Fraction]:
         return (self.c0, self.c1, self.c2)
@@ -428,7 +428,7 @@ class Quadratic:
         """True iff self = s * other for some scalar s (other nonzero)."""
         if other.is_zero():
             return self.is_zero()
-        return cross(self, other).is_zero()
+        return not any(_cross_ints(self.numerators, other.numerators))
 
     def double_root(self) -> Optional[ProjPoint]:
         """The double root in RP^1 if the quadratic is parabolic, else None."""
@@ -446,19 +446,39 @@ class Quadratic:
         return f"Quadratic({self.c0}, {self.c1}, {self.c2})"
 
 
+def _inner_ints(a, b) -> int:
+    """<a, b> of integer coefficient triples (or `numerators`)."""
+    return 2 * a[1] * b[1] - a[2] * b[0] - a[0] * b[2]
+
+
+def _cross_ints(a, b) -> Tuple[int, int, int]:
+    """2 (a x b), integral, of integer coefficient triples (or `numerators`)."""
+    a0, a1, a2 = a[0], a[1], a[2]
+    b0, b1, b2 = b[0], b[1], b[2]
+    return 2 * (a0 * b1 - a1 * b0), a0 * b2 - a2 * b0, 2 * (a1 * b2 - a2 * b1)
+
+
+def _polar_ints(c, X: int, W: int, Y: int, V: int) -> int:
+    """The homogenized polarization c0 X Y + c1 (X V + Y W) + c2 W V of c
+    at integer representatives (X : W), (Y : V)."""
+    return c[0] * X * Y + c[1] * (X * V + Y * W) + c[2] * W * V
+
+
+def _null_ints(a: int, b: int) -> Tuple[int, int, int]:
+    """The coefficients of (b z - a)^2, the null quadratic of (a : b)."""
+    return b * b, -a * b, a * a
+
+
 def inner(q: Quadratic, p: Quadratic) -> Fraction:
     """Signature (2,1) inner product 2*q1*p1 - q2*p0 - q0*p2."""
-    a0, a1, a2, d = q.numerators
-    b0, b1, b2, e = p.numerators
-    return Fraction(2 * a1 * b1 - a2 * b0 - a0 * b2, d * e)
+    return Fraction(_inner_ints(q.numerators, p.numerators),
+                    q.numerators[3] * p.numerators[3])
 
 
 def cross(a: Quadratic, b: Quadratic) -> Quadratic:
     """The cross product a x b of the (2,1) inner product (module docstring)."""
-    a0, a1, a2, d = a.numerators
-    b0, b1, b2, e = b.numerators
-    return _from_numerators(2 * (a0 * b1 - a1 * b0), a0 * b2 - a2 * b0,
-                            2 * (a1 * b2 - a2 * b1), 2 * d * e)
+    return _from_numerators(*_cross_ints(a.numerators, b.numerators),
+                            2 * a.numerators[3] * b.numerators[3])
 
 
 def _from_numerators(n0: int, n1: int, n2: int, d: int) -> Quadratic:
@@ -470,29 +490,31 @@ def _from_numerators(n0: int, n1: int, n2: int, d: int) -> Quadratic:
 
 
 def dual_frame(b1: Quadratic, b2: Quadratic, b3: Quadratic):
-    """The dual vectors (b2 x b3, b3 x b1, b1 x b2) of a basis and its
-    determinant <b1, b2 x b3>, or None when the three are linearly
-    dependent.  Build it once per basis; `coordinates` reads it."""
-    n1 = cross(b2, b3)
-    det = inner(b1, n1)
-    if det == 0:
-        return None
-    return (n1, cross(b3, b1), cross(b1, b2)), det
+    """(ns, e, num, den): the dual vectors (b2 x b3, b3 x b1, b1 x b2) of a
+    basis as integer triples ns over one denominator e > 0 (each is
+    `_cross_ints` over 2 d_j d_k, so all are over 2 d1 d2 d3, here reduced
+    by the common content), and the determinant <b1, b2 x b3> = num / den;
+    None when the three are linearly dependent.  Build it once per basis;
+    `coordinates` reads it."""
+    bs = (b1.numerators, b2.numerators, b3.numerators)
+    ns = [[bs[i][3] * c for c in _cross_ints(bs[i - 2], bs[i - 1])] for i in range(3)]
+    e = 2 * bs[0][3] * bs[1][3] * bs[2][3]
+    g = math.gcd(e, *ns[0], *ns[1], *ns[2])
+    ns, e = tuple(tuple(c // g for c in n) for n in ns), e // g
+    num = _inner_ints(bs[0], ns[0])
+    return None if num == 0 else (ns, e, num, bs[0][3] * e)
 
 
 def coordinates(p: Quadratic, frame) -> Tuple[Fraction, Fraction, Fraction]:
     """(v1, v2, v3) with p = v1 b1 + v2 b2 + v3 b3, for the `dual_frame` of
     (b1, b2, b3): by Cramer's rule in triple products v1 = <p, b2 x b3> /
-    <b1, b2 x b3>, and cyclically, so 3 inner products and 3 divisions.
-    `moment` keeps the frame of each spec and sign on the spec instance."""
-    duals, det = frame
-    p0, p1, p2, d = p.numerators
-    num, den = det.numerator, det.denominator
-    out = []
-    for n in duals:
-        a0, a1, a2, e = n.numerators
-        out.append(Fraction((2 * p1 * a1 - p2 * a0 - p0 * a2) * den, d * e * num))
-    return tuple(out)
+    <b1, b2 x b3>, and cyclically, so 3 integer inner products and one
+    Fraction each.  `moment` keeps the frame of each spec and sign on the
+    spec instance."""
+    ns, e, num, den = frame
+    P = p.numerators
+    scale = P[3] * e * num
+    return tuple(Fraction(_inner_ints(P, n) * den, scale) for n in ns)
 
 
 def transversal(q: Quadratic) -> Quadratic:
@@ -505,10 +527,8 @@ def transversal(q: Quadratic) -> Quadratic:
 def null_quadratic(gamma: ProjPoint) -> Quadratic:
     """(W z - X)^2 for gamma = (X : W): the null quadratic with the double
     root gamma, and <p, (W z - X)^2> = -p(X, W) for every quadratic p."""
-    if gamma is OO:
-        return _from_numerators(0, 0, 1, 1)
-    a, b = gamma.numerator, gamma.denominator
-    return _from_numerators(b * b, -a * b, a * a, b * b)
+    a, b = proj_ints(gamma)
+    return _from_numerators(*_null_ints(a, b), b * b or 1)
 
 
 def compatible_quadratic(q: Quadratic, gamma: ProjPoint) -> Quadratic:

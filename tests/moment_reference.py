@@ -10,15 +10,24 @@ made on every call before the moment frame kept the dual vectors: it builds
 the three cross products again, and against a transversal of q when
 (b1, b2, q) is dependent (q parabolic under '-').
 
+`reference_edge_line` is how `moment.level_set_line` built the image of a
+box edge before it read the edge off the integer representative of its
+end: the Fraction solve of `reference_coordinates`, then the primitive
+integer normal with its sign rule (`reference_primitive`), then
+`reference_tangency`.  The Fraction formulas of `quadratics_reference`
+give the null and compatible quadratics and the polarizations.
+
 `form` and `evaluate` read a conic's matrix at homogeneous vectors and at
 points of the plane.
 
 The tests hold the frame's results equal to these, exactly.
 """
 
+import math
 from fractions import Fraction
 
-from ambitoric.moment import Conic, LineInTstar, TangencyCertificate
+import quadratics_reference as qr
+from ambitoric.moment import Conic, LineInTstar, MomentError, TangencyCertificate, fold_conic
 from ambitoric.quadratics import Quadratic, cross, inner, is_exact, transversal
 
 
@@ -66,3 +75,41 @@ def reference_coordinates(spec, p: Quadratic, sign: str):
         v1, v2, _ = cramer(p, b1, b2, transversal(spec.q))
         return v1, v2, Fraction(0)
     return sol
+
+
+def reference_primitive(vec):
+    """The rational vector scaled to primitive integers, first nonzero > 0,
+    as Fractions."""
+    d = math.lcm(*(Fraction(v).denominator for v in vec))
+    ints = [int(v * d) for v in vec]
+    g = math.gcd(*ints)
+    if g and next(v for v in ints if v) < 0:
+        g = -g
+    return [Fraction(v, g) if g else Fraction(v) for v in ints]
+
+
+def reference_edge_line(spec, sign: str, axis: str, gamma):
+    """The image of {axis = gamma} under mu^sign from Fraction formulas: a
+    LineInTstar, or one with the degenerate point where a '-' edge at the
+    double root of q collapses; MomentError on the pole of mu+."""
+    X, W = qr.proj_rep(gamma)
+    if sign == "+":
+        a1, a2, b = reference_coordinates(spec, qr.null_quadratic(gamma), "+")
+        if a1 == 0 and a2 == 0:
+            raise MomentError(f"mu+ has its pole along the edge {axis} = {gamma}")
+        n1, n2, c = a1, a2, b
+    else:
+        sgn = 1 if axis == "X" else -1
+        p = qr.compatible_quadratic(spec.q, gamma)
+        if p.is_zero():
+            point = tuple(-sgn * qr.polarize_hom(t, X, W, -W, X) / (X * X + W * W)
+                          for t in spec.tau_basis)
+            return LineInTstar(normal=(Fraction(0), Fraction(0)), offset=Fraction(0),
+                               degenerate_point=point)
+        n1, n2, _ = reference_coordinates(spec, p, "-")
+        c = sgn * qr.polarize_hom(spec.q, X, W, X, W) / 2
+    n1, n2, minus_c = reference_primitive((n1, n2, -c))
+    line = LineInTstar(normal=(n1, n2), offset=-minus_c)
+    conic = fold_conic(spec, sign)
+    return LineInTstar(normal=line.normal, offset=line.offset,
+                       tangency=reference_tangency(line, conic))

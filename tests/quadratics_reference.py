@@ -4,8 +4,9 @@ of the sign cells and lattice test of `ansatz`.
 These are the bodies the kernels had before they computed on integer
 numerators: every product and sum is a Fraction operation.  The tests hold
 `inner`, `cross`, `coordinates`, `null_quadratic`, `compatible_quadratic`,
-`polarize_hom`, `quadratics._divide`, `Poly.root_multiplicity`, `Poly.jet` at
-rational points, `Poly.count_roots`, `ansatz._cmp`,
+`quadratics._polar_ints` (against `polarize_hom`), `quadratics.proj_ints`
+(against `proj_rep`), `quadratics._divide`, `Poly.root_multiplicity`,
+`Poly.jet` at rational points, `Poly.count_roots`, `ansatz._cmp`,
 `ansatz._rational_between`, `ansatz.lattice_coordinates` and
 `ansatz.lattice_contains` equal to these, exactly and with the same type.
 """
@@ -13,7 +14,14 @@ rational points, `Poly.count_roots`, `ansatz._cmp`,
 import math
 from fractions import Fraction
 
-from ambitoric.quadratics import Poly, Quadratic, proj_rep
+from ambitoric.quadratics import OO, Poly, Quadratic
+
+
+def proj_rep(p):
+    """Homogeneous representative (X, W) with p = X/W; OO -> (1, 0)."""
+    if p is OO:
+        return Fraction(1), Fraction(0)
+    return Fraction(p), Fraction(1)
 
 
 def inner(q: Quadratic, p: Quadratic) -> Fraction:

@@ -1,3 +1,4 @@
+import collections
 import math
 import os
 import pathlib
@@ -10,6 +11,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from hypothesis.strategies import one_of
 
 from ambitoric import (
@@ -25,17 +27,33 @@ from ambitoric import (
     mobius_transport,
     validate,
 )
-from ambitoric.ansatz import METRIC_G0, METRIC_GMINUS, METRIC_GPLUS, metric_gp
+from ambitoric.ansatz import (
+    METRIC_G0,
+    METRIC_GMINUS,
+    METRIC_GPLUS,
+    ValidationError,
+    metric_gp,
+)
 from ambitoric.moment import level_set_line
-from ambitoric.quadratics import OO
+from ambitoric.quadratics import OO, cross
 from ambitoric.boundary import (
+    CORNER,
     EDGE,
     FINITE,
     FOLD,
     INFINITELY_DISTANT,
 )
 
-from conftest import boxes_and_pole_transports, boxes_and_transports, make_spec
+import quadratics_reference as qr
+from conftest import (
+    boxes_and_pole_transports,
+    boxes_and_transports,
+    canonical_boxes,
+    geometry_specs,
+    make_spec,
+    transported_boxes,
+)
+from moment_reference import reference_coordinates
 from quadrature_reference import improper_length_samples
 
 
@@ -233,3 +251,86 @@ def test_p_locus_line_pair():
     [plocus] = [b for b in decompose_boundary(spec, comp) if b.kind == "PLocus"]
     assert plocus.base_point[0] == 0 and 2 < plocus.base_point[1] < 3
     assert abs(estimate_r(spec, spec.metric, plocus) - 1.0) < 0.05
+
+
+def _through_corner(spec, comps):
+    """A gp spec whose p (orthogonal to q) vanishes at the first box corner,
+    so that corner lies on the P-locus; None when no corner has one."""
+    for comp in comps:
+        for gx, gy in comp.corners:
+            (X, W), (Y, V) = qr.proj_rep(gx), qr.proj_rep(gy)
+            # p(gx, gy) = -<p, (W z - X)(V z - Y)>, and p = q x l is orthogonal to l
+            p = cross(spec.q, Quadratic(W * V, -(W * Y + X * V) / 2, X * Y))
+            if not p.is_zero():
+                return replace(spec, metric=metric_gp(p))
+    return None
+
+
+def _check_boundary_against_fraction_formulas(spec, seen):
+    """Every compatible normal of `edge_status` is
+    s reference_coordinates(compatible_quadratic(q, gamma), '-')[:2] / D
+    with D = P'(gamma), or -a3 at OO, from Fraction formulas, and its
+    lattice membership is the Fraction test; every corner flag of
+    `decompose_boundary` is X V - Y W = 0, q(X, W, Y, V) = 0 or
+    p(X, W, Y, V) = 0 at the Fraction representatives."""
+    comps = validate(spec)
+    for s in filter(None, (spec, _through_corner(spec, comps))):
+        p = s.metric.p
+        for comp in comps:
+            for c in decompose_boundary(s, comp):
+                if c.kind == CORNER:
+                    (X, W), (Y, V) = (qr.proj_rep(g) for g in c.corner)
+                    flags = (c.on_positive_fold, c.on_negative_fold, c.on_p_locus)
+                    assert flags == (X * V - Y * W == 0,
+                                     qr.polarize_hom(s.q, X, W, Y, V) == 0,
+                                     p is not None and qr.polarize_hom(p, X, W, Y, V) == 0)
+                    seen.update(f for f, hit in zip(("Z+", "Z-", "P"), flags) if hit)
+                if c.kind != EDGE or c.is_fold_and_edge or s is not spec:
+                    continue
+                try:
+                    st_ = edge_status(s, METRIC_G0, c)
+                except ValidationError:
+                    continue            # an end that is no root of A or B (Kerr)
+                if st_.compatible_normal is None:
+                    continue
+                P, g = (s.A if c.axis == "X" else s.B), c.gamma
+                D = -P.coeffs[3] if g is OO else qr.poly_jet(P.coeffs, g, 2)[1]
+                v = reference_coordinates(s, qr.compatible_quadratic(s.q, g), "-")
+                sc = (-2 if c.axis == "X" else 2) / D
+                want = (sc * v[0], sc * v[1])
+                n, member = st_.compatible_normal
+                assert n == want and all(type(w) is F for w in n)
+                assert member == qr.lattice_contains(s.lattice, want)
+                seen.update(["OO normal" if g is OO else "normal",
+                             "in lattice" if member else "not in lattice"])
+
+
+def test_geometry_specs_boundary_equals_the_fraction_formulas():
+    """The goldens and Kerr hold corners on Z+, on Z- and on the P-locus
+    and finite normals in and out of the lattice; A with a simple root at
+    OO off the folds adds a normal at OO."""
+    seen = collections.Counter()
+    at_infinity = make_spec(Quadratic(0, 1, 0), [-1, 1, -1, 1], [-2, -3, -1],
+                            (1, None), (-2, -1))
+    for spec in [*geometry_specs().values(), at_infinity]:
+        _check_boundary_against_fraction_formulas(spec, seen)
+    assert set(seen) == {"Z+", "Z-", "P", "normal", "OO normal",
+                         "in lattice", "not in lattice"}, seen
+
+
+_LATTICES = (((1, 0), (0, 1)), ((2, 0), (0, 1)), ((F(1, 2), 0), (0, 3)),
+             ((1, 1), (-1, 2)), ((F(2, 3), F(1, 3)), (0, F(1, 5))))
+
+
+@given(one_of(canonical_boxes(), transported_boxes(),
+              boxes_and_pole_transports().map(lambda sm: mobius_transport(*sm))),
+       st.sampled_from(_LATTICES))
+@settings(max_examples=80, deadline=None)
+def test_boundary_from_integer_ends_equals_the_fraction_formulas(spec, lattice):
+    """Boxes of all three conic types, their Mobius transports and
+    transports that send an end to OO, under several lattices: edge normals,
+    their lattice membership and corner flags equal the Fraction formulas
+    (`_check_boundary_against_fraction_formulas`), under g0 and under a gp
+    whose P-locus passes through a corner."""
+    _check_boundary_against_fraction_formulas(replace(spec, lattice=lattice),
+                                              collections.Counter())

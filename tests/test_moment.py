@@ -42,6 +42,7 @@ from ambitoric.tensors import FramePoint, eval_field
 
 from conftest import (
     I2,
+    boxes_and_pole_transports,
     canonical_boxes,
     fold_points,
     geometry_specs,
@@ -49,7 +50,13 @@ from conftest import (
     small,
     transported_boxes,
 )
-from moment_reference import cramer, evaluate, reference_coordinates, reference_tangency
+from moment_reference import (
+    cramer,
+    evaluate,
+    reference_coordinates,
+    reference_edge_line,
+    reference_tangency,
+)
 
 
 def test_moment_map_exact_on_rationals(hyperbolic_spec):
@@ -466,3 +473,43 @@ def test_identify_t_from_the_frame_is_a_fresh_cramer_solve(kind, data):
         for gamma in iv.endpoints_proj():
             N = null_quadratic(gamma)
             assert coordinates(N, frame.dual) == cramer(N, sigma1, sigma2, spec.q)
+
+
+_END_BOXES = dict(_BOXES, at_infinity=boxes_and_pole_transports().map(
+    lambda sm: mobius_transport(*sm)))
+
+
+@pytest.mark.parametrize("kind", sorted(_END_BOXES))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_edge_lines_from_integer_ends_equal_the_fraction_construction(kind, data):
+    """`level_set_line` reads a box end off its integer representative and
+    the integers of the moment frame.  On both signs and axes it equals the
+    Fraction construction (`reference_edge_line`: Cramer solve, primitive
+    normal with its sign rule, point-and-direction tangency) at the box's
+    ends (OO among them after a pole transport), at OO, at drawn rationals
+    and at the double root of a parabolic q, where mu+ has its pole and
+    raises MomentError and the '-' edge collapses to the same degenerate
+    point.  Every entry is a Fraction."""
+    spec = data.draw(_END_BOXES[kind])
+    r = spec.q.double_root()
+    gammas = [g for iv in (spec.x_interval, spec.y_interval) for g in iv.endpoints_proj()]
+    gammas += [OO, *data.draw(st.lists(small, max_size=3))] + ([r] if r is not None else [])
+    for sign in "+-":
+        for axis in "XY":
+            for gamma in gammas:
+                try:
+                    want = reference_edge_line(spec, sign, axis, gamma)
+                except MomentError:
+                    with pytest.raises(MomentError):
+                        level_set_line(spec, sign, axis, gamma)
+                    continue
+                got = level_set_line(spec, sign, axis, gamma)
+                assert got == want
+                entries = (*got.normal, got.offset, *(got.degenerate_point or ()))
+                assert all(type(v) is F for v in entries)
+    if r is not None:
+        with pytest.raises(MomentError):
+            level_set_line(spec, "+", "X", r)
+        for axis in "XY":
+            assert level_set_line(spec, "-", axis, r).degenerate_point is not None

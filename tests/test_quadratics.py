@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -19,6 +20,8 @@ from ambitoric.quadratics import (
     Poly,
     Quadratic,
     _divide,
+    _over_common,
+    _polar_ints,
     compatible_quadratic,
     conic_type,
     coordinates,
@@ -29,6 +32,7 @@ from ambitoric.quadratics import (
     null_quadratic,
     poly_transport,
     proj_eq,
+    proj_ints,
     rat,
     transport_quadratic,
     transvectant2,
@@ -356,10 +360,13 @@ def _is_fraction_quadratic(q):
        st.lists(_wide, min_size=4, max_size=4), st.one_of(st.just(OO), _wide))
 @settings(max_examples=200, deadline=None)
 def test_quadratic_kernels_equal_their_fraction_references(a, b, c, p, xwyv, gamma):
-    """inner, cross, coordinates, null_quadratic, compatible_quadratic and
-    polarize_hom on integer numerators equal the plain Fraction formulas
-    exactly, and every result is a Fraction: an int would read as a float
-    to `is_exact`."""
+    """inner, cross, coordinates, null_quadratic and compatible_quadratic
+    on integer numerators equal the plain Fraction formulas exactly, and
+    every result is a Fraction: an int would read as a float to
+    `is_exact`.  The integer polarization `_polar_ints` at integer
+    representatives, over their denominators, is the Fraction one, and
+    proj_ints is the lowest-terms integer representative of proj_rep's
+    point."""
     v = inner(a, b)
     assert v == quadratics_reference.inner(a, b) and type(v) is F
     ab = cross(a, b)
@@ -376,8 +383,12 @@ def test_quadratic_kernels_equal_their_fraction_references(a, b, c, p, xwyv, gam
     pg = compatible_quadratic(p, gamma)
     assert pg == quadratics_reference.compatible_quadratic(p, gamma)
     assert _is_fraction_quadratic(pg)
-    h = p.polarize_hom(*xwyv)
-    assert h == quadratics_reference.polarize_hom(p, *xwyv) and type(h) is F
+    (X, W), e = _over_common(xwyv[:2])
+    (Y, V), f = _over_common(xwyv[2:])
+    h = F(_polar_ints(p.numerators, X, W, Y, V), p.numerators[3] * e * f)
+    assert h == quadratics_reference.polarize_hom(p, *xwyv)
+    (a, b), (X, W) = proj_ints(gamma), quadratics_reference.proj_rep(gamma)
+    assert a * W == b * X and b >= 0 and math.gcd(a, b) == 1
 
 
 @given(st.lists(_wide, min_size=1, max_size=5), _wide, st.integers(0, 3), _wide)
