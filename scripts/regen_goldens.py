@@ -9,7 +9,6 @@ to the classification rules, then eyeball the diff.
 import json
 import pathlib
 import sys
-from dataclasses import replace
 from fractions import Fraction as F
 
 from ambitoric import (
@@ -24,6 +23,7 @@ from ambitoric import (
 from ambitoric.ansatz import METRIC_G0, METRIC_GMINUS, metric_gp
 
 I2 = ((F(1), F(0)), (F(0), F(1)))
+KERR = kerr(KerrParams(1, F(3, 4)))
 
 
 def box(q, A, B, xr, yr, metric, lattice=I2):
@@ -54,8 +54,9 @@ CASES = {
                         (2, 3), (-1, 0), METRIC_G0),
     # Kerr exterior with exact horizon roots; lattice spanned by the
     # compatible edge normals
-    "case6_kerr_exterior": replace(
-        kerr(KerrParams(1, F(3, 4))),
+    "case6_kerr_exterior": AnsatzSpec(
+        q=KERR.q, A=KERR.A, B=KERR.B, x_interval=KERR.x_interval,
+        y_interval=KERR.y_interval, metric=KERR.metric, tau_basis=KERR.tau_basis,
         lattice=((F(81, 20), F(3, 4)), (F(-4, 5), F(-4, 3)))),
     # gp metric with the P-locus through the corner (2, -1): rule iv fires
     "case7_p_corner_gp": box(HYP, [-2, 3, -1], [0, -1, -1],

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from typing import List, Optional, Sequence, Tuple
@@ -38,6 +37,7 @@ from .quadratics import (
     Poly,
     ProjPoint,
     Quadratic,
+    Record,
     _over_common,
     conic_type,
     cross,
@@ -80,8 +80,7 @@ def json_list(v):
 # intervals with endpoints in RP^1
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Open interval; lo=None means -oo, hi=None means +oo.
 
     Projectively both infinite endpoints are the single point OO."""
@@ -167,8 +166,7 @@ GMINUS = "g-"
 GP = "gp"
 
 
-@dataclass(frozen=True)
-class MetricChoice:
+class MetricChoice(Record):
     """One of the barycentric metric g0, the Kahler metrics g+/g-, or the
     diagonal-Ricci metric g_p = (x-y) q(x,y) / p(x,y)^2 * g0 for p _|_ q."""
 
@@ -289,8 +287,7 @@ def lattice_contains(inverse, vec: Sequence[Fraction]) -> bool:
     return w0 % den == 0 and w1 % den == 0
 
 
-@dataclass(frozen=True)
-class AnsatzSpec:
+class AnsatzSpec(Record):
     """Declarative ambitoric ansatz restricted to a coordinate box."""
 
     q: Quadratic
@@ -765,8 +762,7 @@ class SignCells:
 # validation into cells
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoxComponent:
+class BoxComponent(Record, hidden=("cells", "index", "shared")):
     """One cell: a connected component of the open box minus the folds
     {x = y} and {q = 0}, found exactly by `SignCells`.
 
@@ -787,9 +783,9 @@ class BoxComponent:
     edges: Tuple[Tuple[str, ProjPoint], ...]
     corners: Tuple[Tuple[ProjPoint, ProjPoint], ...]
     folds: Tuple[Tuple[str, bool, Tuple[Fraction, Fraction]], ...]
-    cells: SignCells = field(repr=False, compare=False)
-    index: int = field(repr=False, compare=False)
-    shared: bool = field(repr=False, compare=False)   # sign pair not unique
+    cells: SignCells
+    index: int
+    shared: bool        # sign pair not unique
 
     def contains(self, x: float, y: float) -> bool:
         if not (self.x_range.contains(x) and self.y_range.contains(y)):

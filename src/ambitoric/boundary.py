@@ -21,13 +21,13 @@ numerical cross-check the tests compare it against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .quadratics import (
     OO,
     ProjPoint,
+    Record,
     _polar_ints,
     coordinate_jets,
     polar_jet,
@@ -56,8 +56,7 @@ FINITE = "Finite"
 INFINITELY_DISTANT = "InfinitelyDistant"
 
 
-@dataclass(frozen=True)
-class BoundaryComponent:
+class BoundaryComponent(Record):
     kind: str
     axis: Optional[str] = None                 # edges: "X" | "Y"
     gamma: Optional[ProjPoint] = None          # edges: the level value
@@ -93,8 +92,7 @@ class BoundaryComponent:
         return f"Corner ({fx}, {fy}){extra}"
 
 
-@dataclass(frozen=True)
-class DistanceStatus:
+class DistanceStatus(Record):
     verdict: str
     r_exponent: Optional[float] = None
     compatible_normal: Optional[Tuple[Tuple[Fraction, Fraction], bool]] = None

@@ -16,10 +16,9 @@ evaluated and reported, nothing raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .quadratics import proj_ints
+from .quadratics import Record, proj_ints
 from .ansatz import (
     GMINUS,
     GP,
@@ -50,8 +49,7 @@ RULE_CORNER = "iv:corner-admissible"
 RULE_INFO = "info"
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     component: BoundaryComponent
     status: Optional[DistanceStatus]
     rule: str
@@ -64,8 +62,7 @@ class Report:
         return f"{self.component.describe():32s} [{self.rule}] {mark}{extra}"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     completable: bool
     extends_ambitoric: bool
     reports: Tuple[Report, ...]
@@ -132,17 +129,28 @@ def _edge_report(spec: AnsatzSpec, metric: MetricChoice,
 
 
 def completability_verdict(spec: AnsatzSpec, metric: MetricChoice,
-                           comp: BoxComponent) -> Verdict:
+                           comp: BoxComponent, edges: Optional[dict] = None) -> Verdict:
     """Apply rules (i)-(iv) to one cell and report everything, in one pass
     over `decompose_boundary`'s pieces: its edges come before the corners
-    that read their statuses."""
+    that read their statuses.
+
+    An edge's report depends on the spec, the metric and the edge alone.
+    `edges`, when given, holds the reports of the edges met so far under
+    this spec and metric, keyed by (axis, proj_ints(gamma)): `classify`
+    shares one across the cells of a spec, so an edge that bounds two cells
+    is decided once."""
     reports: List[Report] = []
     edge_stat = {}      # (axis, proj_ints(gamma)) -> status, for the decided edges
+    if edges is None:
+        edges = {}
     for c in decompose_boundary(spec, comp):
         if c.kind == EDGE:
-            r = _edge_report(spec, metric, c)
+            key = c.axis, proj_ints(c.gamma)
+            r = edges.get(key)
+            if r is None:
+                r = edges[key] = _edge_report(spec, metric, c)
             if r.status is not None:
-                edge_stat[c.axis, proj_ints(c.gamma)] = r.status
+                edge_stat[key] = r.status
         elif c.kind == FOLD:
             st = fold_status(spec, metric, c)
             r = Report(c, st, RULE_PROPER_FOLD, False,
@@ -167,6 +175,8 @@ def completability_verdict(spec: AnsatzSpec, metric: MetricChoice,
 
 
 def classify(spec: AnsatzSpec) -> List[Tuple[BoxComponent, Verdict]]:
-    """Verdicts for every cell of the spec under its own metric."""
-    return [(c, completability_verdict(spec, spec.metric, c))
+    """Verdicts for every cell of the spec under its own metric, each edge
+    decided once."""
+    edges = {}
+    return [(c, completability_verdict(spec, spec.metric, c, edges))
             for c in validate(spec)]

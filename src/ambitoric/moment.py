@@ -19,7 +19,6 @@ record both the vector and its negation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, hypot
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -27,6 +26,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .quadratics import (
     ProjPoint,
     Quadratic,
+    Record,
     _cross_ints,
     _inner_ints,
     _inv,
@@ -163,8 +163,7 @@ def _primitive(ints: Sequence[int]) -> Tuple[int, ...]:
     return tuple(ints)
 
 
-@dataclass(frozen=True)
-class Conic:
+class Conic(Record):
     """Symmetric 3x3 coefficient matrix Q in homogeneous (mu1, mu2, 1);
     a point (m1, m2) lies on the conic iff v^T Q v = 0 for v = (m1, m2, 1).
     A degenerate image (a point pair) has matrix None and carries the
@@ -174,8 +173,7 @@ class Conic:
     points: Tuple[Tuple[Fraction, Fraction], ...] = ()
 
 
-@dataclass(frozen=True)
-class TangencyCertificate:
+class TangencyCertificate(Record):
     """Double-root certificate: the line substituted into the conic gives a
     quadratic with the recorded leading coefficient and discriminant."""
 
@@ -189,8 +187,7 @@ class TangencyCertificate:
         return self.discriminant == 0
 
 
-@dataclass(frozen=True)
-class LineInTstar:
+class LineInTstar(Record):
     """Line {normal . mu = offset}; the normal is stored primitive-integer
     whenever the data is rational."""
 
@@ -354,8 +351,7 @@ def p_image_line(spec: AnsatzSpec, sign: str, p: Quadratic) -> LineInTstar:
 # polygons, Delzant condition, convexity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Polygon:
+class Polygon(Record):
     """Convex polygon in t*: ordered vertices with per-edge inward normals;
     edge i joins vertex i to vertex i+1."""
 
@@ -383,8 +379,7 @@ class Polygon:
         return True
 
 
-@dataclass(frozen=True)
-class CornerVerdict:
+class CornerVerdict(Record):
     index: int
     normals: Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]
     determinant: Optional[Fraction]

@@ -51,15 +51,106 @@ its Sturm sequence from integer pseudo-remainders.  So each returned
 value costs one normalised Fraction instead of one per product.  Every
 exact result is a Fraction, never an int: `is_exact` reads an int as a
 float, so a leaked int would move later code to floats.
+
+`Record`, the base of every frozen record of the package, lives here
+because this is the first package module that each subcommand loads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Tuple, Union
+
+
+# ---------------------------------------------------------------------------
+# frozen records
+# ---------------------------------------------------------------------------
+
+class Record:
+    """Base of the package's frozen records.
+
+    A subclass names its fields by annotations (only the names are read)
+    in order, gives defaults as class attributes, and may list fields that
+    stay out of repr, equality and hash in the class keyword `hidden`, as
+    in `class BoxComponent(Record, hidden=("cells", "index", "shared"))`.
+    Each subclass gets:
+
+    * unless its body defines one, `__init__` taking the fields by position
+      or name.  It fills the instance `__dict__` in one update and then
+      calls `__post_init__` if the class has one.  A missing, unknown or
+      repeated field raises TypeError;
+    * unless its body defines one, `__repr__`, `Name(f=v, ...)` over the
+      shown fields;
+    * `__eq__` with instances of the same class on the shown fields in
+      order, and `__hash__` of the same tuple.  Values that
+      `cached_property` keeps in the instance are in neither.
+
+    Assignment and deletion raise AttributeError.  The methods behave as
+    the standard library's generated frozen records do, byte for byte in
+    repr, but are closures: no subcommand imports the module that generates
+    code (and with it `inspect`), and no class compiles code at import."""
+
+    def __init_subclass__(cls, hidden=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        names = tuple(own.get("__annotations__", ()))
+        shown = tuple(n for n in names if n not in hidden)
+        if len(shown) == 1:     # still a tuple, so the hash is that of the fields
+            one = attrgetter(shown[0])
+
+            def key(self):
+                return (one(self),)
+        else:
+            key = attrgetter(*shown)
+
+        if "__init__" not in own:
+            n, fields = len(names), frozenset(names)
+            defaults = {f: own[f] for f in names if f in own}
+            post_init = getattr(cls, "__post_init__", None)
+
+            def __init__(self, *args, **kw):
+                if kw or len(args) != n:
+                    if args:        # kw is this call's own dict
+                        given = len(kw)
+                        kw.update(zip(names, args))
+                        if len(args) > n or len(kw) != given + len(args):
+                            raise TypeError(f"{cls.__qualname__}() takes each of the "
+                                            f"fields {names} once: got {args}")
+                    if len(kw) != n:
+                        kw = {**defaults, **kw}
+                    if kw.keys() != fields:
+                        raise TypeError(f"{cls.__qualname__}() takes the fields {names}: "
+                                        f"got {tuple(kw)}")
+                    self.__dict__.update(kw)
+                else:
+                    self.__dict__.update(zip(names, args))
+                if post_init is not None:
+                    post_init(self)
+            cls.__init__ = __init__
+
+        if "__repr__" not in own:
+            def __repr__(self):
+                items = ", ".join(map("{}={!r}".format, shown, key(self)))
+                return f"{self.__class__.__qualname__}({items})"
+            cls.__repr__ = __repr__
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(key(self))
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +457,7 @@ def poly_transport(p: Poly, m: "Mobius", weight: int) -> Poly:
 # quadratics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Quadratic:
+class Quadratic(Record):
     """p(z) = c0*z^2 + 2*c1*z + c2 with its polarization p(x,y)."""
 
     c0: Fraction
@@ -674,8 +764,7 @@ def transvectant2(p: Quadratic, R: Poly) -> Quadratic:
 # Mobius maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Mobius:
+class Mobius(Record):
     """z -> (a*z + b) / (c*z + d) with exact rational entries, det != 0,
     stored as given."""
 

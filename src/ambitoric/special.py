@@ -15,13 +15,13 @@ nearby rationals inside the positivity region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .quadratics import (
     Poly,
     Quadratic,
+    Record,
     coordinate_jets,
     inner,
     is_exact,
@@ -49,8 +49,7 @@ _ID_LATTICE = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 # Kerr
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KerrParams:
+class KerrParams(Record):
     M: Fraction
     alpha: Fraction
 
@@ -121,16 +120,14 @@ def kerr(params: KerrParams, region: str = EXTERIOR) -> AnsatzSpec:
 # CSC / Einstein family
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CSCData:
+class CSCData(Record):
     q: Quadratic
     p: Quadratic
     rho: Quadratic
     R: Poly
 
 
-@dataclass(frozen=True)
-class CSCReport:
+class CSCReport(Record):
     einstein: bool
 
 

@@ -90,7 +90,6 @@ zero elsewhere, and the coefficient of dx^dy^dt1^dt2 in dx ^ dcx ^ dy ^ dcy
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING
 
@@ -105,6 +104,7 @@ from .ansatz import (
     MetricChoice,
 )
 from .quadratics import (
+    Record,
     _diag_jet,
     _inv,
     _lift,
@@ -124,8 +124,7 @@ class SingularEvaluation(ValueError):
     """Field evaluated on a locus where it is singular."""
 
 
-@dataclass(frozen=True)
-class FramePoint:
+class FramePoint(Record):
     """A point (x, y); no field depends on the fibre coordinates t."""
 
     x: float          # or Fraction, for exact curvature
@@ -265,8 +264,7 @@ MIN_FIBRE_SINE = 5e-4
 MIN_ROOT_DISTANCE = 1e-3
 
 
-@dataclass(frozen=True)
-class CurvaturePack:
+class CurvaturePack(Record):
     riemann: np.ndarray   # fully lowered R_{abcd}
     ricci: np.ndarray
     scalar: float         # a Fraction at Fraction points

@@ -36,6 +36,12 @@ def make_spec(q, A, B, xr, yr, metric=METRIC_G0, lattice=I2):
                       lattice=lattice, metric=metric)
 
 
+def respec(spec, **changes):
+    """A new AnsatzSpec with the fields of `spec`, except `changes`."""
+    fields = {name: getattr(spec, name) for name in AnsatzSpec.__annotations__}
+    return AnsatzSpec(**{**fields, **changes})
+
+
 def geometry_specs():
     """{name: spec} of the 8 goldens and the Kerr exterior (an infinite x
     end) and interior, M = 1, alpha = 1/2."""

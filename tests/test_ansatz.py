@@ -1,6 +1,5 @@
 import hashlib
 import json
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -42,6 +41,7 @@ from conftest import (
     canonical_boxes,
     geometry_specs,
     make_spec,
+    respec,
     transported_boxes,
 )
 
@@ -118,7 +118,7 @@ def test_rejects_A_or_B_of_degree_above_four(hyperbolic_spec, name, coeffs):
     # the ansatz needs weight-2 quartics: validate, classify and the Mobius
     # transport used to treat A = 1 + z^5 differently
     with pytest.raises(ValidationError, match=f"^{name} has degree"):
-        replace(hyperbolic_spec, **{name: Poly(coeffs)})
+        respec(hyperbolic_spec, **{name: Poly(coeffs)})
     d = hyperbolic_spec.to_dict()
     d[name] = [str(c) for c in coeffs]
     with pytest.raises(ValidationError, match=f"^{name} has degree"):
@@ -193,7 +193,7 @@ def test_lattice_test_on_the_normals_of_transported_specs(spec_m, lattice):
     """Every compatible normal that `classify` tests, on a box and on its
     Mobius transport, has the membership of the Fraction solve."""
     spec, m = spec_m
-    spec = replace(spec, lattice=lattice)
+    spec = respec(spec, lattice=lattice)
     seen = 0
     for s in (spec, mobius_transport(spec, m)):
         for _c, v in classify(s):
@@ -406,7 +406,7 @@ def line_pair_boxes(draw):
     X = spec.x_interval
     r = X.lo + (X.hi - X.lo) * draw(st.sampled_from([F(1, 4), F(1, 3), F(1, 2)]))
     q = Quadratic(1, -r, r * r)
-    return replace(spec, q=q, tau_basis=(q, Quadratic(0, 1, -2 * r)))
+    return respec(spec, q=q, tau_basis=(q, Quadratic(0, 1, -2 * r)))
 
 
 @given(st.one_of(canonical_boxes(st.integers(1, 2)), transported_boxes(),

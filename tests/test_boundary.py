@@ -5,7 +5,6 @@ import pathlib
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -51,6 +50,7 @@ from conftest import (
     canonical_boxes,
     geometry_specs,
     make_spec,
+    respec,
     transported_boxes,
 )
 from moment_reference import reference_coordinates
@@ -228,7 +228,7 @@ def test_edge_at_infinity_handled():
 
 def test_p_locus_is_reported_in_the_cells_it_crosses(merged_spec):
     # {xy = -1} crosses two of the six cells of the merged box
-    spec = replace(merged_spec, metric=metric_gp(Quadratic(1, 0, 1)))
+    spec = respec(merged_spec, metric=metric_gp(Quadratic(1, 0, 1)))
     comps = validate(spec)
     cells = comps[0].cells
     crossed = {cells.cell_at(x, -1 / x) for x in (F(k, 50) for k in range(-149, 150))
@@ -262,7 +262,7 @@ def _through_corner(spec, comps):
             # p(gx, gy) = -<p, (W z - X)(V z - Y)>, and p = q x l is orthogonal to l
             p = cross(spec.q, Quadratic(W * V, -(W * Y + X * V) / 2, X * Y))
             if not p.is_zero():
-                return replace(spec, metric=metric_gp(p))
+                return respec(spec, metric=metric_gp(p))
     return None
 
 
@@ -332,5 +332,5 @@ def test_boundary_from_integer_ends_equals_the_fraction_formulas(spec, lattice):
     their lattice membership and corner flags equal the Fraction formulas
     (`_check_boundary_against_fraction_formulas`), under g0 and under a gp
     whose P-locus passes through a corner."""
-    _check_boundary_against_fraction_formulas(replace(spec, lattice=lattice),
+    _check_boundary_against_fraction_formulas(respec(spec, lattice=lattice),
                                               collections.Counter())

@@ -1,5 +1,6 @@
+import collections
+import importlib
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -26,7 +27,7 @@ from ambitoric.classify import (
     RULE_PROPER_FOLD,
 )
 
-from conftest import I2, boxes_and_transports, make_spec
+from conftest import I2, boxes_and_transports, make_spec, respec
 
 
 def complete_orbifold_check(q, x_interval, y_interval, lattice, A, B):
@@ -66,7 +67,7 @@ def test_fold_edge_metric_rule():
     [(_c, v0)] = classify(spec)
     assert not v0.completable
     assert any(r.rule == RULE_FOLD_EDGE for r in v0.violations())
-    [(_c, vm)] = classify(replace(spec, metric=METRIC_GMINUS))
+    [(_c, vm)] = classify(respec(spec, metric=METRIC_GMINUS))
     assert vm.completable
     assert not vm.extends_ambitoric   # the fold-edge stays finite under g-
 
@@ -76,7 +77,7 @@ def test_fold_corner_rule():
                      (1, 3), (-1, 0))
     [(_c, v)] = classify(spec)
     assert any(r.rule == RULE_CORNER for r in v.violations())
-    [(_c, vm)] = classify(replace(spec, metric=METRIC_GMINUS))
+    [(_c, vm)] = classify(respec(spec, metric=METRIC_GMINUS))
     assert vm.completable and not vm.extends_ambitoric
 
 
@@ -227,3 +228,21 @@ def test_cells_and_verdicts_are_gauge_invariant(spec_m):
     moved = after[0][0].cells
     assert {moved.cell_at(m.apply(x), m.apply(y))
             for x, y in (c.witness for c, _v in before)} == set(range(len(after)))
+
+
+def test_classify_decides_each_edge_once(merged_spec, monkeypatch):
+    """The six cells of merged_spec meet its four edges 8 times; classify
+    decides each edge once, and every verdict equals the cell's verdict
+    decided alone."""
+    classify_module = importlib.import_module("ambitoric.classify")
+    decide, calls = classify_module.edge_status, collections.Counter()
+    monkeypatch.setattr(classify_module, "edge_status",
+                        lambda spec, metric, edge: calls.update([(edge.axis, edge.gamma)])
+                        or decide(spec, metric, edge))
+    results = classify(merged_spec)
+    met = collections.Counter(e for comp, _v in results for e in comp.edges)
+    assert set(calls) == set(met) and set(calls.values()) == {1}
+    assert len(met) == 4 and sum(met.values()) == 8
+    monkeypatch.setattr(classify_module, "edge_status", decide)
+    assert [v for _c, v in results] == [
+        completability_verdict(merged_spec, merged_spec.metric, c) for c, _v in results]

@@ -176,7 +176,8 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
 
 def test_decision_path_never_imports_sympy(tmp_path):
     """validate, classify, moment, check and eval load none of sympy, numpy
-    or scipy."""
+    or scipy, nor dataclasses or inspect: the records come from
+    `quadratics.Record`."""
     golden = json.loads((GOLDEN_DIR / "case1_proper_fold.json").read_text())
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(golden["spec"]))
@@ -192,7 +193,8 @@ def test_decision_path_never_imports_sympy(tmp_path):
         f"'--svg', {str(svg)!r}])\n"
         f"assert main(['check', {str(spec)!r}]) == 0\n"
         f"assert main(['eval', {str(spec)!r}, '--at=' + {at!r}]) == 0\n"
-        "loaded = [m for m in ('sympy', 'numpy', 'scipy') if m in sys.modules]\n"
+        "loaded = [m for m in ('sympy', 'numpy', 'scipy', 'dataclasses', 'inspect')\n"
+        "          if m in sys.modules]\n"
         "sys.exit(f'loaded {loaded}' if loaded else 0)\n")
     assert run.returncode == 0, run.stderr
     assert '"verdicts"' in run.stdout and '"components"' in run.stdout

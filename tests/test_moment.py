@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import json
 import math
 import pathlib
@@ -47,6 +46,7 @@ from conftest import (
     fold_points,
     geometry_specs,
     make_spec,
+    respec,
     small,
     transported_boxes,
 )
@@ -199,7 +199,7 @@ def test_fold_conic_is_computed_once_per_spec_and_sign(hyperbolic_spec, monkeypa
     build = moment._fold_conic
     monkeypatch.setattr(moment, "_fold_conic",
                         lambda spec, sign, duals: built.append(sign) or build(spec, sign, duals))
-    spec = dataclasses.replace(hyperbolic_spec)
+    spec = respec(hyperbolic_spec)
     for sign in "+-":
         for _ in range(2):
             for axis, gamma in (("X", F(2)), ("X", F(3)), ("Y", F(-1)), ("Y", F(0))):
@@ -207,7 +207,7 @@ def test_fold_conic_is_computed_once_per_spec_and_sign(hyperbolic_spec, monkeypa
         assert fold_conic(spec, sign) is fold_conic(spec, sign)
     assert built == ["+", "-"]
     # no cache keyed by the spec's value: an equal instance builds its own
-    assert fold_conic(dataclasses.replace(spec), "+") == fold_conic(spec, "+")
+    assert fold_conic(respec(spec), "+") == fold_conic(spec, "+")
     assert built == ["+", "-", "+"]
 
 
