@@ -7,7 +7,8 @@ boundary distance analysis, and completability classification.
 Every public name is imported on first access (PEP 562): `import ambitoric`
 loads no submodule, and a name loads only the module that defines it and
 that module's own imports.  So `validate` needs only `quadratics` and
-`ansatz`, and only `curvature` and `convexity_check` load numpy.
+`ansatz`.  numpy loads only when a `CurvaturePack`'s `riemann` or
+`ricci` is read, or when `convexity_check` runs.
 `classify` is both a submodule and a function; the package keeps the name
 for the function in every import order.
 """

@@ -333,8 +333,22 @@ class AnsatzSpec(Record):
         return tuple(sigma_from_tau(t, self.q) for t in self.tau_basis)
 
     @cached_property
+    def tau_cross(self) -> Fraction:
+        """k with tau1 x tau2 = k q, solved once: the tau_i span q-perp, so
+        their cross product is orthogonal to q-perp, a multiple of q."""
+        c, q = cross(*self.tau_basis).coeffs(), self.q.coeffs()
+        i = next(i for i in range(3) if q[i] != 0)
+        return c[i] / q[i]
+
+    @cached_property
     def moment_frames(self) -> dict:
         """sign -> the moment frame of `moment._frame`, built on first use."""
+        return {}
+
+    @cached_property
+    def moment_floats(self) -> dict:
+        """sign -> the float coefficients of `moment.moment_map`, built on
+        first use."""
         return {}
 
     @cached_property

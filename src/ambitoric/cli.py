@@ -162,6 +162,9 @@ def _cmd_eval(args) -> int:
         x = y = math.nan
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"--at needs two finite coordinates x,y, got {args.at!r}")
+    if x == y:
+        # the conformal factor q(x, y) / (x - y) has its pole there
+        raise ValueError(f"--at must lie off the fold x = y, got {args.at!r}")
     spec = _load_spec(args.spec)
     fields = [args.field] if args.field else list(FIELDS)
     out = {"x": x, "y": y, "f": float(conformal_factor(spec, x, y))}
@@ -214,7 +217,6 @@ def _cmd_check(args) -> int:
     from .moment import hamiltonian_residual
     from .tensors import (
         FramePoint,
-        complex_structure,
         eval_field,
         kaehler_volume_coefficient,
         pfaffian4,
@@ -241,9 +243,9 @@ def _cmd_check(args) -> int:
         n = min(12, len(pts))
         for x, y in (pts[i * len(pts) // n] for i in range(n)):
             pt = FramePoint(x, y)
-            g0, gp, gm, wp, wm = (eval_field(spec, name, pt)
-                                  for name in ("g0", "g+", "g-", "omega+", "omega-"))
-            Jp, Jm = complex_structure(gp, wp), complex_structure(gm, wm)
+            g0, gp, gm, wp, wm, Jp, Jm = (
+                eval_field(spec, name, pt)
+                for name in ("g0", "g+", "g-", "omega+", "omega-", "J+", "J-"))
             record("J+^2=-Id", relative_residual(_sub(_matmul(Jp, Jp), _MINUS_ID),
                                                  (Jp, Jp), (_MINUS_ID,)))
             record("J-J+ commute", relative_residual(

@@ -20,6 +20,7 @@ record both the vector and its negation.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, hypot
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -71,22 +72,35 @@ def _basis(spec: AnsatzSpec, sign: str) -> Tuple[Quadratic, Quadratic]:
     raise ValueError("sign must be '+' or '-'")
 
 
+def _moment_floats(spec: AnsatzSpec, sign: str) -> tuple:
+    """The float coefficients of q and of the basis of mu^sign, nine in a
+    row, kept on the spec instance (`AnsatzSpec.moment_floats`)."""
+    s1, s2 = _basis(spec, sign)
+    coeffs = spec.moment_floats[sign] = spec.q.floats + s1.floats + s2.floats
+    return coeffs
+
+
 def moment_map(spec: AnsatzSpec, sign: str, x, y) -> MomentPoint:
     """mu^sign at (x, y), in the domain `is_exact` picks.  Numerators and
     denominator are polarizations in the order of operations of
-    `Quadratic.polarize`."""
-    s1, s2 = _basis(spec, sign)
-    if is_exact(x, y):
-        (c0, c1, c2), (a0, a1, a2), (b0, b1, b2) = spec.q.coeffs(), s1.coeffs(), s2.coeffs()
+    `Quadratic.polarize`.  At a float point the coefficients come from
+    `_moment_floats`, one tuple per spec and sign."""
+    if type(x) is float and type(y) is float:
+        coeffs = spec.moment_floats.get(sign) or _moment_floats(spec, sign)
+    elif is_exact(x, y):
+        s1, s2 = _basis(spec, sign)
+        coeffs = spec.q.coeffs() + s1.coeffs() + s2.coeffs()
     else:
         x, y = float(x), float(y)
-        (c0, c1, c2), (a0, a1, a2), (b0, b1, b2) = spec.q.floats, s1.floats, s2.floats
-    den = c0 * x * y + c1 * (x + y) + c2 if sign == "+" else x - y
+        coeffs = spec.moment_floats.get(sign) or _moment_floats(spec, sign)
+    c0, c1, c2, a0, a1, a2, b0, b1, b2 = coeffs
+    s = x + y
+    den = c0 * x * y + c1 * s + c2 if sign == "+" else x - y
     if den == 0:
         pole = "q(x, y)" if sign == "+" else "x - y"
         raise MomentError(f"mu{sign} pole: {pole} = 0")
-    return MomentPoint(-(a0 * x * y + a1 * (x + y) + a2) / den,
-                       -(b0 * x * y + b1 * (x + y) + b2) / den)
+    return tuple.__new__(MomentPoint, (-(a0 * x * y + a1 * s + a2) / den,
+                                       -(b0 * x * y + b1 * s + b2) / den))
 
 
 def moment_pairing(spec: AnsatzSpec, sign: str, p: Quadratic, x, y):
@@ -411,12 +425,21 @@ def convexity_check(samples):
     the hull is within 2.5 local nearest-neighbour spacings of a sample.
     A folded image leaves a conic-shaped void inside the hull; the witness
     returned is a hull point far from every sample.  Collinear clouds are
-    convex by convention."""
+    convex by convention.  samples is any iterable of pairs (mu1, mu2).
+
+    The verdict depends on the sampling density, not on the image alone:
+    the mu- image of the Kerr interior cell (-1, -1) at M = 1, alpha = 3/4
+    reads non-convex at `sample_points(20)`, convex at 28, and non-convex
+    at 40 and 60.  ROADMAP item 2 replaces the test by the exact side of
+    the fold conic."""
     import numpy as np
 
-    pts = np.array([tuple(s) for s in samples], dtype=float)
-    if len(pts) < 3:
+    samples = list(samples)
+    if len(samples) < 3:
         raise MomentError("need at least 3 samples")
+    if set(map(len, samples)) != {2}:
+        raise MomentError("every sample must be a pair (mu1, mu2)")
+    pts = np.fromiter(chain.from_iterable(samples), float, 2 * len(samples)).reshape(-1, 2)
     # collinearity / rank test
     centered = pts - pts.mean(axis=0)
     sv = np.linalg.svd(centered, compute_uv=False)
@@ -428,8 +451,9 @@ def convexity_check(samples):
     tree = cKDTree(pts)
     k = min(5, len(pts) - 1)
     knn = tree.query(pts, k=k + 1)[0][:, 1:]
-    # per-sample local spacing copes with strongly nonuniform images
-    local = np.median(knn, axis=1)
+    # per-sample local spacing copes with strongly nonuniform images; the
+    # distances come sorted, so the median of 5 is the third
+    local = knn[:, 2] if k == 5 else np.median(knn, axis=1)
     scale = float(np.percentile(local, 90))
     # probe grid over the hull's bounding box
     lo = pts.min(axis=0)

@@ -75,22 +75,33 @@ down to s = 5.5e-4.  Along (x0, -x0 -+ delta) next to the fold of the
 table, the error stays below 4.2e-10 for s >= 1e-3 but reaches 3.9e-9 for
 s in [5e-4, 1e-3): s alone does not fix the loss.
 
-Every field is a 4x4 nested tuple, of Fractions at Fraction points, and
-only `curvature` loads numpy, to return its tensors as arrays.  A metric
-here is a dx^2 + b dy^2 + h_ij dt_i dt_j and omega pairs (dx, dy) with
-(dt1, dt2) only, so J = g^{-1} omega is the block inverse
+Every field is a 4x4 nested tuple, of Fractions at Fraction points; only
+the `riemann` and `ricci` arrays of a `CurvaturePack` load numpy.  A
+metric here is a dx^2 + b dy^2 + h_ij dt_i dt_j and omega pairs (dx, dy)
+with (dt1, dt2) only, so J = g^{-1} omega is the block inverse
 
     J[0, 2:] = omega[0, 2:] / a,   J[1, 2:] = omega[1, 2:] / b,
     J[2:, :2] = h^{-1} omega[2:, :2],
 
-zero elsewhere, and the coefficient of dx^dy^dt1^dt2 in dx ^ dcx ^ dy ^ dcy
-(dc u = -du o J) is minus the minor J[0,2] J[1,3] - J[0,3] J[1,2].
+zero elsewhere.  Formed from the entries of g+-, det h = h00 h11 - h01^2
+cancels next to a fold.  But tau1(y) tau2(x) - tau2(y) tau1(x) is a
+constant multiple of (x - y) q(x, y), so J+- has a closed form without
+subtraction.  With d = x - y, q = q(x, y), eps = 1 for J+ and -1 for J-,
+and c = -2k where tau1 x tau2 = k q (`AnsatzSpec.tau_cross`):
+
+    J[0] = (0, 0, A tau1(y) / (d q), A tau2(y) / (d q))
+    J[1] = (0, 0, eps B tau1(x) / (d q), eps B tau2(x) / (d q))
+    J[2] = (-tau2(x) / (A c), eps tau2(y) / (B c), 0, 0)
+    J[3] = (tau1(x) / (A c), -eps tau1(y) / (B c), 0, 0)
+
+The coefficient of dx^dy^dt1^dt2 in dx ^ dcx ^ dy ^ dcy (dc u = -du o J)
+is minus the minor J[0,2] J[1,3] - J[0,3] J[1,2].
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
 from .ansatz import (
@@ -98,8 +109,6 @@ from .ansatz import (
     GMINUS,
     GP,
     GPLUS,
-    METRIC_GMINUS,
-    METRIC_GPLUS,
     AnsatzSpec,
     MetricChoice,
 )
@@ -202,17 +211,25 @@ def metric_components(spec: AnsatzSpec, metric: MetricChoice, x, y) -> tuple:
     return ((a, z, z, z), (z, b, z, z), (z, z, h00, h01), (z, z, h01, h11))
 
 
-def complex_structure(g, w) -> tuple:
-    """J = g^-1 omega for a metric g that is diagonal on (dx, dy) and a
-    form omega that pairs (dx, dy) with (dt1, dt2) only (module docstring)."""
-    a, b = g[0][0], g[1][1]
-    h00, h01, h11 = g[2][2], g[2][3], g[3][3]
-    det = h00 * h11 - h01 * h01
-    z = w[0][0]
-    return ((z, z, w[0][2] / a, w[0][3] / a),
-            (z, z, w[1][2] / b, w[1][3] / b),
-            tuple((h11 * w[2][k] - h01 * w[3][k]) / det for k in (0, 1)) + (z, z),
-            tuple((h00 * w[3][k] - h01 * w[2][k]) / det for k in (0, 1)) + (z, z))
+def _complex_structure(spec: AnsatzSpec, sign: str, x, y) -> tuple:
+    """J+- at (x, y) in the closed form of the module docstring."""
+    c = -2 * spec.tau_cross
+    if not is_exact(x, y):
+        x, y, c = float(x), float(y), float(c)
+    A, B = spec.A(x), spec.B(y)
+    if A == 0 or B == 0:
+        raise SingularEvaluation("A or B vanishes at the evaluation point")
+    dq = (x - y) * spec.q.polarize(x, y)
+    if dq == 0:
+        raise SingularEvaluation("(x - y) q(x, y) vanishes at the evaluation point")
+    eps = 1 if sign == "+" else -1
+    (t1x, t1y), (t2x, t2y) = ((t.value(x), t.value(y)) for t in spec.tau_basis)
+    Ac, Bc = A * c, eps * B * c
+    z = type(dq)(0)
+    return ((z, z, A * t1y / dq, A * t2y / dq),
+            (z, z, eps * B * t1x / dq, eps * B * t2x / dq),
+            (-t2x / Ac, t2y / Bc, z, z),
+            (t1x / Ac, -t1y / Bc, z, z))
 
 
 def eval_field(spec: AnsatzSpec, fieldname: str, pt: FramePoint) -> tuple:
@@ -229,10 +246,7 @@ def eval_field(spec: AnsatzSpec, fieldname: str, pt: FramePoint) -> tuple:
     if fieldname in ("omega+", "omega-"):
         return _omega_components(spec, fieldname[-1], x, y)
     if fieldname in ("J+", "J-"):
-        s = fieldname[-1]
-        g = metric_components(spec, METRIC_GPLUS if s == "+" else METRIC_GMINUS, x, y)
-        w = _omega_components(spec, s, x, y)
-        return complex_structure(g, w)
+        return _complex_structure(spec, fieldname[-1], x, y)
     raise ValueError(f"unknown field {fieldname!r}")
 
 
@@ -265,9 +279,34 @@ MIN_ROOT_DISTANCE = 1e-3
 
 
 class CurvaturePack(Record):
-    riemann: np.ndarray   # fully lowered R_{abcd}
-    ricci: np.ndarray
-    scalar: float         # a Fraction at Fraction points
+    """The curvature of `_block_curvature` at a point: Fractions at Fraction
+    points, floats otherwise.  `riemann` (fully lowered R_abcd, 4x4x4x4) and
+    `ricci` (4x4) are arrays built from these on first read; only they load
+    numpy."""
+
+    components: tuple     # the 13 of `_COMPONENTS`
+    base: tuple           # (Ric_xx, Ric_xy, Ric_yy)
+    fibre: tuple          # (Ric_t1t1, Ric_t1t2, Ric_t2t1, Ric_t2t2)
+    scalar: float
+
+    @cached_property
+    def riemann(self) -> np.ndarray:
+        c = self.components
+        values = self._array(c + (type(self.scalar)(0),) + tuple(-v for v in c))
+        return values.take(_riemann_index()).reshape(4, 4, 4, 4)
+
+    @cached_property
+    def ricci(self) -> np.ndarray:
+        (rxx, rxy, ryy), (r00, r01, _, r11) = self.base, self.fibre
+        z = type(self.scalar)(0)
+        return self._array((rxx, rxy, z, z, rxy, ryy, z, z,
+                            z, z, r00, r01, z, z, r01, r11)).reshape(4, 4)
+
+    def _array(self, entries):
+        """entries as an array, of dtype object at Fraction points."""
+        import numpy as np
+
+        return np.array(entries, dtype=object if is_exact(self.scalar) else float)
 
 
 #: the 13 components of `_block_curvature` as R_abcd, frame indices
@@ -344,22 +383,12 @@ def _block_curvature(a, b, h) -> tuple:
 def curvature(spec: AnsatzSpec, metric: MetricChoice, pt: FramePoint) -> CurvaturePack:
     """Riemann/Ricci/scalar from the exact second jet of the metric at pt;
     exact Fractions when pt.x and pt.y are Fractions."""
-    import numpy as np
-
     a, b, h, (A, B, tx, ty) = _block_jets(spec, metric, pt.x, pt.y)
-    exact = is_exact(pt.x, pt.y)
-    if not exact:
+    if not is_exact(pt.x, pt.y):
         (u1, u2), (v1, v2) = ([t[0] for t in T] for T in (tx, ty))
         if not (abs(u1 * v2 - u2 * v1) >= MIN_FIBRE_SINE * math.hypot(u1, u2) * math.hypot(v1, v2)
                 and abs(A[0]) >= MIN_ROOT_DISTANCE * abs(A[1])
                 and abs(B[0]) >= MIN_ROOT_DISTANCE * abs(B[1])):
             raise SingularEvaluation("float curvature is ill-conditioned this close "
                                      "to a fold or to a root of A or B")
-    components, (rxx, rxy, ryy), (r00, r01, _, r11), scalar = _block_curvature(a, b, h)
-    z = type(a[0])(0)
-    dtype = object if exact else float
-    values = np.array(components + (z,), dtype=dtype)
-    riemann = np.concatenate((values, -values[:13])).take(_riemann_index()).reshape(4, 4, 4, 4)
-    ricci = np.array((rxx, rxy, z, z, rxy, ryy, z, z, z, z, r00, r01, z, z, r01, r11),
-                     dtype=dtype).reshape(4, 4)
-    return CurvaturePack(riemann=riemann, ricci=ricci, scalar=scalar)
+    return CurvaturePack(*_block_curvature(a, b, h))

@@ -15,12 +15,22 @@ at float points.
 """
 
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from ambitoric.ansatz import G0, GMINUS, GPLUS
 from ambitoric.quadratics import _inv, _mul, coordinate_jets
-from ambitoric.tensors import CurvaturePack, SingularEvaluation
+from ambitoric.tensors import SingularEvaluation
+
+
+class ReferenceCurvature(NamedTuple):
+    """The result of `reference_curvature`: the arrays as the einsums give
+    them."""
+
+    riemann: np.ndarray   # fully lowered R_abcd
+    ricci: np.ndarray
+    scalar: object        # a Fraction at Fraction points, a float otherwise
 
 
 def _poly_jet(P, Z, axis):
@@ -85,7 +95,7 @@ def metric_jet(spec, metric, x, y) -> tuple:
     return tuple(zip(*(zip(*row) for row in rows)))
 
 
-def reference_curvature(spec, metric, pt) -> CurvaturePack:
+def reference_curvature(spec, metric, pt) -> ReferenceCurvature:
     """Christoffel/Riemann/Ricci/scalar from the exact second jet of the
     metric at pt; exact Fractions when pt.x and pt.y are Fractions."""
     jet = metric_jet(spec, metric, pt.x, pt.y)
@@ -122,4 +132,4 @@ def reference_curvature(spec, metric, pt) -> CurvaturePack:
     riemann = np.einsum("ae,ebcd->abcd", g, Rup)
     ricci = np.einsum("abad->bd", Rup)
     scalar = np.einsum("bd,bd->", ginv, ricci)
-    return CurvaturePack(riemann=riemann, ricci=ricci, scalar=scalar)
+    return ReferenceCurvature(riemann=riemann, ricci=ricci, scalar=scalar)

@@ -17,6 +17,14 @@ integer normal with its sign rule (`reference_primitive`), then
 `reference_tangency`.  The Fraction formulas of `quadratics_reference`
 give the null and compatible quadratics and the polarizations.
 
+`reference_moment_map` is the body `moment.moment_map` had before float
+points read one coefficient tuple per spec and sign: the basis, the
+`is_exact` test and the coefficient tuples on every call.
+
+`reference_convexity_check` is the body `moment.convexity_check` had
+before it read the samples in one pass and the median of 5 sorted k-NN
+distances as the third: a tuple per sample, `np.array`, and `np.median`.
+
 `form` and `evaluate` read a conic's matrix at homogeneous vectors and at
 points of the plane.
 
@@ -26,8 +34,17 @@ The tests hold the frame's results equal to these, exactly.
 import math
 from fractions import Fraction
 
+import numpy as np
+
 import quadratics_reference as qr
-from ambitoric.moment import Conic, LineInTstar, MomentError, TangencyCertificate, fold_conic
+from ambitoric.moment import (
+    Conic,
+    LineInTstar,
+    MomentError,
+    MomentPoint,
+    TangencyCertificate,
+    fold_conic,
+)
 from ambitoric.quadratics import Quadratic, cross, inner, is_exact, transversal
 
 
@@ -113,3 +130,54 @@ def reference_edge_line(spec, sign: str, axis: str, gamma):
     conic = fold_conic(spec, sign)
     return LineInTstar(normal=line.normal, offset=line.offset,
                        tangency=reference_tangency(line, conic))
+
+
+def reference_moment_map(spec, sign: str, x, y) -> MomentPoint:
+    """mu^sign at (x, y), in the domain `is_exact` picks."""
+    s1, s2 = spec.sigma_basis if sign == "+" else spec.tau_basis
+    if is_exact(x, y):
+        (c0, c1, c2), (a0, a1, a2), (b0, b1, b2) = spec.q.coeffs(), s1.coeffs(), s2.coeffs()
+    else:
+        x, y = float(x), float(y)
+        (c0, c1, c2), (a0, a1, a2), (b0, b1, b2) = spec.q.floats, s1.floats, s2.floats
+    den = c0 * x * y + c1 * (x + y) + c2 if sign == "+" else x - y
+    if den == 0:
+        raise MomentError(f"mu{sign} pole")
+    return MomentPoint(-(a0 * x * y + a1 * (x + y) + a2) / den,
+                       -(b0 * x * y + b1 * (x + y) + b2) / den)
+
+
+def reference_convexity_check(samples):
+    """(convex, witness) of the sample cloud, as `moment.convexity_check`."""
+    from scipy.spatial import ConvexHull, cKDTree
+
+    pts = np.array([tuple(s) for s in samples], dtype=float)
+    if len(pts) < 3:
+        raise MomentError("need at least 3 samples")
+    centered = pts - pts.mean(axis=0)
+    sv = np.linalg.svd(centered, compute_uv=False)
+    if sv[-1] < 1e-9 * max(1.0, sv[0]):
+        return True, None
+    hull = ConvexHull(pts)
+    tree = cKDTree(pts)
+    k = min(5, len(pts) - 1)
+    knn = tree.query(pts, k=k + 1)[0][:, 1:]
+    local = np.median(knn, axis=1)
+    scale = float(np.percentile(local, 90))
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
+    xs = np.linspace(lo[0], hi[0], 48)
+    ys = np.linspace(lo[1], hi[1], 48)
+    gx, gy = np.meshgrid(xs, ys)
+    probes = np.column_stack([gx.ravel(), gy.ravel()])
+    eqs = hull.equations
+    inside = np.all(probes @ eqs[:, :2].T + eqs[:, 2] <= -0.5 * scale, axis=1)
+    probes = probes[inside]
+    if len(probes) == 0:
+        return True, None
+    dists, idx = tree.query(probes)
+    ratio = dists / np.maximum(local[idx], 1e-300)
+    worst = int(np.argmax(ratio))
+    if ratio[worst] > 2.5:
+        return False, MomentPoint(*probes[worst])
+    return True, None

@@ -56,6 +56,15 @@ def test_eval_rejects_a_malformed_point(spec_file, capsys, at):
     assert captured.out == "" and captured.err.startswith("error: --at")
 
 
+@pytest.mark.parametrize("at", ["1,1", "-0.5,-0.5"])
+def test_eval_rejects_a_point_on_the_fold(spec_file, capsys, at):
+    # the conformal factor's ZeroDivisionError used to escape main
+    assert main(["eval", spec_file, f"--at={at}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --at")
+    assert "fold x = y" in captured.err and len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("grid", ["0", "-3"])
 def test_moment_rejects_a_grid_below_one(spec_file, capsys, grid):
     # a grid of 0 used to report the witness alone as "samples": 1
@@ -281,6 +290,26 @@ def test_package_import_defers_numpy_to_the_float_layer():
         "from ambitoric import eval_field, FIELDS\n"
         "assert ambitoric.eval_field is sys.modules['ambitoric.tensors'].eval_field\n"
         "assert 'gp' in FIELDS and not hasattr(ambitoric, 'no_such_name')\n")
+    assert run.returncode == 0, run.stderr
+
+
+def test_scalar_curvature_needs_no_numpy():
+    """Only the arrays of a CurvaturePack load numpy: with numpy blocked the
+    scalar of the Kerr exterior is computed, and reading ricci fails."""
+    run = _run_python(
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "sys.modules['numpy'] = None\n"
+        "import ambitoric\n"
+        "spec = ambitoric.kerr(ambitoric.KerrParams(1, Fraction(1, 2)))\n"
+        "x, y = ambitoric.validate(spec)[0].sample_points(2)[0]\n"
+        "pack = ambitoric.curvature(spec, spec.metric, ambitoric.FramePoint(x, y))\n"
+        "assert isinstance(pack.scalar, float), pack.scalar\n"
+        "try:\n"
+        "    pack.ricci\n"
+        "except ImportError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit('ricci read without numpy')\n")
     assert run.returncode == 0, run.stderr
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ambitoric import (
@@ -14,6 +14,7 @@ from ambitoric import (
     AnsatzSpec,
     Conic,
     Interval,
+    KerrParams,
     Mobius,
     MomentError,
     MomentPoint,
@@ -23,6 +24,7 @@ from ambitoric import (
     delzant_check,
     fold_conic,
     identify_t,
+    kerr,
     level_set_line,
     mobius_transport,
     moment_map,
@@ -37,6 +39,7 @@ from ambitoric.moment import (
     moment_pairing,
 )
 from ambitoric.quadratics import coordinates, cross, null_quadratic
+from ambitoric.special import INTERIOR
 from ambitoric.tensors import FramePoint, eval_field
 
 from conftest import (
@@ -53,8 +56,10 @@ from conftest import (
 from moment_reference import (
     cramer,
     evaluate,
+    reference_convexity_check,
     reference_coordinates,
     reference_edge_line,
+    reference_moment_map,
     reference_tangency,
 )
 
@@ -98,6 +103,39 @@ def test_float_moment_map_is_bitwise_the_polarization(sign):
     assert spec.q == Quadratic(0, 1, 0)      # q(x, y) = x + y
     with pytest.raises(MomentError):
         moment_map(spec, sign, 2.5, -2.5 if sign == "+" else 2.5)
+
+
+_POINTS = st.lists(st.tuples(*[st.fractions(min_value=-4, max_value=4, max_denominator=97)] * 2),
+                   min_size=1, max_size=8)
+
+
+@settings(max_examples=50, deadline=None)
+@given(spec=st.one_of(canonical_boxes(), transported_boxes()), points=_POINTS)
+@example(spec=mobius_transport(geometry_specs()["case5_accept"], Mobius(2, 1, 1, 3)),
+         points=[(F(-12, 7), F(9, 5)), (F(-11, 7), F(6, 5))])
+def test_moment_map_is_the_general_formula(spec, points):
+    """moment_map against the general formula of the reference, both signs:
+    bit for bit at float, int and np.float64 points, the same Fractions at
+    Fraction points, and the same poles.  (a0 x) y and a0 (x y) round apart
+    at about 1 in 20 random float points of a transported box, and at the
+    points of the example."""
+    for sign in "+-":
+        for x, y in points:
+            for pt in ((x, y), (float(x), float(y)), (int(x), int(y)),
+                       (np.float64(x), np.float64(y))):
+                try:
+                    expected = reference_moment_map(spec, sign, *pt)
+                except MomentError:
+                    with pytest.raises(MomentError):
+                        moment_map(spec, sign, *pt)
+                    continue
+                got = moment_map(spec, sign, *pt)
+                assert type(got) is MomentPoint
+                if isinstance(pt[0], F):
+                    assert got == expected and {type(v) for v in got} == {F}
+                else:
+                    assert {type(v) for v in got} == {float}
+                    assert [v.hex() for v in got] == [v.hex() for v in expected]
 
 
 def test_moment_point_api():
@@ -317,14 +355,17 @@ def test_delzant_fails_on_coarse_lattice():
     assert not all(v.ok for v in verdicts)
 
 
+_GRID = [(i / 10, j / 10) for i in range(11) for j in range(11)]
+_RING = [(math.cos(t) * r, math.sin(t) * r)
+         for r in (1.0, 1.1, 1.2)
+         for t in [k * math.pi / 40 for k in range(80)]]
+_LINE = [(t, 2 * t) for t in [k / 20 for k in range(21)]]
+
+
 def test_convexity_grid_and_annulus():
-    grid = [(i / 10, j / 10) for i in range(11) for j in range(11)]
-    ok, witness = convexity_check(grid)
+    ok, witness = convexity_check(_GRID)
     assert ok
-    ring = [(math.cos(t) * r, math.sin(t) * r)
-            for r in (1.0, 1.1, 1.2)
-            for t in [k * math.pi / 40 for k in range(80)]]
-    ok, witness = convexity_check(ring)
+    ok, witness = convexity_check(_RING)
     assert not ok
     assert witness is not None
     # the witness sits in the hole
@@ -332,9 +373,50 @@ def test_convexity_grid_and_annulus():
 
 
 def test_convexity_collinear_by_convention():
-    pts = [(t, 2 * t) for t in [k / 20 for k in range(21)]]
-    ok, _ = convexity_check(pts)
+    ok, _ = convexity_check(_LINE)
     assert ok
+
+
+def _kerr_interior_clouds(alpha, n):
+    """The mu- images of sample_points(n) of each cell of the M = 1 Kerr
+    interior, off the poles."""
+    spec = kerr(KerrParams(1, alpha), INTERIOR)
+    for comp in validate(spec):
+        samples = []
+        for x, y in comp.sample_points(n):
+            try:
+                samples.append(moment_map(spec, "-", x, y))
+            except MomentError:
+                continue
+        yield samples
+
+
+@pytest.mark.parametrize("n", [20, 28, 40])
+@pytest.mark.parametrize("alpha", [F(1, 2), F(3, 4)], ids=["alpha-half", "alpha-three-quarters"])
+def test_convexity_check_is_the_reference(alpha, n):
+    """Verdict and witness equal to the reference's on the grid, ring and
+    line clouds and on the Kerr interior clouds, whose cell (-1, -1) at alpha = 3/4 flips
+    its verdict with n (convexity_check docstring); a generator of the
+    samples gives the same."""
+    clouds = list(_kerr_interior_clouds(alpha, n))
+    if (alpha, n) == (F(1, 2), 20):
+        clouds += [_GRID, _RING, _LINE]
+    for samples in clouds:
+        expected = reference_convexity_check(samples)
+        assert convexity_check(samples) == expected
+        assert convexity_check(iter(samples)) == expected
+        assert convexity_check(tuple(s) for s in samples) == expected
+
+
+@pytest.mark.parametrize("samples", [
+    [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0, 0.0)],
+    [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0,)],
+    [(0.0, 0.0, 0.0)] * 4,
+    [(0.0, 0.0), (1.0, 0.0)],
+], ids=["one-triple", "one-single", "all-triples", "two-samples"])
+def test_convexity_check_rejects_a_cloud_that_is_not_of_pairs(samples):
+    with pytest.raises(MomentError):
+        convexity_check(samples)
 
 
 @pytest.mark.parametrize("name", sorted(geometry_specs()))
