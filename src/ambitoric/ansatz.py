@@ -57,6 +57,10 @@ class ValidationError(ValueError):
     """Raised when an AnsatzSpec violates its defining inequalities."""
 
 
+class SingularEvaluation(ValueError):
+    """Field evaluated on a locus where it is singular."""
+
+
 def json_field(d: dict, key: str, parse):
     """parse(d[key]) for a field of a JSON object; a missing or malformed
     field raises a ValidationError that names it."""
@@ -271,13 +275,6 @@ def _lattice_numerators(inverse, vec: Sequence[Fraction]):
     (r0, r1), den = inverse
     (v0, v1), f = _over_common([rat(v) for v in vec])
     return r0[0] * v0 + r0[1] * v1, r1[0] * v0 + r1[1] * v1, den * f
-
-
-def lattice_coordinates(inverse, vec: Sequence[Fraction]) -> Tuple[Fraction, Fraction]:
-    """Exact coordinates of a rational vector in the basis of the lattice
-    matrix columns, from its `lattice_inverse`."""
-    w0, w1, den = _lattice_numerators(inverse, vec)
-    return Fraction(w0, den), Fraction(w1, den)
 
 
 def lattice_contains(inverse, vec: Sequence[Fraction]) -> bool:
@@ -903,7 +900,7 @@ def conformal_factor(spec: AnsatzSpec, x, y):
     num = spec.q.polarize(x, y)
     den = x - y
     if den == 0:
-        raise ZeroDivisionError("conformal factor has a pole on x = y")
+        raise SingularEvaluation("the conformal factor has a pole on the fold x = y")
     return num / den
 
 

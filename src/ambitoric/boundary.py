@@ -6,16 +6,30 @@ and {q(x,y) = 0} where they bound it), the box corners it contains, and
 for the diagonal-Ricci metric the P-locus {p(x,y) = 0} where it crosses
 the cell.  All of these are read from the cell's exact decomposition.
 
+Every distance verdict reads how the metric's conformal scale over g0,
+(x - y)^a q(x, y)^b p(x, y)^c, vanishes along the piece.  The exponents
+(a, b, c) are
+
+    g0 (0, 0, 0)    g+ (1, -1, 0)    g- (-1, 1, 0)    gp (1, 1, -2)
+
+since g+ = f^-1 g0 and g- = f g0 with f = q(x, y) / (x - y), and
+g_p = (x - y) q(x, y) / p(x, y)^2 g0.  Their orders along the folds are
+(e+, e-) = (a, b): p _|_ q vanishes on neither {x = y} nor {q = 0}, unless
+p is a multiple of q (parabolic q only), when {p = 0} is {q = 0} and
+e- = b + c = -1.  So gp with p ~ q has the orders of g+, and it is the
+same metric up to a constant factor: it classifies as g+.
+
 Edge distance is decided exactly, by one homogeneous rule at every endpoint
 gamma = (X : W) of RP^1, OO included: with m the root multiplicity of A (or
-B) at the endpoint and e the order of the metric's conformal scale along the
-edge, the transverse length integral int dx / x^{(m-e)/2} diverges iff
-m - e >= 2.  Proper folds are assigned the asymptotic gradient exponent r
-of ||d phi||_g ~ phi^r along a transversal; the boundary piece is
-infinitely distant iff r >= 1 (so proper folds never are, while the
-P-locus with r = 1 always is).  Verdicts use the analytic table only;
-`estimate_r`, a least-squares fit of r along a transversal, is the
-numerical cross-check the tests compare it against.
+B) at the endpoint and e the order of the scale along the edge (e- on a
+fold-edge, the line {q = 0} at the double root of a parabolic q, and 0 on
+any other edge), the transverse length integral int dx / x^{(m-e)/2}
+diverges iff m - e >= 2.  A proper fold of order e has the asymptotic
+gradient exponent r = -e/2 of ||d phi||_g ~ phi^r along a transversal, and
+the P-locus r = -c/2; the piece is infinitely distant iff r >= 1 (so proper
+folds never are, while the P-locus with r = 1 always is).  Verdicts use
+these exact orders only; `estimate_r`, a least-squares fit of r along a
+transversal, is the numerical cross-check the tests compare it against.
 """
 
 from __future__ import annotations
@@ -41,7 +55,6 @@ from .ansatz import (
     GPLUS,
     AnsatzSpec,
     BoxComponent,
-    MetricChoice,
     ValidationError,
     lattice_contains,
 )
@@ -121,8 +134,8 @@ def decompose_boundary(spec: AnsatzSpec, comp: BoxComponent) -> List[BoundaryCom
             kind=FOLD, sign=sign, base_point=base,
             approach_sign=comp.sign_xy if sign == "+" else comp.sign_q))
 
-    if spec.metric.tag == GP:
-        p = spec.metric.p
+    p = spec.metric.p                   # set under gp alone
+    if p is not None:
         pv = p.polarize(*comp.witness)
         pside = (pv > 0) - (pv < 0)
         for base in comp.cells.locus_points(p, comp.index):
@@ -131,7 +144,7 @@ def decompose_boundary(spec: AnsatzSpec, comp: BoxComponent) -> List[BoundaryCom
 
     # corner flags at the integer representatives (X : W), (Y : V)
     q = spec.q.numerators
-    p = spec.metric.p.numerators if spec.metric.tag == GP else None
+    p = p.numerators if p is not None else None
     for gx, gy in comp.corners:
         X, W = proj_ints(gx)
         Y, V = proj_ints(gy)
@@ -146,22 +159,28 @@ def decompose_boundary(spec: AnsatzSpec, comp: BoxComponent) -> List[BoundaryCom
 
 
 # ---------------------------------------------------------------------------
+# scale orders
+# ---------------------------------------------------------------------------
+
+#: metric tag -> (a, b, c) of its conformal scale (x - y)^a q^b p^c over g0
+_SCALE_EXPONENTS = {G0: (0, 0, 0), GPLUS: (1, -1, 0), GMINUS: (-1, 1, 0),
+                    GP: (1, 1, -2)}
+
+
+def _scale_orders(spec: AnsatzSpec) -> Tuple[int, int]:
+    """(e+, e-): the orders of the spec's conformal scale along {x = y} and
+    along {q = 0}; p's exponent joins e- when p is a multiple of q."""
+    a, b, c = _SCALE_EXPONENTS[spec.metric.tag]
+    if c and spec.metric.p.is_multiple_of(spec.q):
+        b += c
+    return a, b
+
+
+# ---------------------------------------------------------------------------
 # edges
 # ---------------------------------------------------------------------------
 
-def _scale_edge_order(metric: MetricChoice, fold_edge: bool) -> int:
-    """Vanishing order of the metric's conformal scale in the transverse
-    coordinate along the edge.  Nonzero only for fold-edges, where q(x,y)
-    vanishes to first order off the edge."""
-    if not fold_edge or metric.tag == G0:
-        return 0
-    if metric.tag == GPLUS:
-        return -1
-    return 1  # g- and gp
-
-
-def edge_status(spec: AnsatzSpec, metric: MetricChoice,
-                edge: BoundaryComponent) -> DistanceStatus:
+def edge_status(spec: AnsatzSpec, edge: BoundaryComponent) -> DistanceStatus:
     """Exact edge verdict at gamma = (X : W), the same at OO as anywhere.
 
     The multiplicity m of gamma as a root of the weight-2 form P (A or B)
@@ -182,7 +201,7 @@ def edge_status(spec: AnsatzSpec, metric: MetricChoice,
         raise ValidationError(
             f"edge {edge.axis}={g}: endpoint is not a root of "
             f"{'A' if edge.axis == 'X' else 'B'}; not a true metric boundary")
-    e = _scale_edge_order(metric, edge.is_fold_and_edge)
+    e = _scale_orders(spec)[1] if edge.is_fold_and_edge else 0
     convergent = (m_root - e) < 2
     verdict = FINITE if convergent else INFINITELY_DISTANT
 
@@ -206,21 +225,6 @@ def edge_status(spec: AnsatzSpec, metric: MetricChoice,
 # folds
 # ---------------------------------------------------------------------------
 
-def _analytic_r(spec: AnsatzSpec, metric: MetricChoice,
-                fold: BoundaryComponent) -> float:
-    if fold.kind == PLOCUS:
-        return 1.0
-    if fold.sign == "+":
-        table = {G0: 0.0, GPLUS: -0.5, GMINUS: 0.5, GP: -0.5}
-    else:
-        table = {G0: 0.0, GPLUS: 0.5, GMINUS: -0.5, GP: -0.5}
-    if (metric.tag == GP and fold.sign == "-"
-            and metric.p.is_multiple_of(spec.q)):
-        # q-aligned p: the negative fold is simultaneously the P-locus
-        return 1.0
-    return table[metric.tag]
-
-
 #: log phi at the 30 geometric steps from 1e-6 to 1e-3 that `estimate_r` fits
 _LOG_PHIS = tuple(math.log(1e-6) + k * math.log(1e3) / 29 for k in range(30))
 
@@ -241,7 +245,7 @@ def _transversal_point(spec: AnsatzSpec, fold: BoundaryComponent,
     return x, y, tuple(polar_jet(curve.floats, *coordinate_jets(x, y))[1:3])
 
 
-def estimate_r(spec: AnsatzSpec, metric: MetricChoice, fold: BoundaryComponent) -> float:
+def estimate_r(spec: AnsatzSpec, fold: BoundaryComponent) -> float:
     """Least-squares slope of log ||d phi||_g against log phi along the
     transversal from the fold's base point.  The metric is a dx^2 + b dy^2
     plus a fibre block and d phi has no dt part, so
@@ -251,7 +255,7 @@ def estimate_r(spec: AnsatzSpec, metric: MetricChoice, fold: BoundaryComponent) 
     logs = []
     for t in _LOG_PHIS:
         x, y, (gx, gy) = _transversal_point(spec, fold, math.exp(t))
-        g = metric_components(spec, metric, x, y)
+        g = metric_components(spec, spec.metric, x, y)
         # on components where the conformal factor is negative the scaled
         # metric is negative definite; the length scale is |g|
         logs.append(0.5 * math.log(abs(gx * gx / g[0][0] + gy * gy / g[1][1])))
@@ -260,12 +264,16 @@ def estimate_r(spec: AnsatzSpec, metric: MetricChoice, fold: BoundaryComponent) 
             / sum((t - tm) ** 2 for t in _LOG_PHIS))
 
 
-def fold_status(spec: AnsatzSpec, metric: MetricChoice,
-                fold: BoundaryComponent) -> DistanceStatus:
-    """Verdict from the analytic r-exponent."""
-    if fold.kind not in (FOLD, PLOCUS):
+def fold_status(spec: AnsatzSpec, fold: BoundaryComponent) -> DistanceStatus:
+    """Verdict from the exact r-exponent -e/2, e the scale's order along
+    the piece."""
+    if fold.kind == FOLD:
+        e = _scale_orders(spec)["+-".index(fold.sign)]
+    elif fold.kind == PLOCUS:
+        e = _SCALE_EXPONENTS[spec.metric.tag][2]
+    else:
         raise ValueError("fold_status needs a Fold or PLocus component")
-    r = _analytic_r(spec, metric, fold)
+    r = -e / 2
     verdict = INFINITELY_DISTANT if r >= 1.0 else FINITE
     return DistanceStatus(verdict=verdict, r_exponent=r)
 
@@ -274,12 +282,12 @@ def fold_status(spec: AnsatzSpec, metric: MetricChoice,
 # corners
 # ---------------------------------------------------------------------------
 
-def corner_status(metric: MetricChoice, corner: BoundaryComponent,
+def corner_status(spec: AnsatzSpec, corner: BoundaryComponent,
                   adjacent: Sequence[DistanceStatus]
                   ) -> Tuple[DistanceStatus, bool, str]:
     """Corner verdict from the adjacent edge/fold statuses, plus the
-    admissibility rule: a finite corner on a fold needs the matching Kahler
-    or diagonal-Ricci metric, and under gp must avoid the P-locus."""
+    admissibility rule: a finite corner on Z+ (Z-) needs e+ = 1 (e- = 1),
+    which g+ (g-) and gp have, and under gp must avoid the P-locus."""
     if corner.kind != CORNER:
         raise ValueError("corner_status needs a Corner component")
     infinitely = any(a.verdict == INFINITELY_DISTANT for a in adjacent)
@@ -287,10 +295,11 @@ def corner_status(metric: MetricChoice, corner: BoundaryComponent,
     status = DistanceStatus(verdict=verdict)
     if infinitely:
         return status, True, "adjacent infinitely distant piece"
-    if metric.tag == GP and corner.on_p_locus:
+    if corner.on_p_locus:
         return status, False, "finite corner on the P-locus under gp"
-    if corner.on_positive_fold and metric.tag not in (GPLUS, GP):
+    e_plus, e_minus = _scale_orders(spec)
+    if corner.on_positive_fold and e_plus != 1:
         return status, False, "finite corner on the positive fold needs g+ or gp"
-    if corner.on_negative_fold and metric.tag not in (GMINUS, GP):
+    if corner.on_negative_fold and e_minus != 1:
         return status, False, "finite corner on the negative fold needs g- or gp"
     return status, True, "no fold condition triggered"

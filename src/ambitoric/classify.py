@@ -5,7 +5,8 @@ The four rules applied to a validated cell:
   (i)   no proper folds;
   (ii)  every ordinary edge is either infinitely distant or carries a
         compatible normal lying in the lattice;
-  (iii) a fold-edge at finite distance forces the metric to be g- or gp;
+  (iii) a fold-edge at finite distance forces the metric's scale order e-
+        along {q = 0} to be 1 (g-, or gp with p not a multiple of q);
   (iv)  every finite corner satisfies the fold/P-locus admissibility rule.
 
 The component extends to a complete ambitoric structure precisely when it
@@ -19,15 +20,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .quadratics import Record, proj_ints
-from .ansatz import (
-    GMINUS,
-    GP,
-    AnsatzSpec,
-    BoxComponent,
-    MetricChoice,
-    ValidationError,
-    validate,
-)
+from .ansatz import AnsatzSpec, BoxComponent, ValidationError, validate
 from .boundary import (
     CORNER,
     EDGE,
@@ -36,6 +29,7 @@ from .boundary import (
     PLOCUS,
     BoundaryComponent,
     DistanceStatus,
+    _scale_orders,
     corner_status,
     decompose_boundary,
     edge_status,
@@ -109,16 +103,15 @@ def _is_fold_piece(c: BoundaryComponent) -> bool:
     return False
 
 
-def _edge_report(spec: AnsatzSpec, metric: MetricChoice,
-                 c: BoundaryComponent) -> Report:
+def _edge_report(spec: AnsatzSpec, c: BoundaryComponent) -> Report:
     """Rule (iii) on a fold-edge, rule (ii) on any other edge."""
     try:
-        st = edge_status(spec, metric, c)
+        st = edge_status(spec, c)
     except ValidationError as err:
         return Report(c, None, RULE_EDGE_NORMAL, False, str(err))
     if c.is_fold_and_edge:
-        ok = st.verdict == INFINITELY_DISTANT or metric.tag in (GMINUS, GP)
-        detail = st.verdict if ok else f"finite fold-edge under {metric.tag}"
+        ok = st.verdict == INFINITELY_DISTANT or _scale_orders(spec)[1] == 1
+        detail = st.verdict if ok else f"finite fold-edge under {spec.metric.tag}"
         return Report(c, st, RULE_FOLD_EDGE, ok, detail)
     if st.verdict == INFINITELY_DISTANT:
         return Report(c, st, RULE_EDGE_NORMAL, True, st.verdict)
@@ -128,17 +121,16 @@ def _edge_report(spec: AnsatzSpec, metric: MetricChoice,
     return Report(c, st, RULE_EDGE_NORMAL, member, detail)
 
 
-def completability_verdict(spec: AnsatzSpec, metric: MetricChoice,
-                           comp: BoxComponent, edges: Optional[dict] = None) -> Verdict:
+def completability_verdict(spec: AnsatzSpec, comp: BoxComponent,
+                           edges: Optional[dict] = None) -> Verdict:
     """Apply rules (i)-(iv) to one cell and report everything, in one pass
     over `decompose_boundary`'s pieces: its edges come before the corners
     that read their statuses.
 
-    An edge's report depends on the spec, the metric and the edge alone.
-    `edges`, when given, holds the reports of the edges met so far under
-    this spec and metric, keyed by (axis, proj_ints(gamma)): `classify`
-    shares one across the cells of a spec, so an edge that bounds two cells
-    is decided once."""
+    An edge's report depends on the spec and the edge alone.  `edges`,
+    when given, holds the reports of the edges met so far under this spec,
+    keyed by (axis, proj_ints(gamma)): `classify` shares one across the
+    cells of a spec, so an edge that bounds two cells is decided once."""
     reports: List[Report] = []
     edge_stat = {}      # (axis, proj_ints(gamma)) -> status, for the decided edges
     if edges is None:
@@ -148,21 +140,21 @@ def completability_verdict(spec: AnsatzSpec, metric: MetricChoice,
             key = c.axis, proj_ints(c.gamma)
             r = edges.get(key)
             if r is None:
-                r = edges[key] = _edge_report(spec, metric, c)
+                r = edges[key] = _edge_report(spec, c)
             if r.status is not None:
                 edge_stat[key] = r.status
         elif c.kind == FOLD:
-            st = fold_status(spec, metric, c)
+            st = fold_status(spec, c)
             r = Report(c, st, RULE_PROPER_FOLD, False,
                        f"proper {c.sign} fold (r={st.r_exponent})")
         elif c.kind == PLOCUS:
-            r = Report(c, fold_status(spec, metric, c), RULE_INFO, True,
+            r = Report(c, fold_status(spec, c), RULE_INFO, True,
                        "P-locus infinitely distant under gp")
         else:
             gx, gy = c.corner
             adj = [edge_stat[k] for k in (("X", proj_ints(gx)), ("Y", proj_ints(gy)))
                    if k in edge_stat]
-            st, ok, reason = corner_status(metric, c, adj)
+            st, ok, reason = corner_status(spec, c, adj)
             r = Report(c, st, RULE_CORNER, ok, reason)
         reports.append(r)
 
@@ -178,5 +170,5 @@ def classify(spec: AnsatzSpec) -> List[Tuple[BoxComponent, Verdict]]:
     """Verdicts for every cell of the spec under its own metric, each edge
     decided once."""
     edges = {}
-    return [(c, completability_verdict(spec, spec.metric, c, edges))
+    return [(c, completability_verdict(spec, c, edges))
             for c in validate(spec)]

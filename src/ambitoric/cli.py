@@ -38,6 +38,7 @@ from .ansatz import (
     FIELDS,
     AnsatzSpec,
     Interval,
+    SingularEvaluation,
     ValidationError,
     _as_lattice,
     conformal_factor,
@@ -162,16 +163,16 @@ def _cmd_eval(args) -> int:
         x = y = math.nan
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"--at needs two finite coordinates x,y, got {args.at!r}")
-    if x == y:
-        # the conformal factor q(x, y) / (x - y) has its pole there
-        raise ValueError(f"--at must lie off the fold x = y, got {args.at!r}")
     spec = _load_spec(args.spec)
     fields = [args.field] if args.field else list(FIELDS)
-    out = {"x": x, "y": y, "f": float(conformal_factor(spec, x, y))}
-    for f in fields:
-        if f == "gp" and spec.metric.tag != "gp":
-            continue
-        out[f] = [[float(v) for v in row] for row in eval_field(spec, f, FramePoint(x, y))]
+    try:
+        out = {"x": x, "y": y, "f": float(conformal_factor(spec, x, y))}
+        for f in fields:
+            if f == "gp" and spec.metric.tag != "gp":
+                continue
+            out[f] = [[float(v) for v in row] for row in eval_field(spec, f, FramePoint(x, y))]
+    except SingularEvaluation as err:
+        raise ValueError(f"--at={args.at}: {err}") from None
     _dump_json(out, args.out)
     return EXIT_OK
 

@@ -45,7 +45,7 @@ from .quadratics import (
     rat,
     transversal,
 )
-from .ansatz import AnsatzSpec, LatticeMatrix, lattice_coordinates, lattice_inverse
+from .ansatz import AnsatzSpec, LatticeMatrix, _lattice_numerators, lattice_inverse
 
 
 class MomentError(ValueError):
@@ -402,16 +402,18 @@ class CornerVerdict(Record):
 
 def delzant_check(polygon: Polygon, lattice: LatticeMatrix) -> List[CornerVerdict]:
     """Each adjacent normal pair, expressed in the lattice basis, must be an
-    integer matrix of determinant +-1."""
+    integer matrix of determinant +-1: with the coordinates w / d of each
+    normal (`ansatz._lattice_numerators`), d divides both w, and the
+    determinant is one Fraction over d1 d2."""
     inverse = lattice_inverse([[rat(v) for v in row] for row in lattice])
     out = []
     n = len(polygon.normals)
     for i in range(n):
         n1 = polygon.normals[i]
         n2 = polygon.normals[(i + 1) % n]
-        w1, w2 = lattice_coordinates(inverse, n1), lattice_coordinates(inverse, n2)
-        integral = all(w.denominator == 1 for w in (*w1, *w2))
-        dd = w1[0] * w2[1] - w1[1] * w2[0] if integral else None
+        (a0, a1, d1), (b0, b1, d2) = (_lattice_numerators(inverse, v) for v in (n1, n2))
+        integral = not (a0 % d1 or a1 % d1 or b0 % d2 or b1 % d2)
+        dd = Fraction(a0 * b1 - a1 * b0, d1 * d2) if integral else None
         ok = integral and dd in (1, -1)
         out.append(CornerVerdict(index=i, normals=(tuple(n1), tuple(n2)),
                                  determinant=dd, ok=ok))

@@ -111,6 +111,7 @@ from .ansatz import (
     GPLUS,
     AnsatzSpec,
     MetricChoice,
+    SingularEvaluation,
 )
 from .quadratics import (
     Record,
@@ -127,10 +128,6 @@ from .quadratics import (
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-class SingularEvaluation(ValueError):
-    """Field evaluated on a locus where it is singular."""
 
 
 class FramePoint(Record):

@@ -30,10 +30,21 @@ I2 = ((F(1), F(0)), (F(0), F(1)))
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
-def make_spec(q, A, B, xr, yr, metric=METRIC_G0, lattice=I2):
+def make_spec(q, A, B, xr, yr, metric=METRIC_G0, lattice=I2, tau_basis=None):
     return AnsatzSpec(q=q, A=Poly(A), B=Poly(B),
                       x_interval=Interval(*xr), y_interval=Interval(*yr),
-                      lattice=lattice, metric=metric)
+                      lattice=lattice, metric=metric, tau_basis=tau_basis)
+
+
+#: q = z^2, whose {q = 0} is the line pair x = 0, y = 0, and its torus basis
+#: {z^2, 2z}; gp with p = lambda q is g+ / lambda^2
+Z2 = Quadratic(1, 0, 0)
+Z2_TAU = (Z2, Quadratic(0, 1, 0))
+
+
+def z2_spec(A, xr, B=(-2, 3, -1), yr=(1, 2)):
+    """q = z^2 on xr x yr, by default with B = (y - 1)(2 - y) on (1, 2)."""
+    return make_spec(Z2, A, B, xr, yr, tau_basis=Z2_TAU)
 
 
 def respec(spec, **changes):

@@ -58,7 +58,7 @@ from ambitoric.tensors import (
     pfaffian4,
 )
 
-from conftest import fold_points, make_spec
+from conftest import fold_points, make_spec, respec
 from quadrature_reference import improper_length_samples
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -212,7 +212,7 @@ def test_edge_rule_and_quadrature():
         comp = validate(spec)[0]
         for e in decompose_boundary(spec, comp):
             if e.kind == EDGE:
-                assert edge_status(spec, METRIC_G0, e).verdict == expect
+                assert edge_status(spec, e).verdict == expect
 
     rng = random.Random(23)
     for _ in range(10):
@@ -235,7 +235,7 @@ def test_r_exponent_estimator():
             if c.kind == FOLD and c.sign == "+"][0]
     for met, r in ((METRIC_G0, 0.0), (METRIC_GPLUS, -0.5),
                    (METRIC_GMINUS, 0.5)):
-        assert abs(estimate_r(spec, met, fold) - r) < 0.05
+        assert abs(estimate_r(respec(spec, metric=met), fold) - r) < 0.05
 
     p = Quadratic(1, 0, -4)
     gp_spec = make_spec(Quadratic(0, 1, 0), [-12, 10, -2], [0, 3, -1],
@@ -243,8 +243,8 @@ def test_r_exponent_estimator():
     comp = validate(gp_spec)[0]
     pl = [c for c in decompose_boundary(gp_spec, comp)
           if c.kind == PLOCUS][0]
-    assert abs(estimate_r(gp_spec, metric_gp(p), pl) - 1.0) < 0.05
-    assert fold_status(gp_spec, metric_gp(p), pl).verdict == INFINITELY_DISTANT
+    assert abs(estimate_r(gp_spec, pl) - 1.0) < 0.05
+    assert fold_status(gp_spec, pl).verdict == INFINITELY_DISTANT
 
 
 # 6 -------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -11,9 +12,11 @@ from ambitoric import (
     Interval,
     Mobius,
     Poly,
+    Polygon,
     Quadratic,
     ValidationError,
     conformal_factor,
+    delzant_check,
     mobius_transport,
     validate,
 )
@@ -27,7 +30,6 @@ from ambitoric.ansatz import (
     _roots,
     _Surd,
     lattice_contains,
-    lattice_coordinates,
     lattice_inverse,
     metric_gp,
 )
@@ -174,17 +176,25 @@ _lattices = st.tuples(st.tuples(_lattice_entries, _lattice_entries),
 @given(_lattices, st.integers(-5, 5), st.integers(-5, 5), _wide, _wide)
 @settings(max_examples=200, deadline=None)
 def test_lattice_test_equals_its_fraction_reference(lattice, k1, k2, v0, v1):
-    """Coordinates and membership from the integer inverse equal the
-    Fraction solve, for members k1 col1 + k2 col2 and for drawn vectors."""
+    """Membership from the integer inverse equals the Fraction solve for
+    members k1 col1 + k2 col2, for drawn vectors and for a drawn vector
+    scaled by the denominators of its Fraction coordinates w, a member iff
+    they are right.  The Delzant determinant of the member and the member
+    L v, L the lcm of those denominators, is k1 L w1 - k2 L w0, a Fraction."""
     (a, b), (c, d) = lattice
     inverse = lattice_inverse(lattice)
-    for vec in ((k1 * a + k2 * b, k1 * c + k2 * d), (v0, v1)):
-        got = lattice_coordinates(inverse, vec)
-        assert got == quadratics_reference.lattice_coordinates(lattice, vec)
-        assert all(type(w) is F for w in got)
+    member = (k1 * a + k2 * b, k1 * c + k2 * d)
+    w = quadratics_reference.lattice_coordinates(lattice, (v0, v1))
+    L = math.lcm(w[0].denominator, w[1].denominator)
+    for s in (1, w[0].denominator, w[1].denominator, L):
+        vec = (s * v0, s * v1)
         assert lattice_contains(inverse, vec) == quadratics_reference.lattice_contains(
             lattice, vec)
-    assert lattice_contains(inverse, (k1 * a + k2 * b, k1 * c + k2 * d))
+    assert lattice_contains(inverse, member)
+    polygon = Polygon(vertices=((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
+                      normals=(member, (L * v0, L * v1), member))
+    det = delzant_check(polygon, lattice)[0].determinant
+    assert det == k1 * L * w[1] - k2 * L * w[0] and type(det) is F
 
 
 @given(boxes_and_transports(), _lattices)

@@ -45,6 +45,7 @@ from ambitoric.boundary import (
 
 import quadratics_reference as qr
 from conftest import (
+    Z2,
     boxes_and_pole_transports,
     boxes_and_transports,
     canonical_boxes,
@@ -52,6 +53,7 @@ from conftest import (
     make_spec,
     respec,
     transported_boxes,
+    z2_spec,
 )
 from moment_reference import reference_coordinates
 from quadrature_reference import improper_length_samples
@@ -64,7 +66,7 @@ def _edges(spec):
 
 def test_simple_root_edge_is_finite(hyperbolic_spec):
     for e in _edges(hyperbolic_spec):
-        st = edge_status(hyperbolic_spec, METRIC_G0, e)
+        st = edge_status(hyperbolic_spec, e)
         assert st.verdict == FINITE
         assert st.verdict == FINITE
         n, _member = st.compatible_normal
@@ -78,7 +80,7 @@ def test_double_root_edge_infinitely_distant():
                      [4, -12, 13, -6, 1], [36, 60, 37, 10, 1],
                      (1, 2), (-3, -2))
     for e in _edges(spec):
-        st = edge_status(spec, METRIC_G0, e)
+        st = edge_status(spec, e)
         assert st.verdict == INFINITELY_DISTANT
 
 
@@ -88,7 +90,7 @@ def test_nonvanishing_endpoint_rejected():
     from ambitoric import ValidationError
     e = _edges(spec)[0]
     with pytest.raises(ValidationError):
-        edge_status(spec, METRIC_G0, e)
+        edge_status(spec, e)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -118,34 +120,46 @@ def test_compatible_quadratic_vanishes_iff_double_root():
     assert not compatible_quadratic(q, F(2)).is_zero()
 
 
+def _check_fold_r(spec, comp, sign, expect):
+    """Under each metric, the analytic r of the cell's proper `sign` fold is
+    `expect[metric]`, and `estimate_r` fits it within 0.05."""
+    [fold] = [c for c in decompose_boundary(spec, comp)
+              if c.kind == FOLD and c.sign == sign]
+    for met, r in expect.items():
+        s = respec(spec, metric=met)
+        st = fold_status(s, fold)
+        assert st.r_exponent == r, met
+        assert abs(estimate_r(s, fold) - r) < 0.05, met
+        assert (st.verdict == INFINITELY_DISTANT) == (r >= 1.0)
+
+
 def test_fold_r_exponents_positive_fold():
-    # diagonal crosses the box: proper positive fold
+    # diagonal crosses the box: proper positive fold; p = 2z is orthogonal to
+    # the parabolic q = 1, and so is p = q
     spec = make_spec(Quadratic(0, 0, 1), [-2, 3, -1], [0, 3, -1],
                      (1, 2), (0, 3))
     comp = [c for c in validate(spec) if c.sign_xy == 1][0]
-    folds = [c for c in decompose_boundary(spec, comp)
-             if c.kind == FOLD and c.sign == "+"]
-    assert folds
-    expect = {METRIC_G0: 0.0, METRIC_GPLUS: -0.5, METRIC_GMINUS: 0.5}
-    for met, r in expect.items():
-        st = fold_status(spec, met, folds[0])
-        assert st.r_exponent == r
-        assert abs(estimate_r(spec, met, folds[0]) - r) < 0.05
-        assert (st.verdict == INFINITELY_DISTANT) == (r >= 1.0)
+    expect = {METRIC_G0: 0.0, METRIC_GPLUS: -0.5, METRIC_GMINUS: 0.5,
+              metric_gp(Quadratic(0, 1, 0)): -0.5,
+              metric_gp(Quadratic(0, 0, 1)): -0.5}
+    _check_fold_r(spec, comp, "+", expect)
 
 
 def test_fold_r_exponents_negative_fold():
     spec = make_spec(Quadratic(0, 1, 0), [-2, 3, -1], [0, -3, -1],
                      (1, 2), (-3, 0))
     comp = [c for c in validate(spec) if c.sign_q == 1][0]
-    folds = [c for c in decompose_boundary(spec, comp)
-             if c.kind == FOLD and c.sign == "-"]
-    assert folds
-    expect = {METRIC_G0: 0.0, METRIC_GPLUS: 0.5, METRIC_GMINUS: -0.5}
-    for met, r in expect.items():
-        st = fold_status(spec, met, folds[0])
-        assert st.r_exponent == r
-        assert abs(estimate_r(spec, met, folds[0]) - r) < 0.05
+    expect = {METRIC_G0: 0.0, METRIC_GPLUS: 0.5, METRIC_GMINUS: -0.5,
+              metric_gp(Quadratic(1, 0, -4)): -0.5}
+    _check_fold_r(spec, comp, "-", expect)
+    # q = z^2: the fold x = 0 crosses the box; under gp with p = q it is
+    # also the P-locus, and g_p = g+ / 9 for p = -3 q
+    expect = {METRIC_G0: 0.0, METRIC_GPLUS: 0.5, METRIC_GMINUS: -0.5,
+              metric_gp(Quadratic(0, 1, 0)): -0.5,
+              metric_gp(Z2): 0.5, metric_gp(Quadratic(-3, 0, 0)): 0.5}
+    spec = z2_spec([1, 0, -1], (-1, 1))
+    for comp in validate(spec):
+        _check_fold_r(spec, comp, "-", expect)
 
 
 def test_p_locus_infinitely_distant():
@@ -156,10 +170,10 @@ def test_p_locus_infinitely_distant():
     comp = validate(spec)[0]
     ploci = [c for c in decompose_boundary(spec, comp) if c.kind == "PLocus"]
     assert ploci
-    st = fold_status(spec, metric_gp(p), ploci[0])
+    st = fold_status(spec, ploci[0])
     assert st.r_exponent == 1.0
     assert st.verdict == INFINITELY_DISTANT
-    assert abs(estimate_r(spec, metric_gp(p), ploci[0]) - 1.0) < 0.05
+    assert abs(estimate_r(spec, ploci[0]) - 1.0) < 0.05
 
 
 def test_estimate_r_runs_without_numpy():
@@ -169,13 +183,13 @@ def test_estimate_r_runs_without_numpy():
     code = (
         "import json, sys\n"
         "sys.modules['numpy'] = None\n"
-        "from ambitoric import (AnsatzSpec, METRIC_G0, decompose_boundary,\n"
+        "from ambitoric import (AnsatzSpec, decompose_boundary,\n"
         "                       estimate_r, fold_status, validate)\n"
         f"spec = AnsatzSpec.from_dict(json.load(open({str(golden)!r}))['spec'])\n"
         "[fold] = [c for c in decompose_boundary(spec, validate(spec)[0])\n"
         "          if c.kind == 'Fold' and c.sign == '-']\n"
-        "r = fold_status(spec, METRIC_G0, fold).r_exponent\n"
-        "assert abs(estimate_r(spec, METRIC_G0, fold) - r) < 0.05, r\n")
+        "r = fold_status(spec, fold).r_exponent\n"
+        "assert abs(estimate_r(spec, fold) - r) < 0.05, r\n")
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
@@ -206,7 +220,7 @@ def test_edge_status_gauge_invariant(spec_m):
     assert {(axis, m.apply(g)) for axis, g in before} == set(after)
     for (axis, g), edge in before.items():
         mg = m.apply(g)
-        st, st_moved = (edge_status(s, METRIC_G0, e)
+        st, st_moved = (edge_status(s, e)
                         for s, e in ((spec, edge), (moved, after[(axis, mg)])))
         assert (st.verdict, st.compatible_normal) == \
             (st_moved.verdict, st_moved.compatible_normal)
@@ -220,7 +234,7 @@ def test_edge_at_infinity_handled():
     edges = _edges(spec)
     inf_edges = [e for e in edges if e.gamma is OO]
     assert len(inf_edges) == 1
-    st = edge_status(spec, METRIC_G0, inf_edges[0])
+    st = edge_status(spec, inf_edges[0])
     # cubic A: multiplicity 4 - 3 = 1 at infinity, fold-edge there
     assert inf_edges[0].is_fold_and_edge
     assert st.verdict == FINITE
@@ -250,7 +264,7 @@ def test_p_locus_line_pair():
     [comp] = validate(spec)
     [plocus] = [b for b in decompose_boundary(spec, comp) if b.kind == "PLocus"]
     assert plocus.base_point[0] == 0 and 2 < plocus.base_point[1] < 3
-    assert abs(estimate_r(spec, spec.metric, plocus) - 1.0) < 0.05
+    assert abs(estimate_r(spec, plocus) - 1.0) < 0.05
 
 
 def _through_corner(spec, comps):
@@ -288,7 +302,7 @@ def _check_boundary_against_fraction_formulas(spec, seen):
                 if c.kind != EDGE or c.is_fold_and_edge or s is not spec:
                     continue
                 try:
-                    st_ = edge_status(s, METRIC_G0, c)
+                    st_ = edge_status(s, c)
                 except ValidationError:
                     continue            # an end that is no root of A or B (Kerr)
                 if st_.compatible_normal is None:

@@ -18,7 +18,7 @@ from ambitoric import (
     mobius_transport,
     validate,
 )
-from ambitoric.ansatz import METRIC_G0, METRIC_GMINUS, metric_gp
+from ambitoric.ansatz import METRIC_G0, METRIC_GMINUS, METRIC_GPLUS, metric_gp
 from ambitoric.boundary import INFINITELY_DISTANT
 from ambitoric.classify import (
     RULE_CORNER,
@@ -27,7 +27,7 @@ from ambitoric.classify import (
     RULE_PROPER_FOLD,
 )
 
-from conftest import I2, boxes_and_transports, make_spec, respec
+from conftest import I2, boxes_and_transports, make_spec, respec, z2_spec
 
 
 def complete_orbifold_check(q, x_interval, y_interval, lattice, A, B):
@@ -42,7 +42,7 @@ def complete_orbifold_check(q, x_interval, y_interval, lattice, A, B):
         return False, [f"invalid ansatz data: {err}"]
     if len(comps) != 1:
         return False, ["(x - y) q(x, y) changes sign inside the box"]
-    verdict = completability_verdict(spec, METRIC_G0, comps[0])
+    verdict = completability_verdict(spec, comps[0])
     return verdict.completable, [r.line() for r in verdict.reports]
 
 
@@ -161,7 +161,7 @@ def test_complete_orbifold_check_accepts(hyperbolic_spec):
     assert ok, diags
     # the diagnostics are the report lines of the g0 verdict
     [comp] = validate(hyperbolic_spec)
-    v = completability_verdict(hyperbolic_spec, METRIC_G0, comp)
+    v = completability_verdict(hyperbolic_spec, comp)
     assert diags == [r.line() for r in v.reports]
 
 
@@ -237,12 +237,32 @@ def test_classify_decides_each_edge_once(merged_spec, monkeypatch):
     classify_module = importlib.import_module("ambitoric.classify")
     decide, calls = classify_module.edge_status, collections.Counter()
     monkeypatch.setattr(classify_module, "edge_status",
-                        lambda spec, metric, edge: calls.update([(edge.axis, edge.gamma)])
-                        or decide(spec, metric, edge))
+                        lambda spec, edge: calls.update([(edge.axis, edge.gamma)])
+                        or decide(spec, edge))
     results = classify(merged_spec)
     met = collections.Counter(e for comp, _v in results for e in comp.edges)
     assert set(calls) == set(met) and set(calls.values()) == {1}
     assert len(met) == 4 and sum(met.values()) == 8
     monkeypatch.setattr(classify_module, "edge_status", decide)
     assert [v for _c, v in results] == [
-        completability_verdict(merged_spec, merged_spec.metric, c) for c, _v in results]
+        completability_verdict(merged_spec, c) for c, _v in results]
+
+
+def _rule_outcomes(spec):
+    return [[(r.rule, r.ok, r.status and r.status.verdict, r.status and r.status.r_exponent)
+             for r in v.reports] for _c, v in classify(spec)]
+
+
+@pytest.mark.parametrize("spec", [
+    z2_spec([1, 0, -1], (-1, 1)),       # the proper - fold x = 0
+    z2_spec([0, 0, 1, -1], (0, 1)),     # the fold-edge X = 0, a double root of A
+], ids=["proper-fold", "fold-edge"])
+def test_gp_with_p_a_multiple_of_q_classifies_as_gplus(spec):
+    """g_p with p = lambda q is g+ / lambda^2: every report has the rule,
+    outcome, verdict and r of g+, where a p orthogonal to q but not a
+    multiple of it decides otherwise."""
+    want = _rule_outcomes(respec(spec, metric=METRIC_GPLUS))
+    for lam in (1, 3, F(-1, 2)):
+        p = Quadratic(lam, 0, 0)
+        assert _rule_outcomes(respec(spec, metric=metric_gp(p))) == want, lam
+    assert _rule_outcomes(respec(spec, metric=metric_gp(Quadratic(0, 1, 0)))) != want

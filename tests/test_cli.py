@@ -56,13 +56,16 @@ def test_eval_rejects_a_malformed_point(spec_file, capsys, at):
     assert captured.out == "" and captured.err.startswith("error: --at")
 
 
-@pytest.mark.parametrize("at", ["1,1", "-0.5,-0.5"])
-def test_eval_rejects_a_point_on_the_fold(spec_file, capsys, at):
-    # the conformal factor's ZeroDivisionError used to escape main
+@pytest.mark.parametrize("at, why", [("1,1", "fold x = y"), ("-0.5,-0.5", "fold x = y"),
+                                     ("3,-0.5", "A or B vanishes")],
+                         ids=["1,1", "-0.5,-0.5", "3,-0.5"])
+def test_eval_rejects_a_point_on_the_fold(spec_file, capsys, at, why):
+    # a singular point, on the fold or at the root 3 of A, is one --at error
+    # naming the point
     assert main(["eval", spec_file, f"--at={at}"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: --at")
-    assert "fold x = y" in captured.err and len(captured.err.splitlines()) == 1
+    assert captured.out == "" and captured.err.startswith(f"error: --at={at}: ")
+    assert why in captured.err and len(captured.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("grid", ["0", "-3"])
