@@ -52,7 +52,7 @@ def errors(spec, points):
             try:
                 R = T.curvature(spec, metric, FramePoint(x, y)).riemann
                 E = T.curvature(spec, metric, FramePoint(F(x), F(y))).riemann.astype(float)
-            except (T.SingularEvaluation, ZeroDivisionError):
+            except T.SingularEvaluation:
                 continue
             yield s, float(np.max(np.abs(R - E)) / np.max(np.abs(E)))
 

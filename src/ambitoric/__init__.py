@@ -20,14 +20,12 @@ from types import ModuleType
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "quadratics": "OO Mobius Poly Quadratic compatible_quadratic conic_type inner rat "
-                  "transvectant2",
+    "quadratics": "OO Mobius Poly Quadratic conic_type inner rat transvectant2",
     "ansatz": "FIELDS AnsatzSpec BoxComponent Interval MetricChoice METRIC_G0 "
               "METRIC_GPLUS METRIC_GMINUS ValidationError conformal_factor "
               "metric_gp mobius_transport validate",
     "moment": "Conic LineInTstar MomentError MomentPoint Polygon convexity_check "
-              "delzant_check fold_conic identify_t level_set_line moment_map "
-              "p_image_line",
+              "delzant_check fold_conic identify_t level_set_line moment_map",
     "boundary": "DistanceStatus corner_status "
                 "decompose_boundary edge_status estimate_r fold_status",
     "classify": "Verdict classify completability_verdict",

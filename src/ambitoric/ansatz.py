@@ -41,6 +41,7 @@ from .quadratics import (
     _over_common,
     conic_type,
     cross,
+    dual_frame,
     inner,
     poly_transport,
     rat,
@@ -336,6 +337,14 @@ class AnsatzSpec(Record):
         c, q = cross(*self.tau_basis).coeffs(), self.q.coeffs()
         i = next(i for i in range(3) if q[i] != 0)
         return c[i] / q[i]
+
+    @cached_property
+    def tau_dual(self):
+        """The `dual_frame` of (tau1, tau2, q), built once, or for parabolic
+        q, which lies in span(tau), of (tau1, tau2, `transversal(q)`).  The
+        '-' moment frame and `boundary`'s compatible normals read it."""
+        t1, t2 = self.tau_basis
+        return dual_frame(t1, t2, self.q) or dual_frame(t1, t2, transversal(self.q))
 
     @cached_property
     def moment_frames(self) -> dict:

@@ -43,6 +43,7 @@ from .quadratics import (
     ProjPoint,
     Record,
     _polar_ints,
+    compatible_coordinates,
     coordinate_jets,
     polar_jet,
     proj_eq,
@@ -58,7 +59,6 @@ from .ansatz import (
     ValidationError,
     lattice_contains,
 )
-from .moment import _compatible_coordinates
 
 EDGE = "Edge"
 FOLD = "Fold"
@@ -190,8 +190,9 @@ def edge_status(spec: AnsatzSpec, edge: BoundaryComponent) -> DistanceStatus:
     of P(X, W) at its root: W^2 P'(X / W) for W > 0 and -a3 at OO.
     Numerator and D both scale as the square of the representative, so
     the normal does not depend on it; both are integers at the integer
-    representative (a, b) of gamma (`moment._compatible_coordinates`,
-    `Poly.hom_jet`), and the normal is one Fraction per component."""
+    representative (a, b) of gamma (`quadratics.compatible_coordinates` on
+    `AnsatzSpec.tau_dual`, `Poly.hom_jet`), and the normal is one Fraction
+    per component."""
     if edge.kind != EDGE:
         raise ValueError("edge_status needs an Edge component")
     P = spec.A if edge.axis == "X" else spec.B
@@ -214,7 +215,7 @@ def edge_status(spec: AnsatzSpec, edge: BoundaryComponent) -> DistanceStatus:
         else:
             cs, dd = P.numerators
             dn = -cs[3]
-        u1, u2, k = _compatible_coordinates(spec, a, b)
+        u1, u2, k = compatible_coordinates(spec.q, spec.tau_dual, a, b)
         s = (-2 if edge.axis == "X" else 2) * dd
         n = (Fraction(s * u1, k * dn), Fraction(s * u2, k * dn))
         normal = (n, lattice_contains(spec.lattice_inverse, n))

@@ -61,9 +61,6 @@ class Verdict(Record):
     extends_ambitoric: bool
     reports: Tuple[Report, ...]
 
-    def violations(self) -> List[Report]:
-        return [r for r in self.reports if not r.ok]
-
     def to_dict(self) -> dict:
         def st(s: Optional[DistanceStatus]):
             if s is None:

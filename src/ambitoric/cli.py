@@ -387,7 +387,6 @@ def _cmd_kerr(args) -> int:
 
 
 def _cmd_examples(args) -> int:
-    from .moment import Conic
     from .special import EXTERIOR, INTERIOR, KerrParams, kerr, standard_polygon
 
     name = args.name
@@ -399,6 +398,8 @@ def _cmd_examples(args) -> int:
     if name == "cp2" or name.startswith("hirzebruch:"):
         poly, lattice = standard_polygon(name)
         if args.format == "svg":
+            from .moment import Conic
+
             vp = _Viewport(list(poly.vertices))
             ring = list(poly.vertices) + [poly.vertices[0]]
             body = [vp.polyline(ring, "#204a87", 2.0)]

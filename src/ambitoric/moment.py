@@ -28,13 +28,13 @@ from .quadratics import (
     ProjPoint,
     Quadratic,
     Record,
-    _cross_ints,
     _inner_ints,
     _inv,
     _mul,
     _null_ints,
     _over_common,
     _polar_ints,
+    compatible_coordinates,
     coordinate_jets,
     coordinates,
     dual_frame,
@@ -43,7 +43,6 @@ from .quadratics import (
     polar_jet,
     proj_ints,
     rat,
-    transversal,
 )
 from .ansatz import AnsatzSpec, LatticeMatrix, _lattice_numerators, lattice_inverse
 
@@ -103,15 +102,6 @@ def moment_map(spec: AnsatzSpec, sign: str, x, y) -> MomentPoint:
                                        -(b0 * x * y + b1 * s + b2) / den))
 
 
-def moment_pairing(spec: AnsatzSpec, sign: str, p: Quadratic, x, y):
-    """<mu^sign(x,y), identify_t(p, sign)>; equals lambda - p(x,y)/q(x,y)
-    for '+', with lambda the q-coefficient of p in the basis (sigma1,
-    sigma2, q) (zero unless q is parabolic), and -p(x,y)/(x-y) for '-'."""
-    v = identify_t(spec, p, sign)
-    mp = moment_map(spec, sign, x, y)
-    return v[0] * mp.mu1 + v[1] * mp.mu2
-
-
 class _Frame(NamedTuple):
     """The moment frame of a spec and sign (`_frame`)."""
 
@@ -130,14 +120,14 @@ def _frame(spec: AnsatzSpec, sign: str) -> _Frame:
     coefficients, so 2Q is integral, and `_line_ints` reads these two.
     The dual frame holds integer triples over one denominator, so the
     edge lines and compatible normals of `_edge_image` and
-    `_compatible_coordinates` are integer inner products.
+    `quadratics.compatible_coordinates` are integer inner products.
     (b1, b2, q) spans all quadratics except for '-' with parabolic q, where
-    q lies in span(tau) = q-perp; the frame then takes a transversal u of q
-    in place of q, and every p of q-perp has u-coordinate 0."""
+    q lies in span(tau) = q-perp; the '-' frame reads `AnsatzSpec.tau_dual`,
+    which then takes a transversal u of q in place of q."""
     frame = spec.moment_frames.get(sign)
     if frame is None:
         b1, b2 = _basis(spec, sign)
-        dual = dual_frame(b1, b2, spec.q) or dual_frame(b1, b2, transversal(spec.q))
+        dual = dual_frame(b1, b2, spec.q) if sign == "+" else spec.tau_dual
         conic = _fold_conic(spec, sign, dual[0])
         twice = adj = None
         if conic.matrix is not None:
@@ -219,11 +209,6 @@ def _conic(Q) -> Conic:
     return Conic(matrix=((a, b / 2, d / 2), (b / 2, c, e / 2), (d / 2, e / 2, f)))
 
 
-def _line(n1, n2, offset, frame: Optional[_Frame] = None) -> LineInTstar:
-    """The line {n1 mu1 + n2 mu2 = offset} of rationals (`_line_ints`)."""
-    return _line_ints(_over_common((n1, n2, -offset))[0], frame)
-
-
 def _line_ints(l: Sequence[int], frame: Optional[_Frame] = None) -> LineInTstar:
     """The line {n1 mu1 + n2 mu2 = c} of an integer multiple l of
     (n1, n2, -c), with primitive integers formed once, and its tangency
@@ -295,19 +280,6 @@ def _fold_conic(spec: AnsatzSpec, sign: str, duals) -> Conic:
     return _conic([[g22, -g12, zero], [-g12, g11, zero], [zero, zero, -det / 2]])
 
 
-def _compatible_coordinates(spec: AnsatzSpec, a: int, b: int) -> Optional[Tuple[int, int, int]]:
-    """(u1, u2, k) with identify_t((b z - a)^2 x q, '-') = (u1 / k, u2 / k),
-    or None where (a : b) is the double root of q and that product is 0.
-    It is `_cross_ints` of (b^2, -ab, a^2) and q's numerators over 2 dq, so
-    u is its inner products with the '-' dual triples, over 2 dq e num/den."""
-    q = spec.q.numerators
-    c = _cross_ints(_null_ints(a, b), q)
-    if not any(c):
-        return None
-    ns, e, num, den = _frame(spec, "-").dual
-    return _inner_ints(c, ns[0]) * den, _inner_ints(c, ns[1]) * den, 2 * q[3] * e * num
-
-
 def _edge_image(spec: AnsatzSpec, sign: str, axis: str, gamma: ProjPoint):
     """The image of {axis = gamma}: a line, or the point it collapses to,
     from the integer representative (a, b) of gamma and the frame."""
@@ -323,7 +295,7 @@ def _edge_image(spec: AnsatzSpec, sign: str, axis: str, gamma: ProjPoint):
         return _line_ints((l1, l2, -l3), frame)
     # mu- is antisymmetric under x <-> y, hence the axis sign
     sgn = 1 if axis == "X" else -1
-    coords = _compatible_coordinates(spec, a, b)
+    coords = compatible_coordinates(spec.q, spec.tau_dual, a, b)
     if coords is None:
         # gamma is the double root of q: the edge is a fold line, along which
         # mu-_i = -tau_i(gamma, delta) / (gamma - delta) is constant; read it
@@ -347,18 +319,6 @@ def level_set_line(spec: AnsatzSpec, sign: str, axis: str,
         return LineInTstar(normal=(Fraction(0), Fraction(0)), offset=Fraction(0),
                            degenerate_point=image)
     return image
-
-
-def p_image_line(spec: AnsatzSpec, sign: str, p: Quadratic) -> LineInTstar:
-    """Image line of the vanishing locus {p(x,y) = 0} for p _|_ q.  Its
-    normal is identify_t(spec, p, sign), and by moment_pairing the pairing
-    equals lambda on the locus (lambda = 0 for '-')."""
-    if p.c0 == 0 and p.c1 == 0:
-        raise MomentError("constant p has empty vanishing locus")
-    v1, v2, lam = _coordinates(spec, p, sign)
-    if v1 == 0 and v2 == 0:
-        raise MomentError("p is a multiple of q: {p = 0} is the pole set of mu+")
-    return _line(v1, v2, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +411,13 @@ def convexity_check(samples):
 
     hull = ConvexHull(pts)
     tree = cKDTree(pts)
-    k = min(5, len(pts) - 1)
-    knn = tree.query(pts, k=k + 1)[0][:, 1:]
-    # per-sample local spacing copes with strongly nonuniform images; the
-    # distances come sorted, so the median of 5 is the third
-    local = knn[:, 2] if k == 5 else np.median(knn, axis=1)
+    # per-sample local spacing, the median distance to the 5 nearest
+    # neighbours, copes with strongly nonuniform images; the distances come
+    # sorted, the point itself first at 0, so that median is column 3 of
+    # the 4 nearest
+    k = len(pts) - 1
+    local = (tree.query(pts, k=4)[0][:, 3] if k >= 5
+             else np.median(tree.query(pts, k=k + 1)[0][:, 1:], axis=1))
     scale = float(np.percentile(local, 90))
     # probe grid over the hull's bounding box
     lo = pts.min(axis=0)

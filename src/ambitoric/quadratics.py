@@ -38,16 +38,16 @@ coefficients as integer numerators over a common denominator,
 (n0, n1, n2, d) = `numerators`, and a Poly keeps (ns, d); both are built
 on first use, like `floats`.  Each product has one formula, on integer
 triples (`_inner_ints`, `_cross_ints`, `_polar_ints`, `_null_ints`), and
-`inner`, `cross` (and so `compatible_quadratic`), `null_quadratic` and
-`coordinates` (from the integer triples of a `dual_frame`) wrap it,
-forming each result as an integer over a product of denominators.  A box
-end is read at its integer representative (`proj_ints`), so `moment` and
-`boundary` form edge lines, compatible normals and corner flags with no
-Fraction before the result.  At a point
-a/b in lowest terms, `Poly.jet` (`Poly.hom_jet`) and `Poly.sign` run
-Horner's rule homogeneously at (a : b), `Poly.root_multiplicity`
-divides by b z - a in integers (`_divide`), and `Poly.count_roots` builds
-its Sturm sequence from integer pseudo-remainders.  So each returned
+`inner`, `cross`, `coordinates` and `compatible_coordinates` (from the
+integer triples of a `dual_frame`) wrap it, forming each result as an
+integer over a product of denominators.  A box end is read at its integer
+representative (`proj_ints`), so `moment` and `boundary` form edge lines,
+compatible normals and corner flags with no Fraction before the result.
+At a point a/b in lowest terms, `Poly.jet` (`Poly.hom_jet`) and
+`Poly.sign` run Horner's rule homogeneously at (a : b),
+`Poly.root_multiplicity` divides by b z - a in integers (`_divide`), and
+`Poly.count_roots` builds its Sturm sequence from integer
+pseudo-remainders.  So each returned
 value costs one normalised Fraction instead of one per product.  Every
 exact result is a Fraction, never an int: `is_exact` reads an int as a
 float, so a leaked int would move later code to floats.
@@ -478,7 +478,7 @@ class Quadratic(Record):
     def numerators(self) -> Tuple[int, int, int, int]:
         """(n0, n1, n2, d) with ci = ni / d and d > 0: over the least common
         denominator when built on first use, as computed for the results of
-        `cross` and `null_quadratic`."""
+        `cross`."""
         ns, d = _over_common(self.coeffs())
         return (*ns, d)
 
@@ -614,18 +614,20 @@ def transversal(q: Quadratic) -> Quadratic:
     return next(u for u in units if inner(u, q) != 0)
 
 
-def null_quadratic(gamma: ProjPoint) -> Quadratic:
-    """(W z - X)^2 for gamma = (X : W): the null quadratic with the double
-    root gamma, and <p, (W z - X)^2> = -p(X, W) for every quadratic p."""
-    a, b = proj_ints(gamma)
-    return _from_numerators(*_null_ints(a, b), b * b or 1)
-
-
-def compatible_quadratic(q: Quadratic, gamma: ProjPoint) -> Quadratic:
-    """(W z - X)^2 x q for gamma = (X : W); at a finite gamma it is
-    p^(gamma)(x,y) = (x-gamma) q(y,gamma)/2 + q(x,gamma) (y-gamma)/2.
-    Identically zero iff gamma is a double root of q."""
-    return cross(null_quadratic(gamma), q)
+def compatible_coordinates(q: Quadratic, dual, a: int,
+                           b: int) -> Optional[Tuple[int, int, int]]:
+    """(u1, u2, k): (u1 / k, u2 / k) are the first two coordinates in the
+    `dual_frame` `dual` of the compatible quadratic p = (b z - a)^2 x q of
+    the box end (a : b); None at the double root of q, where p = 0.  At a
+    finite end gamma, p(x,y) = (x-gamma) q(y,gamma)/2 + q(x,gamma) (y-gamma)/2.
+    With c = 2 dq p (`_cross_ints`), u_i = den <c, n_i> for the dual
+    triples n_i, and k = 2 dq e num."""
+    Q = q.numerators
+    c = _cross_ints(_null_ints(a, b), Q)
+    if not any(c):
+        return None
+    ns, e, num, den = dual
+    return _inner_ints(c, ns[0]) * den, _inner_ints(c, ns[1]) * den, 2 * Q[3] * e * num
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,10 @@ from .ansatz import (
     AnsatzSpec,
     Interval,
     LatticeMatrix,
+    SingularEvaluation,
     ValidationError,
     metric_gp,
 )
-from .moment import LineInTstar, Polygon
 
 EXTERIOR = "Exterior"
 INTERIOR = "Interior"
@@ -223,7 +223,7 @@ def scalar_closed_form(spec: AnsatzSpec, sign: str, x: float, y: float) -> float
     qv, qx, qy, _, c0, _ = polar_jet(spec.q.coeffs() if exact else spec.q.floats, X, Y)
     d = x - y
     if d == 0 or qv == 0:
-        raise ZeroDivisionError("scalar closed form has a pole on the folds")
+        raise SingularEvaluation("scalar closed form has a pole on the folds")
     A = spec.A.jet(x, 3)
     B = spec.B.jet(y, 3)
     if sign == "-":
@@ -253,6 +253,8 @@ def standard_polygon(kind: str) -> Tuple[Polygon, LatticeMatrix]:
     """'cp2' or 'hirzebruch:k'.  Vertices are the pairwise intersections of
     tangent lines of the hyperbola 4 mu1 mu2 = -1; the Hirzebruch trapezoid
     uses the extra tangent with normal (-k-1, k) at offset -sqrt(k(k+1))."""
+    from .moment import LineInTstar, Polygon
+
     if kind == "cp2":
         lines = [
             LineInTstar((Fraction(1), Fraction(0)), Fraction(0)),

@@ -342,6 +342,8 @@ def _block_curvature(a, b, h) -> tuple:
     H, Hx, Hy, Hxx, Hxy, Hyy = zip(*h)     # symmetric 2x2 as (m00, m01, m11)
     p00, p01, p11 = H
     det = p00 * p11 - p01 * p01
+    if det == 0:
+        raise SingularEvaluation("the fibre metric is degenerate at the evaluation point")
 
     def K(P, Q):
         """P H^-1 Q for symmetric P and Q, as (00, 01, 10, 11)."""

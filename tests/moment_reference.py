@@ -1,6 +1,6 @@
 """Reference tangency certificates and coordinate solves for `moment`.
 
-`reference_tangency` is how the tangency certificate of `moment._line` was
+`reference_tangency` is how the tangency certificate of `moment._line_ints` was
 formed before it read the adjugate of the fold conic: it substitutes a
 point P of the line and its direction D into the bilinear form of the
 conic and forms the quadratic a t^2 + b t + c of (P + t D)^T Q (P + t D).

@@ -32,7 +32,6 @@ from ambitoric import (
     level_set_line,
     mobius_transport,
     moment_map,
-    p_image_line,
     standard_polygon,
     validate,
 )
@@ -50,7 +49,7 @@ from ambitoric.boundary import (
     INFINITELY_DISTANT,
     PLOCUS,
 )
-from ambitoric.moment import delzant_check, moment_pairing
+from ambitoric.moment import delzant_check
 from ambitoric.special import INTERIOR, scalar_closed_form
 from ambitoric.tensors import (
     kaehler_volume_coefficient,
@@ -266,18 +265,21 @@ def test_golden_classification(path):
 
 def test_moment_map_linearity(hyperbolic_spec):
     p = Quadratic(1, 0, -4)       # orthogonal to q = 2z; P-locus xy = 4
-    # pairing vanishes on p(x, y) = 0
+    v = identify_t(hyperbolic_spec, p, "+")
+
+    def pairing(x, y):
+        mp = moment_map(hyperbolic_spec, "+", x, y)
+        return v[0] * mp.mu1 + v[1] * mp.mu2
+
+    # the pairing vanishes on p(x, y) = 0: the P-locus maps into the line
+    # through 0 with normal identify_t(p)
     for x in (F(5, 2), F(13, 5), F(14, 5), F(23, 8)):
         y = 4 / x
-        assert abs(float(moment_pairing(hyperbolic_spec, "+", p, x, y))) < 1e-9
+        assert abs(float(pairing(x, y))) < 1e-9
     # images of arbitrary points pair linearly: mu_p = <identify_t(p), mu>
-    line = p_image_line(hyperbolic_spec, "+", p)
-    v = identify_t(hyperbolic_spec, p, "+")
-    assert line.normal[0] * v[1] == line.normal[1] * v[0]
-    for x in (F(5, 2), F(8, 3)):
-        y = 4 / x
-        mp = moment_map(hyperbolic_spec, "+", x, y)
-        res = line.normal[0] * mp.mu1 + line.normal[1] * mp.mu2 - line.offset
+    # is -p(x, y) / q(x, y)
+    for x, y in ((F(5, 2), F(-1, 2)), (F(8, 3), F(-1, 3))):
+        res = pairing(x, y) + p.polarize(x, y) / hyperbolic_spec.q.polarize(x, y)
         assert abs(float(res)) < 1e-9
     # level-set lines tangent to the fold conic, with certificates
     for axis, gam in (("X", F(2)), ("X", F(3)), ("Y", F(-1)), ("Y", F(0))):

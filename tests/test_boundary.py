@@ -18,7 +18,6 @@ from ambitoric import (
     Mobius,
     Poly,
     Quadratic,
-    compatible_quadratic,
     decompose_boundary,
     edge_status,
     estimate_r,
@@ -34,7 +33,7 @@ from ambitoric.ansatz import (
     metric_gp,
 )
 from ambitoric.moment import level_set_line
-from ambitoric.quadratics import OO, cross
+from ambitoric.quadratics import OO, compatible_coordinates, cross
 from ambitoric.boundary import (
     CORNER,
     EDGE,
@@ -116,8 +115,13 @@ def test_quadrature_crosscheck_multiplicity_rule():
 
 def test_compatible_quadratic_vanishes_iff_double_root():
     q = Quadratic(1, -1, 1)   # (z-1)^2
-    assert compatible_quadratic(q, F(1)).is_zero()
-    assert not compatible_quadratic(q, F(2)).is_zero()
+    tau = (q, Quadratic(1, 0, -1))
+    spec = make_spec(q, [1], [1], (2, 3), (-1, 0), tau_basis=tau)
+    assert compatible_coordinates(q, spec.tau_dual, 1, 1) is None
+    # at z = 2, u / k are the tau coordinates of (z - 2)^2 x q, not zero
+    u1, u2, k = compatible_coordinates(q, spec.tau_dual, 2, 1)
+    assert (u1, u2) != (0, 0)
+    assert tau[0].scaled(F(u1, k)).plus(tau[1].scaled(F(u2, k))) == cross(Quadratic(1, -2, 4), q)
 
 
 def _check_fold_r(spec, comp, sign, expect):
@@ -282,7 +286,7 @@ def _through_corner(spec, comps):
 
 def _check_boundary_against_fraction_formulas(spec, seen):
     """Every compatible normal of `edge_status` is
-    s reference_coordinates(compatible_quadratic(q, gamma), '-')[:2] / D
+    s reference_coordinates(qr.compatible_quadratic(q, gamma), '-')[:2] / D
     with D = P'(gamma), or -a3 at OO, from Fraction formulas, and its
     lattice membership is the Fraction test; every corner flag of
     `decompose_boundary` is X V - Y W = 0, q(X, W, Y, V) = 0 or

@@ -30,6 +30,11 @@ from ambitoric.classify import (
 from conftest import I2, boxes_and_transports, make_spec, respec, z2_spec
 
 
+def violations(verdict):
+    """The reports of a verdict whose rule fails."""
+    return [r for r in verdict.reports if not r.ok]
+
+
 def complete_orbifold_check(q, x_interval, y_interval, lattice, A, B):
     """Global g0-completeness of the quotient: the box must be a single
     cell of (x - y) q(x, y) != 0, and that cell completable under g0
@@ -51,14 +56,14 @@ def test_proper_fold_blocks_completability():
                      (1, 2), (-3, 0))
     for _comp, v in classify(spec):
         assert not v.completable
-        assert any(r.rule == RULE_PROPER_FOLD for r in v.violations())
+        assert any(r.rule == RULE_PROPER_FOLD for r in violations(v))
 
 
 def test_accepting_box_completable(hyperbolic_spec):
     [(comp, v)] = classify(hyperbolic_spec)
     assert v.completable
     assert v.extends_ambitoric
-    assert not v.violations()
+    assert not violations(v)
 
 
 def test_fold_edge_metric_rule():
@@ -66,7 +71,7 @@ def test_fold_edge_metric_rule():
                      (1, None), (-2, -1))
     [(_c, v0)] = classify(spec)
     assert not v0.completable
-    assert any(r.rule == RULE_FOLD_EDGE for r in v0.violations())
+    assert any(r.rule == RULE_FOLD_EDGE for r in violations(v0))
     [(_c, vm)] = classify(respec(spec, metric=METRIC_GMINUS))
     assert vm.completable
     assert not vm.extends_ambitoric   # the fold-edge stays finite under g-
@@ -76,7 +81,7 @@ def test_fold_corner_rule():
     spec = make_spec(Quadratic(0, 1, 0), [-3, 4, -1], [0, -1, -1],
                      (1, 3), (-1, 0))
     [(_c, v)] = classify(spec)
-    assert any(r.rule == RULE_CORNER for r in v.violations())
+    assert any(r.rule == RULE_CORNER for r in violations(v))
     [(_c, vm)] = classify(respec(spec, metric=METRIC_GMINUS))
     assert vm.completable and not vm.extends_ambitoric
 
@@ -120,7 +125,7 @@ def test_coarse_lattice_rejects():
                      (2, 3), (-1, 0), lattice=lat)
     [(_, v)] = classify(spec)
     assert not v.completable
-    assert all(r.rule == RULE_EDGE_NORMAL for r in v.violations())
+    assert all(r.rule == RULE_EDGE_NORMAL for r in violations(v))
 
 
 def test_verdict_gauge_invariant():
@@ -149,7 +154,7 @@ def test_p_locus_corner_rejected_under_gp():
                      (1, 2), (-1, 0), metric=metric_gp(Quadratic(1, 0, 2)))
     [(_, v)] = classify(spec)
     assert not v.completable
-    bad = [r for r in v.violations() if r.rule == RULE_CORNER]
+    bad = [r for r in violations(v) if r.rule == RULE_CORNER]
     assert bad and "P-locus" in bad[0].detail
 
 
@@ -207,7 +212,7 @@ def test_every_cell_is_classified(request, name, count):
     results = classify(request.getfixturevalue(name))
     assert len(results) == count
     for _comp, v in results:
-        assert any(r.rule == RULE_PROPER_FOLD for r in v.violations())
+        assert any(r.rule == RULE_PROPER_FOLD for r in violations(v))
 
 
 @given(boxes_and_transports())

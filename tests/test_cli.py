@@ -215,20 +215,23 @@ def test_decision_path_never_imports_sympy(tmp_path):
 
 
 @pytest.mark.parametrize("argv, loads", [
-    (["validate"], ()),
-    (["moment", "--sign", "+"], ("moment",)),
-    (["check"], ("moment", "tensors")),
-    (["classify"], ("moment", "boundary", "classify")),
-], ids=["validate", "moment", "check", "classify"])
+    (["validate", "SPEC"], ()),
+    (["moment", "SPEC", "--sign", "+"], ("moment",)),
+    (["check", "SPEC"], ("moment", "tensors")),
+    (["classify", "SPEC"], ("boundary", "classify")),
+    (["examples", "kerr-interior"], ("special",)),
+], ids=["validate", "moment", "check", "classify", "examples-kerr-interior"])
 def test_each_subcommand_loads_only_its_modules(tmp_path, argv, loads):
+    """A cold subcommand imports only the modules it runs: `classify` reads
+    compatible normals off `AnsatzSpec.tau_dual`, not `moment`."""
     golden = json.loads((GOLDEN_DIR / "case1_proper_fold.json").read_text())
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(golden["spec"]))
+    argv = [str(spec) if a == "SPEC" else a for a in argv] + ["--out", str(tmp_path / "o")]
     run = _run_python(
         "import sys\n"
         "from ambitoric.cli import main\n"
-        f"assert main([{argv[0]!r}, {str(spec)!r}, '--out', {str(tmp_path / 'o')!r}]"
-        f" + {argv[1:]!r}) <= 1\n"
+        f"assert main({argv!r}) <= 1\n"
         "print(' '.join(sorted(m for m in sys.modules if m.startswith('ambitoric'))))\n")
     assert run.returncode == 0, run.stderr
     expected = {"ambitoric", "ambitoric.cli", "ambitoric.quadratics", "ambitoric.ansatz"}
@@ -240,11 +243,11 @@ PUBLIC = (
     "AnsatzSpec BoxComponent CSCData Conic DistanceStatus FIELDS FramePoint "
     "Interval KerrParams LineInTstar METRIC_G0 METRIC_GMINUS METRIC_GPLUS "
     "MetricChoice Mobius MomentError MomentPoint OO Poly Polygon Quadratic "
-    "ValidationError Verdict classify compatible_quadratic completability_verdict "
+    "ValidationError Verdict classify completability_verdict "
     "conformal_factor conic_type convexity_check "
     "corner_status csc_construct curvature decompose_boundary delzant_check "
     "edge_status estimate_r eval_field fold_conic fold_status identify_t inner "
-    "kerr level_set_line metric_gp mobius_transport moment_map p_image_line rat "
+    "kerr level_set_line metric_gp mobius_transport moment_map rat "
     "scalar_closed_form standard_polygon transvectant2 validate").split()
 
 _IS_CLASSIFY = ("assert ambitoric.classify is sys.modules['ambitoric.classify'].classify"

@@ -28,7 +28,6 @@ from ambitoric import (
     level_set_line,
     mobius_transport,
     moment_map,
-    p_image_line,
     validate,
 )
 from ambitoric import moment
@@ -36,12 +35,13 @@ from ambitoric.moment import (
     TangencyCertificate,
     hamiltonian_residual,
     moment_differential,
-    moment_pairing,
 )
-from ambitoric.quadratics import coordinates, cross, null_quadratic
+from ambitoric.classify import classify
+from ambitoric.quadratics import _over_common, coordinates, cross
 from ambitoric.special import INTERIOR
 from ambitoric.tensors import FramePoint, eval_field
 
+import quadratics_reference
 from conftest import (
     I2,
     boxes_and_pole_transports,
@@ -204,21 +204,58 @@ def test_fold_conic_parabolic_cases(parabolic_spec):
     assert set(cm.points) == {(F(0), F(1, 2)), (F(0), F(-1, 2))}
 
 
+def _pairing(spec, sign, p, x, y):
+    """<identify_t(p, sign), mu^sign(x, y)>."""
+    v, mp = identify_t(spec, p, sign), moment_map(spec, sign, x, y)
+    return v[0] * mp.mu1 + v[1] * mp.mu2
+
+
 def test_moment_pairing_vanishes_on_p_zero(hyperbolic_spec):
     # p = z^2 - 4 vanishes on xy = 4
     p = Quadratic(1, 0, -4)
     for x in (F(5, 2), F(8, 3), F(17, 6)):
         y = 4 / x
-        val = moment_pairing(hyperbolic_spec, "+", p, x, y)
-        assert val == 0
+        val = _pairing(hyperbolic_spec, "+", p, x, y)
+        assert val == 0 and type(val) is F
 
 
-def test_p_image_line_normal_matches_identify_t(hyperbolic_spec):
-    p = Quadratic(1, 0, -4)
-    line = p_image_line(hyperbolic_spec, "+", p)
-    v = identify_t(hyperbolic_spec, p, "+")
-    # primitive normal is proportional to v
-    assert line.normal[0] * v[1] == line.normal[1] * v[0]
+def test_identify_t_pairs_mu_with_the_p_quotient(hyperbolic_spec, parabolic_spec):
+    """For p _|_ q, <identify_t(p), mu-> = -p(x,y)/(x-y), and
+    <identify_t(p), mu+> = lambda - p(x,y)/q(x,y) with lambda the constant
+    q-part of p, zero unless q is parabolic.  So identify_t(p) is the
+    normal of the image line of each level set of p/(x-y) and p/q."""
+    pts = ((F(5, 2), F(-1, 2)), (F(8, 3), F(-3, 4)), (F(17, 6), F(-1, 5)))
+    lambdas = set()
+    for spec in (hyperbolic_spec, parabolic_spec):
+        for r in ((1, 0, 0), (0, 0, 1), (1, 2, 3)):
+            p = cross(spec.q, Quadratic(*r))
+            if p.is_zero():
+                continue
+            for x, y in pts:
+                assert _pairing(spec, "-", p, x, y) == -p.polarize(x, y) / (x - y)
+            lam = {_pairing(spec, "+", p, x, y) + p.polarize(x, y) / spec.q.polarize(x, y)
+                   for x, y in pts}
+            assert len(lam) == 1
+            assert lam == {0} or spec is parabolic_spec
+            lambdas |= lam
+    assert lambdas != {0}      # the parabolic q-part is met
+
+
+def test_the_minus_frame_reads_the_spec_dual_frame():
+    """`classify` reads each compatible normal off `AnsatzSpec.tau_dual`,
+    and the '-' moment frame holds that same object afterwards, so a spec
+    builds its '-' dual frame once.  It is the dual frame of (tau1, tau2,
+    q), or of (tau1, tau2, transversal(q)) for the parabolic case2."""
+    goldens = {name: spec for name, spec in geometry_specs().items()
+               if not name.startswith("kerr")}
+    assert len(goldens) == 8
+    assert any(s.q.double_root() is not None for s in goldens.values())
+    for name, spec in goldens.items():
+        classify(spec)
+        dual = spec.tau_dual
+        assert moment._frame(spec, "-").dual is dual, name
+        t1, t2 = spec.tau_basis
+        assert coordinates(t1, dual) == (1, 0, 0) and coordinates(t2, dual) == (0, 1, 0)
 
 
 def test_level_set_line_tangency(hyperbolic_spec):
@@ -473,7 +510,7 @@ def test_tangency_from_the_adjugate_is_the_point_and_direction_formula(kind, dat
     """The certificate read off the frame's adjugate equals, as Fractions,
     the one from a point and the direction of the line, for every edge image
     of `level_set_line` and for drawn lines (n1 = 0 and n2 = 0 included,
-    scaled to primitive integers by `_line`) against both folds.  Both
+    scaled to primitive integers by `_line_ints`) against both folds.  Both
     entries are Fractions: an int would read as a float to `is_exact`."""
     spec = data.draw(_BOXES[kind])
     drawn = data.draw(st.lists(st.tuples(_LINE_PART, _LINE_PART, small)
@@ -484,7 +521,7 @@ def test_tangency_from_the_adjugate_is_the_point_and_direction_formula(kind, dat
         for line in lines:
             assert line.tangency == reference_tangency(line, frame.conic)
         for n1, n2, c in drawn:
-            lines.append(moment._line(n1, n2, c, frame))
+            lines.append(moment._line_ints(_over_common((n1, n2, -c))[0], frame))
             assert lines[-1].tangency == reference_tangency(lines[-1], frame.conic)
             # the same line: (n1, n2, c) and the scaled one are parallel
             got = (*lines[-1].normal, lines[-1].offset)
@@ -509,7 +546,7 @@ def test_tangency_identity_holds_for_every_symmetric_conic(entries, drawn):
     conic = Conic(matrix=tuple(tuple(F(v, 2) for v in row) for row in twice))
     frame = moment._Frame(None, conic, twice, moment._adjugate(twice))
     for n1, n2, off in drawn:
-        line = moment._line(n1, n2, off, frame)
+        line = moment._line_ints(_over_common((n1, n2, -off))[0], frame)
         assert line.tangency == reference_tangency(line, conic)
 
 
@@ -553,7 +590,7 @@ def test_identify_t_from_the_frame_is_a_fresh_cramer_solve(kind, data):
     frame = moment._frame(spec, "+")
     for iv in (spec.x_interval, spec.y_interval):
         for gamma in iv.endpoints_proj():
-            N = null_quadratic(gamma)
+            N = quadratics_reference.null_quadratic(gamma)
             assert coordinates(N, frame.dual) == cramer(N, sigma1, sigma2, spec.q)
 
 

@@ -20,16 +20,16 @@ from ambitoric.quadratics import (
     Poly,
     Quadratic,
     _divide,
+    _null_ints,
     _over_common,
     _polar_ints,
-    compatible_quadratic,
+    compatible_coordinates,
     conic_type,
     coordinates,
     cross,
     dual_frame,
     inner,
     is_exact,
-    null_quadratic,
     poly_transport,
     proj_eq,
     proj_ints,
@@ -203,17 +203,42 @@ def test_coordinates_in_q_perp_against_a_transversal(q, r1, r2, v):
     assert coordinates(p, dual_frame(t1, t2, transversal(q))) == (*v, 0)
 
 
+def _compatible(q, gamma):
+    """The compatible quadratic (W z - X)^2 x q of gamma = (X : W) in lowest
+    terms, summed
+    from the coordinates `compatible_coordinates` reads in the dual frame of
+    a q-perp basis (t1, t2), built as `AnsatzSpec.tau_dual` builds it; None
+    where it reports the zero product."""
+    ts = [cross(q, u) for u in (Quadratic(0, 0, 1), Quadratic(0, 1, 0), Quadratic(1, 0, 0))]
+    t1, t2 = next((a, b) for i, a in enumerate(ts) for b in ts[i + 1:]
+                  if not cross(a, b).is_zero())
+    dual = dual_frame(t1, t2, q) or dual_frame(t1, t2, transversal(q))
+    uk = compatible_coordinates(q, dual, *proj_ints(gamma))
+    if uk is None:
+        return None
+    u1, u2, k = uk
+    return _combo((F(u1, k), F(u2, k)), (t1, t2))
+
+
 @given(_nonzero_q(), rationals)
 @settings(max_examples=60, deadline=None)
 def test_compatible_quadratic_is_orthogonal_and_vanishes_at_gamma(q, g):
-    p = compatible_quadratic(q, g)
-    assert inner(p, q) == 0
-    assert p.polarize(g, g) == 0
-    assert p == cross(Quadratic(1, -g, g * g), q)
-    # at OO = (1 : 0), where p(OO) is the leading coefficient c0
-    p = compatible_quadratic(q, OO)
-    assert inner(p, q) == 0 and p.c0 == 0
-    assert p == cross(Quadratic(0, 0, 1), q)
+    r = q.double_root()
+    X, W = g.numerator, g.denominator
+    for gamma, null in ((g, Quadratic(W * W, -X * W, X * X)), (OO, Quadratic(0, 0, 1))):
+        want = cross(null, q)
+        p = _compatible(q, gamma)
+        # None exactly where gamma is the double root of q
+        assert (p is None) == want.is_zero() == (r is not None and proj_eq(r, gamma))
+        if p is None:
+            continue
+        assert inner(p, q) == 0
+        assert p == want
+        if gamma is OO:
+            # p(OO) is the leading coefficient c0
+            assert p.c0 == 0
+        else:
+            assert p.polarize(g, g) == 0
 
 
 def test_poly_root_multiplicity():
@@ -360,17 +385,23 @@ def _is_fraction_quadratic(q):
        st.lists(_wide, min_size=4, max_size=4), st.one_of(st.just(OO), _wide))
 @settings(max_examples=200, deadline=None)
 def test_quadratic_kernels_equal_their_fraction_references(a, b, c, p, xwyv, gamma):
-    """inner, cross, coordinates, null_quadratic and compatible_quadratic
-    on integer numerators equal the plain Fraction formulas exactly, and
-    every result is a Fraction: an int would read as a float to
-    `is_exact`.  The integer polarization `_polar_ints` at integer
-    representatives, over their denominators, is the Fraction one, and
-    proj_ints is the lowest-terms integer representative of proj_rep's
-    point."""
+    """inner, cross, coordinates, the null quadratic `_null_ints` and
+    `compatible_coordinates` on integer numerators equal the plain Fraction
+    formulas exactly, and every Fraction-valued result is a Fraction: an
+    int would read as a float to `is_exact`.  The integer polarization
+    `_polar_ints` at integer representatives, over their denominators, is
+    the Fraction one, and proj_ints is the lowest-terms integer
+    representative of proj_rep's point."""
     v = inner(a, b)
     assert v == quadratics_reference.inner(a, b) and type(v) is F
     ab = cross(a, b)
     assert ab == quadratics_reference.cross(a, b) and _is_fraction_quadratic(ab)
+    # at the integer representative (g0 : g1) of gamma the null and the
+    # compatible quadratic are g1^2 times the reference's
+    g0, g1 = proj_ints(gamma)
+    null = quadratics_reference.null_quadratic(gamma)
+    assert Quadratic(*_null_ints(g0, g1)) == null.scaled(g1 * g1 or 1)
+    pg = quadratics_reference.compatible_quadratic(p, gamma).scaled(g1 * g1 or 1)
     frame = dual_frame(a, b, c)
     want = quadratics_reference.coordinates(p, a, b, c)
     if want is None:
@@ -378,11 +409,13 @@ def test_quadratic_kernels_equal_their_fraction_references(a, b, c, p, xwyv, gam
     else:
         got = coordinates(p, frame)
         assert got == want and all(type(w) is F for w in got)
-    null = null_quadratic(gamma)
-    assert null == quadratics_reference.null_quadratic(gamma) and _is_fraction_quadratic(null)
-    pg = compatible_quadratic(p, gamma)
-    assert pg == quadratics_reference.compatible_quadratic(p, gamma)
-    assert _is_fraction_quadratic(pg)
+        uk = compatible_coordinates(p, frame, g0, g1)
+        if pg.is_zero():
+            assert uk is None
+        else:
+            u1, u2, k = uk
+            assert all(type(v) is int for v in uk) and k != 0
+            assert (F(u1, k), F(u2, k)) == quadratics_reference.coordinates(pg, a, b, c)[:2]
     (X, W), e = _over_common(xwyv[:2])
     (Y, V), f = _over_common(xwyv[2:])
     h = F(_polar_ints(p.numerators, X, W, Y, V), p.numerators[3] * e * f)

@@ -19,7 +19,7 @@ from ambitoric import (
     standard_polygon,
     validate,
 )
-from ambitoric.ansatz import METRIC_GMINUS, METRIC_GPLUS
+from ambitoric.ansatz import METRIC_GMINUS, METRIC_GPLUS, SingularEvaluation
 from ambitoric.moment import delzant_check
 from ambitoric.quadratics import inner, transvectant2
 from ambitoric.special import EXTERIOR, INTERIOR
@@ -127,8 +127,10 @@ def test_exact_scalar_curvature_equals_closed_form(name):
 
 
 def test_scalar_closed_form_pole_guard(hyperbolic_spec):
-    with pytest.raises(ZeroDivisionError):
-        scalar_closed_form(hyperbolic_spec, "-", 2.5, 2.5)
+    # on both folds, x = y and q(x, y) = x + y = 0, as every field evaluator
+    for x, y in ((2.5, 2.5), (2.5, -2.5)):
+        with pytest.raises(SingularEvaluation, match="pole on the folds"):
+            scalar_closed_form(hyperbolic_spec, "-", x, y)
 
 
 def test_scalar_closed_form_constant_coefficients():

@@ -393,6 +393,23 @@ def test_float_curvature_agrees_with_the_reference(name):
     assert checked
 
 
+def test_degenerate_fibre_raises_singular_evaluation(monkeypatch):
+    """With the fibre-sine guard off, a float point next to the - fold of
+    case1 rounds det h to 0; curvature raises SingularEvaluation there, as
+    every evaluator does on a singular locus, not a bare ZeroDivisionError.
+    So does the closed form on a degenerate h of Fractions."""
+    import ambitoric.tensors as T
+
+    monkeypatch.setattr(T, "MIN_FIBRE_SINE", 0.0)
+    spec = geometry_specs()["case1_proper_fold"]
+    for metric in (METRIC_G0, METRIC_GMINUS):
+        with pytest.raises(SingularEvaluation, match="fibre metric is degenerate"):
+            curvature(spec, metric, FramePoint(1.575, -1.5750000000000002))
+    one = (F(1), F(0), F(0), F(0), F(0), F(0))
+    with pytest.raises(SingularEvaluation, match="fibre metric is degenerate"):
+        T._block_curvature(one, one, (one, one, one))
+
+
 _UNIT = st.fractions(min_value=0, max_value=1, max_denominator=9).filter(lambda s: 0 < s < 1)
 
 
