@@ -1,7 +1,7 @@
 """Run perfbench on two checkouts in alternating pairs and write a BENCH file.
 
     python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --seed 43 --out BENCH_n.json \
-        [--trace kerr-geometry]
+        [--trace kerr-geometry] [--held-out cli-cold=5]
 
 Each directory is a whole checkout, for example one made with `git archive`.
 Every run is `python3 perfbench/run.py --workload W --seed S --seconds T
@@ -10,8 +10,12 @@ and its result is the last line it prints.  Each workload gets 10 pairs
 of runs; pair k runs the parent first when k is odd and the change first
 when k is even.  For each end-to-end metric of BENCHMARK.json the summary
 gives each side's median and quartiles and the number of pairs in which
-the change was better.  `--trace W` adds one traced run of W on each side.  The line
-counts of `src/` on both sides are recorded too.
+the change was better.  `--trace W` adds one traced run of W on each side, and
+`--held-out W=S` 10 more pairs of W at the seed S, summarised the same way.  The
+line counts of `src/` on both sides are recorded too, and under `cold_lines` the
+source lines that each cold subcommand of `COLD` compiles: the lines of the
+`ambitoric` modules in `sys.modules` after `cli.main` ran it in a fresh
+interpreter (`COLD_LINES`), on the spec of tests/golden/case1_proper_fold.json.
 
 Every BENCH file also gets `first_use`: 10 more pairs, alternating the same way,
 that time the exact layer on new spec instances, so that no per-spec cache stays
@@ -30,6 +34,7 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 RUN = ["python3", "perfbench/run.py"]
@@ -50,6 +55,33 @@ for _ in range(rounds):
         times.append(time.perf_counter() - t)
 print(json.dumps({"median_s": statistics.median(times), "ops": len(times)}))
 """
+#: the cold subcommands of `cold_lines`; SPEC is the golden case1 spec
+COLD = {"validate": ["validate", "SPEC"], "classify": ["classify", "SPEC"],
+        "check": ["check", "SPEC"], "moment": ["moment", "SPEC", "--sign", "+"],
+        "examples kerr-interior": ["examples", "kerr-interior"]}
+COLD_LINES = """
+import json, os, sys
+sys.path[:0] = ["src"]
+from ambitoric.cli import main
+assert main(sys.argv[1:]) <= 1
+mods = sorted(n for n in sys.modules if n.startswith("ambitoric"))
+lines = sum(len(open(sys.modules[n].__file__).read().splitlines()) for n in mods)
+print(json.dumps({"lines": lines, "modules": mods}))
+"""
+
+
+def cold_lines(root: Path, scratch: Path) -> dict:
+    """The source lines that each subcommand of `COLD` compiles in root."""
+    spec = scratch / "spec.json"
+    golden = json.loads((root / "tests/golden/case1_proper_fold.json").read_text())
+    spec.write_text(json.dumps(golden["spec"]))
+    out = {}
+    for name, argv in COLD.items():
+        argv = [str(spec) if a == "SPEC" else a for a in argv]
+        cmd = ["python3", "-c", COLD_LINES, *argv, "--out", str(scratch / "out")]
+        done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
+        out[name] = json.loads(done.stdout.strip().splitlines()[-1])
+    return out
 
 
 def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> list:
@@ -113,6 +145,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--trace", action="append", default=[])
+    ap.add_argument("--held-out", action="append", default=[], metavar="WORKLOAD=SEED")
     args = ap.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
@@ -126,12 +159,20 @@ def main(argv=None) -> int:
                         "number of pairs in which the change was better",
               "seed": args.seed,
               "src_lines": {s: src_lines(r) for s, r in roots.items()},
-              "workloads": {}, "traced": {}}
+              "workloads": {}, "traced": {}, "held_out": {}}
+    with tempfile.TemporaryDirectory() as scratch:
+        result["cold_lines"] = {s: cold_lines(r, Path(scratch)) for s, r in roots.items()}
+
+    def paired(w: str, seed: int) -> dict:
+        runs = in_pairs(roots, lambda root: json.loads(run(root, w, seed, seconds, 0)[-1]),
+                        f"{w} seed {seed}")
+        return {"seconds": seconds, "summary": summary(runs, metrics), "runs": runs}
+
     for w in (w["name"] for w in bench["workloads"]):
-        runs = in_pairs(roots, lambda root: json.loads(run(root, w, args.seed, seconds, 0)[-1]),
-                        w)
-        result["workloads"][w] = {"seconds": seconds, "summary": summary(runs, metrics),
-                                  "runs": runs}
+        result["workloads"][w] = paired(w, args.seed)
+    for spec in args.held_out:
+        w, seed = spec.split("=")
+        result["held_out"][w] = dict(seed=int(seed), **paired(w, int(seed)))
     for w in args.trace:
         result["traced"][w] = {}
         for side, root in roots.items():

@@ -20,10 +20,11 @@ from types import ModuleType
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "quadratics": "OO Mobius Poly Quadratic conic_type inner rat transvectant2",
+    "quadratics": "OO Poly Quadratic conic_type inner rat transvectant2",
     "ansatz": "FIELDS AnsatzSpec BoxComponent Interval MetricChoice METRIC_G0 "
               "METRIC_GPLUS METRIC_GMINUS ValidationError conformal_factor "
-              "metric_gp mobius_transport validate",
+              "metric_gp validate",
+    "gauge": "Mobius mobius_transport",
     "moment": "Conic LineInTstar MomentError MomentPoint Polygon convexity_check "
               "delzant_check fold_conic identify_t level_set_line moment_map",
     "boundary": "DistanceStatus corner_status "

@@ -19,8 +19,9 @@ canonical gauges the basis is the classical one,
     q = 2z     ->  {1, z^2}
     q = 1+z^2  ->  {2z, z^2 - 1}
 
-and it transforms covariantly (weight 1) under Mobius transport, which is
-what makes the tensor fields gauge invariant pointwise.
+and it transforms covariantly (weight 1) under Mobius transport
+(`gauge.mobius_transport`), which is what makes the tensor fields gauge
+invariant pointwise.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .quadratics import (
     OO,
-    Mobius,
     Poly,
     ProjPoint,
     Quadratic,
@@ -43,10 +43,8 @@ from .quadratics import (
     cross,
     dual_frame,
     inner,
-    poly_transport,
     rat,
     rational_sqrt,
-    transport_quadratic,
     transversal,
     PARABOLIC,
     HYPERBOLIC,
@@ -139,21 +137,6 @@ class Interval(Record):
 
     def samples(self, n: int) -> List[float]:
         return [self.param((i + 0.5) / n) for i in range(n)]
-
-    def transport(self, m: Mobius) -> "Interval":
-        """Image interval under a Mobius map whose pole is not inside; an
-        endpoint at the pole goes to the infinite end on its side.  The map
-        preserves the orientation of RP^1 iff det > 0, and the image runs
-        from m(lo) to m(hi) in that orientation."""
-        pole = m.pole()
-        if (pole is not OO and (self.lo is None or self.lo < pole)
-                and (self.hi is None or pole < self.hi)):
-            raise ValidationError(
-                f"interval ({self.lo}, {self.hi}) straddles the Mobius pole {pole}")
-        ends = [m.apply(e) for e in self.endpoints_proj()]
-        if m.det() < 0:
-            ends.reverse()
-        return Interval(*(None if e is OO else e for e in ends))
 
     def __repr__(self):
         lo = "-oo" if self.lo is None else str(self.lo)
@@ -911,32 +894,3 @@ def conformal_factor(spec: AnsatzSpec, x, y):
     if den == 0:
         raise SingularEvaluation("the conformal factor has a pole on the fold x = y")
     return num / den
-
-
-# ---------------------------------------------------------------------------
-# gauge transport
-# ---------------------------------------------------------------------------
-
-def mobius_transport(spec: AnsatzSpec, m: Mobius) -> AnsatzSpec:
-    """Transport the whole spec: x~ = m(x) applied to both coordinates,
-    A and B as weight-2 binary forms, q and the torus basis as weight-1
-    forms.  The lattice is unchanged: the torus coordinates do not move,
-    only their description by quadratics does."""
-    q2 = transport_quadratic(spec.q, m)
-    tau2 = tuple(transport_quadratic(t, m) for t in spec.tau_basis)
-    A2 = poly_transport(spec.A, m, weight=2)
-    B2 = poly_transport(spec.B, m, weight=2)
-    if spec.metric.tag == GP:
-        metric2 = metric_gp(transport_quadratic(spec.metric.p, m))
-    else:
-        metric2 = spec.metric
-    return AnsatzSpec(
-        q=q2,
-        A=A2,
-        B=B2,
-        x_interval=spec.x_interval.transport(m),
-        y_interval=spec.y_interval.transport(m),
-        lattice=spec.lattice,
-        metric=metric2,
-        tau_basis=tau2,
-    )

@@ -44,8 +44,6 @@ from .quadratics import (
     Record,
     _polar_ints,
     compatible_coordinates,
-    coordinate_jets,
-    polar_jet,
     proj_eq,
     proj_ints,
 )
@@ -234,6 +232,8 @@ def _transversal_point(spec: AnsatzSpec, fold: BoundaryComponent,
                        phi: float):
     """(x, y, (d_x phi, d_y phi)) at parameter phi along the transversal
     from the base; d phi has no dt part."""
+    from .tensors import coordinate_jets, polar_jet
+
     x0, y0 = fold.base_point           # a rational point
     s = float(fold.approach_sign or 1)
     if fold.kind == FOLD and fold.sign == "+":

@@ -15,6 +15,10 @@ differ by a reflection of the second basis direction, which is why a
 single global convention (the '+' one, fixed by identify_t(1) = (1, 0) in
 the hyperbolic gauge) is used for reporting while lattice-membership tests
 record both the vector and its negation.
+
+The differential d mu of a moment map, and the Hamiltonian residual of
+`check` built on it, live with the jets in `tensors`
+(`tensors.moment_differential`), so `check` does not load this module.
 """
 
 from __future__ import annotations
@@ -29,18 +33,14 @@ from .quadratics import (
     Quadratic,
     Record,
     _inner_ints,
-    _inv,
-    _mul,
     _null_ints,
     _over_common,
     _polar_ints,
     compatible_coordinates,
-    coordinate_jets,
     coordinates,
     dual_frame,
     inner,
     is_exact,
-    polar_jet,
     proj_ints,
     rat,
 )
@@ -438,32 +438,3 @@ def convexity_check(samples):
     if ratio[worst] > 2.5:
         return False, MomentPoint(*probes[worst])
     return True, None
-
-
-def moment_differential(spec: AnsatzSpec, sign: str, K: Sequence[Fraction],
-                        x: float, y: float) -> tuple:
-    """d mu_K at (x, y) in the frame (dx, dy, dt1, dt2): the first-order
-    part of the jet of mu_K = K . mu^sign = -N(x,y)/D(x,y), with the
-    numerator N and the denominator D of moment_map."""
-    b1, b2 = _basis(spec, sign)
-    N = b1.scaled(K[0]).plus(b2.scaled(K[1]))
-    X, Y = coordinate_jets(x, y)
-    exact = is_exact(X[0], Y[0])
-    D = (polar_jet(spec.q.coeffs() if exact else spec.q.floats, X, Y) if sign == "+"
-         else (X[0] - Y[0], 1, -1, 0, 0, 0))
-    mu = _mul(polar_jet(N.coeffs() if exact else N.floats, X, Y), _inv(D))
-    z = type(mu[0])(0)
-    return (-mu[1], -mu[2], z, z)
-
-
-def hamiltonian_residual(spec: AnsatzSpec, sign: str, K: Sequence[Fraction],
-                         x: float, y: float, omega) -> float:
-    """|d mu_K + K -| omega| / max(|d mu_K|, |K -| omega|) at (x, y), in the
-    max-norm, where omega is the 4x4 omega^sign at (x, y) and
-    (K -| omega)_b = K^a omega_ab.  Relative, because both terms grow
-    without bound towards the folds."""
-    k1, k2 = float(K[0]), float(K[1])
-    Kw = [k1 * u + k2 * v for u, v in zip(omega[2], omega[3])]
-    dmu = moment_differential(spec, sign, K, x, y)
-    return float(max(abs(u + v) for u, v in zip(dmu, Kw))
-                 / max(abs(u) for u in (*dmu, *Kw)))

@@ -1,4 +1,4 @@
-"""Exact algebra of quadratics, quartics and the Mobius gauge action.
+"""Exact algebra of quadratics and quartics.
 
 Conventions used throughout the package:
 
@@ -18,20 +18,17 @@ Conventions used throughout the package:
   so every exact linear solve on quadratics is a cross product divided by
   an inner product (`dual_frame` with `coordinates`,
   `ansatz.sigma_from_tau`);
-* Mobius maps act on points of the projective line (infinity is the
-  first-class value OO) and on polynomials as binary forms: quadratics
-  with weight 1, polynomials of degree <= 4 (A, B and the R of the CSC
-  family) as quartics, with weight 2.
+* infinity is the first-class point OO of the projective line.  The
+  Mobius maps that act on it, and on polynomials as binary forms, live in
+  `gauge`.
 
 Coefficients are exact `fractions.Fraction` values.  Every evaluator of
 the package follows one rule, `is_exact`: a point whose coordinates are
 all Fractions is evaluated exactly, any other (ints included) in floats,
-on float coefficients converted once per object.  Jets live here too:
-second jets in (x, y) of polarizations (`polar_jet`, `coordinate_jets`),
-and the 1-D jets of polynomials (`Poly.jet`) and quadratics in x alone or
-y alone that the metric of `tensors` is made of; the quadratic ones take
-the coefficients (`coeffs` or `floats`) that their caller chose by the
-rule.
+on float coefficients converted once per object.  `Poly.jet` gives the
+1-D jet (P, P', P'') of a polynomial; the jets in (x, y) and of the
+quadratics in x alone or y alone, which the metric is made of, live in
+`tensors`.
 
 The exact kernels compute on integers.  A Quadratic keeps its
 coefficients as integer numerators over a common denominator,
@@ -428,31 +425,6 @@ def _sign_changes(seq: Sequence[Sequence[int]], a: int, b: int) -> int:
     return sum(u != v for u, v in zip(signs, signs[1:]))
 
 
-def poly_transport(p: Poly, m: "Mobius", weight: int) -> Poly:
-    """Binary-form action: homogenize p to degree 2*weight, substitute the
-    inverse map and divide by det^weight.  For weight 2 this realizes
-    A~(x~) = A(x) * (dx~/dx)^2, for weight 1 it is q~(x~) = q(x) * dx~/dx."""
-    deg = 2 * weight
-    if p.degree > deg:
-        raise ValueError(f"degree {p.degree} exceeds homogenization degree {deg}")
-    det = m.det()
-    u = Poly([-m.b, m.d])     # d*z - b
-    v = Poly([m.a, -m.c])     # -c*z + a
-    out = Poly([0])
-    # powers of u and v
-    upow = [Poly([1])]
-    vpow = [Poly([1])]
-    for _ in range(deg):
-        upow.append(upow[-1] * u)
-        vpow.append(vpow[-1] * v)
-    for k, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        out = out + (upow[k] * vpow[deg - k]) * c
-    scale = Fraction(1) / det ** weight
-    return out * scale
-
-
 # ---------------------------------------------------------------------------
 # quadratics
 # ---------------------------------------------------------------------------
@@ -630,79 +602,6 @@ def compatible_coordinates(q: Quadratic, dual, a: int,
     return _inner_ints(c, ns[0]) * den, _inner_ints(c, ns[1]) * den, 2 * Q[3] * e * num
 
 
-# ---------------------------------------------------------------------------
-# jets in (x, y): the value alone, or the second jet (value, d/dx, d/dy,
-# d2/dx2, d2/dxdy, d2/dy2); and 1-D jets (value, d, d2) of functions of x
-# alone or of y alone, which the metric of `tensors` is made of
-# ---------------------------------------------------------------------------
-
-def _mul(a, b):
-    """Product of two jets of the same length."""
-    if len(a) == 1:
-        return (a[0] * b[0],)
-    a0, ax, ay, axx, axy, ayy = a
-    b0, bx, by, bxx, bxy, byy = b
-    return (a0 * b0, a0 * bx + ax * b0, a0 * by + ay * b0,
-            a0 * bxx + 2 * ax * bx + axx * b0,
-            a0 * bxy + ax * by + ay * bx + axy * b0,
-            a0 * byy + 2 * ay * by + ayy * b0)
-
-
-def _inv(a):
-    """Reciprocal of a jet with nonzero value."""
-    r = 1 / a[0]
-    if len(a) == 1:
-        return (r,)
-    a0, ax, ay, axx, axy, ayy = a
-    r2 = r * r
-    return (r, -ax * r2, -ay * r2, (2 * ax * ax * r - axx) * r2,
-            (2 * ax * ay * r - axy) * r2, (2 * ay * ay * r - ayy) * r2)
-
-
-def _diag_jet(cs: Sequence, z, n: int):
-    """1-D jet of p(z) = p(z, z), p with coefficients cs, in the order of
-    operations of `polar_jet`; its value alone when n = 1."""
-    c0, c1, c2 = cs
-    v = c0 * (z * z) + c1 * (z + z) + c2
-    return (v,) if n == 1 else (v, c0 * (z + z) + 2 * c1, 2 * c0)
-
-
-def _mul1(u, v):
-    """Product of two 1-D jets in the same variable."""
-    if len(u) == 1:
-        return (u[0] * v[0],)
-    u0, u1, u2 = u
-    v0, v1, v2 = v
-    return (u0 * v0, u0 * v1 + u1 * v0, u0 * v2 + 2 * u1 * v1 + u2 * v0)
-
-
-def _separable(A, T, B, S):
-    """Jet of A(x) T(y) + B(y) S(x) from the 1-D jets of its four factors."""
-    if len(A) == 1:
-        return (A[0] * T[0] + B[0] * S[0],)
-    (a, ax, axx), (t, ty, tyy), (b, by, byy), (s, sx, sxx) = A, T, B, S
-    return (a * t + b * s, ax * t + b * sx, a * ty + by * s,
-            axx * t + b * sxx, ax * ty + by * sx, a * tyy + byy * s)
-
-
-def _lift(u, axis: int):
-    """The 1-D jet u of a function of x (axis 0) or of y (axis 1) as a jet
-    in (x, y)."""
-    if len(u) == 1:
-        return u
-    u0, u1, u2 = u
-    return (u0, u1, 0, u2, 0, 0) if axis == 0 else (u0, 0, u1, 0, 0, u2)
-
-
-def polar_jet(cs: Sequence, X, Y):
-    """Jet of the polarization c0 x y + c1 (x + y) + c2, cs = (c0, c1, c2),
-    as long as the coordinate jets X, Y of x and y (`coordinate_jets`)."""
-    x, y = X[0], Y[0]
-    c0, c1, c2 = cs
-    v = c0 * (x * y) + c1 * (x + y) + c2
-    return (v,) if len(X) == 1 else (v, c0 * y + c1, c0 * x + c1, 0, c0, 0)
-
-
 def is_exact(*coords) -> bool:
     """The number-domain rule: a point is exact iff every coordinate is a
     Fraction; an int counts as float.  type() first: isinstance against
@@ -711,14 +610,6 @@ def is_exact(*coords) -> bool:
         if type(v) is float or not isinstance(v, Fraction):
             return False
     return True
-
-
-def coordinate_jets(x, y):
-    """The second jets of x and y: Fractions at an exact point (`is_exact`),
-    floats otherwise.  X[:1] is the jet of the value alone."""
-    if not is_exact(x, y):
-        x, y = float(x), float(y)
-    return (x, 1, 0, 0, 0, 0), (y, 0, 1, 0, 0, 0)
 
 
 PARABOLIC = "Parabolic"
@@ -759,59 +650,4 @@ def transvectant2(p: Quadratic, R: Poly) -> Quadratic:
     cs = list(total.coeffs) + [Fraction(0)] * (5 - len(total.coeffs))
     if any(c != 0 for c in cs[3:]):
         raise AssertionError("transvectant degree cancellation failed")
-    return Quadratic(cs[2], cs[1] / 2, cs[0])
-
-
-# ---------------------------------------------------------------------------
-# Mobius maps
-# ---------------------------------------------------------------------------
-
-class Mobius(Record):
-    """z -> (a*z + b) / (c*z + d) with exact rational entries, det != 0,
-    stored as given."""
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-
-    def __init__(self, a, b, c, d):
-        a, b, c, d = rat(a), rat(b), rat(c), rat(d)
-        if a * d - b * c == 0:
-            raise ValueError("degenerate Mobius map")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    def det(self) -> Fraction:
-        return self.a * self.d - self.b * self.c
-
-    def inverse(self) -> "Mobius":
-        return Mobius(self.d, -self.b, -self.c, self.a)
-
-    def pole(self) -> ProjPoint:
-        """The point mapped to infinity."""
-        if self.c == 0:
-            return OO
-        return -self.d / self.c
-
-    def apply(self, p: ProjPoint) -> ProjPoint:
-        """(a p + b)/(c p + d) in the domain `is_exact` picks.  An exact
-        pole goes to OO; a float one raises ZeroDivisionError."""
-        if p is OO:
-            return OO if self.c == 0 else self.a / self.c
-        if not is_exact(p):
-            a, b, c, d = (float(v) for v in (self.a, self.b, self.c, self.d))
-            return (a * p + b) / (c * p + d)
-        den = self.c * p + self.d
-        if den == 0:
-            return OO
-        return (self.a * p + self.b) / den
-
-
-def transport_quadratic(q: Quadratic, m: Mobius) -> Quadratic:
-    """Weight-1 binary action: q~(x~) = q(x) * dx~/dx."""
-    out = poly_transport(q.as_poly(), m, weight=1)
-    cs = list(out.coeffs) + [Fraction(0)] * (3 - len(out.coeffs))
     return Quadratic(cs[2], cs[1] / 2, cs[0])

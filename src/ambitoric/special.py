@@ -22,10 +22,8 @@ from .quadratics import (
     Poly,
     Quadratic,
     Record,
-    coordinate_jets,
     inner,
     is_exact,
-    polar_jet,
     rat,
     rational_sqrt,
     transvectant2,
@@ -92,8 +90,12 @@ def kerr(params: KerrParams, region: str = EXTERIOR) -> AnsatzSpec:
     """Hyperbolic Kerr spec with metric gp, p = 1, on the standard lattice.
 
     Exterior: x in (x+, oo).  Interior: x in (-alpha, x-), the region left
-    of the inner horizon bounded by the B roots, a modeling default."""
+    of the inner horizon bounded by the B roots, a modeling default.  Both
+    need alpha != 0, since y runs over (-|alpha|, |alpha|)."""
     M, a = params.M, params.alpha
+    if a == 0:
+        raise ValidationError("Kerr needs a non-zero alpha: the y box "
+                              "(-|alpha|, |alpha|) is empty at alpha = 0")
     A = Poly([-a * a, -2 * M, Fraction(1)])
     B = Poly([a * a, 0, -1])
     xm, xp, _exact = params.horizon_roots()
@@ -216,6 +218,8 @@ def scalar_closed_form(spec: AnsatzSpec, sign: str, x: float, y: float) -> float
 
     For '-' the weight function is (x - y)^2 as a function of x (resp. y);
     for '+' it is q(x, y)^2.  Both are divided by (x - y) q(x, y)."""
+    from .tensors import coordinate_jets, polar_jet
+
     X, Y = coordinate_jets(x, y)
     x, y = X[0], Y[0]
     exact = is_exact(x, y)

@@ -21,9 +21,12 @@ The formula is separable: A and tau_i(x) depend on x alone, B and tau_i(y)
 on y alone, so each of these is a 1-D jet (value, d, d2), and the fibre
 numerators A tau_i(y) tau_j(y) + B tau_i(x) tau_j(x) are formed from them
 directly.  Only (x - y) q(x, y), the scale of the metric choice and their
-products with these are full second jets.  The jet helpers live in
-`quadratics`; `_block_jets` hands them the coefficients that the rule
-`quadratics.is_exact` picks.  On Fraction points the curvature is exact.
+products with these are full second jets.  The jet helpers live here
+(`polar_jet`, `coordinate_jets` and the products of 1-D jets); `_block_jets`
+hands them the coefficients that the rule `quadratics.is_exact` picks.  On
+Fraction points the curvature is exact.  The same jets give d mu of the
+moment maps (`moment_differential`), so `check`, which pairs d mu with
+omega (`hamiltonian_residual`), does not load `moment`.
 
 Curvature in closed form.  Every metric here is a dx^2 + b dy^2 + H, with
 H = h_ij dt_i dt_j, and all of a, b, H depend on (x, y) alone.  With
@@ -101,8 +104,9 @@ is minus the minor J[0,2] J[1,3] - J[0,3] J[1,2].
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import cache, cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .ansatz import (
     G0,
@@ -113,18 +117,7 @@ from .ansatz import (
     MetricChoice,
     SingularEvaluation,
 )
-from .quadratics import (
-    Record,
-    _diag_jet,
-    _inv,
-    _lift,
-    _mul,
-    _mul1,
-    _separable,
-    coordinate_jets,
-    is_exact,
-    polar_jet,
-)
+from .quadratics import Record, is_exact
 
 if TYPE_CHECKING:
     import numpy as np
@@ -135,6 +128,87 @@ class FramePoint(Record):
 
     x: float          # or Fraction, for exact curvature
     y: float
+
+
+# ---------------------------------------------------------------------------
+# jets in (x, y): the value alone, or the second jet (value, d/dx, d/dy,
+# d2/dx2, d2/dxdy, d2/dy2); and 1-D jets (value, d, d2) of functions of x
+# alone or of y alone, which the metric is made of
+# ---------------------------------------------------------------------------
+
+def _mul(a, b):
+    """Product of two jets of the same length."""
+    if len(a) == 1:
+        return (a[0] * b[0],)
+    a0, ax, ay, axx, axy, ayy = a
+    b0, bx, by, bxx, bxy, byy = b
+    return (a0 * b0, a0 * bx + ax * b0, a0 * by + ay * b0,
+            a0 * bxx + 2 * ax * bx + axx * b0,
+            a0 * bxy + ax * by + ay * bx + axy * b0,
+            a0 * byy + 2 * ay * by + ayy * b0)
+
+
+def _inv(a):
+    """Reciprocal of a jet with nonzero value."""
+    r = 1 / a[0]
+    if len(a) == 1:
+        return (r,)
+    a0, ax, ay, axx, axy, ayy = a
+    r2 = r * r
+    return (r, -ax * r2, -ay * r2, (2 * ax * ax * r - axx) * r2,
+            (2 * ax * ay * r - axy) * r2, (2 * ay * ay * r - ayy) * r2)
+
+
+def _diag_jet(cs: Sequence, z, n: int):
+    """1-D jet of p(z) = p(z, z), p with coefficients cs, in the order of
+    operations of `polar_jet`; its value alone when n = 1."""
+    c0, c1, c2 = cs
+    v = c0 * (z * z) + c1 * (z + z) + c2
+    return (v,) if n == 1 else (v, c0 * (z + z) + 2 * c1, 2 * c0)
+
+
+def _mul1(u, v):
+    """Product of two 1-D jets in the same variable."""
+    if len(u) == 1:
+        return (u[0] * v[0],)
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return (u0 * v0, u0 * v1 + u1 * v0, u0 * v2 + 2 * u1 * v1 + u2 * v0)
+
+
+def _separable(A, T, B, S):
+    """Jet of A(x) T(y) + B(y) S(x) from the 1-D jets of its four factors."""
+    if len(A) == 1:
+        return (A[0] * T[0] + B[0] * S[0],)
+    (a, ax, axx), (t, ty, tyy), (b, by, byy), (s, sx, sxx) = A, T, B, S
+    return (a * t + b * s, ax * t + b * sx, a * ty + by * s,
+            axx * t + b * sxx, ax * ty + by * sx, a * tyy + byy * s)
+
+
+def _lift(u, axis: int):
+    """The 1-D jet u of a function of x (axis 0) or of y (axis 1) as a jet
+    in (x, y)."""
+    if len(u) == 1:
+        return u
+    u0, u1, u2 = u
+    return (u0, u1, 0, u2, 0, 0) if axis == 0 else (u0, 0, u1, 0, 0, u2)
+
+
+def polar_jet(cs: Sequence, X, Y):
+    """Jet of the polarization c0 x y + c1 (x + y) + c2, cs = (c0, c1, c2),
+    as long as the coordinate jets X, Y of x and y (`coordinate_jets`)."""
+    x, y = X[0], Y[0]
+    c0, c1, c2 = cs
+    v = c0 * (x * y) + c1 * (x + y) + c2
+    return (v,) if len(X) == 1 else (v, c0 * y + c1, c0 * x + c1, 0, c0, 0)
+
+
+def coordinate_jets(x, y):
+    """The second jets of x and y: Fractions at an exact point (`is_exact`),
+    floats otherwise.  X[:1] is the jet of the value alone."""
+    if not is_exact(x, y):
+        x, y = float(x), float(y)
+    return (x, 1, 0, 0, 0, 0), (y, 0, 1, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -391,3 +465,36 @@ def curvature(spec: AnsatzSpec, metric: MetricChoice, pt: FramePoint) -> Curvatu
             raise SingularEvaluation("float curvature is ill-conditioned this close "
                                      "to a fold or to a root of A or B")
     return CurvaturePack(*_block_curvature(a, b, h))
+
+
+# ---------------------------------------------------------------------------
+# the differential of a moment map
+# ---------------------------------------------------------------------------
+
+def moment_differential(spec: AnsatzSpec, sign: str, K: Sequence[Fraction],
+                        x: float, y: float) -> tuple:
+    """d mu_K at (x, y) in the frame (dx, dy, dt1, dt2): the first-order
+    part of the jet of mu_K = K . mu^sign = -N(x,y)/D(x,y), with the
+    numerator N and the denominator D of `moment.moment_map`."""
+    b1, b2 = spec.sigma_basis if sign == "+" else spec.tau_basis
+    N = b1.scaled(K[0]).plus(b2.scaled(K[1]))
+    X, Y = coordinate_jets(x, y)
+    exact = is_exact(X[0], Y[0])
+    D = (polar_jet(spec.q.coeffs() if exact else spec.q.floats, X, Y) if sign == "+"
+         else (X[0] - Y[0], 1, -1, 0, 0, 0))
+    mu = _mul(polar_jet(N.coeffs() if exact else N.floats, X, Y), _inv(D))
+    z = type(mu[0])(0)
+    return (-mu[1], -mu[2], z, z)
+
+
+def hamiltonian_residual(spec: AnsatzSpec, sign: str, K: Sequence[Fraction],
+                         x: float, y: float, omega) -> float:
+    """|d mu_K + K -| omega| / max(|d mu_K|, |K -| omega|) at (x, y), in the
+    max-norm, where omega is the 4x4 omega^sign at (x, y) and
+    (K -| omega)_b = K^a omega_ab.  Relative, because both terms grow
+    without bound towards the folds."""
+    k1, k2 = float(K[0]), float(K[1])
+    Kw = [k1 * u + k2 * v for u, v in zip(omega[2], omega[3])]
+    dmu = moment_differential(spec, sign, K, x, y)
+    return float(max(abs(u + v) for u, v in zip(dmu, Kw))
+                 / max(abs(u) for u in (*dmu, *Kw)))

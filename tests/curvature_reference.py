@@ -20,8 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ambitoric.ansatz import G0, GMINUS, GPLUS
-from ambitoric.quadratics import _inv, _mul, coordinate_jets
-from ambitoric.tensors import SingularEvaluation
+from ambitoric.tensors import SingularEvaluation, _inv, _mul, coordinate_jets
 
 
 class ReferenceCurvature(NamedTuple):

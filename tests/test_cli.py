@@ -8,7 +8,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from ambitoric.cli import main, relative_residual
+from ambitoric.cli import main
+from ambitoric.invariants import relative_residual
 
 from conftest import make_spec
 from ambitoric import OO, AnsatzSpec, FramePoint, MomentError, Quadratic, eval_field, validate
@@ -177,13 +178,18 @@ def test_check_relative_bound_still_fails_a_wrong_pairing(sliver_spec):
     assert relative_residual(Jp @ wm - wm @ Jp, (Jp, wm)) > 1e-6
 
 
-def _run_python(code: str) -> subprocess.CompletedProcess:
-    """Run code in a fresh interpreter with src/ on the path."""
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with src/ on the path."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter with src/ on the path."""
+    return _python("-c", code)
 
 
 def test_decision_path_never_imports_sympy(tmp_path):
@@ -216,14 +222,20 @@ def test_decision_path_never_imports_sympy(tmp_path):
 
 @pytest.mark.parametrize("argv, loads", [
     (["validate", "SPEC"], ()),
-    (["moment", "SPEC", "--sign", "+"], ("moment",)),
-    (["check", "SPEC"], ("moment", "tensors")),
+    (["moment", "SPEC", "--sign", "+"], ("figures", "moment")),
+    (["check", "SPEC"], ("invariants", "tensors")),
     (["classify", "SPEC"], ("boundary", "classify")),
-    (["examples", "kerr-interior"], ("special",)),
-], ids=["validate", "moment", "check", "classify", "examples-kerr-interior"])
+    (["examples", "kerr-interior"], ("commands", "special")),
+    (["examples", "cp2", "--format", "svg"], ("commands", "figures", "moment", "special")),
+    (["gauge", "SPEC", "--mobius", "1,1,0,1"], ("commands", "gauge")),
+], ids=["validate", "moment", "check", "classify", "examples-kerr-interior",
+        "examples-cp2-svg", "gauge"])
 def test_each_subcommand_loads_only_its_modules(tmp_path, argv, loads):
     """A cold subcommand imports only the modules it runs: `classify` reads
-    compatible normals off `AnsatzSpec.tau_dual`, not `moment`."""
+    compatible normals off `AnsatzSpec.tau_dual`, not `moment`; `check`
+    pairs d mu from `tensors` with omega, not from `moment`; the figure code
+    (`figures`), the invariant suite (`invariants`) and the Mobius gauge
+    (`gauge`) load only on their own subcommands."""
     golden = json.loads((GOLDEN_DIR / "case1_proper_fold.json").read_text())
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(golden["spec"]))
@@ -236,6 +248,50 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, argv, loads):
     assert run.returncode == 0, run.stderr
     expected = {"ambitoric", "ambitoric.cli", "ambitoric.quadratics", "ambitoric.ansatz"}
     assert set(run.stdout.split()) == expected | {f"ambitoric.{m}" for m in loads}
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (["validate", "SPEC"], 1802),
+    (["classify", "SPEC"], 2279),
+    (["check", "SPEC"], 2416),
+    (["moment", "SPEC", "--sign", "+"], 2423),
+    (["examples", "kerr-interior"], 2224),
+], ids=["validate", "classify", "check", "moment", "examples-kerr-interior"])
+def test_each_cold_subcommand_compiles_at_most_its_lines(tmp_path, argv, bound):
+    """With no bytecode cache a cold subcommand compiles every source line of
+    the `ambitoric` modules it loads.  Each bound is the count at the time it
+    was set (2364, 2841, 3226, 2833 and 2647 lines before `cli` kept only
+    the parser and the dispatch): code that grows onto a cold path fails
+    here, and a change that shrinks one lowers its bound."""
+    golden = json.loads((GOLDEN_DIR / "case1_proper_fold.json").read_text())
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(golden["spec"]))
+    argv = [str(spec) if a == "SPEC" else a for a in argv] + ["--out", str(tmp_path / "o")]
+    run = _run_python(
+        "import sys\n"
+        "from ambitoric.cli import main\n"
+        f"assert main({argv!r}) <= 1\n"
+        "files = [m.__file__ for n, m in sys.modules.items() if n.startswith('ambitoric')]\n"
+        "print(sum(len(open(f).read().splitlines()) for f in files))\n")
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) <= bound
+
+
+@pytest.mark.parametrize("argv", [["moment", "SPEC", "--sign", "+"], ["check", "SPEC"],
+                                  ["examples", "kerr-interior"]],
+                         ids=["moment", "check", "examples"])
+def test_python_m_compiles_cli_once(tmp_path, argv):
+    """Under `python -m ambitoric.cli` the handler modules, which import
+    `ambitoric.cli`, get the running module, not a second copy: no import of
+    `ambitoric.cli` shows in `-X importtime`."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(CASE5))
+    argv = [str(spec) if a == "SPEC" else a for a in argv] + ["--out", str(tmp_path / "o")]
+    run = _python("-X", "importtime", "-m", "ambitoric.cli", *argv)
+    assert run.returncode == 0, run.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "ambitoric.quadratics" in imported and "ambitoric.cli" not in imported
 
 
 #: the public names of the package

@@ -31,15 +31,11 @@ from ambitoric import (
     validate,
 )
 from ambitoric import moment
-from ambitoric.moment import (
-    TangencyCertificate,
-    hamiltonian_residual,
-    moment_differential,
-)
+from ambitoric.moment import TangencyCertificate
 from ambitoric.classify import classify
 from ambitoric.quadratics import _over_common, coordinates, cross
 from ambitoric.special import INTERIOR
-from ambitoric.tensors import FramePoint, eval_field
+from ambitoric.tensors import FramePoint, eval_field, hamiltonian_residual, moment_differential
 
 import quadratics_reference
 from conftest import (

@@ -13,10 +13,10 @@ from ambitoric.ansatz import (
     _positivity_check,
     sigma_from_tau,
 )
-from ambitoric.moment import fold_conic, moment_differential, moment_map
+from ambitoric.gauge import Mobius, poly_transport, transport_quadratic
+from ambitoric.moment import fold_conic, moment_map
 from ambitoric.quadratics import (
     OO,
-    Mobius,
     Poly,
     Quadratic,
     _divide,
@@ -30,16 +30,20 @@ from ambitoric.quadratics import (
     dual_frame,
     inner,
     is_exact,
-    poly_transport,
     proj_eq,
     proj_ints,
     rat,
-    transport_quadratic,
     transvectant2,
     transversal,
 )
 from ambitoric.special import KerrParams, kerr, scalar_closed_form
-from ambitoric.tensors import FramePoint, curvature, eval_field, metric_components
+from ambitoric.tensors import (
+    FramePoint,
+    curvature,
+    eval_field,
+    metric_components,
+    moment_differential,
+)
 
 import quadratics_reference
 from moment_reference import evaluate

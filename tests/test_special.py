@@ -59,6 +59,16 @@ def test_kerr_interior_has_fold_components():
         {(-1, -1), (-1, 1), (1, -1)}
 
 
+@pytest.mark.parametrize("region", [EXTERIOR, INTERIOR])
+def test_kerr_rejects_alpha_zero(region):
+    # alpha = 0 leaves the y box (-|alpha|, |alpha|) empty; kerr used to fail
+    # with "empty interval (0, 0)" or "interior box empty for these
+    # parameters", naming neither alpha nor the y box
+    params = KerrParams(1, 0)           # a valid record all the same
+    with pytest.raises(ValidationError, match="non-zero alpha"):
+        kerr(params, region)
+
+
 def test_csc_orthogonality_enforced():
     with pytest.raises(ValidationError):
         csc_construct(CSCData(q=Quadratic(0, 1, 0), p=Quadratic(0, 1, 0),
