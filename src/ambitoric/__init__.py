@@ -25,7 +25,7 @@ _EXPORTS = {
               "METRIC_GPLUS METRIC_GMINUS ValidationError conformal_factor "
               "metric_gp validate",
     "gauge": "Mobius mobius_transport",
-    "moment": "Conic LineInTstar MomentError MomentPoint Polygon convexity_check "
+    "moment": "Conic LineInTstar MomentError MomentPoint convexity_check "
               "delzant_check fold_conic identify_t level_set_line moment_map",
     "boundary": "DistanceStatus corner_status "
                 "decompose_boundary edge_status estimate_r fold_status",

@@ -3,8 +3,8 @@
 
 `cli` looks each handler up here by name when its subcommand runs, so
 `validate`, `classify`, `check` and `moment` never load this module.  A
-handler imports what it runs inside its body: `examples kerr-interior`
-loads `special` and not `tensors`, `gauge` or `moment`.
+handler imports what it runs inside its body: `examples` loads `special`
+and not `tensors`, `gauge` or `moment`, and `figures` only for `--format svg`.
 """
 
 from __future__ import annotations
@@ -26,6 +26,18 @@ from .ansatz import (
     json_list,
 )
 from .cli import EXIT_OK, _dump_json, _load_spec
+
+
+def _numbers(flag: str, text: str, count: int = 1) -> list:
+    """The `count` comma-separated rational numbers of a flag; a malformed
+    one, "1/0" included, or a wrong count is an input error naming the flag."""
+    values = text.split(",")
+    try:
+        if len(values) == count:
+            return [rat(v) for v in values]
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"{flag} needs {count} rational number{'s' * (count > 1)}, got {text!r}")
 
 
 def run_eval(args) -> int:
@@ -54,7 +66,7 @@ def run_eval(args) -> int:
 def run_kerr(args) -> int:
     from .special import EXTERIOR, INTERIOR, KerrParams, kerr
 
-    params = KerrParams(rat(args.mass), rat(args.alpha))
+    params = KerrParams(*_numbers("--mass", args.mass), *_numbers("--alpha", args.alpha))
     region = EXTERIOR if args.region == "exterior" else INTERIOR
     spec = kerr(params, region)
     _dump_json(spec.to_dict(), args.out)
@@ -71,18 +83,16 @@ def run_examples(args) -> int:
         _dump_json(spec.to_dict(), args.out)
         return EXIT_OK
     if name == "cp2" or name.startswith("hirzebruch:"):
-        poly, lattice = standard_polygon(name)
+        vertices, normals, lattice = standard_polygon(name)
         if args.format == "svg":
             from .figures import _conic_polylines, _svg_document, _Viewport
-            from .moment import Conic
 
-            vp = _Viewport(list(poly.vertices))
-            ring = list(poly.vertices) + [poly.vertices[0]]
+            vp = _Viewport(list(vertices))
+            ring = list(vertices) + [vertices[0]]
             body = [vp.polyline(ring, "#204a87", 2.0)]
             conic_box = ((vp.x0, vp.x1), (vp.y0, vp.y1))
             # 4 mu1 mu2 + 1 = 0, the conic the standard polygons are tangent to
-            hyperbola = Conic(matrix=((0, 2, 0), (2, 0, 0), (0, 0, 1)))
-            for br in _conic_polylines(hyperbola, conic_box):
+            for br in _conic_polylines(((0, 2, 0), (2, 0, 0), (0, 0, 1)), conic_box):
                 body.append(vp.polyline(br, "#cc0000"))
             text = _svg_document(vp.size, vp.size, body)
             if args.out:
@@ -91,12 +101,9 @@ def run_examples(args) -> int:
             else:
                 sys.stdout.write(text)
             return EXIT_OK
-        out = {
-            "vertices": [[f"{v[0]:.12g}", f"{v[1]:.12g}"] for v in poly.vertices],
-            "normals": [[str(n[0]), str(n[1])] for n in poly.normals],
-            "lattice": [[str(v) for v in row] for row in lattice],
-        }
-        _dump_json(out, args.out)
+        _dump_json({"vertices": [[f"{v[0]:.12g}", f"{v[1]:.12g}"] for v in vertices],
+                    "normals": [[str(n[0]), str(n[1])] for n in normals],
+                    "lattice": [[str(v) for v in row] for row in lattice]}, args.out)
         return EXIT_OK
     raise ValidationError(f"unknown example {name!r}")
 
@@ -105,8 +112,7 @@ def run_gauge(args) -> int:
     from .gauge import Mobius, mobius_transport
 
     spec = _load_spec(args.spec)
-    a, b, c, d = (rat(v) for v in args.mobius.split(","))
-    spec2 = mobius_transport(spec, Mobius(a, b, c, d))
+    spec2 = mobius_transport(spec, Mobius(*_numbers("--mobius", args.mobius, 4)))
     _dump_json(spec2.to_dict(), args.out)
     return EXIT_OK
 

@@ -64,7 +64,7 @@ def run_moment(args) -> int:
         if conic.matrix is None:
             points = [(float(a), float(b)) for a, b in conic.points]
             body.append(vp.dots(points, "#cc0000", 3.0))
-        for br in _conic_polylines(conic, box):
+        for br in _conic_polylines(conic.matrix, box):
             body.append(vp.polyline(br, "#cc0000"))
         for line in lines:
             if line.degenerate_point is not None:
@@ -137,12 +137,12 @@ class _Viewport:
         return "\n".join(parts)
 
 
-def _conic_polylines(conic, box) -> List[List[Tuple[float, float]]]:
-    """Trace the conic {v^T Q v = 0} inside the bounding box by sampling
-    mu1 and solving the per-column quadratic in mu2."""
-    if conic.matrix is None:
+def _conic_polylines(matrix, box) -> List[List[Tuple[float, float]]]:
+    """Trace the conic {v^T Q v = 0}, Q = matrix, inside the bounding box by
+    sampling mu1 and solving the per-column quadratic in mu2."""
+    if matrix is None:
         return []
-    Q = [[float(c) for c in row] for row in conic.matrix]
+    Q = [[float(c) for c in row] for row in matrix]
     (x0, x1), (y0, y1) = box
     branches: List[List[Tuple[float, float]]] = [[], []]
     n = 400

@@ -1,4 +1,5 @@
-"""Moment maps, fold conics, tangent lines and lattice identifications.
+"""Moment maps, fold conics, tangent lines, lattice identifications, and
+the corner determinants of a moment polygon (`delzant_check`).
 
 The moment coordinates are Hamiltonians of the torus generators
 (d/dt1, d/dt2).  With tau_i the torus basis quadratics of the spec and
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, hypot
+from math import gcd
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .quadratics import (
@@ -322,62 +323,22 @@ def level_set_line(spec: AnsatzSpec, sign: str, axis: str,
 
 
 # ---------------------------------------------------------------------------
-# polygons, Delzant condition, convexity
+# corner determinants, convexity
 # ---------------------------------------------------------------------------
 
-class Polygon(Record):
-    """Convex polygon in t*: ordered vertices with per-edge inward normals;
-    edge i joins vertex i to vertex i+1."""
-
-    vertices: Tuple[Tuple[float, float], ...]
-    normals: Tuple[Tuple[Fraction, Fraction], ...]
-
-    def __post_init__(self):
-        n = len(self.vertices)
-        if n != len(self.normals) or n < 3:
-            raise ValueError("need matching vertex and normal counts, >= 3")
-
-    def edge_check(self) -> bool:
-        """Normals are orthogonal to their edges (to 1e-9) and point inward."""
-        n = len(self.vertices)
-        cx = sum(v[0] for v in self.vertices) / n
-        cy = sum(v[1] for v in self.vertices) / n
-        for i in range(n):
-            ax, ay = self.vertices[i]
-            bx, by = self.vertices[(i + 1) % n]
-            nx, ny = float(self.normals[i][0]), float(self.normals[i][1])
-            if abs(nx * (bx - ax) + ny * (by - ay)) > 1e-9 * max(1.0, hypot(bx - ax, by - ay)):
-                return False
-            if nx * (cx - ax) + ny * (cy - ay) <= 0:
-                return False
-        return True
-
-
-class CornerVerdict(Record):
-    index: int
-    normals: Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]
-    determinant: Optional[Fraction]
-    ok: bool
-
-
-def delzant_check(polygon: Polygon, lattice: LatticeMatrix) -> List[CornerVerdict]:
-    """Each adjacent normal pair, expressed in the lattice basis, must be an
-    integer matrix of determinant +-1: with the coordinates w / d of each
-    normal (`ansatz._lattice_numerators`), d divides both w, and the
-    determinant is one Fraction over d1 d2."""
+def delzant_check(normals: Sequence[Tuple[Fraction, Fraction]],
+                  lattice: LatticeMatrix) -> List[Optional[Fraction]]:
+    """The corner determinants of a polygon with inward normals `normals`:
+    for corner i, the det of normals i and i + 1 (cyclically) in the lattice
+    basis, or None when either is not a lattice vector.  The corner is
+    smooth iff it is +-1, and its absolute value is the orbifold order.  With
+    the coordinates w / d of a normal (`ansatz._lattice_numerators`), it is
+    a lattice vector iff d divides both w; the det is a Fraction over d1 d2."""
     inverse = lattice_inverse([[rat(v) for v in row] for row in lattice])
-    out = []
-    n = len(polygon.normals)
-    for i in range(n):
-        n1 = polygon.normals[i]
-        n2 = polygon.normals[(i + 1) % n]
-        (a0, a1, d1), (b0, b1, d2) = (_lattice_numerators(inverse, v) for v in (n1, n2))
-        integral = not (a0 % d1 or a1 % d1 or b0 % d2 or b1 % d2)
-        dd = Fraction(a0 * b1 - a1 * b0, d1 * d2) if integral else None
-        ok = integral and dd in (1, -1)
-        out.append(CornerVerdict(index=i, normals=(tuple(n1), tuple(n2)),
-                                 determinant=dd, ok=ok))
-    return out
+    coords = [_lattice_numerators(inverse, n) for n in normals]
+    return [None if a0 % d1 or a1 % d1 or b0 % d2 or b1 % d2
+            else Fraction(a0 * b1 - a1 * b0, d1 * d2)
+            for (a0, a1, d1), (b0, b1, d2) in zip(coords, coords[1:] + coords[:1])]
 
 
 def convexity_check(samples):

@@ -483,9 +483,6 @@ class Quadratic(Record):
         s = rat(s)
         return Quadratic(self.c0 * s, self.c1 * s, self.c2 * s)
 
-    def plus(self, other: "Quadratic") -> "Quadratic":
-        return Quadratic(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
-
     def is_multiple_of(self, other: "Quadratic") -> bool:
         """True iff self = s * other for some scalar s (other nonzero)."""
         if other.is_zero():

@@ -1,6 +1,7 @@
 """Named constructions: Riemannian Kerr, the CSC/Einstein family built from
 transvectant data, closed-form scalar curvatures, and the standard moment
-polygons.
+polygons as plain tuples: float vertices and the exact normals whose corner
+determinants `moment.delzant_check` reads.  This module does not load `moment`.
 
 The Kerr family is the hyperbolic ansatz with
 
@@ -67,7 +68,10 @@ class KerrParams(Record):
         root = rational_sqrt(s2)
         if root is not None:
             return self.M - root, self.M + root, True
-        rf = Fraction(math.sqrt(float(s2))).limit_denominator(10 ** 9)
+        try:
+            rf = Fraction(math.sqrt(float(s2))).limit_denominator(10 ** 9)
+        except OverflowError:
+            raise ValidationError("Kerr mass too large: M^2 + alpha^2 exceeds floats") from None
 
         def a_val(x):
             return x * x - 2 * self.M * x - self.alpha * self.alpha
@@ -245,43 +249,34 @@ def scalar_closed_form(spec: AnsatzSpec, sign: str, x: float, y: float) -> float
 # standard polygons
 # ---------------------------------------------------------------------------
 
-def _intersect(l1: LineInTstar, l2: LineInTstar) -> Tuple[float, float]:
-    a1, b1 = (float(v) for v in l1.normal)
-    a2, b2 = (float(v) for v in l2.normal)
+def _intersect(l1, l2) -> Tuple[float, float]:
+    """The float meet of the lines n . mu = c of two pairs (n, c)."""
+    (a1, b1), (a2, b2) = ((float(v) for v in n) for n, _ in (l1, l2))
     det = a1 * b2 - a2 * b1
-    c1, c2 = float(l1.offset), float(l2.offset)
+    c1, c2 = float(l1[1]), float(l2[1])
     return ((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det)
 
 
-def standard_polygon(kind: str) -> Tuple[Polygon, LatticeMatrix]:
-    """'cp2' or 'hirzebruch:k'.  Vertices are the pairwise intersections of
-    tangent lines of the hyperbola 4 mu1 mu2 = -1; the Hirzebruch trapezoid
-    uses the extra tangent with normal (-k-1, k) at offset -sqrt(k(k+1))."""
-    from .moment import LineInTstar, Polygon
-
+def standard_polygon(kind: str) -> Tuple[tuple, tuple, LatticeMatrix]:
+    """'cp2' or 'hirzebruch:k' as (vertices, normals, lattice).  The edges
+    are the lines n . mu = c, n the inward normal, tangent to the hyperbola
+    4 mu1 mu2 = -1; the Hirzebruch trapezoid has the extra tangent with
+    normal (-k-1, k) at offset -sqrt(k(k+1)).  Vertex i is the float meet
+    of edges i-1 and i, so edge i runs from vertex i to vertex i+1; below
+    k = 2^53 the float determinant of each corner is exactly 1."""
     if kind == "cp2":
-        lines = [
-            LineInTstar((Fraction(1), Fraction(0)), Fraction(0)),
-            LineInTstar((Fraction(-1), Fraction(1)), Fraction(-1)),
-            LineInTstar((Fraction(0), Fraction(-1)), Fraction(0)),
-        ]
-        verts = tuple(_intersect(lines[i - 1], lines[i]) for i in range(3))
-        # verts[i] is the meet of edge i-1 and edge i; edge i runs v[i]->v[i+1]
-        poly = Polygon(vertices=verts,
-                       normals=tuple(l.normal for l in lines))
-        return poly, _ID_LATTICE
-    if kind.startswith("hirzebruch:"):
+        lines = [((1, 0), 0), ((-1, 1), -1), ((0, -1), 0)]
+    elif kind.startswith("hirzebruch:"):
         k = int(kind.split(":", 1)[1])
         if k < 1:
             raise ValueError("Hirzebruch index must be >= 1")
-        s = math.sqrt(k * (k + 1))
-        order = [
-            LineInTstar((Fraction(-1), Fraction(1)), Fraction(-1)),    # mu2 = mu1 - 1
-            LineInTstar((Fraction(-k - 1), Fraction(k)), -s),
-            LineInTstar((Fraction(1), Fraction(-1)), Fraction(-1)),    # mu2 = mu1 + 1
-            LineInTstar((Fraction(1), Fraction(0)), Fraction(0)),      # mu1 = 0
-        ]
-        verts = tuple(_intersect(order[i - 1], order[i]) for i in range(4))
-        poly = Polygon(vertices=verts, normals=tuple(l.normal for l in order))
-        return poly, _ID_LATTICE
-    raise ValueError(f"unknown polygon kind {kind!r}")
+        if k >= 2 ** 53:
+            raise ValueError(f"example {kind!r}: index too large for float vertices")
+        # mu2 = mu1 - 1, the extra tangent, mu2 = mu1 + 1, mu1 = 0
+        lines = [((-1, 1), -1), ((-k - 1, k), -math.sqrt(k * (k + 1))), ((1, -1), -1),
+                 ((1, 0), 0)]
+    else:
+        raise ValueError(f"unknown polygon kind {kind!r}")
+    vertices = tuple(_intersect(lines[i - 1], lines[i]) for i in range(len(lines)))
+    normals = tuple((Fraction(a), Fraction(b)) for (a, b), _ in lines)
+    return vertices, normals, _ID_LATTICE

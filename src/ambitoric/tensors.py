@@ -474,15 +474,15 @@ def curvature(spec: AnsatzSpec, metric: MetricChoice, pt: FramePoint) -> Curvatu
 def moment_differential(spec: AnsatzSpec, sign: str, K: Sequence[Fraction],
                         x: float, y: float) -> tuple:
     """d mu_K at (x, y) in the frame (dx, dy, dt1, dt2): the first-order
-    part of the jet of mu_K = K . mu^sign = -N(x,y)/D(x,y), with the
-    numerator N and the denominator D of `moment.moment_map`."""
+    part of the jet of mu_K = -N(x,y)/D(x,y), with N = K1 b1 + K2 b2 and the
+    denominator D of `moment.moment_map`, both in the domain `is_exact` picks."""
     b1, b2 = spec.sigma_basis if sign == "+" else spec.tau_basis
-    N = b1.scaled(K[0]).plus(b2.scaled(K[1]))
     X, Y = coordinate_jets(x, y)
     exact = is_exact(X[0], Y[0])
-    D = (polar_jet(spec.q.coeffs() if exact else spec.q.floats, X, Y) if sign == "+"
-         else (X[0] - Y[0], 1, -1, 0, 0, 0))
-    mu = _mul(polar_jet(N.coeffs() if exact else N.floats, X, Y), _inv(D))
+    k1, k2, q, u, v = (*K, spec.q.coeffs(), b1.coeffs(), b2.coeffs()) if exact else (
+        *map(float, K), spec.q.floats, b1.floats, b2.floats)
+    D = polar_jet(q, X, Y) if sign == "+" else (X[0] - Y[0], 1, -1, 0, 0, 0)
+    mu = _mul(polar_jet([k1 * s + k2 * t for s, t in zip(u, v)], X, Y), _inv(D))
     z = type(mu[0])(0)
     return (-mu[1], -mu[2], z, z)
 

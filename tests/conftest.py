@@ -1,6 +1,7 @@
 """Shared fixtures: normal-form specs on nice positivity boxes."""
 
 import json
+import math
 import pathlib
 from fractions import Fraction as F
 
@@ -20,6 +21,7 @@ from ambitoric import (
     mobius_transport,
 )
 from ambitoric.ansatz import METRIC_G0
+from ambitoric.moment import delzant_check
 from ambitoric.special import INTERIOR
 
 #: `pytest --hypothesis-profile=ci`: every example, but a failure is reported
@@ -61,6 +63,21 @@ def geometry_specs():
     specs["kerr-exterior"] = kerr(KerrParams(1, F(1, 2)))
     specs["kerr-interior"] = kerr(KerrParams(1, F(1, 2)), INTERIOR)
     return specs
+
+
+def assert_standard_polygon(vertices, normals, lattice):
+    """Each normal is orthogonal to its edge (to 1e-9 of its length) and
+    points inward, and every corner determinant is +-1: a Delzant polygon.
+    Edge i runs from vertex i to vertex i+1."""
+    n = len(vertices)
+    assert n == len(normals) >= 3
+    cx, cy = (sum(v[i] for v in vertices) / n for i in (0, 1))
+    for i, (nx, ny) in enumerate(normals):
+        (ax, ay), (bx, by) = vertices[i], vertices[(i + 1) % n]
+        nx, ny = float(nx), float(ny)
+        assert abs(nx * (bx - ax) + ny * (by - ay)) <= 1e-9 * max(1.0, math.hypot(bx - ax, by - ay))
+        assert nx * (cx - ax) + ny * (cy - ay) > 0
+    assert [abs(d) for d in delzant_check(normals, lattice)] == [1] * n
 
 
 def fold_points(q, sign, xs):

@@ -9,6 +9,7 @@ numerators: every product and sum is a Fraction operation.  The tests hold
 `Poly.jet` at rational points, `Poly.count_roots`, `ansatz._cmp`,
 `ansatz._rational_between`, `ansatz.lattice_coordinates` and
 `ansatz.lattice_contains` equal to these, exactly and with the same type.
+`plus`, the sum of two quadratics, serves the tests alone.
 """
 
 import math
@@ -22,6 +23,11 @@ def proj_rep(p):
     if p is OO:
         return Fraction(1), Fraction(0)
     return Fraction(p), Fraction(1)
+
+
+def plus(a: Quadratic, b: Quadratic) -> Quadratic:
+    """The sum of two quadratics, coefficientwise."""
+    return Quadratic(a.c0 + b.c0, a.c1 + b.c1, a.c2 + b.c2)
 
 
 def inner(q: Quadratic, p: Quadratic) -> Fraction:

@@ -49,7 +49,6 @@ from ambitoric.boundary import (
     INFINITELY_DISTANT,
     PLOCUS,
 )
-from ambitoric.moment import delzant_check
 from ambitoric.special import INTERIOR, scalar_closed_form
 from ambitoric.tensors import (
     kaehler_volume_coefficient,
@@ -57,7 +56,7 @@ from ambitoric.tensors import (
     pfaffian4,
 )
 
-from conftest import fold_points, make_spec, respec
+from conftest import assert_standard_polygon, fold_points, make_spec, respec
 from quadrature_reference import improper_length_samples
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -291,14 +290,11 @@ def test_moment_map_linearity(hyperbolic_spec):
 # 8 -------------------------------------------------------------------------
 
 def test_polygons_delzant_and_byte_stable(tmp_path):
-    poly, lattice = standard_polygon("cp2")
-    assert poly.edge_check()
-    assert all(v.ok for v in delzant_check(poly, lattice))
+    assert_standard_polygon(*standard_polygon("cp2"))
     for k in range(1, 6):
-        poly, lattice = standard_polygon(f"hirzebruch:{k}")
-        assert poly.edge_check()
-        assert all(v.ok for v in delzant_check(poly, lattice))
-        n = poly.normals    # lower, right, upper, left
+        vertices, n, lattice = standard_polygon(f"hirzebruch:{k}")
+        assert_standard_polygon(vertices, n, lattice)
+        # lower, right, upper, left
         assert tuple(a + b for a, b in zip(n[3], n[1])) == \
             tuple(k * c for c in n[0])
 

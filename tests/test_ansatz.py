@@ -12,7 +12,6 @@ from ambitoric import (
     Interval,
     Mobius,
     Poly,
-    Polygon,
     Quadratic,
     ValidationError,
     conformal_factor,
@@ -192,9 +191,7 @@ def test_lattice_test_equals_its_fraction_reference(lattice, k1, k2, v0, v1):
         assert lattice_contains(inverse, vec) == quadratics_reference.lattice_contains(
             lattice, vec)
     assert lattice_contains(inverse, member)
-    polygon = Polygon(vertices=((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
-                      normals=(member, (L * v0, L * v1), member))
-    det = delzant_check(polygon, lattice)[0].determinant
+    det = delzant_check((member, (L * v0, L * v1), member), lattice)[0]
     assert det == k1 * L * w[1] - k2 * L * w[0] and type(det) is F
 
 

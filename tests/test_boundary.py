@@ -121,7 +121,7 @@ def test_compatible_quadratic_vanishes_iff_double_root():
     # at z = 2, u / k are the tau coordinates of (z - 2)^2 x q, not zero
     u1, u2, k = compatible_coordinates(q, spec.tau_dual, 2, 1)
     assert (u1, u2) != (0, 0)
-    assert tau[0].scaled(F(u1, k)).plus(tau[1].scaled(F(u2, k))) == cross(Quadratic(1, -2, 4), q)
+    assert qr.plus(tau[0].scaled(F(u1, k)), tau[1].scaled(F(u2, k))) == cross(Quadratic(1, -2, 4), q)
 
 
 def _check_fold_r(spec, comp, sign, expect):

@@ -118,11 +118,39 @@ def test_kerr_and_examples(tmp_path, capsys):
                  "--out", str(out)]) == 0
     d = json.loads(out.read_text())
     assert d["q"] == ["0", "1", "0"]
+    lattice = [["1", "0"], ["0", "1"]]
     assert main(["examples", "cp2"]) == 0
-    got = json.loads(capsys.readouterr().out)
-    assert len(got["vertices"]) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "vertices": [["0", "0"], ["0", "-1"], ["1", "0"]],
+        "normals": [["1", "0"], ["-1", "1"], ["0", "-1"]], "lattice": lattice}
+    # vertices 1 and 2 lie on the extra tangent (-4, 3) . mu = -sqrt(12), in floats
     assert main(["examples", "hirzebruch:3"]) == 0
-    capsys.readouterr()
+    assert json.loads(capsys.readouterr().out) == {
+        "vertices": [["0", "-1"], ["0.464101615138", "-0.535898384862"],
+                     ["6.46410161514", "7.46410161514"], ["0", "1"]],
+        "normals": [["-1", "1"], ["-4", "3"], ["1", "-1"], ["1", "0"]], "lattice": lattice}
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["kerr", "--mass", "1/0"], "--mass"),
+    (["kerr", "--alpha", "1/0"], "--alpha"),
+    (["kerr", "--mass", "1e400"], "mass"),
+    (["gauge", "SPEC", "--mobius", "1/0,0,0,1"], "--mobius"),
+    (["gauge", "SPEC", "--mobius", "1,1,0"], "--mobius"),
+    (["examples", f"hirzebruch:{2 ** 53}"], f"hirzebruch:{2 ** 53}"),
+    (["examples", "hirzebruch:" + "9" * 160], "hirzebruch:999"),
+], ids=["mass-1/0", "alpha-1/0", "mass-1e400", "mobius-1/0", "mobius-3-values",
+        "hirzebruch-2^53", "hirzebruch-1e160"])
+def test_a_malformed_number_in_a_flag_is_an_input_error(spec_file, capsys, argv, name):
+    """Each of these used to end in a ZeroDivisionError or OverflowError
+    traceback, or (three Mobius values) in an unpacking message that named
+    no flag: now one `error:` line naming the flag or the example, exit 2.
+    From k = 2^53 on, -k-1 rounds in floats, and a corner of hirzebruch:k
+    has a float determinant of 0 or of 2 in place of 1."""
+    assert main([spec_file if a == "SPEC" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert name in captured.err and len(captured.err.splitlines()) == 1
 
 
 def test_gauge_roundtrip_bytes(spec_file, tmp_path, capsys):
@@ -226,14 +254,15 @@ def test_decision_path_never_imports_sympy(tmp_path):
     (["check", "SPEC"], ("invariants", "tensors")),
     (["classify", "SPEC"], ("boundary", "classify")),
     (["examples", "kerr-interior"], ("commands", "special")),
-    (["examples", "cp2", "--format", "svg"], ("commands", "figures", "moment", "special")),
+    (["examples", "cp2", "--format", "svg"], ("commands", "figures", "special")),
     (["gauge", "SPEC", "--mobius", "1,1,0,1"], ("commands", "gauge")),
 ], ids=["validate", "moment", "check", "classify", "examples-kerr-interior",
         "examples-cp2-svg", "gauge"])
 def test_each_subcommand_loads_only_its_modules(tmp_path, argv, loads):
     """A cold subcommand imports only the modules it runs: `classify` reads
     compatible normals off `AnsatzSpec.tau_dual`, not `moment`; `check`
-    pairs d mu from `tensors` with omega, not from `moment`; the figure code
+    pairs d mu from `tensors` with omega, not from `moment`; the standard
+    polygons of `examples` are plain tuples, with no `moment`; the figure code
     (`figures`), the invariant suite (`invariants`) and the Mobius gauge
     (`gauge`) load only on their own subcommands."""
     golden = json.loads((GOLDEN_DIR / "case1_proper_fold.json").read_text())
@@ -251,18 +280,23 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, argv, loads):
 
 
 @pytest.mark.parametrize("argv, bound", [
-    (["validate", "SPEC"], 1802),
-    (["classify", "SPEC"], 2279),
-    (["check", "SPEC"], 2416),
-    (["moment", "SPEC", "--sign", "+"], 2423),
-    (["examples", "kerr-interior"], 2224),
-], ids=["validate", "classify", "check", "moment", "examples-kerr-interior"])
+    (["validate", "SPEC"], 1799),
+    (["classify", "SPEC"], 2276),
+    (["check", "SPEC"], 2413),
+    (["moment", "SPEC", "--sign", "+"], 2381),
+    (["examples", "kerr-interior"], 2222),
+    (["examples", "cp2"], 2222),
+    (["examples", "cp2", "--format", "svg"], 2403),
+], ids=["validate", "classify", "check", "moment", "examples-kerr-interior",
+        "examples-cp2", "examples-cp2-svg"])
 def test_each_cold_subcommand_compiles_at_most_its_lines(tmp_path, argv, bound):
     """With no bytecode cache a cold subcommand compiles every source line of
     the `ambitoric` modules it loads.  Each bound is the count at the time it
     was set (2364, 2841, 3226, 2833 and 2647 lines before `cli` kept only
-    the parser and the dispatch): code that grows onto a cold path fails
-    here, and a change that shrinks one lowers its bound."""
+    the parser and the dispatch; `examples cp2` compiled 2664 lines, and 2845
+    with `--format svg`, while its polygon was a `moment.Polygon`): code that
+    grows onto a cold path fails here, and a change that shrinks one lowers
+    its bound."""
     golden = json.loads((GOLDEN_DIR / "case1_proper_fold.json").read_text())
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(golden["spec"]))
@@ -298,7 +332,7 @@ def test_python_m_compiles_cli_once(tmp_path, argv):
 PUBLIC = (
     "AnsatzSpec BoxComponent CSCData Conic DistanceStatus FIELDS FramePoint "
     "Interval KerrParams LineInTstar METRIC_G0 METRIC_GMINUS METRIC_GPLUS "
-    "MetricChoice Mobius MomentError MomentPoint OO Poly Polygon Quadratic "
+    "MetricChoice Mobius MomentError MomentPoint OO Poly Quadratic "
     "ValidationError Verdict classify completability_verdict "
     "conformal_factor conic_type convexity_check "
     "corner_status csc_construct curvature decompose_boundary delzant_check "

@@ -18,7 +18,6 @@ from ambitoric import (
     Mobius,
     MomentError,
     MomentPoint,
-    Polygon,
     Quadratic,
     convexity_check,
     delzant_check,
@@ -40,6 +39,7 @@ from ambitoric.tensors import FramePoint, eval_field, hamiltonian_residual, mome
 import quadratics_reference
 from conftest import (
     I2,
+    assert_standard_polygon,
     boxes_and_pole_transports,
     canonical_boxes,
     fold_points,
@@ -370,22 +370,29 @@ def test_hamiltonian_property(hyperbolic_spec):
                 assert res < 1e-6
 
 
+#: the inward normals of the unit square (0,0), (1,0), (1,1), (0,1)
+SQUARE = ((F(0), F(1)), (F(-1), F(0)), (F(0), F(-1)), (F(1), F(0)))
+
+
 def test_delzant_square():
-    poly = Polygon(vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
-                   normals=((F(0), F(1)), (F(-1), F(0)),
-                            (F(0), F(-1)), (F(1), F(0))))
-    assert poly.edge_check()
-    verdicts = delzant_check(poly, I2)
-    assert all(v.ok for v in verdicts)
+    dets = delzant_check(SQUARE, I2)
+    assert dets == [1, 1, 1, 1] and all(type(d) is F for d in dets)
+    assert_standard_polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)), SQUARE, I2)
 
 
 def test_delzant_fails_on_coarse_lattice():
-    poly = Polygon(vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
-                   normals=((F(0), F(1)), (F(-1), F(0)),
-                            (F(0), F(-1)), (F(1), F(0))))
-    lat = ((F(2), F(0)), (F(0), F(1)))
-    verdicts = delzant_check(poly, lat)
-    assert not all(v.ok for v in verdicts)
+    # (+-1, 0) is no vector of the lattice spanned by (2, 0) and (0, 1), and
+    # each corner meets one of them
+    assert delzant_check(SQUARE, ((F(2), F(0)), (F(0), F(1)))) == [None] * 4
+
+
+def test_delzant_reads_the_orbifold_orders():
+    # a triangle with normals (1, -1), (0, 2), (-2, 0): corner orders 2, 4, 2
+    # on the standard lattice; on the lattice spanned by (1, -1) and (0, 2)
+    # they are 1, 2, 1, a weighted projective plane with one Z/2 point
+    normals = ((F(1), F(-1)), (F(0), F(2)), (F(-2), F(0)))
+    assert delzant_check(normals, I2) == [2, 4, 2]
+    assert delzant_check(normals, ((F(1), F(0)), (F(-1), F(2)))) == [1, 2, 1]
 
 
 _GRID = [(i / 10, j / 10) for i in range(11) for j in range(11)]

@@ -156,7 +156,7 @@ def _det(a, b, c):
 def _combo(vs, bs):
     out = Quadratic(0, 0, 0)
     for v, b in zip(vs, bs):
-        out = out.plus(b.scaled(v))
+        out = quadratics_reference.plus(out, b.scaled(v))
     return out
 
 
@@ -165,7 +165,7 @@ def _combo(vs, bs):
 def test_cross_product_identities(a, b, c):
     assert inner(cross(a, b), c) == -_det(a, b, c)
     lhs = cross(cross(a, b), c)
-    rhs = b.scaled(inner(a, c)).plus(a.scaled(-inner(b, c))).scaled(F(-1, 2))
+    rhs = quadratics_reference.plus(b.scaled(inner(a, c)), a.scaled(-inner(b, c))).scaled(F(-1, 2))
     assert lhs == rhs
     assert cross(a, b).is_zero() == (a.is_multiple_of(b) or b.is_multiple_of(a))
 

@@ -25,7 +25,6 @@ from ambitoric import (
     MetricChoice,
     Mobius,
     Poly,
-    Polygon,
     Quadratic,
     validate,
 )
@@ -63,7 +62,7 @@ SPEC = dict(q=Quadratic(1, 0, -1), A=Poly([9, 0, -1]), B=Poly([9, 0, -1]),
 
 #: (class, [(args, kwargs), ...]): records with defaults (BoundaryComponent,
 #: LineInTstar, DistanceStatus, AnsatzSpec), __post_init__ (MetricChoice,
-#: Polygon, AnsatzSpec), their own __init__ (Quadratic, Interval, Mobius, KerrParams) and their
+#: AnsatzSpec), their own __init__ (Quadratic, Interval, Mobius, KerrParams) and their
 #: own __repr__ (Quadratic, Interval, MetricChoice); BoxComponent, with
 #: hidden fields, is built from the cells of a spec in the tests below
 CASES = [
@@ -79,10 +78,6 @@ CASES = [
                       ((), {"verdict": "finite", "compatible_normal": ((F(1), F(2)), True)})]),
     (MetricChoice, [(("g0",), {}), (("g-", None), {}), (("gp", Quadratic(1, 0, 1)), {}),
                     ((), {"tag": "gp", "p": Quadratic(1, 0, 1)})]),
-    (Polygon, [((((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
-                 ((F(0), F(1)), (F(-1), F(-1)), (F(1), F(0)))), {}),
-               ((), {"vertices": ((0.0, 0.0), (2.0, 0.0), (0.0, 2.0)),
-                     "normals": ((F(0), F(1)), (F(-1), F(-1)), (F(1), F(0)))})]),
     (Quadratic, [((1, 0, -1), {}), ((F(1), 0, "-1"), {}), ((0, 1, 0), {})]),
     (Interval, [((-3, 3), {}), ((None, 3), {}), ((F(-3), "3"), {})]),
     (Mobius, [((1, 2, 0, 1), {}), ((0, 1, -1, 0), {}), ((2, 4, 0, 2), {})]),
@@ -159,8 +154,7 @@ def test_hidden_fields_stay_out_of_repr_eq_and_hash(merged_spec, sliver_spec):
 
 def test_post_init_runs_and_rejects_as_the_twin_does():
     for cls, a in ((MetricChoice, ("gx",)), (MetricChoice, ("gp",)),
-                   (MetricChoice, ("g0", Quadratic(1, 0, 0))),
-                   (Polygon, (((0.0, 0.0), (1.0, 0.0)), ((F(0), F(1)), (F(1), F(0)))))):
+                   (MetricChoice, ("g0", Quadratic(1, 0, 0)))):
         for make in (cls, twin(cls)):
             with pytest.raises(ValueError):
                 make(*a)

@@ -20,12 +20,11 @@ from ambitoric import (
     validate,
 )
 from ambitoric.ansatz import METRIC_GMINUS, METRIC_GPLUS, SingularEvaluation
-from ambitoric.moment import delzant_check
 from ambitoric.quadratics import inner, transvectant2
 from ambitoric.special import EXTERIOR, INTERIOR
 from ambitoric.tensors import metric_components
 
-from conftest import geometry_specs
+from conftest import assert_standard_polygon, geometry_specs
 
 
 def test_kerr_params_validation():
@@ -152,17 +151,14 @@ def test_scalar_closed_form_constant_coefficients():
 
 
 def test_cp2_polygon():
-    poly, lattice = standard_polygon("cp2")
-    assert poly.edge_check()
-    assert all(v.ok for v in delzant_check(poly, lattice))
+    assert_standard_polygon(*standard_polygon("cp2"))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_hirzebruch_polygons(k):
-    poly, lattice = standard_polygon(f"hirzebruch:{k}")
-    assert poly.edge_check()
-    assert all(v.ok for v in delzant_check(poly, lattice))
-    n = poly.normals    # lower, right, upper, left
+    vertices, n, lattice = standard_polygon(f"hirzebruch:{k}")
+    assert_standard_polygon(vertices, n, lattice)
+    # lower, right, upper, left
     assert tuple(a + b for a, b in zip(n[3], n[1])) == tuple(k * c for c in n[0])
 
 
