@@ -41,7 +41,7 @@ def run_moment(args) -> int:
         with open(args.csv, "w") as fh:
             fh.write("x,y,mu1,mu2\n")
             for r in rows:
-                fh.write(",".join(f"{v:.12g}" for v in r) + "\n")
+                fh.write("%.12g,%.12g,%.12g,%.12g\n" % r)
     if conic.matrix is not None:
         conic_out = [[str(c) for c in row] for row in conic.matrix]
     else:
@@ -129,12 +129,12 @@ class _Viewport:
                 f'stroke-width="{width:.1f}" points="{coords}"/>')
 
     def dots(self, pts, color: str, r: float = 1.6) -> str:
-        parts = []
-        for p in pts:
-            u, v = self.map(p)
-            parts.append(f'<circle cx="{u:.3f}" cy="{v:.3f}" r="{r:.1f}" '
-                         f'fill="{color}"/>')
-        return "\n".join(parts)
+        # `map` inlined: (size - margin) - ... rounds as it does there
+        x0, y0, scale, left = self.x0, self.y0, self.scale, self.margin
+        top = self.size - self.margin
+        tail = f'" r="{r:.1f}" fill="{color}"/>'
+        return "\n".join(f'<circle cx="{left + (x - x0) * scale:.3f}" '
+                         f'cy="{top - (y - y0) * scale:.3f}{tail}' for x, y in pts)
 
 
 def _conic_polylines(matrix, box) -> List[List[Tuple[float, float]]]:

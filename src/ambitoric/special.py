@@ -267,9 +267,10 @@ def standard_polygon(kind: str) -> Tuple[tuple, tuple, LatticeMatrix]:
     if kind == "cp2":
         lines = [((1, 0), 0), ((-1, 1), -1), ((0, -1), 0)]
     elif kind.startswith("hirzebruch:"):
-        k = int(kind.split(":", 1)[1])
+        index = kind.partition(":")[2]
+        k = int(index) if index.isdecimal() else 0
         if k < 1:
-            raise ValueError("Hirzebruch index must be >= 1")
+            raise ValueError(f"example {kind!r}: the index must be an integer >= 1")
         if k >= 2 ** 53:
             raise ValueError(f"example {kind!r}: index too large for float vertices")
         # mu2 = mu1 - 1, the extra tangent, mu2 = mu1 + 1, mu1 = 0

@@ -153,6 +153,93 @@ def test_a_malformed_number_in_a_flag_is_an_input_error(spec_file, capsys, argv,
     assert name in captured.err and len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("index", ["x", "0", "-2", "1.5", ""])
+def test_examples_names_a_bad_hirzebruch_index(capsys, index):
+    # `hirzebruch:x` used to exit 2 with "invalid literal for int() with
+    # base 10: 'x'", naming neither the example nor what the index must be
+    assert main(["examples", f"hirzebruch:{index}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: example 'hirzebruch:{index}': "
+                            "the index must be an integer >= 1\n")
+
+
+@pytest.mark.parametrize("argv, words", [
+    ([], "no subcommand"),
+    (["plot", "SPEC"], "unknown subcommand 'plot'"),
+    (["-v"], "unknown subcommand '-v'"),
+    (["validate", "SPEC", "--fast"], "unrecognized option --fast"),
+    (["moment", "SPEC", "--sig", "-"], "unrecognized option --sig"),
+    (["validate"], "missing spec"),
+    (["csc-gen"], "missing data"),
+    (["validate", "SPEC", "SPEC"], "unexpected argument"),
+    (["eval", "SPEC"], "missing --at"),
+    (["gauge", "SPEC"], "missing --mobius"),
+    (["moment", "SPEC", "--grid", "many"], "--grid takes an integer, not 'many'"),
+    (["moment", "SPEC", "--grid=2.5"], "--grid takes an integer, not '2.5'"),
+    (["moment", "SPEC", "--grid"], "--grid needs a value"),
+    (["moment", "SPEC", "--csv", "--svg", "m.svg"], "--csv needs a value"),
+    (["moment", "SPEC", "--sign", "*"], "--sign takes one of +, -, not '*'"),
+    (["examples", "cp2", "--format", "png"], "--format takes one of json, svg"),
+    (["kerr", "--region=far"], "--region takes one of exterior, interior"),
+    (["eval", "SPEC", "--at", "2.5,-0.5", "--field", "g1"], "--field takes one of g0,"),
+], ids=["no-subcommand", "unknown-subcommand", "unknown-top-flag", "unknown-flag",
+        "abbreviated-flag", "missing-spec", "missing-data", "extra-positional", "missing-at",
+        "missing-mobius", "grid-word", "grid-float", "grid-no-value", "csv-no-value",
+        "bad-sign", "bad-format", "bad-region", "bad-field"])
+def test_a_usage_error_is_one_error_line(spec_file, capsys, argv, words):
+    """Every usage error exits 2 with one `error:` line that names what is
+    wrong, and runs no subcommand."""
+    assert main([spec_file if a == "SPEC" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert words in captured.err and len(captured.err.splitlines()) == 1
+
+
+SUBCOMMANDS = "validate eval check classify moment kerr examples gauge csc-gen".split()
+
+
+def test_help_names_every_subcommand_and_its_options(capsys):
+    for flag in ("-h", "--help"):
+        assert main([flag]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: ambitoric ")
+        assert all(f"\n  {name} " in out for name in SUBCOMMANDS)
+    options = {"eval": "--at X,Y", "moment": "[--grid N]", "kerr": "[--region exterior|interior]",
+               "gauge": "--mobius A,B,C,D"}
+    for name in SUBCOMMANDS:
+        # help wins over a missing or bogus argument, and runs nothing
+        assert main([name, "no-such-file.json", "-h"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.startswith(f"usage: ambitoric {name} ")
+        assert "[--out PATH]" in captured.out and options.get(name, "") in captured.out
+        assert "cannot be abbreviated" in captured.out
+
+
+@pytest.mark.parametrize("argv, spaced", [
+    (["eval", "SPEC", "--at=2.5,-0.5"], ["eval", "SPEC", "--at", "2.5,-0.5"]),
+    (["moment", "SPEC", "--grid=5", "--sign=-"], ["moment", "SPEC", "--grid", "5", "--sign", "-"]),
+], ids=["eval-at", "moment-grid-sign"])
+def test_an_option_takes_its_value_after_an_equals_sign_or_a_space(spec_file, capsys, argv,
+                                                                   spaced):
+    outs = []
+    for form in (argv, spaced):
+        assert main([spec_file if a == "SPEC" else a for a in form]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].startswith("{")
+
+
+def test_main_calls_the_handler_bound_when_it_runs(spec_file, monkeypatch, capsys):
+    """perfbench's tracing rebinds `cli._cmd_*` after the import: `main` must
+    call the rebound function, or the traced `cli.*` layers would read 0."""
+    import ambitoric.cli as cli
+
+    calls, inner = [], cli._cmd_validate
+    monkeypatch.setattr(cli, "_cmd_validate", lambda args: calls.append(args.spec) or inner(args))
+    assert main(["validate", spec_file]) == 0
+    assert calls == [spec_file] and '"components"' in capsys.readouterr().out
+
+
 def test_gauge_roundtrip_bytes(spec_file, tmp_path, capsys):
     g1 = tmp_path / "g1.json"
     g2 = tmp_path / "g2.json"
@@ -222,8 +309,8 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
 
 def test_decision_path_never_imports_sympy(tmp_path):
     """validate, classify, moment, check and eval load none of sympy, numpy
-    or scipy, nor dataclasses or inspect: the records come from
-    `quadratics.Record`."""
+    or scipy, nor dataclasses or inspect (the records come from
+    `quadratics.Record`), nor argparse with its gettext and locale."""
     golden = json.loads((GOLDEN_DIR / "case1_proper_fold.json").read_text())
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(golden["spec"]))
@@ -239,8 +326,8 @@ def test_decision_path_never_imports_sympy(tmp_path):
         f"'--svg', {str(svg)!r}])\n"
         f"assert main(['check', {str(spec)!r}]) == 0\n"
         f"assert main(['eval', {str(spec)!r}, '--at=' + {at!r}]) == 0\n"
-        "loaded = [m for m in ('sympy', 'numpy', 'scipy', 'dataclasses', 'inspect')\n"
-        "          if m in sys.modules]\n"
+        "loaded = [m for m in ('sympy', 'numpy', 'scipy', 'dataclasses', 'inspect',\n"
+        "                      'argparse', 'gettext', 'locale') if m in sys.modules]\n"
         "sys.exit(f'loaded {loaded}' if loaded else 0)\n")
     assert run.returncode == 0, run.stderr
     assert '"verdicts"' in run.stdout and '"components"' in run.stdout
@@ -264,7 +351,8 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, argv, loads):
     pairs d mu from `tensors` with omega, not from `moment`; the standard
     polygons of `examples` are plain tuples, with no `moment`; the figure code
     (`figures`), the invariant suite (`invariants`) and the Mobius gauge
-    (`gauge`) load only on their own subcommands."""
+    (`gauge`) load only on their own subcommands.  None loads argparse,
+    gettext or locale."""
     golden = json.loads((GOLDEN_DIR / "case1_proper_fold.json").read_text())
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(golden["spec"]))
@@ -273,17 +361,18 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, argv, loads):
         "import sys\n"
         "from ambitoric.cli import main\n"
         f"assert main({argv!r}) <= 1\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('ambitoric'))))\n")
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('ambitoric')\n"
+        "                      or m in ('argparse', 'gettext', 'locale'))))\n")
     assert run.returncode == 0, run.stderr
     expected = {"ambitoric", "ambitoric.cli", "ambitoric.quadratics", "ambitoric.ansatz"}
     assert set(run.stdout.split()) == expected | {f"ambitoric.{m}" for m in loads}
 
 
 @pytest.mark.parametrize("argv, bound", [
-    (["validate", "SPEC"], 1799),
-    (["classify", "SPEC"], 2276),
-    (["check", "SPEC"], 2413),
-    (["moment", "SPEC", "--sign", "+"], 2381),
+    (["validate", "SPEC"], 1798),
+    (["classify", "SPEC"], 2275),
+    (["check", "SPEC"], 2412),
+    (["moment", "SPEC", "--sign", "+"], 2380),
     (["examples", "kerr-interior"], 2222),
     (["examples", "cp2"], 2222),
     (["examples", "cp2", "--format", "svg"], 2403),
@@ -294,7 +383,8 @@ def test_each_cold_subcommand_compiles_at_most_its_lines(tmp_path, argv, bound):
     the `ambitoric` modules it loads.  Each bound is the count at the time it
     was set (2364, 2841, 3226, 2833 and 2647 lines before `cli` kept only
     the parser and the dispatch; `examples cp2` compiled 2664 lines, and 2845
-    with `--format svg`, while its polygon was a `moment.Polygon`): code that
+    with `--format svg`, while its polygon was a `moment.Polygon`; one more
+    line each for the first four while `cli` built an argparse parser): code that
     grows onto a cold path fails here, and a change that shrinks one lowers
     its bound."""
     golden = json.loads((GOLDEN_DIR / "case1_proper_fold.json").read_text())
