@@ -45,6 +45,7 @@ from .quadratics import (
     inner,
     rat,
     rational_sqrt,
+    to_float,
     transversal,
     PARABOLIC,
     HYPERBOLIC,
@@ -58,6 +59,11 @@ class ValidationError(ValueError):
 
 class SingularEvaluation(ValueError):
     """Field evaluated on a locus where it is singular."""
+
+
+def quoted(text: str) -> str:
+    """repr(text), or for a token above 60 characters its start and length."""
+    return repr(text) if len(text) <= 60 else f"{text[:24]!r}... ({len(text)} characters)"
 
 
 def json_field(d: dict, key: str, parse):
@@ -109,8 +115,8 @@ class Interval(Record):
     def bounds(self) -> Tuple[float, float]:
         """(lo, hi) as floats, -inf/inf at the infinite ends; converted on
         first use."""
-        return (-math.inf if self.lo is None else float(self.lo),
-                math.inf if self.hi is None else float(self.hi))
+        return (-math.inf if self.lo is None else to_float(self.lo),
+                math.inf if self.hi is None else to_float(self.hi))
 
     # -- membership --------------------------------------------------------
     def contains(self, x):

@@ -28,7 +28,7 @@ import json
 import sys
 from types import SimpleNamespace
 
-from .ansatz import FIELDS, AnsatzSpec, validate
+from .ansatz import FIELDS, AnsatzSpec, quoted, validate
 
 EXIT_OK, EXIT_NEGATIVE, EXIT_INPUT, EXIT_INVARIANT = 0, 1, 2, 3
 
@@ -130,7 +130,7 @@ def _parse_args(argv: list[str]):
         sys.stdout.write(_usage(command if command in COMMANDS else None))
         return None, None
     if command not in COMMANDS:
-        what = f"unknown subcommand {command!r}" if argv else "no subcommand"
+        what = f"unknown subcommand {quoted(command)}" if argv else "no subcommand"
         raise ValueError(f"{what}; `ambitoric -h` lists them")
     _, positionals, options, handler = COMMANDS[command]
     values = {flag[2:]: default for flag, (default, _) in options.items()}
@@ -147,17 +147,17 @@ def _parse_args(argv: list[str]):
             value = next(tokens, None)
             if value is None or value.startswith("--"):
                 raise ValueError(f"{command}: {flag} needs a value")
-        kind = options[flag][1]
+        kind, shown = options[flag][1], quoted(value)
         if kind is int:
             try:
                 value = int(value)
             except ValueError:
-                raise ValueError(f"{command}: {flag} takes an integer, not {value!r}") from None
+                raise ValueError(f"{command}: {flag} takes an integer, not {shown}") from None
         elif isinstance(kind, tuple) and value not in kind:
-            raise ValueError(f"{command}: {flag} takes one of {', '.join(kind)}, not {value!r}")
+            raise ValueError(f"{command}: {flag} takes one of {', '.join(kind)}, not {shown}")
         values[flag[2:]] = value
     if len(given) > len(positionals):
-        raise ValueError(f"{command}: unexpected argument {given[len(positionals)]!r}")
+        raise ValueError(f"{command}: unexpected argument {quoted(given[len(positionals)])}")
     missing = positionals[len(given):] + ["--" + n for n, v in values.items() if v is REQUIRED]
     if missing:
         raise ValueError(f"{command}: missing {missing[0]}")

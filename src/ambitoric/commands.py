@@ -24,6 +24,7 @@ from .ansatz import (
     conformal_factor,
     json_field,
     json_list,
+    quoted,
 )
 from .cli import EXIT_OK, _dump_json, _load_spec
 
@@ -37,7 +38,7 @@ def _numbers(flag: str, text: str, count: int = 1) -> list:
             return [rat(v) for v in values]
     except (ValueError, ZeroDivisionError):
         pass
-    raise ValueError(f"{flag} needs {count} rational number{'s' * (count > 1)}, got {text!r}")
+    raise ValueError(f"{flag} needs {count} rational number{'s' * (count > 1)}, got {quoted(text)}")
 
 
 def run_eval(args) -> int:
@@ -48,7 +49,7 @@ def run_eval(args) -> int:
     except ValueError:
         x = y = math.nan
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"--at needs two finite coordinates x,y, got {args.at!r}")
+        raise ValueError(f"--at needs two finite coordinates x,y, got {quoted(args.at)}")
     spec = _load_spec(args.spec)
     fields = [args.field] if args.field else list(FIELDS)
     try:
@@ -105,7 +106,7 @@ def run_examples(args) -> int:
                     "normals": [[str(n[0]), str(n[1])] for n in normals],
                     "lattice": [[str(v) for v in row] for row in lattice]}, args.out)
         return EXIT_OK
-    raise ValidationError(f"unknown example {name!r}")
+    raise ValidationError(f"unknown example {quoted(name)}")
 
 
 def run_gauge(args) -> int:

@@ -15,7 +15,7 @@ import math
 from typing import List, Tuple
 
 from .quadratics import OO
-from .ansatz import validate
+from .ansatz import quoted, validate
 from .cli import EXIT_OK, _dump_json, _load_spec
 
 
@@ -24,7 +24,7 @@ def run_moment(args) -> int:
     from .moment import MomentError, fold_conic, level_set_line, moment_map
 
     if args.grid < 1:
-        raise ValueError(f"--grid must be at least 1, got {args.grid}")
+        raise ValueError(f"--grid must be at least 1, got {quoted(str(args.grid))}")
     spec = _load_spec(args.spec)
     comps = validate(spec)
     sign = args.sign

@@ -25,10 +25,10 @@ Conventions used throughout the package:
 Coefficients are exact `fractions.Fraction` values.  Every evaluator of
 the package follows one rule, `is_exact`: a point whose coordinates are
 all Fractions is evaluated exactly, any other (ints included) in floats,
-on float coefficients converted once per object.  `Poly.jet` gives the
-1-D jet (P, P', P'') of a polynomial; the jets in (x, y) and of the
-quadratics in x alone or y alone, which the metric is made of, live in
-`tensors`.
+on float coefficients converted once per object by `to_float`, which
+refuses a value no float holds.  `Poly.jet` gives the 1-D jet (P, P', P'')
+of a polynomial; the jets in (x, y) and of the quadratics in x alone or y
+alone, which the metric is made of, live in `tensors`.
 
 The exact kernels compute on integers.  A Quadratic keeps its
 coefficients as integer numerators over a common denominator,
@@ -163,15 +163,22 @@ def rat(v) -> Fraction:
         return v
     if isinstance(v, bool):
         raise TypeError("bool is not a coefficient")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
+    if isinstance(v, (int, str)):
         return Fraction(v)
     if isinstance(v, float):
         if not math.isfinite(v):
             raise ValueError("non-finite float coefficient")
         return Fraction(v)
     raise TypeError(f"cannot convert {v!r} to an exact rational")
+
+
+def to_float(v) -> float:
+    """float(v), where a rational that no float holds is an input error."""
+    try:
+        return float(v)
+    except OverflowError:
+        e = round(math.log10(abs(v.numerator)) - math.log10(v.denominator))
+        raise ValueError(f"a value near {'-' * (v < 0)}1e{e} does not fit in a float") from None
 
 
 def _over_common(values) -> Tuple[Tuple[int, ...], int]:
@@ -255,7 +262,7 @@ class Poly:
     @cached_property
     def floats(self) -> Tuple[float, ...]:
         """The coefficients as floats, converted on first use."""
-        return tuple(float(c) for c in self.coeffs)
+        return tuple(map(to_float, self.coeffs))
 
     @cached_property
     def numerators(self) -> Tuple[Tuple[int, ...], int]:
@@ -444,7 +451,7 @@ class Quadratic(Record):
     @cached_property
     def floats(self) -> Tuple[float, float, float]:
         """(c0, c1, c2) as floats, converted on first use."""
-        return (float(self.c0), float(self.c1), float(self.c2))
+        return (to_float(self.c0), to_float(self.c1), to_float(self.c2))
 
     @cached_property
     def numerators(self) -> Tuple[int, int, int, int]:

@@ -36,6 +36,7 @@ from .ansatz import (
     SingularEvaluation,
     ValidationError,
     metric_gp,
+    quoted,
 )
 
 EXTERIOR = "Exterior"
@@ -249,35 +250,30 @@ def scalar_closed_form(spec: AnsatzSpec, sign: str, x: float, y: float) -> float
 # standard polygons
 # ---------------------------------------------------------------------------
 
-def _intersect(l1, l2) -> Tuple[float, float]:
-    """The float meet of the lines n . mu = c of two pairs (n, c)."""
-    (a1, b1), (a2, b2) = ((float(v) for v in n) for n, _ in (l1, l2))
-    det = a1 * b2 - a2 * b1
-    c1, c2 = float(l1[1]), float(l2[1])
-    return ((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det)
-
-
 def standard_polygon(kind: str) -> Tuple[tuple, tuple, LatticeMatrix]:
     """'cp2' or 'hirzebruch:k' as (vertices, normals, lattice).  The edges
     are the lines n . mu = c, n the inward normal, tangent to the hyperbola
     4 mu1 mu2 = -1; the Hirzebruch trapezoid has the extra tangent with
-    normal (-k-1, k) at offset -sqrt(k(k+1)).  Vertex i is the float meet
-    of edges i-1 and i, so edge i runs from vertex i to vertex i+1; below
-    k = 2^53 the float determinant of each corner is exactly 1."""
+    normal (-k-1, k) at offset -s, s = sqrt(k(k+1)), for k < 2^53.  Edge i
+    runs from vertex i to vertex i+1.  The tangent meets mu2 = mu1 - 1 at
+    mu1 = s - k, written k / (s + k) so that no difference cancels."""
     if kind == "cp2":
-        lines = [((1, 0), 0), ((-1, 1), -1), ((0, -1), 0)]
+        vertices = ((0.0, 0.0), (0.0, -1.0), (1.0, 0.0))
+        normals = ((1, 0), (-1, 1), (0, -1))
     elif kind.startswith("hirzebruch:"):
         index = kind.partition(":")[2]
-        k = int(index) if index.isdecimal() else 0
-        if k < 1:
-            raise ValueError(f"example {kind!r}: the index must be an integer >= 1")
-        if k >= 2 ** 53:
-            raise ValueError(f"example {kind!r}: index too large for float vertices")
+        if not index.isdecimal() or not index.strip("0"):
+            raise ValueError(f"example {quoted(kind)}: the index must be an integer >= 1")
+        # 2^53 has 16 digits: count them before int() reads a long index
+        if len(index.lstrip("0")) > 16 or int(index) >= 2 ** 53:
+            raise ValueError(f"example {quoted(kind)}: index too large for float vertices")
+        k = int(index)
+        s = math.sqrt(k * (k + 1))
+        t = k / (s + k)
+        vertices = ((0.0, -1.0), (t, t - 1), (s + k, s + k + 1), (0.0, 1.0))
         # mu2 = mu1 - 1, the extra tangent, mu2 = mu1 + 1, mu1 = 0
-        lines = [((-1, 1), -1), ((-k - 1, k), -math.sqrt(k * (k + 1))), ((1, -1), -1),
-                 ((1, 0), 0)]
+        normals = ((-1, 1), (-k - 1, k), (1, -1), (1, 0))
     else:
-        raise ValueError(f"unknown polygon kind {kind!r}")
-    vertices = tuple(_intersect(lines[i - 1], lines[i]) for i in range(len(lines)))
-    normals = tuple((Fraction(a), Fraction(b)) for (a, b), _ in lines)
+        raise ValueError(f"unknown polygon kind {quoted(kind)}")
+    normals = tuple((Fraction(a), Fraction(b)) for a, b in normals)
     return vertices, normals, _ID_LATTICE

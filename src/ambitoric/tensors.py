@@ -26,7 +26,7 @@ products with these are full second jets.  The jet helpers live here
 hands them the coefficients that the rule `quadratics.is_exact` picks.  On
 Fraction points the curvature is exact.  The same jets give d mu of the
 moment maps (`moment_differential`), so `check`, which pairs d mu with
-omega (`hamiltonian_residual`), does not load `moment`.
+omega, does not load `moment`.
 
 Curvature in closed form.  Every metric here is a dx^2 + b dy^2 + H, with
 H = h_ij dt_i dt_j, and all of a, b, H depend on (x, y) alone.  With
@@ -486,15 +486,3 @@ def moment_differential(spec: AnsatzSpec, sign: str, K: Sequence[Fraction],
     z = type(mu[0])(0)
     return (-mu[1], -mu[2], z, z)
 
-
-def hamiltonian_residual(spec: AnsatzSpec, sign: str, K: Sequence[Fraction],
-                         x: float, y: float, omega) -> float:
-    """|d mu_K + K -| omega| / max(|d mu_K|, |K -| omega|) at (x, y), in the
-    max-norm, where omega is the 4x4 omega^sign at (x, y) and
-    (K -| omega)_b = K^a omega_ab.  Relative, because both terms grow
-    without bound towards the folds."""
-    k1, k2 = float(K[0]), float(K[1])
-    Kw = [k1 * u + k2 * v for u, v in zip(omega[2], omega[3])]
-    dmu = moment_differential(spec, sign, K, x, y)
-    return float(max(abs(u + v) for u, v in zip(dmu, Kw))
-                 / max(abs(u) for u in (*dmu, *Kw)))

@@ -34,7 +34,8 @@ from ambitoric.moment import TangencyCertificate
 from ambitoric.classify import classify
 from ambitoric.quadratics import _over_common, coordinates, cross
 from ambitoric.special import INTERIOR
-from ambitoric.tensors import FramePoint, eval_field, hamiltonian_residual, moment_differential
+from ambitoric.invariants import relative_residual
+from ambitoric.tensors import FramePoint, eval_field, moment_differential
 
 import quadratics_reference
 from conftest import (
@@ -364,10 +365,12 @@ def test_hamiltonian_property(hyperbolic_spec):
     pts = validate(hyperbolic_spec)[0].sample_points(4)
     for x, y in pts[:6]:
         for sign in ("+", "-"):
-            w = eval_field(hyperbolic_spec, "omega" + sign, FramePoint(x, y))
+            w = np.asarray(eval_field(hyperbolic_spec, "omega" + sign, FramePoint(x, y)))
             for K in ((F(1), F(0)), (F(0), F(1)), (F(2), F(-3))):
-                res = hamiltonian_residual(hyperbolic_spec, sign, K, x, y, w)
-                assert res < 1e-6
+                # d mu_K = -K -| omega, judged as `check` judges it
+                dmu = np.asarray(moment_differential(hyperbolic_spec, sign, K, x, y))
+                kw = np.array([0.0, 0.0, float(K[0]), float(K[1])]) @ w
+                assert relative_residual([dmu + kw], ([dmu],), ([kw],)) < 1e-6
 
 
 #: the inward normals of the unit square (0,0), (1,0), (1,1), (0,1)
@@ -483,8 +486,9 @@ def test_hamiltonian_residual_detects_wrong_pairing(any_spec):
     K, other = (F(1), F(0)), (F(0), F(1))
     for sign, flip in (("+", "-"), ("-", "+")):
         w = np.asarray(eval_field(any_spec, "omega" + sign, FramePoint(x, y)))
-        assert hamiltonian_residual(any_spec, sign, K, x, y, w) < 1e-9
         dmu = np.asarray(moment_differential(any_spec, sign, K, x, y))
+        kw = np.array([0.0, 0.0, float(K[0]), float(K[1])]) @ w
+        assert relative_residual([dmu + kw], ([dmu],), ([kw],)) < 1e-9
         w_flip = np.asarray(eval_field(any_spec, "omega" + flip, FramePoint(x, y)))
         wrong_k = np.array([0.0, 0.0, float(other[0]), float(other[1])]) @ w
         wrong_sign = np.array([0.0, 0.0, float(K[0]), float(K[1])]) @ w_flip

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import numpy as np
@@ -160,6 +161,17 @@ def test_hirzebruch_polygons(k):
     assert_standard_polygon(vertices, n, lattice)
     # lower, right, upper, left
     assert tuple(a + b for a, b in zip(n[3], n[1])) == tuple(k * c for c in n[0])
+
+
+@pytest.mark.parametrize("k", [1, 5, 10 ** 6, 2 ** 53 - 1])
+def test_hirzebruch_short_edge_vertex_is_a_closed_form(k):
+    # vertex 1 is (s - k, s - k - 1), s = sqrt(k (k + 1)), and s - k tends
+    # to 1/2; formed as a float difference it read 0 at k = 2^53 - 1
+    x, y = standard_polygon(f"hirzebruch:{k}")[0][1]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = (Decimal(k) * (k + 1)).sqrt() - k
+    assert abs(Decimal(x) - exact) <= Decimal(1e-15) * exact and y == x - 1
 
 
 def test_unknown_polygon_kind():
