@@ -80,6 +80,7 @@ def _cmd_moment(args) -> int:
 
 
 REQUIRED = object()     # the default of an option that must be given
+MAX_GRID = 1000         # `moment --grid N` walks a 3N x 3N lattice per cell
 _OUT = {"--out": (None, "PATH")}
 
 #: The command line, parsed without argparse, whose import (with `gettext` and
@@ -93,7 +94,7 @@ COMMANDS = {
              {**_OUT, "--at": (REQUIRED, "X,Y"), "--field": (None, FIELDS)}, "run_eval"),
     "check": ("invariant suite with pass/fail counts", ["spec"], _OUT, "_cmd_check"),
     "classify": ("completability verdicts", ["spec"], _OUT, "_cmd_classify"),
-    "moment": ("moment-map samples, conic, figures", ["spec"],
+    "moment": (f"moment-map samples (--grid N <= {MAX_GRID}), conic, figures", ["spec"],
                {**_OUT, "--sign": ("+", ("+", "-")), "--grid": (24, int),
                 "--csv": (None, "PATH"), "--svg": (None, "PATH")}, "_cmd_moment"),
     "kerr": ("emit a Kerr spec file", [],
@@ -134,8 +135,7 @@ def _parse_args(argv: list[str]):
         raise ValueError(f"{what}; `ambitoric -h` lists them")
     _, positionals, options, handler = COMMANDS[command]
     values = {flag[2:]: default for flag, (default, _) in options.items()}
-    given = []
-    tokens = iter(argv[1:])
+    given, tokens = [], iter(argv[1:])
     for token in tokens:
         if not token.startswith("-"):
             given.append(token)

@@ -16,20 +16,20 @@ from typing import List, Tuple
 
 from .quadratics import OO
 from .ansatz import quoted, validate
-from .cli import EXIT_OK, _dump_json, _load_spec
+from .cli import EXIT_OK, MAX_GRID, _dump_json, _load_spec
 
 
 def run_moment(args) -> int:
     """`ambitoric moment`: samples, conic and edge images of one spec."""
     from .moment import MomentError, fold_conic, level_set_line, moment_map
 
-    if args.grid < 1:
-        raise ValueError(f"--grid must be at least 1, got {quoted(str(args.grid))}")
+    if not 1 <= args.grid <= MAX_GRID:
+        bound = "at least 1" if args.grid < 1 else f"at most {MAX_GRID}"
+        raise ValueError(f"--grid must be {bound}, got {quoted(str(args.grid))}")
     spec = _load_spec(args.spec)
-    comps = validate(spec)
     sign = args.sign
     rows: List[Tuple[float, float, float, float]] = []
-    for comp in comps:
+    for comp in validate(spec):
         for x, y in comp.sample_points(args.grid):
             try:
                 mp = moment_map(spec, sign, x, y)

@@ -172,13 +172,13 @@ def rat(v) -> Fraction:
     raise TypeError(f"cannot convert {v!r} to an exact rational")
 
 
-def to_float(v) -> float:
-    """float(v), where a rational that no float holds is an input error."""
+def to_float(v, what: str = "a value") -> float:
+    """float(v), where a rational that no float holds is an input error about what."""
     try:
         return float(v)
     except OverflowError:
         e = round(math.log10(abs(v.numerator)) - math.log10(v.denominator))
-        raise ValueError(f"a value near {'-' * (v < 0)}1e{e} does not fit in a float") from None
+        raise ValueError(f"{what} near {'-' * (v < 0)}1e{e} does not fit in a float") from None
 
 
 def _over_common(values) -> Tuple[Tuple[int, ...], int]:

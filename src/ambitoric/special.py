@@ -27,6 +27,7 @@ from .quadratics import (
     is_exact,
     rat,
     rational_sqrt,
+    to_float,
     transvectant2,
 )
 from .ansatz import (
@@ -69,10 +70,8 @@ class KerrParams(Record):
         root = rational_sqrt(s2)
         if root is not None:
             return self.M - root, self.M + root, True
-        try:
-            rf = Fraction(math.sqrt(float(s2))).limit_denominator(10 ** 9)
-        except OverflowError:
-            raise ValidationError("Kerr mass too large: M^2 + alpha^2 exceeds floats") from None
+        s2_float = to_float(s2, "Kerr mass: M^2 + alpha^2")
+        rf = Fraction(math.sqrt(s2_float)).limit_denominator(10 ** 9)
 
         def a_val(x):
             return x * x - 2 * self.M * x - self.alpha * self.alpha

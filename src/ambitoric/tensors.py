@@ -140,8 +140,7 @@ def _mul(a, b):
     """Product of two jets of the same length."""
     if len(a) == 1:
         return (a[0] * b[0],)
-    a0, ax, ay, axx, axy, ayy = a
-    b0, bx, by, bxx, bxy, byy = b
+    (a0, ax, ay, axx, axy, ayy), (b0, bx, by, bxx, bxy, byy) = a, b
     return (a0 * b0, a0 * bx + ax * b0, a0 * by + ay * b0,
             a0 * bxx + 2 * ax * bx + axx * b0,
             a0 * bxy + ax * by + ay * bx + axy * b0,
@@ -171,8 +170,7 @@ def _mul1(u, v):
     """Product of two 1-D jets in the same variable."""
     if len(u) == 1:
         return (u[0] * v[0],)
-    u0, u1, u2 = u
-    v0, v1, v2 = v
+    (u0, u1, u2), (v0, v1, v2) = u, v
     return (u0 * v0, u0 * v1 + u1 * v0, u0 * v2 + 2 * u1 * v1 + u2 * v0)
 
 
@@ -221,11 +219,10 @@ def _block_jets(spec: AnsatzSpec, metric: MetricChoice, x, y, n: int = 6) -> tup
     the 1-D jets of A(x), B(y), tau_i(x) and tau_i(y) that the blocks are
     made of.  n = 6 gives second jets, n = 1 values alone; the entries are
     Fractions at Fraction points, floats otherwise."""
-    X, Y = (Z[:n] for Z in coordinate_jets(x, y))
-    x, y, k = X[0], Y[0], min(n, 3)
+    X, Y = coordinate_jets(x, y)
+    x, y, k, X, Y = X[0], Y[0], min(n, 3), X[:n], Y[:n]
     exact = is_exact(x, y)
-    A = spec.A.jet(x, k)
-    B = spec.B.jet(y, k)
+    A, B = spec.A.jet(x, k), spec.B.jet(y, k)
     if A[0] == 0 or B[0] == 0:
         raise SingularEvaluation("A or B vanishes at the evaluation point")
     q = polar_jet(spec.q.coeffs() if exact else spec.q.floats, X, Y)
@@ -233,25 +230,30 @@ def _block_jets(spec: AnsatzSpec, metric: MetricChoice, x, y, n: int = 6) -> tup
     den = _mul(d, q)
     if den[0] == 0:
         raise SingularEvaluation("(x - y) q(x, y) vanishes at the evaluation point")
-    if metric.tag == G0:
-        scale = (1, 0, 0, 0, 0, 0)[:n]
-    elif metric.tag == GPLUS:
-        scale = _mul(d, _inv(q))     # g+ = f^-1 g0 with f = q/(x-y)
-    elif metric.tag == GMINUS:
-        scale = _mul(q, _inv(d))
-    else:
-        p = polar_jet(metric.p.coeffs() if exact else metric.p.floats, X, Y)
-        if p[0] == 0:
-            raise SingularEvaluation("g_p is singular on the P-locus")
-        scale = _mul(den, _inv(_mul(p, p)))
-    taus = [t.coeffs() if exact else t.floats for t in spec.tau_basis]
-    tx = [_diag_jet(t, x, k) for t in taus]
-    ty = [_diag_jet(t, y, k) for t in taus]
-    w = _mul(_inv(_mul(den, den)), scale)
-    h = [_mul(_separable(A, _mul1(ty[i], ty[j]), B, _mul1(tx[i], tx[j])), w)
-         for i, j in ((0, 0), (0, 1), (1, 1))]
+    try:     # a float square below the float range is 0.0, though its root is not
+        if metric.tag == G0:
+            scale = (1, 0, 0, 0, 0, 0)[:n]
+        elif metric.tag == GPLUS:
+            scale = _mul(d, _inv(q))     # g+ = f^-1 g0 with f = q/(x-y)
+        elif metric.tag == GMINUS:
+            scale = _mul(q, _inv(d))
+        else:
+            p = polar_jet(metric.p.coeffs() if exact else metric.p.floats, X, Y)
+            if p[0] == 0:
+                raise SingularEvaluation("g_p is singular on the P-locus")
+            scale = _mul(den, _inv(_mul(p, p)))
+        w = _mul(_inv(_mul(den, den)), scale)
+    except ZeroDivisionError:
+        raise ValueError("the metric at the evaluation point leaves the float range") from None
+    t1, t2 = spec.tau_basis
+    t1, t2 = (t1.coeffs(), t2.coeffs()) if exact else (t1.floats, t2.floats)
+    x1, x2 = _diag_jet(t1, x, k), _diag_jet(t2, x, k)
+    y1, y2 = _diag_jet(t1, y, k), _diag_jet(t2, y, k)
+    h = [_mul(_separable(A, _mul1(y1, y1), B, _mul1(x1, x1)), w),
+         _mul(_separable(A, _mul1(y1, y2), B, _mul1(x1, x2)), w),
+         _mul(_separable(A, _mul1(y2, y2), B, _mul1(x2, x2)), w)]
     return (_mul(_inv(_lift(A, 0)), scale), _mul(_inv(_lift(B, 1)), scale), h,
-            (A, B, tx, ty))
+            (A, B, [x1, x2], [y1, y2]))
 
 
 # ---------------------------------------------------------------------------
@@ -259,16 +261,13 @@ def _block_jets(spec: AnsatzSpec, metric: MetricChoice, x, y, n: int = 6) -> tup
 # ---------------------------------------------------------------------------
 
 def _omega_components(spec: AnsatzSpec, sign: str, x, y) -> tuple:
-    if sign == "+":
-        qv = spec.q.polarize(x, y)
-        if qv == 0:
-            raise SingularEvaluation("omega+ is singular on q(x, y) = 0")
-        den, sy = qv * qv, 1
-    else:
-        d = x - y
-        if d == 0:
-            raise SingularEvaluation("omega- is singular on x = y")
-        den, sy = d * d, -1
+    r, sy, locus = ((spec.q.polarize(x, y), 1, "q(x, y) = 0") if sign == "+"
+                    else (x - y, -1, "x = y"))
+    if r == 0:
+        raise SingularEvaluation(f"omega{sign} is singular on {locus}")
+    den = r * r
+    if den == 0:
+        raise ValueError(f"omega{sign} at the evaluation point leaves the float range")
     (u1, v1), (u2, v2) = ((t.value(y) / den, sy * t.value(x) / den)
                           for t in spec.tau_basis)
     z = type(u1)(0)
@@ -306,13 +305,10 @@ def _complex_structure(spec: AnsatzSpec, sign: str, x, y) -> tuple:
 def eval_field(spec: AnsatzSpec, fieldname: str, pt: FramePoint) -> tuple:
     """One of g0, g+, g-, gp, omega+, omega-, J+, J- at pt, as a 4x4 tuple."""
     x, y = pt.x, pt.y
+    if fieldname == "gp" and spec.metric.tag != GP:
+        raise ValueError("spec metric is not gp")
     if fieldname in ("g0", "g+", "g-", "gp"):
-        if fieldname == "gp":
-            metric = spec.metric
-            if metric.tag != GP:
-                raise ValueError("spec metric is not gp")
-        else:
-            metric = MetricChoice(fieldname)
+        metric = spec.metric if fieldname == "gp" else MetricChoice(fieldname)
         return metric_components(spec, metric, x, y)
     if fieldname in ("omega+", "omega-"):
         return _omega_components(spec, fieldname[-1], x, y)
@@ -411,44 +407,45 @@ def _block_curvature(a, b, h) -> tuple:
     """(the 13 components of R, (Ric_xx, Ric_xy, Ric_yy), (Ric_ij), scalar)
     of a dx^2 + b dy^2 + h_ij dt_i dt_j from the second jets of a, b and
     h = (h00, h01, h11), by the closed form of the module docstring."""
-    a0, ax, ay, _, _, ayy = a
-    b0, bx, by, bxx, _, _ = b
-    H, Hx, Hy, Hxx, Hxy, Hyy = zip(*h)     # symmetric 2x2 as (m00, m01, m11)
-    p00, p01, p11 = H
+    (a0, ax, ay, _, _, ayy), (b0, bx, by, bxx, _, _) = a, b
+    ((p00, x00, y00, xx00, xy00, yy00), (p01, x01, y01, xx01, xy01, yy01),
+     (p11, x11, y11, xx11, xy11, yy11)) = h     # symmetric 2x2 as (m00, m01, m11)
     det = p00 * p11 - p01 * p01
     if det == 0:
         raise SingularEvaluation("the fibre metric is degenerate at the evaluation point")
 
-    def K(P, Q):
+    def K(P0, P1, P2, Q0, Q1, Q2):
         """P H^-1 Q for symmetric P and Q, as (00, 01, 10, 11)."""
-        n00, n01 = p11 * Q[0] - p01 * Q[1], p11 * Q[1] - p01 * Q[2]
-        n10, n11 = p00 * Q[1] - p01 * Q[0], p00 * Q[2] - p01 * Q[1]
-        return ((P[0] * n00 + P[1] * n10) / det, (P[0] * n01 + P[1] * n11) / det,
-                (P[1] * n00 + P[2] * n10) / det, (P[1] * n01 + P[2] * n11) / det)
+        n00, n01 = p11 * Q0 - p01 * Q1, p11 * Q1 - p01 * Q2
+        n10, n11 = p00 * Q1 - p01 * Q0, p00 * Q2 - p01 * Q1
+        return ((P0 * n00 + P1 * n10) / det, (P0 * n01 + P1 * n11) / det,
+                (P1 * n00 + P2 * n10) / det, (P1 * n01 + P2 * n11) / det)
 
-    def M(k, D, gx, gy):
+    def M(k00, k01, k10, k11, D0, D1, D2, gx, gy):
         """R_{i alpha j beta} from k = d_beta H H^-1 d_alpha H, D = d_alpha
         d_beta H and (gx, gy) = Gamma^(x, y)_{alpha beta}."""
-        s00, s01, s11 = (d - gx * u - gy * v for d, u, v in zip(D, Hx, Hy))
-        return tuple(u / 4 - v / 2 for u, v in zip(k, (s00, s01, s01, s11)))
+        s01 = (D1 - gx * x01 - gy * y01) / 2
+        return (k00 / 4 - (D0 - gx * x00 - gy * y00) / 2, k01 / 4 - s01, k10 / 4 - s01,
+                k11 / 4 - (D2 - gx * x11 - gy * y11) / 2)
 
     def trace(m):
         """<H^-1, m> for m = (00, 01, 10, 11)."""
         return (p11 * m[0] - p01 * (m[1] + m[2]) + p00 * m[3]) / det
 
     a2, b2 = 2 * a0, 2 * b0
-    Kyx = K(Hy, Hx)
-    Mxx = M(K(Hx, Hx), Hxx, ax / a2, -ay / b2)
-    Myy = M(K(Hy, Hy), Hyy, -bx / a2, by / b2)
-    Mxy = M(Kyx, Hxy, ay / a2, bx / b2)
+    Kyx = K(y00, y01, y11, x00, x01, x11)
+    Mxx = M(*K(x00, x01, x11, x00, x01, x11), xx00, xx01, xx11, ax / a2, -ay / b2)
+    Myy = M(*K(y00, y01, y11, y00, y01, y11), yy00, yy01, yy11, -bx / a2, by / b2)
+    Mxy = M(*Kyx, xy00, xy01, xy11, ay / a2, bx / b2)
     r_xyxy = -(ayy + bxx) / 2 + (ax * bx + ay * ay) / (2 * a2) + (ay * by + bx * bx) / (2 * b2)
-    r_fibre = -((Hx[0] * Hx[2] - Hx[1] * Hx[1]) / a0 + (Hy[0] * Hy[2] - Hy[1] * Hy[1]) / b0) / 4
+    r_fibre = -((x00 * x11 - x01 * x01) / a0 + (y00 * y11 - y01 * y01) / b0) / 4
     r_xy12 = (Kyx[1] - Kyx[2]) / 4
-    components = (r_xyxy, r_fibre, r_xy12, Mxx[0], Mxx[1], Mxx[3],
-                  Myy[0], Myy[1], Myy[3]) + Mxy
+    (m00, m01, m10, m11), (n00, n01, n10, n11) = Mxx, Myy
+    components = (r_xyxy, r_fibre, r_xy12, m00, m01, m11, n00, n01, n11) + Mxy
     base = (r_xyxy / b0 + trace(Mxx), trace(Mxy), r_xyxy / a0 + trace(Myy))
     f = r_fibre / det
-    fibre = tuple(u / a0 + v / b0 + f * w for u, v, w in zip(Mxx, Myy, (p00, p01, p01, p11)))
+    fibre = (m00 / a0 + n00 / b0 + f * p00, m01 / a0 + n01 / b0 + f * p01,
+             m10 / a0 + n10 / b0 + f * p01, m11 / a0 + n11 / b0 + f * p11)
     scalar = base[0] / a0 + base[2] / b0 + trace(fibre)
     return components, base, fibre, scalar
 
@@ -458,7 +455,7 @@ def curvature(spec: AnsatzSpec, metric: MetricChoice, pt: FramePoint) -> Curvatu
     exact Fractions when pt.x and pt.y are Fractions."""
     a, b, h, (A, B, tx, ty) = _block_jets(spec, metric, pt.x, pt.y)
     if not is_exact(pt.x, pt.y):
-        (u1, u2), (v1, v2) = ([t[0] for t in T] for T in (tx, ty))
+        u1, u2, v1, v2 = tx[0][0], tx[1][0], ty[0][0], ty[1][0]
         if not (abs(u1 * v2 - u2 * v1) >= MIN_FIBRE_SINE * math.hypot(u1, u2) * math.hypot(v1, v2)
                 and abs(A[0]) >= MIN_ROOT_DISTANCE * abs(A[1])
                 and abs(B[0]) >= MIN_ROOT_DISTANCE * abs(B[1])):

@@ -12,6 +12,11 @@ it carried the factors of one variable as 1-D jets: every entry is a full
 second jet in (x, y), and every product a general `_mul`.  The tests hold
 the separable jets equal to it, exactly at Fraction points and under `==`
 at float points.
+
+`reference_block_curvature` is the body that `tensors._block_curvature`
+had before it ran as straight-line code: `zip` over the jets of h and
+tuples of entries.  The tests hold the two equal under `==`, which pins
+the order of operations at float points.
 """
 
 from fractions import Fraction
@@ -83,6 +88,52 @@ def reference_block_jets(spec, metric, x, y, n=6) -> tuple:
         fibre = zip(_mul(A, _mul(ty[i], ty[j])), _mul(B, _mul(tx[i], tx[j])))
         h.append(_mul(tuple(u + v for u, v in fibre), w))
     return _mul(_inv(A), scale), _mul(_inv(B), scale), h, (A, B, tx, ty)
+
+
+def reference_block_curvature(a, b, h) -> tuple:
+    """(the 13 components of R, (Ric_xx, Ric_xy, Ric_yy), (Ric_ij), scalar)
+    of a dx^2 + b dy^2 + h_ij dt_i dt_j from the second jets of a, b and
+    h = (h00, h01, h11), by the closed form of the `tensors` docstring."""
+    a0, ax, ay, _, _, ayy = a
+    b0, bx, by, bxx, _, _ = b
+    H, Hx, Hy, Hxx, Hxy, Hyy = zip(*h)     # symmetric 2x2 as (m00, m01, m11)
+    p00, p01, p11 = H
+    det = p00 * p11 - p01 * p01
+    if det == 0:
+        raise SingularEvaluation("the fibre metric is degenerate at the evaluation point")
+
+    def K(P, Q):
+        """P H^-1 Q for symmetric P and Q, as (00, 01, 10, 11)."""
+        n00, n01 = p11 * Q[0] - p01 * Q[1], p11 * Q[1] - p01 * Q[2]
+        n10, n11 = p00 * Q[1] - p01 * Q[0], p00 * Q[2] - p01 * Q[1]
+        return ((P[0] * n00 + P[1] * n10) / det, (P[0] * n01 + P[1] * n11) / det,
+                (P[1] * n00 + P[2] * n10) / det, (P[1] * n01 + P[2] * n11) / det)
+
+    def M(k, D, gx, gy):
+        """R_{i alpha j beta} from k = d_beta H H^-1 d_alpha H, D = d_alpha
+        d_beta H and (gx, gy) = Gamma^(x, y)_{alpha beta}."""
+        s00, s01, s11 = (d - gx * u - gy * v for d, u, v in zip(D, Hx, Hy))
+        return tuple(u / 4 - v / 2 for u, v in zip(k, (s00, s01, s01, s11)))
+
+    def trace(m):
+        """<H^-1, m> for m = (00, 01, 10, 11)."""
+        return (p11 * m[0] - p01 * (m[1] + m[2]) + p00 * m[3]) / det
+
+    a2, b2 = 2 * a0, 2 * b0
+    Kyx = K(Hy, Hx)
+    Mxx = M(K(Hx, Hx), Hxx, ax / a2, -ay / b2)
+    Myy = M(K(Hy, Hy), Hyy, -bx / a2, by / b2)
+    Mxy = M(Kyx, Hxy, ay / a2, bx / b2)
+    r_xyxy = -(ayy + bxx) / 2 + (ax * bx + ay * ay) / (2 * a2) + (ay * by + bx * bx) / (2 * b2)
+    r_fibre = -((Hx[0] * Hx[2] - Hx[1] * Hx[1]) / a0 + (Hy[0] * Hy[2] - Hy[1] * Hy[1]) / b0) / 4
+    r_xy12 = (Kyx[1] - Kyx[2]) / 4
+    components = (r_xyxy, r_fibre, r_xy12, Mxx[0], Mxx[1], Mxx[3],
+                  Myy[0], Myy[1], Myy[3]) + Mxy
+    base = (r_xyxy / b0 + trace(Mxx), trace(Mxy), r_xyxy / a0 + trace(Myy))
+    f = r_fibre / det
+    fibre = tuple(u / a0 + v / b0 + f * w for u, v, w in zip(Mxx, Myy, (p00, p01, p01, p11)))
+    scalar = base[0] / a0 + base[2] / b0 + trace(fibre)
+    return components, base, fibre, scalar
 
 
 def metric_jet(spec, metric, x, y) -> tuple:

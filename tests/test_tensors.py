@@ -10,6 +10,7 @@ from ambitoric import FramePoint, KerrParams, Quadratic, curvature, eval_field, 
 from ambitoric.ansatz import METRIC_G0, METRIC_GMINUS, METRIC_GPLUS, metric_gp
 from ambitoric.tensors import (
     SingularEvaluation,
+    _block_curvature,
     _block_jets,
     kaehler_volume_coefficient,
     metric_components,
@@ -17,7 +18,12 @@ from ambitoric.tensors import (
 )
 
 from conftest import canonical_boxes, geometry_specs, transported_boxes
-from curvature_reference import metric_jet, reference_block_jets, reference_curvature
+from curvature_reference import (
+    metric_jet,
+    reference_block_curvature,
+    reference_block_jets,
+    reference_curvature,
+)
 
 
 def _points(spec, n=3):
@@ -469,3 +475,32 @@ def test_separable_jets_equal_the_general_jets(conic, data):
             for jets, refs, axis in (([A] + tx, [rA] + rtx, 0), ([B] + ty, [rB] + rty, 1)):
                 for jet, rjet in zip(jets, refs):
                     assert (jet, (0, 0, 0)) == _axis_slots(rjet, axis)
+
+
+@pytest.mark.parametrize("conic", ["Elliptic", "Hyperbolic", "Parabolic"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_block_curvature_equals_its_reference(conic, data):
+    """_block_curvature against the zip-and-tuple body it had, on the jets
+    at a rational point of a canonical box or of a Mobius-transported one
+    and at its float, under g0, g+, g- and a gp: equal under ==, so at float
+    points the order of operations is unchanged, and both refuse the same
+    points."""
+    spec = data.draw(st.one_of(canonical_boxes(conics=st.just(conic)), transported_boxes()))
+    x, y = (iv.lo + (iv.hi - iv.lo) * data.draw(_UNIT)
+            for iv in (spec.x_interval, spec.y_interval))
+    for pt in ((x, y), (float(x), float(y))):
+        for metric in (METRIC_G0, METRIC_GPLUS, METRIC_GMINUS, metric_gp(Quadratic(1, 1, 3))):
+            try:
+                a, b, h, _ = _block_jets(spec, metric, *pt)
+            except SingularEvaluation:
+                continue
+            try:
+                ref = reference_block_curvature(a, b, h)
+            except SingularEvaluation:
+                with pytest.raises(SingularEvaluation):
+                    _block_curvature(a, b, h)
+                continue
+            out = _block_curvature(a, b, h)
+            assert {type(v) for v in (*out[0], *out[1], *out[2], out[3])} == {type(pt[0])}
+            assert out == ref
