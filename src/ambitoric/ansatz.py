@@ -415,7 +415,8 @@ class AnsatzSpec(Record):
 # slabs.  Pieces of neighbouring slabs with the same sign pair join exactly
 # when that sign pair also occurs on the critical line (the wall) between
 # them: a point of the wall off the folds has a neighbourhood of one sign
-# pair, which meets the pieces of that pair on both sides.  Every sign and
+# pair, which meets the pieces of that pair on both sides.  So a cell is a
+# run of pieces of one sign pair in consecutive slabs.  Every sign and
 # comparison is an integer cross-multiplication of numerators, surds as
 # (P + R sqrt(N)) / d included; a midpoint is one Fraction.
 
@@ -618,9 +619,9 @@ def _finite(v):
 class SignCells:
     """The cylindrical decomposition of one box (see the comment above).
     `crit` are the critical x-values, `slabs[i]` the fibre pieces over a
-    rational x `xs[i]` of the i-th slab, and `members[n]` the (slab, sign
-    pair) pieces of cell n.  Cells are ordered by sign pair, then by the x
-    of their witness; `cell_of` maps a piece to its cell."""
+    rational x `xs[i]` of the i-th slab, and `members[n]` the run of
+    (slab, sign pair) pieces of cell n.  Cells are ordered by sign pair,
+    then by the x of their witness; `cell_of` maps a piece to its cell."""
 
     def __init__(self, spec: "AnsatzSpec"):
         self.q, self.X, self.Y = spec.q, spec.x_interval, spec.y_interval
@@ -632,25 +633,14 @@ class SignCells:
         self.xs = [_rational_between(a, b) for a, b in zip(self.ends, self.ends[1:])]
         self.slabs = [_fibre(self.q, self.Y, x) for x in self.xs]
         self.walls = [_fibre(self.q, self.Y, c) for c in self.crit]
-        parent = {(i, piece[0]): (i, piece[0])
-                  for i, slab in enumerate(self.slabs) for piece in slab}
-
-        def find(k):
-            while parent[k] != k:
-                parent[k] = parent[parent[k]]
-                k = parent[k]
-            return k
-
-        for i, wall in enumerate(self.walls):
-            for s, *_ in wall:
-                if (i, s) in parent and (i + 1, s) in parent:
-                    parent[find((i, s))] = find((i + 1, s))
-        classes = {}
-        for k in parent:
-            classes.setdefault(find(k), []).append(k)
-        self.members = sorted(
-            (sorted(ks) for ks in classes.values()),
-            key=lambda ks: (ks[0][1], self.witness(ks)[0]))
+        runs, last = [], {}
+        for i, (slab, wall) in enumerate(zip(self.slabs, [()] + self.walls)):
+            joined = {p[0] for p in wall} & last.keys()
+            last = {s: last[s] if s in joined else [] for s, *_ in slab}
+            for s, run in last.items():
+                run.append((i, s))
+            runs += [run for run in last.values() if len(run) == 1]
+        self.members = sorted(runs, key=lambda ks: (ks[0][1], self.witness(ks)[0]))
         self.cell_of = {k: n for n, ks in enumerate(self.members) for k in ks}
 
     def witness(self, keys) -> Tuple[Fraction, Fraction]:

@@ -35,7 +35,6 @@ from .quadratics import (
     Record,
     _inner_ints,
     _null_ints,
-    _over_common,
     _polar_ints,
     compatible_coordinates,
     coordinates,
@@ -129,7 +128,7 @@ def _frame(spec: AnsatzSpec, sign: str) -> _Frame:
     if frame is None:
         b1, b2 = _basis(spec, sign)
         dual = dual_frame(b1, b2, spec.q) if sign == "+" else spec.tau_dual
-        conic = _fold_conic(spec, sign, dual[0])
+        conic = _fold_conic(spec, sign, dual)
         twice = adj = None
         if conic.matrix is not None:
             twice = tuple(tuple(int(2 * v) for v in row) for row in conic.matrix)
@@ -138,19 +137,15 @@ def _frame(spec: AnsatzSpec, sign: str) -> _Frame:
     return frame
 
 
-def _coordinates(spec: AnsatzSpec, p: Quadratic, sign: str):
-    """(v1, v2, lambda) with p = v1 b1 + v2 b2 + lambda q for the basis b of
-    mu^sign, from the frame; lambda is 0 for '-' with parabolic q."""
-    if inner(p, spec.q) != 0:
-        raise MomentError("p is not orthogonal to q")
-    return coordinates(p, _frame(spec, sign).dual)
-
-
 def identify_t(spec: AnsatzSpec, p: Quadratic, sign: str = "+") -> Tuple[Fraction, Fraction]:
     """Coordinates (v1, v2) of the q-orthogonal quadratic p in the torus
-    basis, b = sigma for sign '+' and b = tau for sign '-'.  The part
-    lambda * q of p that span(b) misses only shifts mu+ by a constant."""
-    v1, v2, _ = _coordinates(spec, p, sign)
+    basis, b = sigma for sign '+' and b = tau for sign '-', read off the
+    frame: p = v1 b1 + v2 b2 + lambda q (lambda is 0 for '-' with parabolic
+    q).  The part lambda * q of p that span(b) misses only shifts mu+ by a
+    constant."""
+    if inner(p, spec.q) != 0:
+        raise MomentError("p is not orthogonal to q")
+    v1, v2, _ = coordinates(p, _frame(spec, sign).dual)
     return (v1, v2)
 
 
@@ -202,19 +197,11 @@ class LineInTstar(Record):
     degenerate_point: Optional[Tuple[Fraction, Fraction]] = None
 
 
-def _conic(Q) -> Conic:
-    """Conic of the symmetric matrix Q, scaled to the primitive integer
-    vector of its coefficients (mu1^2, mu1 mu2, mu2^2, mu1, mu2, 1)."""
-    a, b, c, d, e, f = map(Fraction, _primitive(_over_common(
-        (Q[0][0], 2 * Q[0][1], Q[1][1], 2 * Q[0][2], 2 * Q[1][2], Q[2][2]))[0]))
-    return Conic(matrix=((a, b / 2, d / 2), (b / 2, c, e / 2), (d / 2, e / 2, f)))
-
-
-def _line_ints(l: Sequence[int], frame: Optional[_Frame] = None) -> LineInTstar:
+def _line_ints(l: Sequence[int], frame: _Frame) -> LineInTstar:
     """The line {n1 mu1 + n2 mu2 = c} of an integer multiple l of
     (n1, n2, -c), with primitive integers formed once, and its tangency
-    certificate against the fold conic Q of the moment frame `frame`, if
-    one is given and Q is no point pair.  With n . mu = c, a point P of the
+    certificate against the fold conic Q of the moment frame `frame`,
+    unless Q is a point pair.  With n . mu = c, a point P of the
     line and its direction D = (-n2, n1, 0), the line meets Q where
     (P + t D)^T Q (P + t D) = 0: leading coefficient D^T Q D, discriminant
     4 ((P^T Q D)^2 - (P^T Q P)(D^T Q D)).  By
@@ -223,7 +210,7 @@ def _line_ints(l: Sequence[int], frame: Optional[_Frame] = None) -> LineInTstar:
     Both are read off the integers of l and of 2Q and adj(2Q) (`_frame`)."""
     n1, n2, c = _primitive(l)
     tangency = None
-    if frame is not None and frame.adjugate is not None:
+    if frame.adjugate is not None:
         (q00, q01, _), (_, q11, _), _ = frame.twice
         (a00, a01, a02), (_, a11, a12), (_, _, a22) = frame.adjugate
         lal = (a00 * n1 * n1 + a11 * n2 * n2 + a22 * c * c
@@ -250,35 +237,38 @@ def fold_conic(spec: AnsatzSpec, sign: str) -> Conic:
     return _frame(spec, sign).conic
 
 
-def _fold_conic(spec: AnsatzSpec, sign: str, duals) -> Conic:
+def _fold_conic(spec: AnsatzSpec, sign: str, frame) -> Conic:
     """The image conic of the fold Z_sign under mu^sign, in closed form,
-    from the dual vectors of the frame.
+    from the Gram matrix H of the frame's dual vectors, scaled to primitive
+    integer coefficients of (mu1^2, mu1 mu2, mu2^2, mu1, mu2, 1).
 
     With l = (z - x)(z - y), every quadratic p has p(x, y) = -<p, l>, and
-    <l, l> = (x - y)^2 / 2.  On Z+ = {x = y} the quadratic l is null; writing
-    l in the basis b = (sigma1, sigma2, q) gives w^T G^-1 w = 0 for
-    w = (-mu1, -mu2, 1) and G the Gram matrix of b; G^-1 is proportional
-    to the Gram matrix of the dual vectors (b2 x b3, b3 x b1, b1 x b2) of
-    the frame, which `duals` holds up to a positive factor.
-    On Z- = {q(x, y) = 0} l lies in q-perp = span(tau); with G the Gram
-    matrix of tau this gives mu^T G^-1 mu = 1/2.
+    <l, l> = (x - y)^2 / 2.  For a basis with Gram matrix G and determinant
+    D = num / den, the dual vectors have Gram matrix D^2 G^-1; the frame
+    holds them as integer triples over e, so H = e^2 D^2 G^-1 is integral.
+    On Z+ = {x = y} l is null: in the basis (sigma1, sigma2, q), w^T H w = 0
+    for w = (-mu1, -mu2, 1).  On Z- = {q(x, y) = 0} l lies in q-perp =
+    span(tau), and H mixes no tau with q: mu^T G^-1 mu = 1/2 on span(tau)
+    reads 2 d^2 mu^T H mu = num^2, with den = d e.  The '+' dual vectors
+    are (-tau2, tau1, sigma1 x sigma2) up to one factor (sigma_i x q =
+    -tau_i), so the two conics share their quadratic part.
     For parabolic q, Z- is the line pair x = r, y = r at the double root r
     of q (OO included), and its '-' image the point pair p, -p: p is the
     image of the edge {x = r}, and mu- is odd under x <-> y."""
+    if sign == "-":
+        r = spec.q.double_root()
+        if r is not None:
+            p = _edge_image(spec, sign, "X", r)
+            return Conic(matrix=None, points=(p, (-p[0], -p[1])))
+    ns, e, num, den = frame
+    (h00, h01, h02), (_, h11, h12), (_, _, h22) = [[_inner_ints(u, v) for v in ns] for u in ns]
     if sign == "+":
-        H = [[_inner_ints(u, v) for v in duals] for u in duals]
-        D = (-1, -1, 1)
-        return _conic([[D[i] * D[j] * H[i][j] for j in range(3)] for i in range(3)])
-    r = spec.q.double_root()
-    if r is not None:
-        p = _edge_image(spec, sign, "X", r)
-        return Conic(matrix=None, points=(p, (-p[0], -p[1])))
-    tau = _basis(spec, sign)
-    (g11, g12), (_, g22) = [[inner(u, v) for v in tau] for u in tau]
-    det = g11 * g22 - g12 * g12
-    zero = Fraction(0)
-    # mu^T adj(G) mu = det / 2
-    return _conic([[g22, -g12, zero], [-g12, g11, zero], [zero, zero, -det / 2]])
+        coeffs = (h00, 2 * h01, h11, -2 * h02, -2 * h12, h22)
+    else:
+        k = 2 * (den // e) ** 2
+        coeffs = (k * h00, 2 * k * h01, k * h11, 0, 0, -num * num)
+    a, b, c, d, f, g = map(Fraction, _primitive(coeffs))
+    return Conic(matrix=((a, b / 2, d / 2), (b / 2, c, f / 2), (d / 2, f / 2, g)))
 
 
 def _edge_image(spec: AnsatzSpec, sign: str, axis: str, gamma: ProjPoint):

@@ -173,12 +173,16 @@ def rat(v) -> Fraction:
 
 
 def to_float(v, what: str = "a value") -> float:
-    """float(v), where a rational that no float holds is an input error about what."""
+    """float(v), where a rational that no float holds, too large or a non-zero
+    one that rounds to 0.0, is an input error about what."""
     try:
-        return float(v)
+        f = float(v)
+        if f or not v:
+            return f
     except OverflowError:
-        e = round(math.log10(abs(v.numerator)) - math.log10(v.denominator))
-        raise ValueError(f"{what} near {'-' * (v < 0)}1e{e} does not fit in a float") from None
+        pass
+    e = round(math.log10(abs(v.numerator)) - math.log10(v.denominator))
+    raise ValueError(f"{what} near {'-' * (v < 0)}1e{e} does not fit in a float")
 
 
 def _over_common(values) -> Tuple[Tuple[int, ...], int]:

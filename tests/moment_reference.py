@@ -25,6 +25,12 @@ points read one coefficient tuple per spec and sign: the basis, the
 before it read the samples in one pass and the median of 5 sorted k-NN
 distances as the third: a tuple per sample, `np.array`, and `np.median`.
 
+`reference_fold_conic` is the body `moment._fold_conic` had before both
+fold conics came from one Gram matrix: the '+' conic from the Gram matrix
+of the '+' frame's dual vectors, the '-' conic from the Fraction Gram
+matrix G of tau (mu^T adj(G) mu = det G / 2), each scaled to primitive
+integers through `_over_common`.
+
 `form` and `evaluate` read a conic's matrix at homogeneous vectors and at
 points of the plane.
 
@@ -43,9 +49,20 @@ from ambitoric.moment import (
     MomentError,
     MomentPoint,
     TangencyCertificate,
+    _edge_image,
+    _primitive,
     fold_conic,
 )
-from ambitoric.quadratics import Quadratic, cross, inner, is_exact, transversal
+from ambitoric.quadratics import (
+    Quadratic,
+    _inner_ints,
+    _over_common,
+    cross,
+    dual_frame,
+    inner,
+    is_exact,
+    transversal,
+)
 
 
 def form(conic: Conic, u, v):
@@ -71,6 +88,31 @@ def reference_tangency(line: LineInTstar, conic: Conic):
     D = (-n2, n1, Fraction(0))
     a, b, cc = form(conic, D, D), 2 * form(conic, P, D), form(conic, P, P)
     return TangencyCertificate(leading=a, discriminant=b * b - 4 * a * cc)
+
+
+def _reference_conic(Q) -> Conic:
+    a, b, c, d, e, f = map(Fraction, _primitive(_over_common(
+        (Q[0][0], 2 * Q[0][1], Q[1][1], 2 * Q[0][2], 2 * Q[1][2], Q[2][2]))[0]))
+    return Conic(matrix=((a, b / 2, d / 2), (b / 2, c, e / 2), (d / 2, e / 2, f)))
+
+
+def reference_fold_conic(spec, sign: str) -> Conic:
+    """The image conic of the fold Z_sign under mu^sign, one formula per
+    sign."""
+    if sign == "+":
+        duals = dual_frame(*spec.sigma_basis, spec.q)[0]
+        H = [[_inner_ints(u, v) for v in duals] for u in duals]
+        D = (-1, -1, 1)
+        return _reference_conic([[D[i] * D[j] * H[i][j] for j in range(3)] for i in range(3)])
+    r = spec.q.double_root()
+    if r is not None:
+        p = _edge_image(spec, sign, "X", r)
+        return Conic(matrix=None, points=(p, (-p[0], -p[1])))
+    tau = spec.tau_basis
+    (g11, g12), (_, g22) = [[inner(u, v) for v in tau] for u in tau]
+    det = g11 * g22 - g12 * g12
+    zero = Fraction(0)
+    return _reference_conic([[g22, -g12, zero], [-g12, g11, zero], [zero, zero, -det / 2]])
 
 
 def cramer(p: Quadratic, b1: Quadratic, b2: Quadratic, b3: Quadratic):

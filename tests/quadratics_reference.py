@@ -9,6 +9,9 @@ numerators: every product and sum is a Fraction operation.  The tests hold
 `Poly.jet` at rational points, `Poly.count_roots`, `ansatz._cmp`,
 `ansatz._rational_between`, `ansatz.lattice_coordinates` and
 `ansatz.lattice_contains` equal to these, exactly and with the same type.
+`reference_members` is how `ansatz.SignCells` joined slab pieces into
+cells before it read each cell as one run: a union-find over the pieces,
+joined across each wall that has a piece of their sign pair.
 `plus`, the sum of two quadratics, serves the tests alone.
 """
 
@@ -194,3 +197,26 @@ def lattice_coordinates(lattice, vec):
 
 def lattice_contains(lattice, vec) -> bool:
     return all(w.denominator == 1 for w in lattice_coordinates(lattice, vec))
+
+
+def reference_members(cells):
+    """The (slab, sign pair) pieces of each cell of the `SignCells` cells,
+    ordered as `SignCells.members`."""
+    parent = {(i, piece[0]): (i, piece[0])
+              for i, slab in enumerate(cells.slabs) for piece in slab}
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    for i, wall in enumerate(cells.walls):
+        for s, *_ in wall:
+            if (i, s) in parent and (i + 1, s) in parent:
+                parent[find((i, s))] = find((i + 1, s))
+    classes = {}
+    for k in parent:
+        classes.setdefault(find(k), []).append(k)
+    return sorted((sorted(ks) for ks in classes.values()),
+                  key=lambda ks: (ks[0][1], cells.witness(ks)[0]))

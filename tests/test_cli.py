@@ -17,7 +17,18 @@ from ambitoric.cli import COMMANDS, MAX_GRID, main
 from ambitoric.invariants import relative_residual
 
 from conftest import make_spec
-from ambitoric import OO, AnsatzSpec, FramePoint, MomentError, Quadratic, eval_field, validate
+from ambitoric import (
+    OO,
+    AnsatzSpec,
+    FramePoint,
+    KerrParams,
+    MomentError,
+    Quadratic,
+    eval_field,
+    kerr,
+    validate,
+)
+from ambitoric.special import INTERIOR
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 CASE5 = json.loads((GOLDEN_DIR / "case5_accept.json").read_text())["spec"]
@@ -154,6 +165,7 @@ def test_kerr_and_examples(tmp_path, capsys):
     (["kerr", "--alpha", "1/0"], "--alpha"),
     (["kerr", "--mass", "1e400"], "mass"),
     (["kerr", "--mass", "1e999"], "Kerr mass"),
+    (["kerr", "--mass", "1e-200", "--alpha", "1e-201"], "Kerr mass: M^2 + alpha^2 near 1e-400"),
     (["gauge", "SPEC", "--mobius", "1/0,0,0,1"], "--mobius"),
     (["gauge", "SPEC", "--mobius", "1,1,0"], "--mobius"),
     (["examples", f"hirzebruch:{2 ** 53}"], f"hirzebruch:{2 ** 53}"),
@@ -162,13 +174,15 @@ def test_kerr_and_examples(tmp_path, capsys):
     (["moment", "SPEC", "--grid", "9" * 4400], "--grid takes an integer, not '999"),
     (["moment", "SPEC", "--grid", "-" + "9" * 4000], "--grid must be at least 1, got '-999"),
     (["kerr", "--mass", "9" * 4400], "--mass needs 1 rational number, got '999"),
-], ids=["mass-1/0", "alpha-1/0", "mass-1e400", "mass-1e999", "mobius-1/0", "mobius-3-values",
-        "hirzebruch-2^53", "hirzebruch-1e160", "hirzebruch-4400-digits",
+], ids=["mass-1/0", "alpha-1/0", "mass-1e400", "mass-1e999", "mass-1e-200", "mobius-1/0",
+        "mobius-3-values", "hirzebruch-2^53", "hirzebruch-1e160", "hirzebruch-4400-digits",
         "grid-4400-digits", "grid-below-1-4000-digits", "mass-4400-digits"])
 def test_a_malformed_number_in_a_flag_is_an_input_error(spec_file, capsys, argv, name):
     """Each of these used to end in a ZeroDivisionError or OverflowError
     traceback, or (three Mobius values) in an unpacking message that named
-    no flag: now one `error:` line naming the flag or the example, exit 2.
+    no flag, or (a mass of 1e-200, whose M^2 + alpha^2 a float reads as
+    0.0) wrote horizon ends near +-1e-7, some 10^193 times the true x+:
+    now one `error:` line naming the flag or the example, exit 2.
     From k = 2^53 on, -k-1 rounds in floats, and a corner of hirzebruch:k
     has a float determinant of 0 or of 2 in place of 1.  An index of more
     than 4300 digits failed in int(), naming no example, and the flag
@@ -396,13 +410,13 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, argv, loads):
 
 
 @pytest.mark.parametrize("argv, bound", [
-    (["validate", "SPEC"], 1811),
-    (["classify", "SPEC"], 2288),
-    (["check", "SPEC"], 2406),
-    (["moment", "SPEC", "--sign", "+"], 2393),
-    (["examples", "kerr-interior"], 2231),
-    (["examples", "cp2"], 2231),
-    (["examples", "cp2", "--format", "svg"], 2412),
+    (["validate", "SPEC"], 1805),
+    (["classify", "SPEC"], 2282),
+    (["check", "SPEC"], 2400),
+    (["moment", "SPEC", "--sign", "+"], 2377),
+    (["examples", "kerr-interior"], 2225),
+    (["examples", "cp2"], 2225),
+    (["examples", "cp2", "--format", "svg"], 2406),
 ], ids=["validate", "classify", "check", "moment", "examples-kerr-interior",
         "examples-cp2", "examples-cp2-svg"])
 def test_each_cold_subcommand_compiles_at_most_its_lines(tmp_path, argv, bound):
@@ -418,8 +432,10 @@ def test_each_cold_subcommand_compiles_at_most_its_lines(tmp_path, argv, bound):
     the polygon vertices took their closed form; 3 more for `check` before
     `tensors._block_curvature` ran as straight-line code, and 1 more for the
     three `examples` before the Kerr horizon roots read floats through
-    `to_float`): code that grows onto a
-    cold path fails here, and a change that shrinks one lowers its bound."""
+    `to_float`; 6 more for each, and 16 for `moment`, before the fold conics
+    came from one Gram matrix and the cells from one pass): code that grows
+    onto a cold path fails here, and a change that shrinks one lowers its
+    bound."""
     golden = json.loads((GOLDEN_DIR / "case1_proper_fold.json").read_text())
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(golden["spec"]))
@@ -642,6 +658,28 @@ def test_a_coefficient_no_float_holds_is_an_input_error(tmp_path, capsys, field,
     assert captured.err == "error: a value near 1e999 does not fit in a float\n"
 
 
+@pytest.mark.parametrize("field, value, argv", [
+    ("q", ["0", "1e-330", "0"], ["check"]),
+    ("q", ["0", "1e-330", "0"], ["eval", "--at", "2.5,-0.5"]),
+    ("q", ["0", "1e-330", "0"], ["moment", "--sign", "-"]),
+    ("q", ["0", "1e-330", "0"], ["moment", "--sign", "+"]),
+    ("A", ["-12", "10", "-1e-330"], ["check"]),
+    ("A", ["-12", "10", "-1e-330"], ["eval", "--at", "2.5,-0.5"]),
+], ids=["q-check", "q-eval", "q-moment-", "q-moment+", "A-check", "A-eval"])
+def test_a_coefficient_that_rounds_to_zero_is_an_input_error(tmp_path, capsys, field, value,
+                                                             argv):
+    # a float reads 1e-330 as 0.0: with that q, `check` and `eval` said
+    # "(x - y) q(x, y) vanishes" and `moment --sign -` drew one sample per
+    # cell, and with that A, `check` passed 108 identities of another A
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(dict(CASE5, **{field: value})))
+    assert main([argv[0], str(p), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    near = "-1e-330" if field == "A" else "1e-330"
+    assert captured.out == ""
+    assert captured.err == f"error: a value near {near} does not fit in a float\n"
+
+
 @pytest.mark.parametrize("field, value", [("q", ["0", "1e200", "0"]), ("q", ["0", "1e160", "0"]),
                                           ("A", ["-12", "1e200", "-2"])])
 def test_check_refuses_fields_that_leave_the_float_range(tmp_path, capsys, field, value):
@@ -767,10 +805,14 @@ def test_traced_layers_resolve():
 # ---------------------------------------------------------------------------
 
 #: what a mutated entry of a spec becomes, or what is appended to a list:
-#: strings that are no rational or no float, a rational near the precision
-#: of floats, and JSON values of the wrong type
-ODD_VALUES = ("0", "1/0", "1e999", "1e200", "1e-200", str(10 ** 20 - 1), "nan", "oo", 0, 1.5,
-              -7, None, True, [], {}, ["1", "0"])
+#: strings that are no rational or no float, rationals that parse, large,
+#: small or near the precision of floats, and JSON values of the wrong type
+ODD_VALUES = ("0", "1/0", "1e999", "1e200", "1e-200", "1e-330", str(10 ** 20 - 1), "nan", "oo",
+              "1/3", "-7/2", "3e5", 0, 1.5, -7, None, True, [], {}, ["1", "0"])
+
+#: the specs that are mutated: the 8 goldens and `examples kerr-interior`
+BASE_SPECS = [json.loads(p.read_text())["spec"] for p in sorted(GOLDEN_DIR.glob("*.json"))] + [
+    kerr(KerrParams(1, F(1, 2)), INTERIOR).to_dict()]
 
 
 def _json_paths(value, path=()):
@@ -783,9 +825,10 @@ def _json_paths(value, path=()):
 
 
 @st.composite
-def one_field_mutations(draw, spec=CASE5):
-    """`spec` with one entry replaced, deleted or (in a list) appended to."""
-    spec = json.loads(json.dumps(spec))
+def one_field_mutations(draw):
+    """A spec of `BASE_SPECS` with one entry replaced, deleted or (in a list)
+    appended to."""
+    spec = json.loads(json.dumps(draw(st.sampled_from(BASE_SPECS))))
     *head, last = draw(st.sampled_from(list(_json_paths(spec))[1:]))
     parent = spec
     for key in head:

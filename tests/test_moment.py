@@ -30,6 +30,7 @@ from ambitoric import (
     validate,
 )
 from ambitoric import moment
+from ambitoric.ansatz import SignCells
 from ambitoric.moment import TangencyCertificate
 from ambitoric.classify import classify
 from ambitoric.quadratics import _over_common, coordinates, cross
@@ -49,6 +50,7 @@ from conftest import (
     respec,
     small,
     transported_boxes,
+    z2_spec,
 )
 from moment_reference import (
     cramer,
@@ -56,6 +58,7 @@ from moment_reference import (
     reference_convexity_check,
     reference_coordinates,
     reference_edge_line,
+    reference_fold_conic,
     reference_moment_map,
     reference_tangency,
 )
@@ -576,6 +579,53 @@ def test_tangency_certificates_of_the_geometry_specs():
     assert set(kinds) == {"n1 = 0", "n2 = 0", "asymptote"}, kinds
 
 
+def _assert_one_construction(spec):
+    """Both fold conics equal the two-formula reference, with Fraction
+    entries, and the cells the union-find reference.  The '+' and '-'
+    conics have proportional quadratic parts, not both zero."""
+    conics = [fold_conic(spec, sign) for sign in "+-"]
+    for sign, conic in zip("+-", conics):
+        assert conic == reference_fold_conic(spec, sign)
+        assert all(type(v) is F for row in conic.matrix or () for v in row)
+    cells = SignCells(spec)
+    assert cells.members == quadratics_reference.reference_members(cells)
+    if conics[1].matrix is not None:
+        (a, b, _), (_, c, _), _ = conics[0].matrix
+        (u, v, _), (_, w, _), _ = conics[1].matrix
+        assert a * v == b * u and a * w == c * u and b * w == c * v and any((a, b, c))
+
+
+_HALF_WIDTH = st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3)
+
+
+@st.composite
+def _line_pair_boxes(draw):
+    """q = z^2 on a box around 0: the fibre over the line x = 0 of {q = 0}
+    lies on the fold, so that wall has no piece, and the pieces of the sign
+    pairs (1, 1) and (-1, 1) on its two sides lie in four cells."""
+    a, b, c, d = -draw(_HALF_WIDTH), draw(_HALF_WIDTH), -draw(_HALF_WIDTH), draw(_HALF_WIDTH)
+    return z2_spec([-a * b, a + b, -1], (a, b), [-c * d, c + d, -1], (c, d))
+
+
+_CELL_BOXES = dict(_BOXES, line_pair=_line_pair_boxes())
+
+
+@pytest.mark.parametrize("kind", sorted(_CELL_BOXES))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_fold_conics_and_cells_equal_their_references(kind, data):
+    """One Gram matrix gives both fold conics, and one left-to-right pass
+    the cells, as the two-formula conics and the union-find did."""
+    _assert_one_construction(data.draw(_CELL_BOXES[kind]))
+
+
+def test_fold_conics_and_cells_of_the_sliver_and_merged_boxes(sliver_spec, merged_spec):
+    """The same on the sliver and on the merged box, where one sign pair
+    holds several cells."""
+    for spec in (sliver_spec, merged_spec):
+        _assert_one_construction(spec)
+
+
 @pytest.mark.parametrize("kind", sorted(_BOXES))
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
@@ -591,7 +641,7 @@ def test_identify_t_from_the_frame_is_a_fresh_cramer_solve(kind, data):
             if p.is_zero():
                 continue
             want = reference_coordinates(spec, p, sign)
-            assert moment._coordinates(spec, p, sign) == want
+            assert coordinates(p, moment._frame(spec, sign).dual) == want
             assert identify_t(spec, p, sign) == want[:2]
     sigma1, sigma2 = spec.sigma_basis
     frame = moment._frame(spec, "+")

@@ -33,6 +33,7 @@ from ambitoric.quadratics import (
     proj_eq,
     proj_ints,
     rat,
+    to_float,
     transvectant2,
     transversal,
 )
@@ -56,6 +57,27 @@ def test_rat_accepts_strings_and_ints():
     assert rat("3/4") == F(3, 4)
     assert rat(2) == F(2)
     assert rat(F(1, 3)) == F(1, 3)
+
+
+@pytest.mark.parametrize("value, want", [
+    (F(1, 10 ** 320), 1e-320), (F(-1, 10 ** 320), -1e-320), (F(0), 0.0), (0, 0.0),
+    (F(3, 4), 0.75), (-7, -7.0), (math.inf, math.inf),
+])
+def test_to_float_keeps_what_a_float_holds(value, want):
+    """Subnormals, zero and a float already out of range pass unchanged."""
+    got = to_float(value)
+    assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize("value, near", [
+    (F(10 ** 999), "1e999"), (-(10 ** 999), "-1e999"),
+    (F(1, 10 ** 330), "1e-330"), (F(-1, 10 ** 330), "-1e-330"), (F(3, 10 ** 400), "1e-400"),
+])
+def test_to_float_refuses_what_no_float_holds(value, near):
+    """Too large, or non-zero and rounding to 0.0: one message for both."""
+    with pytest.raises(ValueError) as err:
+        to_float(value, "q")
+    assert str(err.value) == f"q near {near} does not fit in a float"
 
 
 def test_quadratic_value_and_polarization():
