@@ -129,12 +129,8 @@ class _Viewport:
                 f'stroke-width="{width:.1f}" points="{coords}"/>')
 
     def dots(self, pts, color: str, r: float = 1.6) -> str:
-        # `map` inlined: (size - margin) - ... rounds as it does there
-        x0, y0, scale, left = self.x0, self.y0, self.scale, self.margin
-        top = self.size - self.margin
         tail = f'" r="{r:.1f}" fill="{color}"/>'
-        return "\n".join(f'<circle cx="{left + (x - x0) * scale:.3f}" '
-                         f'cy="{top - (y - y0) * scale:.3f}{tail}' for x, y in pts)
+        return "\n".join(f'<circle cx="{u:.3f}" cy="{v:.3f}{tail}' for u, v in map(self.map, pts))
 
 
 def _conic_polylines(matrix, box) -> List[List[Tuple[float, float]]]:

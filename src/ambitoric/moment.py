@@ -43,6 +43,7 @@ from .quadratics import (
     is_exact,
     proj_ints,
     rat,
+    to_float,
 )
 from .ansatz import AnsatzSpec, LatticeMatrix, _lattice_numerators, lattice_inverse
 
@@ -73,9 +74,13 @@ def _basis(spec: AnsatzSpec, sign: str) -> Tuple[Quadratic, Quadratic]:
 
 def _moment_floats(spec: AnsatzSpec, sign: str) -> tuple:
     """The float coefficients of q and of the basis of mu^sign, nine in a
-    row, kept on the spec instance (`AnsatzSpec.moment_floats`)."""
+    row, kept on the spec instance (`AnsatzSpec.moment_floats`).  The spec
+    does not hold sigma, so a sigma coefficient that no float holds is
+    named as one of sigma, not as a value of the spec."""
     s1, s2 = _basis(spec, sign)
-    coeffs = spec.moment_floats[sign] = spec.q.floats + s1.floats + s2.floats
+    what = "a coefficient of sigma (sigma x q = -tau)" if sign == "+" else "a value"
+    coeffs = spec.moment_floats[sign] = spec.q.floats + tuple(
+        to_float(c, what) for c in s1.coeffs() + s2.coeffs())
     return coeffs
 
 

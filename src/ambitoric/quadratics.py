@@ -154,9 +154,6 @@ class Record:
 # rationals and the projective line
 # ---------------------------------------------------------------------------
 
-RatLike = Union[int, str, Fraction]
-
-
 def rat(v) -> Fraction:
     """Coerce ints, strings like '3/4' or '-2', Fractions and exact floats."""
     if isinstance(v, Fraction):
@@ -308,11 +305,6 @@ class Poly:
             p = p * a + c * bk
             bk *= b
         return (p, dp, ddp)[:n], d * bk // b
-
-    def derivative(self) -> "Poly":
-        if len(self.coeffs) == 1:
-            return Poly([0])
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -647,15 +639,13 @@ def transvectant2(p: Quadratic, R: Poly) -> Quadratic:
     """The quadratic (p, R)^(2) = p*R'' - 3*p'*R' + 6*p''*R, for R of degree
     <= 4 read as a binary quartic (its missing top coefficients are 0).
 
-    The quartic and cubic coefficients of the combination cancel identically;
-    the remainder is returned in the half-linear-coefficient convention."""
-    pp = p.as_poly()
-    r1 = R.derivative()
-    r2 = r1.derivative()
-    p1 = pp.derivative()
-    p2 = p1.derivative()
-    total = pp * r2 - Poly([3]) * p1 * r1 + Poly([6]) * p2 * R
-    cs = list(total.coeffs) + [Fraction(0)] * (5 - len(total.coeffs))
-    if any(c != 0 for c in cs[3:]):
-        raise AssertionError("transvectant degree cancellation failed")
-    return Quadratic(cs[2], cs[1] / 2, cs[0])
+    The quartic and cubic coefficients of the combination cancel identically,
+    which leaves, for p = (c0, c1, c2) and R = r0 + ... + r4 z^4, this
+    closed form."""
+    if R.degree > 4:
+        raise ValueError(f"the second transvectant needs a quartic, got degree {R.degree}")
+    c0, c1, c2 = p.coeffs()
+    r0, r1, r2, r3, r4 = R.coeffs + (0,) * (5 - len(R.coeffs))
+    return Quadratic(12 * c2 * r4 - 6 * c1 * r3 + 2 * c0 * r2,
+                     3 * c2 * r3 - 4 * c1 * r2 + 3 * c0 * r1,
+                     2 * c2 * r2 - 6 * c1 * r1 + 12 * c0 * r0)

@@ -16,7 +16,7 @@ f^-1, f, or (x-y) q / p^2; the complex structures are J+- = g+-^{-1} omega+-.
 Every metric entry is a rational function of (x, y), so `_block_jets`, the
 one place that spells out the formula above, gives `curvature` its second
 jets (value, d/dx, d/dy, d2/dx2, d2/dxdy, d2/dy2) with no truncation
-error, while `metric_components` runs the same formula on values alone.
+error, and `metric_components` reads their values.
 The formula is separable: A and tau_i(x) depend on x alone, B and tau_i(y)
 on y alone, so each of these is a 1-D jet (value, d, d2), and the fibre
 numerators A tau_i(y) tau_j(y) + B tau_i(x) tau_j(x) are formed from them
@@ -131,15 +131,13 @@ class FramePoint(Record):
 
 
 # ---------------------------------------------------------------------------
-# jets in (x, y): the value alone, or the second jet (value, d/dx, d/dy,
-# d2/dx2, d2/dxdy, d2/dy2); and 1-D jets (value, d, d2) of functions of x
-# alone or of y alone, which the metric is made of
+# second jets in (x, y), (value, d/dx, d/dy, d2/dx2, d2/dxdy, d2/dy2), and
+# 1-D jets (value, d, d2) of functions of x alone or of y alone, which the
+# metric is made of
 # ---------------------------------------------------------------------------
 
 def _mul(a, b):
-    """Product of two jets of the same length."""
-    if len(a) == 1:
-        return (a[0] * b[0],)
+    """Product of two second jets."""
     (a0, ax, ay, axx, axy, ayy), (b0, bx, by, bxx, bxy, byy) = a, b
     return (a0 * b0, a0 * bx + ax * b0, a0 * by + ay * b0,
             a0 * bxx + 2 * ax * bx + axx * b0,
@@ -149,35 +147,28 @@ def _mul(a, b):
 
 def _inv(a):
     """Reciprocal of a jet with nonzero value."""
-    r = 1 / a[0]
-    if len(a) == 1:
-        return (r,)
     a0, ax, ay, axx, axy, ayy = a
+    r = 1 / a0
     r2 = r * r
     return (r, -ax * r2, -ay * r2, (2 * ax * ax * r - axx) * r2,
             (2 * ax * ay * r - axy) * r2, (2 * ay * ay * r - ayy) * r2)
 
 
-def _diag_jet(cs: Sequence, z, n: int):
+def _diag_jet(cs: Sequence, z):
     """1-D jet of p(z) = p(z, z), p with coefficients cs, in the order of
-    operations of `polar_jet`; its value alone when n = 1."""
+    operations of `polar_jet`."""
     c0, c1, c2 = cs
-    v = c0 * (z * z) + c1 * (z + z) + c2
-    return (v,) if n == 1 else (v, c0 * (z + z) + 2 * c1, 2 * c0)
+    return (c0 * (z * z) + c1 * (z + z) + c2, c0 * (z + z) + 2 * c1, 2 * c0)
 
 
 def _mul1(u, v):
     """Product of two 1-D jets in the same variable."""
-    if len(u) == 1:
-        return (u[0] * v[0],)
     (u0, u1, u2), (v0, v1, v2) = u, v
     return (u0 * v0, u0 * v1 + u1 * v0, u0 * v2 + 2 * u1 * v1 + u2 * v0)
 
 
 def _separable(A, T, B, S):
     """Jet of A(x) T(y) + B(y) S(x) from the 1-D jets of its four factors."""
-    if len(A) == 1:
-        return (A[0] * T[0] + B[0] * S[0],)
     (a, ax, axx), (t, ty, tyy), (b, by, byy), (s, sx, sxx) = A, T, B, S
     return (a * t + b * s, ax * t + b * sx, a * ty + by * s,
             axx * t + b * sxx, ax * ty + by * sx, a * tyy + byy * s)
@@ -186,24 +177,21 @@ def _separable(A, T, B, S):
 def _lift(u, axis: int):
     """The 1-D jet u of a function of x (axis 0) or of y (axis 1) as a jet
     in (x, y)."""
-    if len(u) == 1:
-        return u
     u0, u1, u2 = u
     return (u0, u1, 0, u2, 0, 0) if axis == 0 else (u0, 0, u1, 0, 0, u2)
 
 
 def polar_jet(cs: Sequence, X, Y):
     """Jet of the polarization c0 x y + c1 (x + y) + c2, cs = (c0, c1, c2),
-    as long as the coordinate jets X, Y of x and y (`coordinate_jets`)."""
+    from the coordinate jets X, Y of x and y (`coordinate_jets`)."""
     x, y = X[0], Y[0]
     c0, c1, c2 = cs
-    v = c0 * (x * y) + c1 * (x + y) + c2
-    return (v,) if len(X) == 1 else (v, c0 * y + c1, c0 * x + c1, 0, c0, 0)
+    return (c0 * (x * y) + c1 * (x + y) + c2, c0 * y + c1, c0 * x + c1, 0, c0, 0)
 
 
 def coordinate_jets(x, y):
     """The second jets of x and y: Fractions at an exact point (`is_exact`),
-    floats otherwise.  X[:1] is the jet of the value alone."""
+    floats otherwise."""
     if not is_exact(x, y):
         x, y = float(x), float(y)
     return (x, 1, 0, 0, 0, 0), (y, 0, 1, 0, 0, 0)
@@ -213,26 +201,26 @@ def coordinate_jets(x, y):
 # the metric as a jet in (x, y)
 # ---------------------------------------------------------------------------
 
-def _block_jets(spec: AnsatzSpec, metric: MetricChoice, x, y, n: int = 6) -> tuple:
-    """Jets of the blocks of the metric a dx^2 + b dy^2 + h_ij dt_i dt_j at
-    (x, y): (a, b, (h00, h01, h11), (A, B, tx, ty)), where the last four are
-    the 1-D jets of A(x), B(y), tau_i(x) and tau_i(y) that the blocks are
-    made of.  n = 6 gives second jets, n = 1 values alone; the entries are
-    Fractions at Fraction points, floats otherwise."""
+def _block_jets(spec: AnsatzSpec, metric: MetricChoice, x, y) -> tuple:
+    """Second jets of the blocks of the metric a dx^2 + b dy^2 + h_ij dt_i dt_j
+    at (x, y): (a, b, (h00, h01, h11), (A, B, tx, ty)), where the last four
+    are the 1-D jets of A(x), B(y), tau_i(x) and tau_i(y) that the blocks
+    are made of.  The entries are Fractions at Fraction points, floats
+    otherwise."""
     X, Y = coordinate_jets(x, y)
-    x, y, k, X, Y = X[0], Y[0], min(n, 3), X[:n], Y[:n]
+    x, y = X[0], Y[0]
     exact = is_exact(x, y)
-    A, B = spec.A.jet(x, k), spec.B.jet(y, k)
+    A, B = spec.A.jet(x, 3), spec.B.jet(y, 3)
     if A[0] == 0 or B[0] == 0:
         raise SingularEvaluation("A or B vanishes at the evaluation point")
     q = polar_jet(spec.q.coeffs() if exact else spec.q.floats, X, Y)
-    d = (x - y, 1, -1, 0, 0, 0)[:n]
+    d = (x - y, 1, -1, 0, 0, 0)
     den = _mul(d, q)
     if den[0] == 0:
         raise SingularEvaluation("(x - y) q(x, y) vanishes at the evaluation point")
     try:     # a float square below the float range is 0.0, though its root is not
         if metric.tag == G0:
-            scale = (1, 0, 0, 0, 0, 0)[:n]
+            scale = (1, 0, 0, 0, 0, 0)
         elif metric.tag == GPLUS:
             scale = _mul(d, _inv(q))     # g+ = f^-1 g0 with f = q/(x-y)
         elif metric.tag == GMINUS:
@@ -247,8 +235,8 @@ def _block_jets(spec: AnsatzSpec, metric: MetricChoice, x, y, n: int = 6) -> tup
         raise ValueError("the metric at the evaluation point leaves the float range") from None
     t1, t2 = spec.tau_basis
     t1, t2 = (t1.coeffs(), t2.coeffs()) if exact else (t1.floats, t2.floats)
-    x1, x2 = _diag_jet(t1, x, k), _diag_jet(t2, x, k)
-    y1, y2 = _diag_jet(t1, y, k), _diag_jet(t2, y, k)
+    x1, x2 = _diag_jet(t1, x), _diag_jet(t2, x)
+    y1, y2 = _diag_jet(t1, y), _diag_jet(t2, y)
     h = [_mul(_separable(A, _mul1(y1, y1), B, _mul1(x1, x1)), w),
          _mul(_separable(A, _mul1(y1, y2), B, _mul1(x1, x2)), w),
          _mul(_separable(A, _mul1(y2, y2), B, _mul1(x2, x2)), w)]
@@ -275,8 +263,10 @@ def _omega_components(spec: AnsatzSpec, sign: str, x, y) -> tuple:
 
 
 def metric_components(spec: AnsatzSpec, metric: MetricChoice, x, y) -> tuple:
-    """The 4x4 metric at (x, y); Fractions when x and y are Fractions."""
-    (a,), (b,), ((h00,), (h01,), (h11,)), _ = _block_jets(spec, metric, x, y, 1)
+    """The 4x4 metric at (x, y), the values of `_block_jets`; Fractions when
+    x and y are Fractions."""
+    (a, *_), (b, *_), h, _ = _block_jets(spec, metric, x, y)
+    h00, h01, h11 = (jet[0] for jet in h)
     z = type(a)(0)
     return ((a, z, z, z), (z, b, z, z), (z, z, h00, h01), (z, z, h01, h11))
 

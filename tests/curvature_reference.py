@@ -13,6 +13,11 @@ second jet in (x, y), and every product a general `_mul`.  The tests hold
 the separable jets equal to it, exactly at Fraction points and under `==`
 at float points.
 
+`reference_metric_components` is the value-only path that
+`tensors.metric_components` ran before it read the values of the second
+jets of `_block_jets`: the same formula on values alone, in the same order
+of operations.  The tests hold the two equal under `==`.
+
 `reference_block_curvature` is the body that `tensors._block_curvature`
 had before it ran as straight-line code: `zip` over the jets of h and
 tuples of entries.  The tests hold the two equal under `==`, which pins
@@ -25,6 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ambitoric.ansatz import G0, GMINUS, GPLUS
+from ambitoric.quadratics import is_exact
 from ambitoric.tensors import SingularEvaluation, _inv, _mul, coordinate_jets
 
 
@@ -41,8 +47,6 @@ def _poly_jet(P, Z, axis):
     """Jet of P(x) (axis 0) or P(y) (axis 1), as long as the coordinate jet
     Z of x or y, by Horner's rule."""
     z = Z[0]
-    if len(Z) == 1:
-        return (P(z),)
     p = dp = ddp = 0
     for c in reversed(P.coeffs if isinstance(z, Fraction) else P.floats):
         p, dp, ddp = p * z + c, dp * z + p, ddp * z + 2 * dp
@@ -57,10 +61,10 @@ def _polar_jet(p, X, Y):
     return (v[0] + c2,) + v[1:]
 
 
-def reference_block_jets(spec, metric, x, y, n=6) -> tuple:
+def reference_block_jets(spec, metric, x, y) -> tuple:
     """(a, b, (h00, h01, h11), (A, B, tx, ty)) as `tensors._block_jets`
     returns them, but with A, B, tx and ty as jets in (x, y) too."""
-    X, Y = (Z[:n] for Z in coordinate_jets(x, y))
+    X, Y = coordinate_jets(x, y)
     A, B = _poly_jet(spec.A, X, 0), _poly_jet(spec.B, Y, 1)
     if A[0] == 0 or B[0] == 0:
         raise SingularEvaluation("A or B vanishes at the evaluation point")
@@ -70,7 +74,7 @@ def reference_block_jets(spec, metric, x, y, n=6) -> tuple:
     if den[0] == 0:
         raise SingularEvaluation("(x - y) q(x, y) vanishes at the evaluation point")
     if metric.tag == G0:
-        scale = (1, 0, 0, 0, 0, 0)[:n]
+        scale = (1, 0, 0, 0, 0, 0)
     elif metric.tag == GPLUS:
         scale = _mul(d, _inv(q))
     elif metric.tag == GMINUS:
@@ -88,6 +92,47 @@ def reference_block_jets(spec, metric, x, y, n=6) -> tuple:
         fibre = zip(_mul(A, _mul(ty[i], ty[j])), _mul(B, _mul(tx[i], tx[j])))
         h.append(_mul(tuple(u + v for u, v in fibre), w))
     return _mul(_inv(A), scale), _mul(_inv(B), scale), h, (A, B, tx, ty)
+
+
+def reference_metric_components(spec, metric, x, y) -> tuple:
+    """The 4x4 metric at (x, y) from values alone: a, b and h as
+    `tensors._block_jets` formed their values."""
+    (x, *_), (y, *_) = coordinate_jets(x, y)
+    floats = not is_exact(x, y)
+
+    def polar(p, u, v):
+        c0, c1, c2 = p.floats if floats else p.coeffs()
+        return c0 * (u * v) + c1 * (u + v) + c2
+
+    A, B = spec.A(x), spec.B(y)
+    if A == 0 or B == 0:
+        raise SingularEvaluation("A or B vanishes at the evaluation point")
+    q, d = polar(spec.q, x, y), x - y
+    den = d * q
+    if den == 0:
+        raise SingularEvaluation("(x - y) q(x, y) vanishes at the evaluation point")
+    try:
+        if metric.tag == G0:
+            scale = 1
+        elif metric.tag == GPLUS:
+            scale = d * (1 / q)
+        elif metric.tag == GMINUS:
+            scale = q * (1 / d)
+        else:
+            p = polar(metric.p, x, y)
+            if p == 0:
+                raise SingularEvaluation("g_p is singular on the P-locus")
+            scale = den * (1 / (p * p))
+        w = (1 / (den * den)) * scale
+    except ZeroDivisionError:
+        raise ValueError("the metric at the evaluation point leaves the float range") from None
+    (x1, y1), (x2, y2) = ((polar(t, x, x), polar(t, y, y)) for t in spec.tau_basis)
+    h00, h01, h11 = ((A * (yi * yj) + B * (xi * xj)) * w
+                     for xi, yi, xj, yj in ((x1, y1, x1, y1), (x1, y1, x2, y2),
+                                            (x2, y2, x2, y2)))
+    a, b = (1 / A) * scale, (1 / B) * scale
+    z = type(a)(0)
+    return ((a, z, z, z), (z, b, z, z), (z, z, h00, h01), (z, z, h01, h11))
 
 
 def reference_block_curvature(a, b, h) -> tuple:

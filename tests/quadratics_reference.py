@@ -12,6 +12,10 @@ numerators: every product and sum is a Fraction operation.  The tests hold
 `reference_members` is how `ansatz.SignCells` joined slab pieces into
 cells before it read each cell as one run: a union-find over the pieces,
 joined across each wall that has a piece of their sign pair.
+`reference_transvectant2` is `quadratics.transvectant2` as it was before
+it took its closed form: the combination p R'' - 3 p' R' + 6 p'' R formed
+from `Poly` products and the `Poly.derivative` that `quadratics` had
+(`derivative`).
 `plus`, the sum of two quadratics, serves the tests alone.
 """
 
@@ -116,6 +120,11 @@ def sign_changes(seq, at, end: int) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
+def derivative(P: Poly) -> Poly:
+    """P', which the references alone need."""
+    return Poly([k * c for k, c in enumerate(P.coeffs)][1:] or [0])
+
+
 def count_roots(P: Poly, lo, hi) -> int:
     """Distinct real roots of the nonzero P in (lo, hi) by Sturm's theorem,
     after dividing out the roots at the finite ends."""
@@ -123,7 +132,7 @@ def count_roots(P: Poly, lo, hi) -> int:
     for e in (lo, hi):
         if e is not None:
             p = Poly(deflate(p.coeffs, e)[1])
-    seq = [p, p.derivative()]
+    seq = [p, derivative(p)]
     while not seq[-1].is_zero():
         seq.append(poly_mod(seq[-2], seq[-1]) * -1)
     seq.pop()
@@ -220,3 +229,18 @@ def reference_members(cells):
         classes.setdefault(find(k), []).append(k)
     return sorted((sorted(ks) for ks in classes.values()),
                   key=lambda ks: (ks[0][1], cells.witness(ks)[0]))
+
+
+def reference_transvectant2(p: Quadratic, R: Poly) -> Quadratic:
+    """(p, R)^(2) = p*R'' - 3*p'*R' + 6*p''*R from `Poly` products, for R of
+    degree <= 4; the quartic and cubic coefficients must cancel."""
+    pp = p.as_poly()
+    r1 = derivative(R)
+    r2 = derivative(r1)
+    p1 = derivative(pp)
+    p2 = derivative(p1)
+    total = pp * r2 - Poly([3]) * p1 * r1 + Poly([6]) * p2 * R
+    cs = list(total.coeffs) + [Fraction(0)] * (5 - len(total.coeffs))
+    if any(c != 0 for c in cs[3:]):
+        raise AssertionError("transvectant degree cancellation failed")
+    return Quadratic(cs[2], cs[1] / 2, cs[0])

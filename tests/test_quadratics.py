@@ -393,11 +393,26 @@ def test_transvectant_of_q_with_powers():
     assert t.is_zero()
 
 
+def test_transvectant_refuses_a_quintic():
+    with pytest.raises(ValueError, match="needs a quartic, got degree 5"):
+        transvectant2(Quadratic(1, 0, 1), Poly([0, 0, 0, 0, 0, 1]))
+
+
 #: coefficients with zeros, signs and denominators up to 10^30
 _wide = st.one_of(st.just(F(0)), st.integers(-6, 6).map(F),
                   st.fractions(min_value=-8, max_value=8, max_denominator=12),
                   st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**30)))
 _wide_quadratics = st.builds(Quadratic, _wide, _wide, _wide)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_wide_quadratics, R=st.lists(_wide, max_size=5).map(Poly))
+def test_transvectant_closed_form_equals_its_poly_products(p, R):
+    """The closed form against the Poly products it replaced, for R of every
+    degree up to 4 (the empty list is the zero polynomial)."""
+    t = transvectant2(p, R)
+    assert t == quadratics_reference.reference_transvectant2(p, R)
+    assert {type(c) for c in t.coeffs()} == {F}
 
 
 def _is_fraction_quadratic(q):

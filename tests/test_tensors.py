@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -23,6 +24,7 @@ from curvature_reference import (
     reference_block_curvature,
     reference_block_jets,
     reference_curvature,
+    reference_metric_components,
 )
 
 
@@ -475,6 +477,32 @@ def test_separable_jets_equal_the_general_jets(conic, data):
             for jets, refs, axis in (([A] + tx, [rA] + rtx, 0), ([B] + ty, [rB] + rty, 1)):
                 for jet, rjet in zip(jets, refs):
                     assert (jet, (0, 0, 0)) == _axis_slots(rjet, axis)
+
+
+@pytest.mark.parametrize("conic", ["Elliptic", "Hyperbolic", "Parabolic"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_metric_components_equal_the_value_only_path(conic, data):
+    """metric_components, the values of the second jets of _block_jets,
+    against the formula on values alone that it ran before, at a rational
+    point of a canonical box or of a Mobius-transported one and at its
+    float, under g0, g+, g- and a gp: equal under ==, so at float points
+    every value is bit for bit the same, and both refuse the same points
+    with the same error."""
+    spec = data.draw(st.one_of(canonical_boxes(conics=st.just(conic)), transported_boxes()))
+    x, y = (iv.lo + (iv.hi - iv.lo) * data.draw(_UNIT)
+            for iv in (spec.x_interval, spec.y_interval))
+    for pt in ((x, y), (float(x), float(y))):
+        for metric in (METRIC_G0, METRIC_GPLUS, METRIC_GMINUS, metric_gp(Quadratic(1, 1, 3))):
+            try:
+                ref = reference_metric_components(spec, metric, *pt)
+            except (SingularEvaluation, ValueError) as err:
+                with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+                    metric_components(spec, metric, *pt)
+                continue
+            g = metric_components(spec, metric, *pt)
+            assert {type(v) for row in g for v in row} == {type(pt[0])}
+            assert g == ref
 
 
 @pytest.mark.parametrize("conic", ["Elliptic", "Hyperbolic", "Parabolic"])
