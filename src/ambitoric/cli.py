@@ -19,7 +19,7 @@ five coefficients a0..a4 of "R", and optionally "x_interval",
 "y_interval" and "lattice".  `validate`, `check`, `classify` and `moment`
 work on the same exact cells, the components of the box minus the folds.
 Exit codes: 0 success, 1 negative classification verdict, 2 usage or input
-error (a missing or malformed field is named), 3 internal invariant failure.
+error (a missing or malformed field is named), 3 a `check` invariant failed.
 """
 
 from __future__ import annotations
@@ -177,9 +177,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except AssertionError as err:
-        print(f"internal invariant failure: {err}", file=sys.stderr)
-        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -51,12 +51,12 @@ def run_eval(args) -> int:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"--at needs two finite coordinates x,y, got {quoted(args.at)}")
     spec = _load_spec(args.spec)
-    fields = [args.field] if args.field else list(FIELDS)
+    # gp exists only on a gp spec: left out of the default fields, refused when asked for
+    fields = [args.field] if args.field else [f for f in FIELDS
+                                              if f != "gp" or spec.metric.tag == "gp"]
     try:
         out = {"x": x, "y": y, "f": float(conformal_factor(spec, x, y))}
         for f in fields:
-            if f == "gp" and spec.metric.tag != "gp":
-                continue
             out[f] = [[float(v) for v in row] for row in eval_field(spec, f, FramePoint(x, y))]
     except SingularEvaluation as err:
         raise ValueError(f"--at={args.at}: {err}") from None

@@ -113,6 +113,9 @@ from .ansatz import (
     GMINUS,
     GP,
     GPLUS,
+    METRIC_G0,
+    METRIC_GMINUS,
+    METRIC_GPLUS,
     AnsatzSpec,
     MetricChoice,
     SingularEvaluation,
@@ -297,9 +300,9 @@ def eval_field(spec: AnsatzSpec, fieldname: str, pt: FramePoint) -> tuple:
     x, y = pt.x, pt.y
     if fieldname == "gp" and spec.metric.tag != GP:
         raise ValueError("spec metric is not gp")
-    if fieldname in ("g0", "g+", "g-", "gp"):
-        metric = spec.metric if fieldname == "gp" else MetricChoice(fieldname)
-        return metric_components(spec, metric, x, y)
+    metrics = {G0: METRIC_G0, GPLUS: METRIC_GPLUS, GMINUS: METRIC_GMINUS, GP: spec.metric}
+    if fieldname in metrics:
+        return metric_components(spec, metrics[fieldname], x, y)
     if fieldname in ("omega+", "omega-"):
         return _omega_components(spec, fieldname[-1], x, y)
     if fieldname in ("J+", "J-"):

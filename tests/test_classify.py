@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambitoric import (
     AnsatzSpec,
@@ -27,7 +28,15 @@ from ambitoric.classify import (
     RULE_PROPER_FOLD,
 )
 
-from conftest import I2, boxes_and_transports, make_spec, respec, z2_spec
+from conftest import (
+    I2,
+    boxes_and_transports,
+    geometry_specs,
+    make_spec,
+    respec,
+    transported_boxes,
+    z2_spec,
+)
 
 
 def violations(verdict):
@@ -271,3 +280,50 @@ def test_gp_with_p_a_multiple_of_q_classifies_as_gplus(spec):
         p = Quadratic(lam, 0, 0)
         assert _rule_outcomes(respec(spec, metric=metric_gp(p))) == want, lam
     assert _rule_outcomes(respec(spec, metric=metric_gp(Quadratic(0, 1, 0)))) != want
+
+
+def _matmul(m, n):
+    return tuple(tuple(sum(m[i][k] * n[k][j] for k in range(2)) for j in range(2))
+                 for i in range(2))
+
+
+_entries = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def basis_changes(draw):
+    """(S, U): S in GL(2, Q) with entries k/m, |k| <= 4 and 1 <= m <= 3, and
+    U in GL(2, Z), a product of two shears and maybe a swap of columns."""
+    S = draw(st.tuples(*[_entries] * 4).filter(lambda e: e[0] * e[3] != e[1] * e[2]))
+    a, b, swap = draw(st.integers(-2, 2)), draw(st.integers(-2, 2)), draw(st.booleans())
+    U = _matmul(((1, a), (0, 1)), ((1, 0), (b, 1)))
+    return (S[:2], S[2:]), (tuple(r[::-1] for r in U) if swap else U)
+
+
+def _normals(verdict):
+    return [r.status.compatible_normal for r in verdict.reports
+            if r.status is not None and r.status.compatible_normal is not None]
+
+
+@given(st.one_of(st.sampled_from(list(geometry_specs().values())), transported_boxes()),
+       basis_changes())
+@settings(max_examples=60, deadline=None)
+def test_verdicts_are_invariant_under_a_change_of_torus_and_lattice_basis(spec, change):
+    """The torus basis tau' = S tau with the lattice S^-T L describes the same
+    geometry, and so does the lattice basis L U: the cells, the verdict
+    flags and every report's rule, outcome, distance verdict and r stay, and
+    each compatible normal, a vector in tau coordinates, moves by S^-T."""
+    (S, U), t = change, [tau.coeffs() for tau in spec.tau_basis]
+    (a, b), (c, d) = S
+    det = a * d - b * c
+    S_inv_T = ((d / det, -c / det), (-b / det, a / det))
+    tau = tuple(Quadratic(*(row[0] * u + row[1] * v for u, v in zip(*t))) for row in S)
+    moved = respec(spec, tau_basis=tau, lattice=_matmul(_matmul(S_inv_T, spec.lattice), U))
+    before, after = classify(spec), classify(moved)
+    assert [(c.sign_xy, c.sign_q, c.witness, v.completable, v.extends_ambitoric)
+            for c, v in before] == [
+        (c.sign_xy, c.sign_q, c.witness, v.completable, v.extends_ambitoric) for c, v in after]
+    assert _rule_outcomes(spec) == _rule_outcomes(moved)
+    for (_c, v), (_c, w) in zip(before, after):
+        assert [(tuple(sum(S_inv_T[i][k] * n[k] for k in range(2)) for i in range(2)), inside)
+                for n, inside in _normals(v)] == _normals(w)

@@ -56,6 +56,19 @@ def test_eval_command(spec_file, capsys):
     assert len(out["g0"]) == 4
 
 
+def test_eval_refuses_gp_asked_of_a_spec_whose_metric_is_not_gp(tmp_path, capsys):
+    # the golden case1 has the metric g0: `--field gp` used to exit 0 and
+    # print only f, x and y, while the default fields leave gp out
+    spec = tmp_path / "case1.json"
+    spec.write_text(json.dumps(json.loads((GOLDEN_DIR / "case1_proper_fold.json").read_text())
+                               ["spec"]))
+    assert main(["eval", str(spec), "--at", "2.5,-0.5", "--field", "gp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: spec metric is not gp\n"
+    assert main(["eval", str(spec), "--at", "2.5,-0.5"]) == 0
+    assert "gp" not in json.loads(capsys.readouterr().out)
+
+
 @pytest.mark.parametrize("at", ["nan,1", "inf,1", "1,-inf"])
 def test_eval_rejects_a_non_finite_point(spec_file, capsys, at):
     # JSON has no NaN or infinity: a non-finite point must not reach the output
