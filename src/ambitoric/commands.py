@@ -78,7 +78,9 @@ def run_examples(args) -> int:
     from .special import EXTERIOR, INTERIOR, KerrParams, kerr, standard_polygon
 
     name = args.name
-    if name in ("kerr", "kerr-exterior", "kerr-interior"):
+    if name in ("kerr", "kerr-interior"):
+        if args.format == "svg":
+            raise ValueError(f"example {quoted(name)} is a spec: --format svg draws only polygons")
         region = INTERIOR if name == "kerr-interior" else EXTERIOR
         spec = kerr(KerrParams(1, Fraction(1, 2)), region)
         _dump_json(spec.to_dict(), args.out)

@@ -10,12 +10,10 @@ sigma_i x q = -tau_i (see ansatz.sigma_from_tau),
     mu_i^- = -tau_i(x, y) / (x - y)
 
 which reproduces the classical displayed formulas in all three canonical
-gauges.  Pairings of quadratics p _|_ q with the moment maps are realized
-by per-sign coordinate vectors `identify_t(spec, p, sign)`; the two signs
-differ by a reflection of the second basis direction, which is why a
-single global convention (the '+' one, fixed by identify_t(1) = (1, 0) in
-the hyperbolic gauge) is used for reporting while lattice-membership tests
-record both the vector and its negation.
+gauges.  A quadratic p _|_ q pairs with mu^sign through its coordinates
+`identify_t(spec, p, sign)` in the torus basis, sigma for '+' and tau for
+'-'.  The compatible edge normals of `boundary.edge_status` are read in the
+'-' frame, `AnsatzSpec.tau_dual`, each with one lattice-membership flag.
 
 The differential d mu of a moment map, and the Hamiltonian residual of
 `check` built on it, live with the jets in `tensors`

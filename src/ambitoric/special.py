@@ -72,22 +72,15 @@ class KerrParams(Record):
             return self.M - root, self.M + root, True
         s2_float = to_float(s2, "Kerr mass: M^2 + alpha^2")
         rf = Fraction(math.sqrt(s2_float)).limit_denominator(10 ** 9)
-
-        def a_val(x):
-            return x * x - 2 * self.M * x - self.alpha * self.alpha
-
         # nudge outward so (x-) is left of the true root and (x+) right of it
-        lo = self.M - rf
-        eps = Fraction(1, 10 ** 7)
-        while a_val(lo) <= 0:
-            lo = self.M - rf - eps
-            eps *= 2
-        hi = self.M + rf
-        eps = Fraction(1, 10 ** 7)
-        while a_val(hi) <= 0:
-            hi = self.M + rf + eps
-            eps *= 2
-        return lo, hi, False
+        ends = []
+        for r, eps in ((-rf, Fraction(-1, 10 ** 7)), (rf, Fraction(1, 10 ** 7))):
+            end = self.M + r
+            while end * end - 2 * self.M * end - self.alpha * self.alpha <= 0:
+                end = self.M + r + eps
+                eps *= 2
+            ends.append(end)
+        return ends[0], ends[1], False
 
 
 def kerr(params: KerrParams, region: str = EXTERIOR) -> AnsatzSpec:
@@ -102,7 +95,7 @@ def kerr(params: KerrParams, region: str = EXTERIOR) -> AnsatzSpec:
                               "(-|alpha|, |alpha|) is empty at alpha = 0")
     A = Poly([-a * a, -2 * M, Fraction(1)])
     B = Poly([a * a, 0, -1])
-    xm, xp, _exact = params.horizon_roots()
+    xm, xp, _ = params.horizon_roots()
     if region == EXTERIOR:
         x_interval = Interval(xp, None)
     elif region == INTERIOR:

@@ -178,7 +178,8 @@ def test_kerr_and_examples(tmp_path, capsys):
     (["kerr", "--alpha", "1/0"], "--alpha"),
     (["kerr", "--mass", "1e400"], "mass"),
     (["kerr", "--mass", "1e999"], "Kerr mass"),
-    (["kerr", "--mass", "1e-200", "--alpha", "1e-201"], "Kerr mass: M^2 + alpha^2 near 1e-400"),
+    (["kerr", "--mass", "1e-200", "--alpha", "1e-201"],
+     "Kerr mass: M^2 + alpha^2 near 1e-400 does not fit in a float"),
     (["gauge", "SPEC", "--mobius", "1/0,0,0,1"], "--mobius"),
     (["gauge", "SPEC", "--mobius", "1,1,0"], "--mobius"),
     (["examples", f"hirzebruch:{2 ** 53}"], f"hirzebruch:{2 ** 53}"),
@@ -237,10 +238,11 @@ def test_examples_names_a_bad_hirzebruch_index(capsys, index):
     (["examples", "cp2", "--format", "png"], "--format takes one of json, svg"),
     (["kerr", "--region=far"], "--region takes one of exterior, interior"),
     (["eval", "SPEC", "--at", "2.5,-0.5", "--field", "g1"], "--field takes one of g0,"),
+    (["examples", "kerr-interior", "--format", "svg"], "example 'kerr-interior' is a spec"),
 ], ids=["no-subcommand", "unknown-subcommand", "unknown-top-flag", "unknown-flag",
         "abbreviated-flag", "missing-spec", "missing-data", "extra-positional", "missing-at",
         "missing-mobius", "grid-word", "grid-float", "grid-no-value", "csv-no-value",
-        "bad-sign", "bad-format", "bad-region", "bad-field"])
+        "bad-sign", "bad-format", "bad-region", "bad-field", "kerr-svg"])
 def test_a_usage_error_is_one_error_line(spec_file, capsys, argv, words):
     """Every usage error exits 2 with one `error:` line that names what is
     wrong, and runs no subcommand."""
@@ -362,31 +364,32 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
 
 
 def test_decision_path_never_imports_sympy(tmp_path):
-    """validate, classify, moment, check and eval load none of sympy, numpy
-    or scipy, nor dataclasses or inspect (the records come from
+    """validate, classify, moment with either sign, check and eval, on case1
+    (g0) and the Kerr interior (gp, which eval gives too), load none of
+    sympy, numpy or scipy, nor dataclasses or inspect (the records come from
     `quadratics.Record`), nor argparse with its gettext and locale."""
-    golden = json.loads((GOLDEN_DIR / "case1_proper_fold.json").read_text())
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(golden["spec"]))
-    at = ",".join(str(float(v)) for v in
-                  validate(AnsatzSpec.from_dict(golden["spec"]))[0].witness)
-    csv, svg = tmp_path / "m.csv", tmp_path / "m.svg"
-    run = _run_python(
-        "import sys\n"
-        "from ambitoric.cli import main\n"
-        f"main(['classify', {str(spec)!r}])\n"
-        f"main(['validate', {str(spec)!r}])\n"
-        f"main(['moment', {str(spec)!r}, '--sign', '-', '--csv', {str(csv)!r}, "
-        f"'--svg', {str(svg)!r}])\n"
-        f"assert main(['check', {str(spec)!r}]) == 0\n"
-        f"assert main(['eval', {str(spec)!r}, '--at=' + {at!r}]) == 0\n"
-        "loaded = [m for m in ('sympy', 'numpy', 'scipy', 'dataclasses', 'inspect',\n"
-        "                      'argparse', 'gettext', 'locale') if m in sys.modules]\n"
-        "sys.exit(f'loaded {loaded}' if loaded else 0)\n")
+    golden = json.loads((GOLDEN_DIR / "case1_proper_fold.json").read_text())["spec"]
+    code = ["import sys", "from ambitoric.cli import main"]
+    for name, d in (("case1", golden), ("kerr", kerr(KerrParams(1, F(1, 2)), INTERIOR).to_dict())):
+        spec, csv, svg = (str(tmp_path / f"{name}.{ext}") for ext in ("json", "csv", "svg"))
+        pathlib.Path(spec).write_text(json.dumps(d))
+        at = ",".join(str(float(v)) for v in validate(AnsatzSpec.from_dict(d))[0].witness)
+        code += [f"main(['classify', {spec!r}])",
+                 f"main(['validate', {spec!r}])",
+                 f"main(['moment', {spec!r}, '--sign', '-', '--csv', {csv!r}, '--svg', {svg!r}])",
+                 f"assert main(['moment', {spec!r}, '--sign', '+']) == 0",
+                 f"assert main(['check', {spec!r}]) == 0",
+                 f"assert main(['eval', {spec!r}, '--at=' + {at!r}]) == 0"]
+    run = _run_python("\n".join(code + [
+        "loaded = [m for m in ('sympy', 'numpy', 'scipy', 'dataclasses', 'inspect',",
+        "                      'argparse', 'gettext', 'locale') if m in sys.modules]",
+        "sys.exit(f'loaded {loaded}' if loaded else 0)"]))
     assert run.returncode == 0, run.stderr
     assert '"verdicts"' in run.stdout and '"components"' in run.stdout
-    assert '"samples"' in run.stdout and svg.read_text().endswith("</svg>\n")
-    assert '"passed": 216' in run.stdout and '"J-"' in run.stdout
+    assert '"samples"' in run.stdout and '"passed": 216' in run.stdout and '"J-"' in run.stdout
+    assert '"passed": 324' in run.stdout and '"gp": [' in run.stdout
+    assert all((tmp_path / f"{name}.svg").read_text().endswith("</svg>\n")
+               for name in ("case1", "kerr"))
 
 
 @pytest.mark.parametrize("argv, loads", [
@@ -397,8 +400,15 @@ def test_decision_path_never_imports_sympy(tmp_path):
     (["examples", "kerr-interior"], ("commands", "special")),
     (["examples", "cp2", "--format", "svg"], ("commands", "figures", "special")),
     (["gauge", "SPEC", "--mobius", "1,1,0,1"], ("commands", "gauge")),
+    (["validate", "KERR"], ()),
+    (["moment", "KERR", "--sign", "+"], ("figures", "moment")),
+    (["check", "KERR"], ("invariants", "tensors")),
+    (["classify", "KERR"], ("boundary", "classify")),
+    (["examples", "cp2"], ("commands", "special")),
+    (["examples", "hirzebruch:2"], ("commands", "special")),
 ], ids=["validate", "moment", "check", "classify", "examples-kerr-interior",
-        "examples-cp2-svg", "gauge"])
+        "examples-cp2-svg", "gauge", "validate-kerr", "moment-kerr", "check-kerr",
+        "classify-kerr", "examples-cp2", "examples-hirzebruch-2"])
 def test_each_subcommand_loads_only_its_modules(tmp_path, argv, loads):
     """A cold subcommand imports only the modules it runs: `classify` reads
     compatible normals off `AnsatzSpec.tau_dual`, not `moment`; `check`
@@ -406,11 +416,13 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, argv, loads):
     polygons of `examples` are plain tuples, with no `moment`; the figure code
     (`figures`), the invariant suite (`invariants`) and the Mobius gauge
     (`gauge`) load only on their own subcommands.  None loads argparse,
-    gettext or locale."""
-    golden = json.loads((GOLDEN_DIR / "case1_proper_fold.json").read_text())
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(golden["spec"]))
-    argv = [str(spec) if a == "SPEC" else a for a in argv] + ["--out", str(tmp_path / "o")]
+    gettext or locale.  SPEC is case1 (g0), KERR the Kerr interior (gp)."""
+    specs = {"SPEC": json.loads((GOLDEN_DIR / "case1_proper_fold.json").read_text())["spec"],
+             "KERR": kerr(KerrParams(1, F(1, 2)), INTERIOR).to_dict()}
+    for name, d in specs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(d))
+    argv = [str(tmp_path / f"{a}.json") if a in specs else a for a in argv]
+    argv += ["--out", str(tmp_path / "o")]
     run = _run_python(
         "import sys\n"
         "from ambitoric.cli import main\n"
@@ -423,36 +435,20 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, argv, loads):
 
 
 @pytest.mark.parametrize("argv, bound", [
-    (["validate", "SPEC"], 1795),
-    (["classify", "SPEC"], 2272),
+    (["validate", "SPEC"], 1792),
+    (["classify", "SPEC"], 2269),
     (["check", "SPEC"], 2380),
-    (["moment", "SPEC", "--sign", "+"], 2368),
-    (["examples", "kerr-interior"], 2215),
-    (["examples", "cp2"], 2215),
-    (["examples", "cp2", "--format", "svg"], 2392),
+    (["moment", "SPEC", "--sign", "+"], 2363),
+    (["examples", "kerr-interior"], 2207),
+    (["examples", "cp2"], 2207),
+    (["examples", "cp2", "--format", "svg"], 2384),
 ], ids=["validate", "classify", "check", "moment", "examples-kerr-interior",
         "examples-cp2", "examples-cp2-svg"])
 def test_each_cold_subcommand_compiles_at_most_its_lines(tmp_path, argv, bound):
     """With no bytecode cache a cold subcommand compiles every source line of
     the `ambitoric` modules it loads.  Each bound is the count at the time it
-    was set (2364, 2841, 3226, 2833 and 2647 lines before `cli` kept only
-    the parser and the dispatch; `examples cp2` compiled 2664 lines, and 2845
-    with `--format svg`, while its polygon was a `moment.Polygon`; one more
-    line each for the first four while `cli` built an argparse parser; 3
-    more for `check` while it had three residual rules, and 13, 13, 13, 10,
-    10 and 10 fewer for the others before `quadratics.to_float` refused
-    overflowing values, `ansatz.quoted` cut long tokens short in errors and
-    the polygon vertices took their closed form; 3 more for `check` before
-    `tensors._block_curvature` ran as straight-line code, and 1 more for the
-    three `examples` before the Kerr horizon roots read floats through
-    `to_float`; 6 more for each, and 16 for `moment`, before the fold conics
-    came from one Gram matrix and the cells from one pass; 10 more for each
-    but 20 for `check`, 9 for `moment` and 14 for `examples cp2 --format
-    svg` before the jets of `tensors` lost their value-only mode, `figures`
-    its inlined point map and `quadratics.transvectant2` its `Poly`
-    products and `Poly.derivative`): code that grows
-    onto a cold path fails here, and a change that shrinks one lowers its
-    bound."""
+    was set: code that grows onto a cold path fails here, and a change that
+    shrinks one lowers its bound."""
     golden = json.loads((GOLDEN_DIR / "case1_proper_fold.json").read_text())
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(golden["spec"]))
