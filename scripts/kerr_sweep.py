@@ -8,9 +8,14 @@ interior the curvature grows without bound (max |R| reaches 9e8 on these
 samples, and max |Ric| 0.1), so there each Ric_bd = g^ac R_abcd is
 measured against the size of the terms it sums: the relative value is
 max |Ric| / max_bd sum_ac |g^ac R_abcd| over the interior samples that
-float `curvature` admits, printed beside max |Ric|.  Exits 1 if any alpha
-has max |Ric| >= 1e-9 on its exterior samples or a relative value
->= 1e-9 on its interior samples.
+float `curvature` admits, printed beside max |Ric|.
+
+Each alpha whose horizon r+ is rational (1 + alpha^2 a square, as at
+alpha = 5/12) has its exterior classified: it must be completable, with
+the horizon edge normal (r+^2, -1)/(r+ - 1) of the Euclidean Kerr
+instanton in its lattice.  Exits 1 if any alpha has max |Ric| >= 1e-9 on
+its exterior samples, a relative value >= 1e-9 on its interior samples,
+or a rational horizon that fails this.
 
 Usage: python scripts/kerr_sweep.py [n_alpha]
 """
@@ -21,7 +26,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from ambitoric import FramePoint, KerrParams, curvature, kerr, validate
+from ambitoric import FramePoint, KerrParams, classify, curvature, kerr, validate
 from ambitoric.special import INTERIOR
 from ambitoric.tensors import SingularEvaluation, metric_components
 
@@ -36,6 +41,19 @@ def exterior_ricci(alpha: F) -> float:
         pack = curvature(spec, spec.metric, FramePoint(x, y))
         worst = max(worst, float(np.max(np.abs(pack.ricci))))
     return worst
+
+
+def horizon_normal_ok(alpha: F) -> bool:
+    """Whether the exterior at M = 1, whose horizon r+ is rational, is
+    completable and its edge X = r+ has the normal (r+^2, -1)/(r+ - 1),
+    in the lattice."""
+    spec = kerr(KerrParams(1, alpha))
+    (_, verdict), = classify(spec)
+    rp = spec.x_interval.lo
+    normals = [r.status.compatible_normal for r in verdict.reports
+               if r.component.kind == "Edge" and r.component.axis == "X"
+               and r.component.gamma == rp]
+    return verdict.completable and normals == [((rp * rp / (rp - 1), -1 / (rp - 1)), True)]
 
 
 def interior_ricci(alpha: F):
@@ -82,13 +100,21 @@ def main():
         if not relative < RICCI_BOUND and a not in failed:
             failed.append(a)
 
+    for a in alphas:
+        if KerrParams(1, a).horizon_roots()[2]:
+            ok = horizon_normal_ok(a)
+            print(f"\nalpha {a}: rational horizon, exterior completable with the "
+                  f"instanton's horizon normal: {ok}")
+            if not ok and a not in failed:
+                failed.append(a)
+
     print("\ninterior sign components (M=1, alpha=3/4):")
     spec = kerr(KerrParams(1, F(3, 4)), INTERIOR)
     for c in validate(spec):
         print(f"  sign(x-y)={c.sign_xy:+d}  sign(q)={c.sign_q:+d}  "
               f"box {c.x_range} x {c.y_range}")
     if failed:
-        print(f"max |Ric| >= {RICCI_BOUND:g} at alpha = {', '.join(map(str, failed))}")
+        print(f"failed at alpha = {', '.join(map(str, failed))}")
         return 1
     return 0
 

@@ -48,7 +48,7 @@ def _dump_json(obj, path: str | None):
 
 
 # the four subcommands that the benchmark traces by these names; the other
-# five run from `commands`
+# four run from `commands`
 
 def _cmd_validate(args) -> int:
     spec = _load_spec(args.spec)
@@ -97,11 +97,10 @@ COMMANDS = {
     "moment": (f"moment-map samples (--grid N <= {MAX_GRID}), conic, figures", ["spec"],
                {**_OUT, "--sign": ("+", ("+", "-")), "--grid": (24, int),
                 "--csv": (None, "PATH"), "--svg": (None, "PATH")}, "_cmd_moment"),
-    "kerr": ("emit a Kerr spec file", [],
-             {**_OUT, "--mass": ("1", "M"), "--alpha": ("1/2", "ALPHA"),
-              "--region": ("exterior", ("exterior", "interior"))}, "run_kerr"),
-    "examples": ("named example: kerr, kerr-interior, cp2 or hirzebruch:k", ["name"],
-                 {**_OUT, "--format": ("json", ("json", "svg"))}, "run_examples"),
+    "examples": ("named example: kerr, kerr-interior (Kerr spec files, --mass 1 and "
+                 "--alpha 1/2 by default), cp2 or hirzebruch:k", ["name"],
+                 {**_OUT, "--format": ("json", ("json", "svg")), "--mass": (None, "M"),
+                  "--alpha": (None, "ALPHA")}, "run_examples"),
     "gauge": ("Mobius-transport a spec file", ["spec"],
               {**_OUT, "--mobius": (REQUIRED, "A,B,C,D")}, "run_gauge"),
     "csc-gen": ("build a CSC/Einstein spec from a data file", ["data"], _OUT, "run_csc_gen"),

@@ -1,5 +1,5 @@
-"""The subcommands that build or read single objects: `eval`, `kerr`,
-`examples`, `gauge` and `csc-gen`.
+"""The subcommands that build or read single objects: `eval`, `examples`,
+`gauge` and `csc-gen`.
 
 `cli` looks each handler up here by name when its subcommand runs, so
 `validate`, `classify`, `check` and `moment` never load this module.  A
@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from fractions import Fraction
 
 from .quadratics import Poly, Quadratic, rat
 from .ansatz import (
@@ -64,16 +63,6 @@ def run_eval(args) -> int:
     return EXIT_OK
 
 
-def run_kerr(args) -> int:
-    from .special import EXTERIOR, INTERIOR, KerrParams, kerr
-
-    params = KerrParams(*_numbers("--mass", args.mass), *_numbers("--alpha", args.alpha))
-    region = EXTERIOR if args.region == "exterior" else INTERIOR
-    spec = kerr(params, region)
-    _dump_json(spec.to_dict(), args.out)
-    return EXIT_OK
-
-
 def run_examples(args) -> int:
     from .special import EXTERIOR, INTERIOR, KerrParams, kerr, standard_polygon
 
@@ -81,11 +70,16 @@ def run_examples(args) -> int:
     if name in ("kerr", "kerr-interior"):
         if args.format == "svg":
             raise ValueError(f"example {quoted(name)} is a spec: --format svg draws only polygons")
-        region = INTERIOR if name == "kerr-interior" else EXTERIOR
-        spec = kerr(KerrParams(1, Fraction(1, 2)), region)
+        params = KerrParams(*_numbers("--mass", "1" if args.mass is None else args.mass),
+                            *_numbers("--alpha", "1/2" if args.alpha is None else args.alpha))
+        spec = kerr(params, INTERIOR if name == "kerr-interior" else EXTERIOR)
         _dump_json(spec.to_dict(), args.out)
         return EXIT_OK
     if name == "cp2" or name.startswith("hirzebruch:"):
+        for flag, value in (("--mass", args.mass), ("--alpha", args.alpha)):
+            if value is not None:
+                raise ValueError(f"example {quoted(name)} is a polygon: {flag} sets only "
+                                 "the Kerr examples")
         vertices, normals, lattice = standard_polygon(name)
         if args.format == "svg":
             from .figures import _conic_polylines, _svg_document, _Viewport

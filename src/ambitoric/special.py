@@ -9,8 +9,8 @@ The Kerr family is the hyperbolic ansatz with
 
 Ricci-flat for the metric (x^2 - y^2) g0, i.e. gp with p = 1.  When
 M^2 + alpha^2 is a rational square the horizon roots x+- are exact and the
-box endpoints sit exactly on them; otherwise the endpoints are nudged to
-nearby rationals inside the positivity region.
+box endpoints sit exactly on them; otherwise they are the rational bracket
+of `KerrParams.horizon_roots`, where A > 0, within 1e-9 of the roots.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .quadratics import (
     is_exact,
     rat,
     rational_sqrt,
-    to_float,
     transvectant2,
 )
 from .ansatz import (
@@ -65,37 +64,40 @@ class KerrParams(Record):
 
     def horizon_roots(self) -> Tuple[Fraction, Fraction, bool]:
         """(x-, x+, exact).  Rational roots when M^2 + alpha^2 is a rational
-        square; otherwise outward-rounded rational approximations."""
+        square; otherwise, with M^2 + alpha^2 = n/d in lowest terms, M -+ r
+        for r = (isqrt(n d 10^18) + 1) / (d 10^9), above sqrt(n/d) as n d is
+        no square: A > 0 at both ends, each within 1/(d 10^9) of its root."""
         s2 = self.M * self.M + self.alpha * self.alpha
         root = rational_sqrt(s2)
         if root is not None:
             return self.M - root, self.M + root, True
-        s2_float = to_float(s2, "Kerr mass: M^2 + alpha^2")
-        rf = Fraction(math.sqrt(s2_float)).limit_denominator(10 ** 9)
-        # nudge outward so (x-) is left of the true root and (x+) right of it
-        ends = []
-        for r, eps in ((-rf, Fraction(-1, 10 ** 7)), (rf, Fraction(1, 10 ** 7))):
-            end = self.M + r
-            while end * end - 2 * self.M * end - self.alpha * self.alpha <= 0:
-                end = self.M + r + eps
-                eps *= 2
-            ends.append(end)
-        return ends[0], ends[1], False
+        n, d = s2.numerator, s2.denominator
+        r = Fraction(math.isqrt(n * d * 10 ** 18) + 1, d * 10 ** 9)
+        return self.M - r, self.M + r, False
 
 
 def kerr(params: KerrParams, region: str = EXTERIOR) -> AnsatzSpec:
-    """Hyperbolic Kerr spec with metric gp, p = 1, on the standard lattice.
+    """Hyperbolic Kerr spec with metric gp, p = 1.
 
     Exterior: x in (x+, oo).  Interior: x in (-alpha, x-), the region left
     of the inner horizon bounded by the B roots, a modeling default.  Both
-    need alpha != 0, since y runs over (-|alpha|, |alpha|)."""
+    need alpha != 0, since y runs over (-|alpha|, |alpha|).
+
+    With an exact horizon r+ = x+ the exterior gets the lattice of the
+    smooth Euclidean Kerr instanton (Gibbons and Hawking 1977).  Under
+    t1 = tau + alpha phi, t2 = -phi/alpha of Euclidean Boyer-Lindquist
+    (tau, phi), d_tau = (1, 0) and d_phi = (alpha, -1/alpha), the normal of
+    both axis edges up to sign; the lattice is spanned by d_phi and the
+    horizon normal (1/kappa)(d_tau + Omega d_phi) = (r+^2, -1)/(r+ - M),
+    kappa = (r+ - M)/(r+^2 - alpha^2), Omega = alpha/(r+^2 - alpha^2).
+    The interior and irrational horizons keep the standard lattice."""
     M, a = params.M, params.alpha
     if a == 0:
         raise ValidationError("Kerr needs a non-zero alpha: the y box "
                               "(-|alpha|, |alpha|) is empty at alpha = 0")
     A = Poly([-a * a, -2 * M, Fraction(1)])
     B = Poly([a * a, 0, -1])
-    xm, xp, _ = params.horizon_roots()
+    xm, xp, exact = params.horizon_roots()
     if region == EXTERIOR:
         x_interval = Interval(xp, None)
     elif region == INTERIOR:
@@ -110,7 +112,8 @@ def kerr(params: KerrParams, region: str = EXTERIOR) -> AnsatzSpec:
         B=B,
         x_interval=x_interval,
         y_interval=Interval(-abs(a), abs(a)),
-        lattice=_ID_LATTICE,
+        lattice=(((xp * xp / (xp - M), a), (-1 / (xp - M), -1 / a))
+                 if exact and region == EXTERIOR else _ID_LATTICE),
         metric=metric_gp(Quadratic(0, 0, 1)),
     )
 

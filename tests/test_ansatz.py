@@ -1,6 +1,8 @@
 import hashlib
+import importlib.util
 import json
 import math
+import pathlib
 from fractions import Fraction as F
 
 import pytest
@@ -365,8 +367,33 @@ def test_sample_points_match_pointwise_on_planted_boxes(spec, n):
     _assert_sample_points_match(spec, (n,))
 
 
+def _perfbench_checks():
+    """perfbench/checks.py, the benchmark's exact oracle, which imports no
+    part of the package."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks
+
+
+PERFBENCH_CHECKS = _perfbench_checks()
+
+
+@given(st.one_of(canonical_boxes(), transported_boxes()))
+@settings(max_examples=80, deadline=None)
+def test_cell_count_equals_the_benchmark_oracle(spec):
+    """`validate` finds as many cells as `checks.count_components`, which
+    joins the slabs of its own cylindrical decomposition by union-find."""
+    X, Y = ((iv.lo, iv.hi) for iv in (spec.x_interval, spec.y_interval))
+    count = PERFBENCH_CHECKS.count_components(tuple(spec.q.coeffs()), X, Y)
+    assert len(validate(spec)) == count
+
+
 #: sha256 prefixes of the sample_points(2, 5, 28) floats of every cell,
-#: recorded before cells replaced sign-pair grid components
+#: recorded before cells replaced sign-pair grid components; the two Kerr
+#: entries since the irrational horizon ends became the exact bracket of
+#: `KerrParams.horizon_roots`, which moved their x ends by 1.05e-13
 _SAMPLE_DIGESTS = {
     "case1_proper_fold": "cabe912d5f5098dd",
     "case2_fold_edge_g0": "2156373d4960cde3",
@@ -376,8 +403,8 @@ _SAMPLE_DIGESTS = {
     "case6_kerr_exterior": "6b6344237772fcbb",
     "case7_p_corner_gp": "0fde14a5bf4c1313",
     "case8_fold_corner_gminus": "d8e3466285ef6538",
-    "kerr-exterior": "cd3c7bebe652c743",
-    "kerr-interior": "8dcb462dd1260eee",
+    "kerr-exterior": "b0fca1e6c05efa58",
+    "kerr-interior": "ea53171a78509a85",
 }
 
 

@@ -10,11 +10,12 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ambitoric.cli import COMMANDS, MAX_GRID, main
 from ambitoric.invariants import relative_residual
+from ambitoric.quadratics import rational_sqrt
 
 from conftest import make_spec
 from ambitoric import (
@@ -156,10 +157,11 @@ def test_moment_outputs_stable(spec_file, tmp_path, capsys):
 
 def test_kerr_and_examples(tmp_path, capsys):
     out = tmp_path / "kerr.json"
-    assert main(["kerr", "--mass", "1", "--alpha", "3/4",
+    # M^2 + alpha^2 = 25/16: the exterior on the instanton's lattice is case6
+    assert main(["examples", "kerr", "--mass", "1", "--alpha", "3/4",
                  "--out", str(out)]) == 0
-    d = json.loads(out.read_text())
-    assert d["q"] == ["0", "1", "0"]
+    case6 = json.loads((GOLDEN_DIR / "case6_kerr_exterior.json").read_text())["spec"]
+    assert json.loads(out.read_text()) == case6
     lattice = [["1", "0"], ["0", "1"]]
     assert main(["examples", "cp2"]) == 0
     assert json.loads(capsys.readouterr().out) == {
@@ -174,12 +176,8 @@ def test_kerr_and_examples(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, name", [
-    (["kerr", "--mass", "1/0"], "--mass"),
-    (["kerr", "--alpha", "1/0"], "--alpha"),
-    (["kerr", "--mass", "1e400"], "mass"),
-    (["kerr", "--mass", "1e999"], "Kerr mass"),
-    (["kerr", "--mass", "1e-200", "--alpha", "1e-201"],
-     "Kerr mass: M^2 + alpha^2 near 1e-400 does not fit in a float"),
+    (["examples", "kerr", "--mass", "1/0"], "--mass"),
+    (["examples", "kerr-interior", "--alpha", "1/0"], "--alpha"),
     (["gauge", "SPEC", "--mobius", "1/0,0,0,1"], "--mobius"),
     (["gauge", "SPEC", "--mobius", "1,1,0"], "--mobius"),
     (["examples", f"hirzebruch:{2 ** 53}"], f"hirzebruch:{2 ** 53}"),
@@ -187,25 +185,77 @@ def test_kerr_and_examples(tmp_path, capsys):
     (["examples", "hirzebruch:" + "9" * 4400], "example 'hirzebruch:999"),
     (["moment", "SPEC", "--grid", "9" * 4400], "--grid takes an integer, not '999"),
     (["moment", "SPEC", "--grid", "-" + "9" * 4000], "--grid must be at least 1, got '-999"),
-    (["kerr", "--mass", "9" * 4400], "--mass needs 1 rational number, got '999"),
-], ids=["mass-1/0", "alpha-1/0", "mass-1e400", "mass-1e999", "mass-1e-200", "mobius-1/0",
+    (["examples", "kerr", "--mass", "9" * 4400], "--mass needs 1 rational number, got '999"),
+    (["check", "KERR:1e400:1/2"], "a value near 1e400 does not fit in a float"),
+    (["check", "KERR:1e999:1/2"], "a value near 1e999 does not fit in a float"),
+    (["check", "KERR:1e-200:1e-201"], "a value near -1e-402 does not fit in a float"),
+], ids=["mass-1/0", "alpha-1/0", "mobius-1/0",
         "mobius-3-values", "hirzebruch-2^53", "hirzebruch-1e160", "hirzebruch-4400-digits",
-        "grid-4400-digits", "grid-below-1-4000-digits", "mass-4400-digits"])
-def test_a_malformed_number_in_a_flag_is_an_input_error(spec_file, capsys, argv, name):
+        "grid-4400-digits", "grid-below-1-4000-digits", "mass-4400-digits",
+        "mass-1e400", "mass-1e999", "mass-1e-200"])
+def test_a_malformed_number_in_a_flag_is_an_input_error(spec_file, tmp_path, capsys, argv,
+                                                        name):
     """Each of these used to end in a ZeroDivisionError or OverflowError
     traceback, or (three Mobius values) in an unpacking message that named
-    no flag, or (a mass of 1e-200, whose M^2 + alpha^2 a float reads as
-    0.0) wrote horizon ends near +-1e-7, some 10^193 times the true x+:
-    now one `error:` line naming the flag or the example, exit 2.
+    no flag: now one `error:` line naming the flag or the example, exit 2.
     From k = 2^53 on, -k-1 rounds in floats, and a corner of hirzebruch:k
     has a float determinant of 0 or of 2 in place of 1.  An index of more
     than 4300 digits failed in int(), naming no example, and the flag
-    errors printed every digit: a long number is now cut short."""
-    assert main([spec_file if a == "SPEC" else a for a in argv]) == 2
+    errors printed every digit: a long number is now cut short.
+    `KERR:M:ALPHA` stands for the spec file of `examples kerr --mass M
+    --alpha ALPHA`, which is exact at any size (see the property below):
+    a mass of 1e400 or 1e999, or 1e-200 beside alpha = 1e-201, is refused
+    by `check`, which works in floats, and no longer when the spec is made."""
+    def resolve(a):
+        if a == "SPEC":
+            return spec_file
+        if a.startswith("KERR:"):
+            _, mass, alpha = a.split(":")
+            path = str(tmp_path / "kerr.json")
+            assert main(["examples", "kerr", "--mass", mass, "--alpha", alpha,
+                         "--out", path]) == 0
+            return path
+        return a
+
+    assert main([resolve(a) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
     assert name in captured.err and len(captured.err.splitlines()) == 1
     assert len(captured.err) < 150
+
+
+@st.composite
+def irrational_horizons(draw):
+    """(M, alpha) as flag values with M^2 + alpha^2 no rational square: M a
+    ratio of integers times 10^k, -200 <= k <= 999, and alpha = M j / 1000."""
+    M = F(draw(st.integers(1, 10 ** 6)), draw(st.integers(1, 10 ** 6)))
+    M *= F(10) ** draw(st.integers(-200, 999))
+    alpha = M * F(draw(st.integers(-999, 999).filter(bool)), 1000)
+    assume(rational_sqrt(M * M + alpha * alpha) is None)
+    return str(M), str(alpha)
+
+
+@settings(max_examples=40, deadline=None)
+@given(flags=irrational_horizons())
+@example(flags=("1e400", "1/2"))
+@example(flags=("1e999", "1/2"))
+@example(flags=("1e-200", "1e-201"))
+def test_an_irrational_horizon_end_lies_where_A_is_positive_next_to_its_root(flags):
+    """With M^2 + alpha^2 = n/d in lowest terms and no square, the horizon end
+    of `examples kerr` (x+) and of `examples kerr-interior` (x-) lies where
+    A > 0, and A < 0 one step of 1/(d 10^9) towards the root.  A float
+    sqrt once bounded these ends: it refused a mass of 1e400 or 1e999 and
+    (at 1e-200, where M^2 + alpha^2 read as 0.0) wrote ends near +-1e-7."""
+    mass, alpha = flags
+    M, a = F(mass), F(alpha)
+    step = F(1, (M * M + a * a).denominator * 10 ** 9)
+    for name, key, inward in (("kerr", 0, -step), ("kerr-interior", 1, step)):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["examples", name, "--mass", mass, "--alpha", alpha]) == 0
+        end = F(json.loads(out.getvalue())["x_interval"][key])
+        A = lambda x: x * x - 2 * M * x - a * a
+        assert A(end) > 0 > A(end + inward)
 
 
 @pytest.mark.parametrize("index", ["x", "0", "-2", "1.5", ""])
@@ -236,13 +286,13 @@ def test_examples_names_a_bad_hirzebruch_index(capsys, index):
     (["moment", "SPEC", "--csv", "--svg", "m.svg"], "--csv needs a value"),
     (["moment", "SPEC", "--sign", "*"], "--sign takes one of +, -, not '*'"),
     (["examples", "cp2", "--format", "png"], "--format takes one of json, svg"),
-    (["kerr", "--region=far"], "--region takes one of exterior, interior"),
+    (["examples", "cp2", "--mass", "2"], "example 'cp2' is a polygon: --mass sets only"),
     (["eval", "SPEC", "--at", "2.5,-0.5", "--field", "g1"], "--field takes one of g0,"),
     (["examples", "kerr-interior", "--format", "svg"], "example 'kerr-interior' is a spec"),
 ], ids=["no-subcommand", "unknown-subcommand", "unknown-top-flag", "unknown-flag",
         "abbreviated-flag", "missing-spec", "missing-data", "extra-positional", "missing-at",
         "missing-mobius", "grid-word", "grid-float", "grid-no-value", "csv-no-value",
-        "bad-sign", "bad-format", "bad-region", "bad-field", "kerr-svg"])
+        "bad-sign", "bad-format", "polygon-mass", "bad-field", "kerr-svg"])
 def test_a_usage_error_is_one_error_line(spec_file, capsys, argv, words):
     """Every usage error exits 2 with one `error:` line that names what is
     wrong, and runs no subcommand."""
@@ -252,7 +302,7 @@ def test_a_usage_error_is_one_error_line(spec_file, capsys, argv, words):
     assert words in captured.err and len(captured.err.splitlines()) == 1
 
 
-SUBCOMMANDS = "validate eval check classify moment kerr examples gauge csc-gen".split()
+SUBCOMMANDS = "validate eval check classify moment examples gauge csc-gen".split()
 
 
 def test_help_names_every_subcommand_and_its_options(capsys):
@@ -261,7 +311,7 @@ def test_help_names_every_subcommand_and_its_options(capsys):
         out = capsys.readouterr().out
         assert out.startswith("usage: ambitoric ")
         assert all(f"\n  {name} " in out for name in SUBCOMMANDS)
-    options = {"eval": "--at X,Y", "moment": "[--grid N]", "kerr": "[--region exterior|interior]",
+    options = {"eval": "--at X,Y", "moment": "[--grid N]", "examples": "[--mass M] [--alpha ALPHA]",
                "gauge": "--mobius A,B,C,D"}
     for name in SUBCOMMANDS:
         # help wins over a missing or bogus argument, and runs nothing
@@ -435,13 +485,13 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, argv, loads):
 
 
 @pytest.mark.parametrize("argv, bound", [
-    (["validate", "SPEC"], 1792),
-    (["classify", "SPEC"], 2269),
-    (["check", "SPEC"], 2380),
-    (["moment", "SPEC", "--sign", "+"], 2363),
-    (["examples", "kerr-interior"], 2207),
-    (["examples", "cp2"], 2207),
-    (["examples", "cp2", "--format", "svg"], 2384),
+    (["validate", "SPEC"], 1791),
+    (["classify", "SPEC"], 2268),
+    (["check", "SPEC"], 2379),
+    (["moment", "SPEC", "--sign", "+"], 2362),
+    (["examples", "kerr-interior"], 2203),
+    (["examples", "cp2"], 2203),
+    (["examples", "cp2", "--format", "svg"], 2380),
 ], ids=["validate", "classify", "check", "moment", "examples-kerr-interior",
         "examples-cp2", "examples-cp2-svg"])
 def test_each_cold_subcommand_compiles_at_most_its_lines(tmp_path, argv, bound):

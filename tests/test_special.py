@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambitoric import (
     CSCData,
@@ -13,6 +15,7 @@ from ambitoric import (
     Poly,
     Quadratic,
     ValidationError,
+    classify,
     csc_construct,
     curvature,
     kerr,
@@ -47,8 +50,45 @@ def test_kerr_approx_roots_bracket():
     xm, xp, exact = p.horizon_roots()
     assert not exact
     A = Poly([-F(1, 4), -2, 1])
-    assert A(xm) > 0 and A(xp) > 0    # nudged outward into positivity
+    assert A(xm) > 0 and A(xp) > 0    # bracketed outward into positivity
     assert float(xp - xm) == pytest.approx(2 * math.sqrt(1.25), abs=1e-6)
+
+
+@st.composite
+def pythagorean_kerr(draw):
+    """(M, alpha, h): a Pythagorean triple (legs, hypotenuse h) times a
+    rational scale, M the longer leg and alpha the shorter, of either sign,
+    so that M^2 + alpha^2 = h^2."""
+    p = draw(st.integers(2, 12))
+    q = draw(st.integers(1, p - 1))
+    scale = F(draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    legs = sorted((p * p - q * q, 2 * p * q))
+    sign = draw(st.sampled_from((1, -1)))
+    return legs[1] * scale, sign * legs[0] * scale, (p * p + q * q) * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=pythagorean_kerr())
+def test_kerr_exterior_is_the_smooth_euclidean_instanton(params):
+    """With r+ rational, the horizon edge's compatible normal is
+    (1/kappa)(d_tau + Omega d_phi), kappa = (r+ - M)/(r+^2 - alpha^2) and
+    Omega = alpha/(r+^2 - alpha^2), the axis edges' normals are +-d_phi,
+    d_tau = (1, 0) and d_phi = (alpha, -1/alpha); both lie in the lattice
+    `kerr` emits, and the exterior is completable."""
+    M, alpha, h = params
+    rp = M + h
+    kappa, omega = (rp - M) / (rp * rp - alpha * alpha), alpha / (rp * rp - alpha * alpha)
+    horizon = ((1 + omega * alpha) / kappa, -omega / alpha / kappa)
+    axis = (alpha, -1 / alpha)
+    (_, verdict), = classify(kerr(KerrParams(M, alpha)))
+    assert verdict.completable
+    normals = {(r.component.axis, r.component.gamma): r.status.compatible_normal
+               for r in verdict.reports
+               if r.component.kind == "Edge" and r.status.compatible_normal}
+    assert normals[("X", rp)] == (horizon, True)
+    for y in (alpha, -alpha):
+        n, member = normals[("Y", y)]
+        assert member and n in (axis, tuple(-c for c in axis))
 
 
 def test_kerr_interior_has_fold_components():
